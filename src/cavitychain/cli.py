@@ -11,6 +11,7 @@ CSV bytes; only the sidecar timestamp varies between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import subprocess
@@ -52,7 +53,7 @@ _FLOAT_KEYS = {
     "omega_e2", "delta2", "omega_a2", "omega_C2", "Omega2", "g2", "Gamma2", "gamma2",
     "k", "k_min", "k_max",
     "axis1_min", "axis1_max", "axis2_min", "axis2_max",
-    "k0", "sigma", "tmax", "dt", "absorber_strength",
+    "k0", "sigma", "tmax", "absorber_strength",
     "window_re_min", "window_re_max", "window_im_min", "window_im_max",
     "threshold", "singular_tol", "drift_tol",
 }
@@ -183,49 +184,38 @@ def _flat_params(cfg: dict) -> dict:
     """Validated flat parameter dict consumed by the sweep engine."""
     lat = _build_lattice(cfg)
     params = {"t": lat.t, "omega": lat.omega}
-    if not _has_first_node(cfg):
-        if "k" in cfg:
-            params["k"] = cfg["k"]
-        return params
-    atom = _build_atom(cfg)
-    params.update(
-        {
-            "omega_e": atom.omega_e,
-            "delta": atom.delta,
-            "Omega": atom.Omega,
-            "g": atom.g,
-            "Gamma": atom.Gamma,
-            "gamma": atom.gamma,
-        }
-    )
-    if _has_second_node(cfg):
-        atom2 = _build_atom(cfg, "2")
-        params.update(
-            {
-                "omega_e2": atom2.omega_e,
-                "delta2": atom2.delta,
-                "Omega2": atom2.Omega,
-                "g2": atom2.g,
-                "Gamma2": atom2.Gamma,
-                "gamma2": atom2.gamma,
-                "D": int(cfg.get("D", 1)),
-            }
-        )
+    if _has_first_node(cfg):
+        suffixes = ("", "2") if _has_second_node(cfg) else ("",)
+        for suffix in suffixes:
+            atom = _build_atom(cfg, suffix)
+            for key in ("omega_e", "delta", "Omega", "g", "Gamma", "gamma"):
+                params[f"{key}{suffix}"] = getattr(atom, key)
+        if len(suffixes) == 2:
+            params["D"] = int(cfg.get("D", 1))
     if "k" in cfg:
         params["k"] = cfg["k"]
     return params
 
 
+@functools.cache
 def _git_hash() -> str:
+    """HEAD of this package's own source checkout, looked up once per process.
+
+    'unknown' unless git's work tree is the one whose ``src/cavitychain`` is
+    this package, so an installed copy never reports an unrelated repository.
+    """
+    here = Path(__file__).resolve().parent
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=5, check=False,
-            cwd=Path(__file__).resolve().parent,
+            ["git", "rev-parse", "--show-toplevel", "HEAD"],
+            capture_output=True, text=True, timeout=5, check=False, cwd=here,
         )
-        return out.stdout.strip() or "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
+    lines = out.stdout.splitlines()
+    if out.returncode or len(lines) != 2 or Path(lines[0]).resolve() / "src" / here.name != here:
+        return "unknown"
+    return lines[1]
 
 
 def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict | None = None) -> None:
@@ -414,12 +404,11 @@ def cmd_wavepacket(cfg: dict, out: Path) -> int:
     if "x0" in cfg and "tmax" in cfg:
         wp = WavepacketSpec(
             k0=cfg["k0"], sigma=cfg["sigma"], x0=cfg["x0"], tmax=cfg["tmax"],
-            dt=cfg.get("dt"),
             absorber_width=cfg.get("absorber_width", 0),
             absorber_strength=cfg.get("absorber_strength", 0.2),
         )
     else:
-        wp = design_wavepacket(spec, cfg["k0"], cfg["sigma"], dt=cfg.get("dt"))
+        wp = design_wavepacket(spec, cfg["k0"], cfg["sigma"])
     result = propagate_wavepacket(spec, wp)
     rows = [[float(t), float(nrm)] for t, nrm in zip(result.times, result.norm_history)]
     _write_csv(out, ["time", "norm"], rows)
@@ -486,26 +475,9 @@ def _agreement_draw(rng: np.random.Generator, with_decay: bool) -> tuple[dict, f
 
 def _scatter_pair(params: dict, k: float, lat: LatticeParams):
     if "D" in params:
-        cfg = TwoNodeConfig(
-            AtomParams(
-                omega_e=params["omega_e"], delta=params["delta"],
-                Omega=params["Omega"], g=params["g"],
-                Gamma=params.get("Gamma", 0.0), gamma=params.get("gamma", 0.0),
-            ),
-            AtomParams(
-                omega_e=params["omega_e2"], delta=params["delta2"],
-                Omega=params["Omega2"], g=params["g2"],
-                Gamma=params.get("Gamma2", 0.0), gamma=params.get("gamma2", 0.0),
-            ),
-            params["D"],
-        )
+        cfg = TwoNodeConfig(_build_atom(params), _build_atom(params, "2"), params["D"])
         return two_node_scatter(k, cfg, lat)
-    atom = AtomParams(
-        omega_e=params["omega_e"], delta=params["delta"],
-        Omega=params["Omega"], g=params["g"],
-        Gamma=params.get("Gamma", 0.0), gamma=params.get("gamma", 0.0),
-    )
-    return single_node_scatter(k, atom, lat)
+    return single_node_scatter(k, _build_atom(params), lat)
 
 
 def cmd_oracle_check(cfg: dict, out: Path | None) -> int:

@@ -26,11 +26,18 @@ from .errors import (
 )
 from .model import AtomParams, LatticeParams, dispersion_energy
 
-#: Decay-free probability budget the integrator may lose over one run.
+#: Decay-free probability budget the propagator may lose over one run.
 DRIFT_TOL = 1e-8
 
 #: Probability allowed to touch the chain ends before the run is rejected.
 EDGE_TOL = 1e-7
+
+#: Largest phase (radius + decay) * dt one Chebyshev step spans; bounds the
+#: length and the growth of the series when H is non-Hermitian.
+MAX_STEP_PHASE = 10.0
+
+#: Gauss-Legendre nodes per step for the flux into absorbing layers.
+FLUX_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,8 @@ class ChainSpec:
 class WavepacketSpec:
     """Gaussian probe packet: exp(-(j - x0)^2 / (4 sigma^2) + i k0 j).
 
-    ``dt=None`` picks the coarser of the 0.05/t heuristic and the step that
-    keeps the decay-free norm drift inside the 1e-8 budget over ``tmax``.
+    The packet runs from t = 0 to ``tmax``; the propagator is exact up to
+    rounding and picks its own steps, so there is no step-size setting.
     ``absorber_width > 0`` enables smooth complex absorbing layers at both
     ends; absorbed probability is then reported separately.
     """
@@ -99,7 +106,6 @@ class WavepacketSpec:
     sigma: float
     x0: int
     tmax: float
-    dt: float | None = None
     absorber_width: int = 0
     absorber_strength: float = 0.2
 
@@ -110,8 +116,6 @@ class WavepacketSpec:
             raise ValueError(f"carrier momentum must lie in (0, pi), got {self.k0}")
         if self.tmax <= 0:
             raise ValueError("tmax must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 @dataclass
@@ -125,19 +129,14 @@ class SingleExcitationState:
     @property
     def norm(self) -> float:
         """Total occupation probability."""
-        total = float(np.sum(np.abs(self.u) ** 2))
-        total += float(np.sum(np.abs(self.u_e) ** 2) + np.sum(np.abs(self.u_a) ** 2))
-        return total
+        return float(np.sum(np.abs(self.to_vector()) ** 2))
 
     def normalized(self) -> "SingleExcitationState":
         scale = 1.0 / math.sqrt(self.norm)
         return SingleExcitationState(self.u * scale, self.u_e * scale, self.u_a * scale)
 
     def to_vector(self) -> np.ndarray:
-        parts = [self.u]
-        for e, a in zip(self.u_e, self.u_a):
-            parts.append(np.array([e, a]))
-        return np.concatenate(parts) if len(parts) > 1 else self.u.copy()
+        return np.concatenate([self.u, np.column_stack([self.u_e, self.u_a]).ravel()])
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_sites: int) -> "SingleExcitationState":
@@ -301,27 +300,48 @@ def _gaussian_packet(spec: ChainSpec, wp: WavepacketSpec) -> np.ndarray:
     return vec
 
 
-def _spectral_radius_bound(spec: ChainSpec) -> float:
-    bound = abs(spec.lat.omega) + 2.0 * spec.lat.t + 0.5 * spec.kappa
-    for _, atom in spec.placements:
-        bound = max(
-            bound,
-            abs(spec.lat.omega) + 2.0 * spec.lat.t + atom.g + 0.5 * spec.kappa,
-            abs(atom.omega_e) + atom.Gamma + atom.g + atom.Omega,
-            abs(atom.delta) + atom.gamma + atom.Omega,
-        )
-    return bound
+def _spectral_interval(spec: ChainSpec) -> tuple[float, float]:
+    """Gershgorin bounds on the real parts of the eigenvalues of H.
+
+    Decay, leakage and absorbers only move eigenvalues below the real axis,
+    so the interval depends on the real diagonals and the couplings alone.
+    """
+    band_lo, band_hi = spec.lat.omega - 2.0 * spec.lat.t, spec.lat.omega + 2.0 * spec.lat.t
+    lo, hi = band_lo, band_hi
+    for _, a in spec.placements:
+        lo = min(lo, band_lo - a.g, a.omega_e - a.g - a.Omega, a.delta - a.Omega)
+        hi = max(hi, band_hi + a.g, a.omega_e + a.g + a.Omega, a.delta + a.Omega)
+    return lo, hi
 
 
-def _choose_dt(spec: ChainSpec, wp: WavepacketSpec) -> float:
-    if wp.dt is not None:
-        return wp.dt
-    heuristic = 0.05 / spec.lat.t
-    # Classical RK4 loses about (lambda dt)^6 / 72 probability per step on a
-    # Hermitian problem; keep the accumulated loss an order below the budget.
-    lam = _spectral_radius_bound(spec)
-    budget = (72.0 * 0.1 * DRIFT_TOL / (wp.tmax * lam**6)) ** 0.2
-    return min(heuristic, budget)
+def _bessel_series(x: float, rho: float = 1.0) -> np.ndarray:
+    """J_0(x), J_1(x), ... by Miller's recurrence, cut past max(x, 1) at |J_n| rho^n < 1e-17."""
+    top = int(3.0 * x * rho) + 60
+    j = np.zeros(top + 2)
+    j[top] = 1.0
+    for n in range(top, 0, -1):
+        j[n - 1] = 2.0 * n / x * j[n] - j[n + 1]
+        if abs(j[n - 1]) > 1e200:
+            j[n - 1 :] *= 1e-200
+    j /= j[0] + 2.0 * np.sum(j[2::2])
+    order = np.arange(top + 2)
+    tail = np.nonzero((order > max(x, 1.0)) & (np.abs(j) * rho**order < 1e-17))[0]
+    return j[: tail[0]]
+
+
+def _chebyshev_coefficients(
+    centre: complex, radius: float, rho: float, tau: float, size: int | None = None
+) -> np.ndarray:
+    """Coefficients of exp(-iH tau) in T_n((H - centre) / radius), zero-padded to ``size``.
+
+    a_n = (2 - delta_n0) (-i)^n J_n(radius tau) exp(-i centre tau), after
+    Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984); T_n grows like rho^n.
+    """
+    bessel = _bessel_series(radius * tau, rho)[:size]
+    coeffs = np.zeros(size or len(bessel), dtype=np.complex128)
+    coeffs[: len(bessel)] = 2.0 * (-1j) ** np.arange(len(bessel)) * bessel
+    coeffs[0] /= 2.0
+    return coeffs * np.exp(-1j * centre * tau)
 
 
 def design_scattering_run(
@@ -331,14 +351,14 @@ def design_scattering_run(
     sigma: float,
     *,
     D: int = 1,
-    dt: float | None = None,
     buffer: int = 4,
 ) -> tuple[ChainSpec, WavepacketSpec]:
     """Build a chain just large enough for one clean scattering event.
 
     Places one node (or two, ``D`` sites apart), sizes the chain so the
     incoming and both outgoing packets stay 6 sigma clear of the ends, and
-    returns the matching packet specification.
+    returns the matching packet specification from design_wavepacket (a
+    start site and a run time; there is no step size to choose).
     """
     if len(atoms) not in (1, 2):
         raise ValueError("design_scattering_run takes one or two nodes")
@@ -348,26 +368,18 @@ def design_scattering_run(
     first = approach + travel_out + clearance
     last = first + (D if len(atoms) == 2 else 0)
     n = last + travel_out + clearance + 1
-    if len(atoms) == 1:
-        placements: tuple[tuple[int, AtomParams], ...] = ((first, atoms[0]),)
-    else:
-        placements = ((first, atoms[0]), (last, atoms[1]))
-    spec = ChainSpec(n, placements, lat, buffer=buffer)
-    return spec, design_wavepacket(spec, k0, sigma, dt=dt)
+    spec = ChainSpec(n, tuple(zip((first, last), atoms)), lat, buffer=buffer)
+    return spec, design_wavepacket(spec, k0, sigma)
 
 
-def design_wavepacket(
-    spec: ChainSpec,
-    k0: float,
-    sigma: float,
-    *,
-    dt: float | None = None,
-) -> WavepacketSpec:
+def design_wavepacket(spec: ChainSpec, k0: float, sigma: float) -> WavepacketSpec:
     """Place a packet and pick a propagation time from the chain geometry.
 
     The packet starts 6 sigma plus a margin before the first node and the
     run ends with both outgoing packets at least 6 sigma clear of the ends.
-    Raises InsufficientChainError when the chain cannot host that layout.
+    Only x0 and tmax are chosen here: propagate_wavepacket takes its steps
+    from the spectral interval of H.  Raises InsufficientChainError when
+    the chain cannot host that layout.
     """
     if not spec.placements:
         raise InsufficientChainError("design_wavepacket needs at least one node")
@@ -386,18 +398,21 @@ def design_wavepacket(
         )
     v_g = 2.0 * spec.lat.t * math.sin(k0)
     tmax = ((first - x0) + (last - first) + travel_out) / v_g
-    return WavepacketSpec(k0=k0, sigma=sigma, x0=x0, tmax=tmax, dt=dt)
+    return WavepacketSpec(k0=k0, sigma=sigma, x0=x0, tmax=tmax)
 
 
 def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResult:
     """Propagate the packet through the chain and measure R and T.
 
+    Each step applies a Chebyshev expansion of exp(-iH dt) on the Gershgorin
+    interval of H, accurate to rounding; ``times``/``norm_history`` hold one
+    sample per step end, and the guards below run at every step end.
     R_meas is the probability left of the first node after the run,
     T_meas the probability right of the last node, each augmented by the
     probability its absorbing layer removed when absorbers are enabled.
-    Raises IntegratorDriftError when a decay-free run loses more than the
-    norm budget and InsufficientChainError when probability reaches the
-    chain ends with absorbers off.
+    Raises IntegratorDriftError when the norm of a decay-free run drifts, or
+    a dissipative step gains, more than DRIFT_TOL, and InsufficientChainError
+    when probability reaches the chain ends with absorbers off.
     """
     if wp.x0 - 5.0 * wp.sigma < 2:
         raise InsufficientChainError(
@@ -409,99 +424,108 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
         )
 
     n = spec.n_sites
-    n_atoms = len(spec.placements)
-    dt = _choose_dt(spec, wp)
-    n_steps = max(1, int(math.ceil(wp.tmax / dt)))
-    dt = wp.tmax / n_steps
-
-    site_diag = np.full(n, spec.lat.omega, dtype=np.complex128)
-    if spec.kappa:
-        site_diag -= 0.5j * spec.kappa
     cap = np.zeros(n)
     if wp.absorber_width > 0:
         w = wp.absorber_width
         ramp = (np.arange(w, 0, -1) / w) ** 2
         cap[:w] = wp.absorber_strength * ramp
         cap[-w:] = wp.absorber_strength * ramp[::-1]
-        site_diag = site_diag - 1j * cap
-    t_hop = spec.lat.t
-    atom_sites = np.array(spec.sites, dtype=int)
-    g_arr = np.array([a.g for _, a in spec.placements])
-    Om_arr = np.array([a.Omega for _, a in spec.placements])
-    e_diag = np.array([a.excited_level for _, a in spec.placements], dtype=np.complex128)
-    a_diag = np.array([a.metastable_level for _, a in spec.placements], dtype=np.complex128)
+    # Decay and absorbers sit on the diagonal, so the numerical range of H lies
+    # in the box [lo, hi] x [-decay, 0]; the series is centred on that box and
+    # cut on rho, the smallest Bernstein ellipse around the scaled box.
+    rates = [0.5 * spec.kappa + cap.max()] + [max(a.Gamma, a.gamma) for _, a in spec.placements]
+    decay = float(max(rates))
+    lo, hi = _spectral_interval(spec)
+    centre, radius = 0.5 * (hi + lo) - 0.5j * decay, 0.5 * (hi - lo)
+    b = 0.5 * decay / radius
+    sinh2 = 0.5 * b * (b + math.sqrt(b * b + 4.0))
+    rho = math.sqrt(sinh2) + math.sqrt(1.0 + sinh2)
+    n_steps = max(1, math.ceil((radius + decay) * wp.tmax / MAX_STEP_PHASE))
+    dt = wp.tmax / n_steps
+    coeffs = _chebyshev_coefficients(centre, radius, rho, dt)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
+    # Every coefficient of H below is shifted and scaled onto the unit box.
+    site_diag = (spec.lat.omega - centre - 0.5j * spec.kappa - 1j * cap) / radius
+    t_hop = spec.lat.t / radius
+    atom_sites = np.array(spec.sites, dtype=int)
+    g_arr = np.array([a.g for _, a in spec.placements]) / radius
+    Om_arr = np.array([a.Omega for _, a in spec.placements]) / radius
+    e_diag = np.array([a.excited_level - centre for _, a in spec.placements]) / radius
+    a_diag = np.array([a.metastable_level - centre for _, a in spec.placements]) / radius
+
+    def apply_h(y: np.ndarray) -> np.ndarray:
         out = np.empty_like(y)
         u = y[:n]
         hu = site_diag * u
         hu[:-1] -= t_hop * u[1:]
         hu[1:] -= t_hop * u[:-1]
-        if n_atoms:
+        if atom_sites.size:
             ue = y[n::2]
             ua = y[n + 1 :: 2]
             hu[atom_sites] += g_arr * ue
             out[n::2] = e_diag * ue + g_arr * u[atom_sites] + Om_arr * ua
             out[n + 1 :: 2] = a_diag * ua + Om_arr * ue
         out[:n] = hu
-        return -1j * out
+        return out
+
+    # The absorbed flux is integrated by Gauss-Legendre nodes inside each
+    # step, evaluated from the step's own Chebyshev vectors on the layers.
+    absorbing = np.nonzero(cap)[0]
+    basis = np.empty((len(coeffs), absorbing.size), dtype=np.complex128)
+    if absorbing.size:
+        nodes, weights = np.polynomial.legendre.leggauss(FLUX_NODES)
+        taus = 0.5 * dt * (nodes + 1.0)
+        node_coeffs = np.array(
+            [_chebyshev_coefficients(centre, radius, rho, tau, coeffs.size) for tau in taus]
+        )
+        node_flux = np.outer(0.5 * dt * weights, 2.0 * cap[absorbing])
+
+    def chebyshev_step(y: np.ndarray) -> np.ndarray:
+        prev, cur = y, apply_h(y)
+        basis[0], basis[1] = prev[absorbing], cur[absorbing]
+        out = coeffs[0] * prev + coeffs[1] * cur
+        for m in range(2, len(coeffs)):
+            prev, cur = cur, 2.0 * apply_h(cur) - prev
+            basis[m] = cur[absorbing]
+            out += coeffs[m] * cur
+        return out
 
     y = _gaussian_packet(spec, wp)
     decay_free = spec.is_decay_free and wp.absorber_width == 0
     norm_history = np.empty(n_steps + 1)
     norm_history[0] = float(np.vdot(y, y).real)
-    absorbed_left = 0.0
-    absorbed_right = 0.0
+    taken = np.zeros(absorbing.size)
+    for step in range(1, n_steps + 1):
+        y = chebyshev_step(y)
+        if absorbing.size:
+            taken += np.sum(node_flux * np.abs(node_coeffs @ basis) ** 2, axis=0)
+        norm_history[step] = float(np.vdot(y, y).real)
+        # A decay-free run keeps its norm; a dissipative one may only lose.
+        gain = norm_history[step] - norm_history[0 if decay_free else step - 1]
+        drift = abs(gain) if decay_free else gain
+        if not drift <= DRIFT_TOL:
+            raise IntegratorDriftError(
+                f"norm drift {drift:.3e} exceeded {DRIFT_TOL:.1e} at t={dt * step:.3f}; "
+                f"the spectral interval [{lo:.3g}, {hi:.3g}] misses part of the spectrum"
+            )
+        edges = float(np.sum(np.abs(y[:3]) ** 2) + np.sum(np.abs(y[n - 3 : n]) ** 2))
+        if wp.absorber_width == 0 and edges > EDGE_TOL:
+            raise InsufficientChainError(
+                f"probability {edges:.3e} reached the chain ends at "
+                f"t={dt * step:.3f}; enlarge the chain or enable absorbers"
+            )
     mid = spec.origin
-    check_every = 100
-
-    for step in range(n_steps):
-        if wp.absorber_width > 0:
-            u = y[:n]
-            flux = 2.0 * cap * np.abs(u) ** 2 * dt
-            absorbed_left += float(np.sum(flux[:mid]))
-            absorbed_right += float(np.sum(flux[mid:]))
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm_history[step + 1] = float(np.vdot(y, y).real)
-        if decay_free:
-            if abs(norm_history[step + 1] - norm_history[0]) > DRIFT_TOL:
-                raise IntegratorDriftError(
-                    f"norm drift {abs(norm_history[step + 1] - norm_history[0]):.3e} "
-                    f"exceeded {DRIFT_TOL:.1e} at t={dt * (step + 1):.3f}; reduce dt"
-                )
-            if step % check_every == 0:
-                edges = float(
-                    np.sum(np.abs(y[:3]) ** 2) + np.sum(np.abs(y[n - 3 : n]) ** 2)
-                )
-                if edges > EDGE_TOL:
-                    raise InsufficientChainError(
-                        f"probability {edges:.3e} reached the chain ends at "
-                        f"t={dt * step:.3f}; enlarge the chain or enable absorbers"
-                    )
-
-    u = y[:n]
-    prob = np.abs(u) ** 2
-    if spec.placements:
-        left_cut = spec.sites[0]
-        right_cut = spec.sites[-1]
-    else:
-        left_cut = right_cut = mid
+    absorbed_left = float(np.sum(taken[absorbing < mid]))
+    absorbed_right = float(np.sum(taken[absorbing >= mid]))
+    prob = np.abs(y[:n]) ** 2
+    left_cut, right_cut = (spec.sites[0], spec.sites[-1]) if spec.placements else (mid, mid)
     R_meas = float(np.sum(prob[:left_cut])) + absorbed_left
     T_meas = float(np.sum(prob[right_cut + 1 :])) + absorbed_right
     drift = float(np.max(np.abs(norm_history - norm_history[0]))) if decay_free else 0.0
-    times = np.linspace(0.0, wp.tmax, n_steps + 1)
     return WavepacketResult(
-        R_meas=R_meas,
-        T_meas=T_meas,
-        norm_history=norm_history,
-        times=times,
-        absorbed_left=absorbed_left,
-        absorbed_right=absorbed_right,
-        drift=drift,
+        R_meas=R_meas, T_meas=T_meas, norm_history=norm_history,
+        times=np.linspace(0.0, wp.tmax, n_steps + 1),
+        absorbed_left=absorbed_left, absorbed_right=absorbed_right, drift=drift,
     )
 
 

@@ -63,6 +63,10 @@ class AxisSpec:
             raise ValueError(f"axis count must be >= 1, got {self.count}")
         if self.count > 1 and not self.start < self.stop:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
+        if self.name == "k" and not (0.0 < self.start < np.pi and 0.0 < self.stop < np.pi):
+            raise ValueError(f"a k axis must lie in (0, pi), got [{self.start}, {self.stop}]")
+        if self.name == "D" and self.start < 1:
+            raise ValueError(f"a D axis must start at 1 or above, got {self.start}")
 
     def values(self) -> np.ndarray:
         vals = np.linspace(self.start, self.stop, self.count)

@@ -1,9 +1,11 @@
 import json
 import math
+import subprocess
+from pathlib import Path
 
 import pytest
 
-from cavitychain import ConfigError
+from cavitychain import ConfigError, cli
 from cavitychain.cli import (
     coerce_config,
     load_config,
@@ -80,6 +82,21 @@ class TestValidation:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("spectrum", ["k_min=0.5", "k_max=3.2"]),
+            ("map2d", ["axis1=k", "axis1_min=0", "axis1_max=3.2", "axis1_count=5"]),
+            ("map2d", ["axis1=D", "axis1_min=0", "axis1_max=4", "axis1_count=5"]),
+        ],
+    )
+    def test_out_of_domain_axes_fail_without_output(self, tmp_path, command, overrides):
+        out = tmp_path / "x.csv"
+        config = "fig6b" if "axis1=D" in overrides else "fig3a"
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main([command, "--config", config, *sets, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_conflicting_detuning_inputs(self, tmp_path):
         code = main(
@@ -330,3 +347,35 @@ class TestOracleCheckCommand:
         assert code == 1
         assert "FAIL" in out
         assert "FAIL" in report.read_text()
+
+
+class TestGitHash:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli._git_hash.cache_clear()
+        yield
+        cli._git_hash.cache_clear()
+
+    def fake_git(self, monkeypatch, top_level):
+        calls = []
+
+        def run(*args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, 0, f"{top_level}\n{'a' * 40}\n", "")
+
+        monkeypatch.setattr(cli.subprocess, "run", run)
+        return calls
+
+    def test_two_commands_start_git_at_most_once(self, tmp_path, monkeypatch):
+        calls = self.fake_git(monkeypatch, Path(cli.__file__).resolve().parents[2])
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.csv"
+            args = ["spectrum", "--config", "fig3a", "--set", "k_count=5", "--out", str(out)]
+            assert main(args) == 0
+            sidecar = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+            assert sidecar["git_hash"] == "a" * 40
+        assert len(calls) == 1
+
+    def test_foreign_top_level_is_unknown(self, tmp_path, monkeypatch):
+        self.fake_git(monkeypatch, tmp_path)
+        assert cli._git_hash() == "unknown"

@@ -25,11 +25,91 @@ from cavitychain import (
     solve_stationary,
     two_node_scatter,
 )
+from cavitychain import oracle
 from cavitychain.oracle import design_scattering_run, write_state_csv
 from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 FIG3A_ATOM = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
+
+
+def _initial_state_and_cap(spec, wp):
+    """The normalised Gaussian packet and the absorbing potential on all levels."""
+    n = spec.n_sites
+    cap = np.zeros(spec.dimension)
+    if wp.absorber_width:
+        ramp = (np.arange(wp.absorber_width, 0, -1) / wp.absorber_width) ** 2
+        cap[: wp.absorber_width] = wp.absorber_strength * ramp
+        cap[n - wp.absorber_width : n] = wp.absorber_strength * ramp[::-1]
+    j = np.arange(n)
+    psi0 = np.zeros(spec.dimension, dtype=complex)
+    psi0[:n] = np.exp(-((j - wp.x0) ** 2) / (4.0 * wp.sigma**2) + 1j * wp.k0 * j)
+    return psi0 / np.linalg.norm(psi0), cap
+
+
+def _measure(spec, psi, takes):
+    """R and T from a final state and the (left, right) absorber takes."""
+    prob = np.abs(psi[: spec.n_sites]) ** 2
+    mid = spec.origin
+    left = spec.sites[0] if spec.placements else mid
+    right = spec.sites[-1] if spec.placements else mid
+    return prob[:left].sum() + takes[0], prob[right + 1 :].sum() + takes[1], *takes
+
+
+def _eigenbasis_run(spec, wp):
+    """R, T and both absorber takes from exact propagation in the eigenbasis of H.
+
+    The absorbed probability is the closed-form time integral of the flux
+    psi^H 2C psi: c^H (V^H C V * K) c with
+    K_ab = (exp(i (l_a* - l_b) T) - 1) / (i (l_a* - l_b)).
+    """
+    T = wp.tmax
+    psi0, cap = _initial_state_and_cap(spec, wp)
+    H = build_hamiltonian(spec) - 1j * np.diag(cap)
+    if spec.is_decay_free and not wp.absorber_width:
+        values, vectors = np.linalg.eigh(H)
+        c = vectors.conj().T @ psi0
+    else:
+        values, vectors = np.linalg.eig(H)
+        c = np.linalg.solve(vectors, psi0)
+    z = 1j * (values.conj()[:, None] - values[None, :]) * T
+    K = T * np.where(z == 0, 1.0, np.expm1(z) / np.where(z == 0, 1.0, z))
+    takes = []
+    for side in (slice(0, spec.origin), slice(spec.origin, spec.dimension)):
+        C = np.zeros(spec.dimension)
+        C[side] = 2.0 * cap[side]
+        takes.append(float((c.conj() @ ((vectors.conj().T @ (C[:, None] * vectors)) * K) @ c).real))
+    return _measure(spec, vectors @ (np.exp(-1j * values * T) * c), takes)
+
+
+def _taylor_run(spec, wp, order=20):
+    """R, T and both absorber takes from a Taylor-series propagation.
+
+    For strong absorbers the eigenvectors of H are too ill-conditioned for
+    _eigenbasis_run.  Here each step of length dt <= 1 / ||H||_1 expands
+    psi(t + tau) as a degree-``order`` polynomial in tau, so the flux
+    psi^H 2C psi is a polynomial that order + 1 Gauss-Legendre nodes
+    integrate exactly.
+    """
+    psi, cap = _initial_state_and_cap(spec, wp)
+    A = -1j * (build_hamiltonian(spec) - 1j * np.diag(cap))
+    steps = math.ceil(wp.tmax * np.linalg.norm(A, 1))
+    dt = wp.tmax / steps
+    x, w = np.polynomial.legendre.leggauss(order + 1)
+    at_nodes = (0.5 * dt * (x + 1.0))[:, None] ** np.arange(order + 1)
+    at_end = dt ** np.arange(order + 1)
+    flux = np.zeros((2, spec.dimension))
+    flux[0, : spec.origin] = 2.0 * cap[: spec.origin]
+    flux[1, spec.origin :] = 2.0 * cap[spec.origin :]
+    takes = np.zeros(2)
+    for _ in range(steps):
+        terms = [psi]
+        for m in range(1, order + 1):
+            terms.append(A @ terms[-1] / m)
+        terms = np.array(terms)
+        takes += flux @ (np.abs(at_nodes @ terms) ** 2).T @ (0.5 * dt * w)
+        psi = at_end @ terms
+    return _measure(spec, psi, takes)
 
 
 class TestChainSpec:
@@ -274,11 +354,81 @@ class TestWavepacket:
         res = propagate_wavepacket(spec, wp)
         assert res.R_meas + res.T_meas < 0.95
 
-    def test_drift_guard_fires_on_a_coarse_step(self):
+    def test_drift_guard_fires_on_a_narrow_spectral_interval(self, monkeypatch):
+        # Negative control: an interval that misses part of the spectrum of H
+        # makes the Chebyshev series grow, and the norm guard must catch it.
         spec = ChainSpec(200, (), LAT)
-        wp = WavepacketSpec(k0=1.3, sigma=8.0, x0=60, tmax=10.0, dt=0.5)
+        wp = WavepacketSpec(k0=1.3, sigma=8.0, x0=60, tmax=10.0)
+        lo, hi = oracle._spectral_interval(spec)
+        monkeypatch.setattr(oracle, "_spectral_interval", lambda _: (lo, 0.5 * (lo + hi)))
         with pytest.raises(IntegratorDriftError):
             propagate_wavepacket(spec, wp)
+
+    def test_drift_guard_fires_on_a_dissipative_run(self, monkeypatch):
+        # Negative control: a dissipative run may only lose probability, so
+        # a series that grows outside a too narrow interval must be caught.
+        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.08, gamma=0.08)
+        spec, wp = design_scattering_run((atom,), LAT, 1.3, 8.0)
+        lo, hi = oracle._spectral_interval(spec)
+        monkeypatch.setattr(oracle, "_spectral_interval", lambda _: (lo, 0.5 * (lo + hi)))
+        with pytest.raises(IntegratorDriftError):
+            propagate_wavepacket(spec, wp)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "decay-free",
+            "strong-coupling",
+            "decaying-node",
+            "fast-decay",
+            "leaky-cavity",
+            "absorbers",
+            "strong-absorbers",
+        ],
+    )
+    def test_matches_eigenbasis_propagation(self, case):
+        if case == "decay-free":
+            spec, wp = design_scattering_run((FIG3A_ATOM, FIG3A_ATOM), LAT, 1.4, 6.0, D=9)
+        elif case == "strong-coupling":
+            # g = 30 puts bound states far outside the band, at the interval's edges.
+            atom = AtomParams(omega_e=0.2, delta=-0.5, Omega=1.0, g=30.0)
+            spec, wp = design_scattering_run((atom,), LAT, 1.2, 6.0)
+        elif case == "decaying-node":
+            atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.08, gamma=0.08)
+            spec, wp = design_scattering_run((atom,), LAT, 1.7, 8.0)
+        elif case == "fast-decay":
+            # Gamma = 10 is twice the spectral radius: the excited level sits
+            # far below the real axis.
+            atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=10.0, gamma=0.5)
+            spec, wp = design_scattering_run((atom,), LAT, 1.7, 8.0)
+        elif case == "leaky-cavity":
+            spec, wp = design_scattering_run((FIG3A_ATOM,), LAT, 1.7, 8.0)
+            spec = ChainSpec(spec.n_sites, spec.placements, LAT, kappa=0.05)
+        else:
+            # The run ends while the packet is still inside the right layer.
+            spec = ChainSpec(240, ((150, FIG3A_ATOM),), LAT)
+            strength = 0.3 if case == "absorbers" else 20.0
+            wp = WavepacketSpec(
+                k0=1.5, sigma=10.0, x0=90, tmax=33.0, absorber_width=40, absorber_strength=strength
+            )
+        res = propagate_wavepacket(spec, wp)
+        # The eigenvectors of H with strong absorbers have condition ~3e8.
+        reference = _taylor_run if case == "strong-absorbers" else _eigenbasis_run
+        R, T, left, right = reference(spec, wp)
+        assert abs(res.R_meas - R) <= 1e-10
+        assert abs(res.T_meas - T) <= 1e-10
+        assert abs(res.absorbed_left - left) <= 1e-10
+        assert abs(res.absorbed_right - right) <= 1e-10
+        if "absorbers" in case:
+            assert right > 0.1
+
+    def test_unitarity_over_a_long_run(self):
+        # Criterion 10's transmission run: a 783-level chain over t ~ 80.
+        k0 = momentum_from_energy(FIG3A_ATOM.delta, LAT)
+        spec, wp = design_scattering_run((FIG3A_ATOM,), LAT, k0, 25.0)
+        res = propagate_wavepacket(spec, wp)
+        assert len(res.times) > 30
+        assert res.drift <= 1e-12
 
     def test_short_chain_is_rejected_mid_run(self):
         spec = ChainSpec(120, (), LAT)
