@@ -17,6 +17,7 @@ from .errors import (
     PlacementError,
     ResonanceDenominatorError,
     SingularPotentialError,
+    UnverifiedRootError,
 )
 from .model import (
     AtomParams,
@@ -83,6 +84,7 @@ __all__ = [
     "SingleExcitationState",
     "SingularPotentialError",
     "TwoNodeConfig",
+    "UnverifiedRootError",
     "WavepacketResult",
     "WavepacketSpec",
     "bound_profile",

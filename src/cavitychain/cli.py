@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -60,7 +61,7 @@ _FLOAT_KEYS = {
 _INT_KEYS = {
     "D", "k_count", "axis1_count", "axis2_count",
     "N", "site", "x0", "absorber_width",
-    "seeds_re", "seeds_im", "profile_n", "mode_index",
+    "profile_n", "mode_index",
     "draws", "seed", "workers",
 }
 _STR_KEYS = {"axis1", "axis2", "quantity", "engine", "limit", "negative_control"}
@@ -363,8 +364,6 @@ def cmd_quasibound(cfg: dict, out: Path) -> int:
         lat,
         re_window=(cfg.get("window_re_min", 0.0), cfg.get("window_re_max", math.pi)),
         im_window=(cfg.get("window_im_min", -0.5), cfg.get("window_im_max", 0.05)),
-        n_re=cfg.get("seeds_re", 48),
-        n_im=cfg.get("seeds_im", 10),
         return_diagnostics=True,
     )
     rows = [
@@ -381,7 +380,7 @@ def cmd_quasibound(cfg: dict, out: Path) -> int:
         profile = bound_profile(cfg["D"], cfg["profile_n"])
         prows = [[j, float(u), 0.0] for j, u in enumerate(profile)]
         _write_csv(out.with_name(out.stem + ".profile.csv"), ["j", "Re_u", "Im_u"], prows)
-    _write_sidecar(out, cfg, "analytic", {"seed_diagnostics": diagnostics})
+    _write_sidecar(out, cfg, "analytic", {"mode_diagnostics": diagnostics})
     return 0
 
 
@@ -572,6 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=needs_out, help="output CSV path")
         p.add_argument("--engine", choices=("analytic", "oracle", "both"))
         p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--log-level", default="WARNING", help="stderr log level",
+                       choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     return parser
 
 
@@ -589,6 +590,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger(__package__).setLevel(args.log_level)
     try:
         cfg = _merge_config(args)
         engine = args.engine or cfg.get("engine", "analytic")

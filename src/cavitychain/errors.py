@@ -47,6 +47,10 @@ class ResonanceDenominatorError(CavityChainError):
     """
 
 
+class UnverifiedRootError(CavityChainError):
+    """A trapped-mode root inside the search window fails the residual check."""
+
+
 class PlacementError(CavityChainError):
     """Node placement violates the chain geometry constraints."""
 

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnverifiedRootError
 from .model import (
     SINGULAR_TOL,
+    AtomParams,
     LatticeParams,
     dispersion_energy_continued,
     effective_potential,
@@ -35,10 +37,7 @@ log = logging.getLogger(__name__)
 #: Search rectangle in complex momentum, Re k in (0, pi) by Im k below.
 DEFAULT_IM_WINDOW = (-0.5, 0.05)
 
-#: Scaled-residual target for Newton convergence.
-NEWTON_TOL = 1e-12
-
-#: Scaled-residual bound a converged root must meet to be reported.
+#: Scaled-residual bound every window root must meet.
 VERIFY_TOL = 1e-10
 
 
@@ -83,8 +82,9 @@ def _entire_residual(k: complex, cfg: TwoNodeConfig, lat: LatticeParams) -> tupl
     """Pole-free form of the residual and its natural magnitude scale.
 
     Multiplying the denominator by both potential denominators clears every
-    pole, so Newton iterations stay smooth arbitrarily close to the
-    perfect-mirror limit.  Returns (value, scale).
+    pole, so the value stays finite arbitrarily close to the perfect-mirror
+    limit.  Evaluated in k, independently of the polynomial in z whose roots
+    it verifies.  Returns (value, scale).
     """
     E = dispersion_energy_continued(k, lat)
     b = 2j * lat.t * cmath.sin(k)
@@ -108,49 +108,48 @@ def _entire_residual(k: complex, cfg: TwoNodeConfig, lat: LatticeParams) -> tupl
     return term1 - term2, scale
 
 
-def _newton(
-    seed: complex,
-    cfg: TwoNodeConfig,
-    lat: LatticeParams,
-    found: list[complex],
-    *,
-    tol: float,
-    max_iter: int,
-) -> complex | None:
-    """Deflated Newton iteration on the pole-free residual."""
-    k = seed
-    for _ in range(max_iter):
-        value, scale = _entire_residual(k, cfg, lat)
-        deflate = 1.0 + 0.0j
-        for root in found:
-            deflate *= k - root
-        if abs(deflate) < 1e-14:
-            return None
-        f = value / deflate
-        h = 1e-7 * (1.0 + abs(k))
-        vp, _ = _entire_residual(k + h, cfg, lat)
-        vm, _ = _entire_residual(k - h, cfg, lat)
-        dp = 1.0 + 0.0j
-        dm = 1.0 + 0.0j
-        for root in found:
-            dp *= k + h - root
-            dm *= k - h - root
-        dfdk = (vp / dp - vm / dm) / (2.0 * h)
-        if dfdk == 0:
-            return None
-        step = f / dfdk
-        if abs(step) > 0.3:
-            step *= 0.3 / abs(step)
-        k = k - step
-        if abs(k) > 10.0 or not (math.isfinite(k.real) and math.isfinite(k.imag)):
-            return None
-        if abs(step) < 1e-13 * (1.0 + abs(k)):
-            value, scale = _entire_residual(k, cfg, lat)
-            if abs(value) <= tol * scale * 1e2:
-                return k
-            return None
-    value, scale = _entire_residual(k, cfg, lat)
-    return k if abs(value) <= tol * scale * 1e2 else None
+def _trapped_mode_polynomial(cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
+    """Coefficients, lowest power first, of the pole-free residual in z = e^{ik}.
+
+    z b = t (z^2 - 1) and z (E - level) = -t + (omega - level) z - t z^2.  A
+    Lambda node gives F = z^3 f and N = z n, a two-level node F = z^2 f and
+    N = n, so z^{p1+p2} [f1 f2 - z^{2D} n1 n2] = F1 F2 - z^{2D+4} N1 N2, of
+    degree at most 2D + 8.  Decay-free coefficients are real.
+    """
+
+    def node(atom: AtomParams) -> tuple[np.ndarray, np.ndarray]:
+        e_we = np.array([-lat.t, lat.omega - atom.excited_level, -lat.t])
+        if atom.Omega == 0.0:
+            num, den = np.array([atom.g * atom.g]), e_we
+        else:
+            e_dm = np.array([-lat.t, lat.omega - atom.metastable_level, -lat.t])
+            num, den = atom.g * atom.g * e_dm, np.convolve(e_we, e_dm)
+            den[2] -= atom.Omega * atom.Omega
+        f = np.convolve([-lat.t, 0.0, lat.t], den)
+        f[2 : 2 + len(num)] -= num
+        return f, num
+
+    (f1, n1), (f2, n2) = node(cfg.atom1), node(cfg.atom2)
+    term1, term2, shift = np.convolve(f1, f2), np.convolve(n1, n2), 2 * cfg.D + 4
+    coeffs = np.zeros(max(len(term1), shift + len(term2)), dtype=complex)
+    coeffs[: len(term1)] += term1
+    coeffs[shift : shift + len(term2)] -= term2
+    return coeffs.real if not coeffs.imag.any() else coeffs
+
+
+def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Every root in z, as companion-matrix eigenvalues with one Newton polish.
+
+    Trimming low zero coefficients drops only roots at z = 0 (Im k = +inf).
+    """
+    c = np.trim_zeros(coeffs)
+    companion = np.diag(np.ones(len(c) - 2, dtype=c.dtype), -1)
+    companion[:, -1] -= c[:-1] / c[-1]
+    z = np.linalg.eigvals(companion)
+    high_first = c[::-1]
+    with np.errstate(all="ignore"):  # huge roots, far from any window, overflow
+        step = np.polyval(high_first, z) / np.polyval(np.polyder(high_first), z)
+    return np.where(np.isfinite(step), z - step, z)
 
 
 def find_quasibound_modes(
@@ -161,67 +160,51 @@ def find_quasibound_modes(
     im_window: tuple[float, float] = DEFAULT_IM_WINDOW,
     n_re: int = 48,
     n_im: int = 10,
-    newton_tol: float = NEWTON_TOL,
     verify_tol: float = VERIFY_TOL,
-    max_iter: int = 100,
     edge_margin: float = 1e-6,
     return_diagnostics: bool = False,
 ) -> list[QuasiboundMode] | tuple[list[QuasiboundMode], dict]:
     """Find every trapped-mode root inside the complex momentum window.
 
-    A grid of seeds covers the rectangle, each polished by Newton with
-    deflation of the roots already found.  A root is kept when its scaled
-    residual is below ``verify_tol`` and it lies inside the window; the
-    window bounds are exclusive by ``edge_margin``, which also discards the
-    structural zeros at the band edges k = 0 and k = pi (where the group
-    velocity and the round-trip phase vanish together for every parameter
-    set).  Non-convergent seeds are counted, never fatal.  Results are
-    sorted by (Re k, Im k).  With ``return_diagnostics`` the seed statistics
-    are returned alongside the modes.
+    The roots are the companion-matrix eigenvalues of the residual's
+    polynomial in z = e^{ik} (Edelman & Murakami, Math. Comp. 64, 763
+    (1995)), so none is missed; k = -i log z is taken on the 2 pi period
+    holding the window.  The bounds are exclusive by ``edge_margin``, which
+    also drops the structural zeros at the band edges k = 0 and k = pi.  A
+    window root whose scaled independent residual exceeds ``verify_tol``
+    raises UnverifiedRootError.  Results are sorted by (Re k, Im k).
+    ``n_re`` and ``n_im`` are accepted and ignored (they sized an earlier
+    seed grid).  ``return_diagnostics`` adds the polynomial degree, the
+    window-root count and the largest scaled residual.
     """
     re_lo = re_window[0] + edge_margin
     re_hi = re_window[1] - edge_margin
     im_lo, im_hi = im_window
-    seeds_re = np.linspace(re_lo, re_hi, n_re + 2)[1:-1]
-    seeds_im = np.linspace(im_lo, im_hi, n_im + 2)[1:-1]
-    roots: list[complex] = []
-    failed = 0
-    for si in seeds_im:
-        for sr in seeds_re:
-            k = _newton(
-                complex(sr, si), cfg, lat, roots, tol=newton_tol, max_iter=max_iter
-            )
-            if k is None:
-                failed += 1
-                continue
-            if any(abs(k - r) < 1e-8 for r in roots):
-                continue
-            # Re-polish without deflation so deflation noise never shifts a root.
-            polished = _newton(k, cfg, lat, [], tol=newton_tol, max_iter=max_iter)
-            if polished is not None:
-                k = polished
-            if any(abs(k - r) < 1e-8 for r in roots):
-                continue
-            if not (re_lo < k.real < re_hi and im_lo < k.imag < im_hi):
-                continue
-            roots.append(k)
+    coeffs = _trapped_mode_polynomial(cfg, lat)
+    mid = 0.5 * (re_lo + re_hi)
+    ks = mid - 1j * np.log(_polynomial_roots(coeffs) * cmath.exp(-1j * mid))
+    inside = (re_lo < ks.real) & (ks.real < re_hi) & (im_lo < ks.imag) & (ks.imag < im_hi)
     modes = []
-    for k in roots:
+    for k in ks[inside].tolist():
         value, scale = _entire_residual(k, cfg, lat)
         residual = abs(value) / scale
-        if residual > verify_tol:
-            log.debug("dropping root %s with residual %.3e", k, residual)
-            failed += 1
-            continue
+        if not residual <= verify_tol:
+            raise UnverifiedRootError(
+                f"trapped-mode root k={k} has scaled residual {residual:.3e} > {verify_tol:.1e}"
+            )
         E = dispersion_energy_continued(k, lat)
         n = _mode_index(k, cfg.D)
         modes.append(
             QuasiboundMode(k=k, E=E, leakage=-2.0 * E.imag, n=n, residual=residual)
         )
     modes.sort(key=lambda m: (m.k.real, m.k.imag))
-    if return_diagnostics:
-        return modes, {"failed_seeds": failed, "total_seeds": int(n_re * n_im)}
-    return modes
+    diagnostics = {
+        "polynomial_degree": len(np.trim_zeros(coeffs, "b")) - 1,
+        "window_roots": len(modes),
+        "max_residual": max((m.residual for m in modes), default=0.0),
+    }
+    log.debug("D=%d: %s", cfg.D, diagnostics)
+    return (modes, diagnostics) if return_diagnostics else modes
 
 
 def _mode_index(k: complex, D: int) -> int | None:

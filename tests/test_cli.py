@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import subprocess
 from pathlib import Path
@@ -249,7 +250,7 @@ class TestQuasiboundCommand:
             assert abs(float(row[1]) - math.pi * n / 10) <= 1e-6
             assert abs(float(row[2])) <= 1e-8
         sidecar = json.loads((tmp_path / "qb.csv.meta.json").read_text())
-        assert "seed_diagnostics" in sidecar
+        assert sidecar["mode_diagnostics"]["window_roots"] == len(rows)
 
     def test_adjacent_nodes_trap_nothing(self, tmp_path):
         cfg = tmp_path / "d1.cfg"
@@ -275,6 +276,27 @@ class TestQuasiboundCommand:
         assert rows
         leak = column(header, rows, "leakage")
         assert all(v > 0.0 for v in leak)
+
+    def test_seed_grid_keys_are_unknown(self, tmp_path, capsys):
+        for key in ("seeds_re", "seeds_im"):
+            code = main(
+                ["quasibound", "--config", "fig3a", "--set", "D=10", "--set", f"{key}=8",
+                 "--out", str(tmp_path / "x.csv")]
+            )
+            assert code == 2
+            assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_log_level_debug_emits_search_records(self, tmp_path, caplog):
+        argv = ["quasibound", "--config", "fig3a", "--set", "D=10", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 0
+        assert not [r for r in caplog.records if r.name == "cavitychain.quasibound"]
+        assert main(argv + ["--log-level", "DEBUG"]) == 0
+        records = [r for r in caplog.records if r.name == "cavitychain.quasibound"]
+        assert records and all(r.levelno == logging.DEBUG for r in records)
+        assert "window_roots" in records[0].getMessage()
+        assert main(argv) == 0
+        assert logging.getLogger("cavitychain").level == logging.WARNING
 
     def test_profile_dump(self, tmp_path):
         cfg = tmp_path / "prof.cfg"

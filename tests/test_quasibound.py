@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,14 +8,19 @@ from cavitychain import (
     AtomParams,
     LatticeParams,
     TwoNodeConfig,
+    UnverifiedRootError,
     bound_profile,
     dispersion_energy,
+    dispersion_energy_continued,
+    effective_potential,
     find_perfect_reflection,
     find_quasibound_modes,
     momentum_from_energy,
     quantized_momenta,
+    quasibound,
     quasibound_residual,
 )
+from cavitychain.quasibound import DEFAULT_IM_WINDOW, VERIFY_TOL, _entire_residual
 from cavitychain.scattering import _transport_denominator
 
 LAT = LatticeParams(omega=1.0, t=2.0)
@@ -181,5 +187,97 @@ class TestModeSearch:
         atom = mirror_atom(dispersion_energy(0.3 * math.pi, LAT) + 1e-2)
         cfg = TwoNodeConfig(atom, atom, D=4)
         modes, diag = find_quasibound_modes(cfg, LAT, return_diagnostics=True)
-        assert diag["total_seeds"] == 480
-        assert 0 <= diag["failed_seeds"] <= diag["total_seeds"]
+        assert diag["polynomial_degree"] == 2 * 4 + 8
+        assert diag["window_roots"] == len(modes)
+        assert diag["max_residual"] == max(m.residual for m in modes) <= VERIFY_TOL
+
+    def test_window_across_the_band_edge_wraps_the_period(self):
+        # the residual is 2 pi periodic and, for real parameters, symmetric
+        # under k -> -conj(k), so a window past pi holds mirrored roots
+        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
+        cfg = TwoNodeConfig(atom, atom, D=10)
+        inside = find_quasibound_modes(cfg, LAT)
+        wrapped = find_quasibound_modes(cfg, LAT, re_window=(2.5, 3.8))
+        beyond = [m.k for m in wrapped if m.k.real > math.pi]
+        assert beyond and len(wrapped) > len(beyond)
+        for k in beyond:
+            assert min(abs(2 * math.pi - k.conjugate() - m.k) for m in inside) < 1e-12
+        for m in wrapped:
+            if m.k.real < math.pi:
+                assert min(abs(m.k - other.k) for other in inside) < 1e-12
+
+
+LAMBDA = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
+TWO_LEVEL = AtomParams.two_level(2.0)
+DECAYING = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.04, gamma=0.01)
+MIXED = (AtomParams(omega_e=0.5, delta=-0.3, Omega=0.8, g=1.2), AtomParams.two_level(2.0, g=0.9))
+NARROW_LAT = LatticeParams(omega=1.0, t=1.0)
+
+
+def winding_number(cfg, lat, rect, per_edge):
+    """Zeros of the pole-free residual inside ``rect``, by the argument principle."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    corners = [
+        complex(re_lo, im_lo), complex(re_hi, im_lo),
+        complex(re_hi, im_hi), complex(re_lo, im_hi), complex(re_lo, im_lo),
+    ]
+    path = [
+        complex(k)
+        for a, b in zip(corners, corners[1:])
+        for k in np.linspace(a, b, per_edge, endpoint=False)
+    ] + [corners[0]]
+    values = np.array([_entire_residual(k, cfg, lat)[0] for k in path])
+    turns = np.angle(values[1:] / values[:-1])
+    assert np.max(np.abs(turns)) < 0.5, "contour too coarse to follow the phase"
+    return round(turns.sum() / (2 * math.pi))
+
+
+def scaled_transport_residual(k, cfg, lat):
+    """|quasibound_residual| over the sum of its terms' magnitudes."""
+    E = dispersion_energy_continued(k, lat)
+    v1 = effective_potential(E, cfg.atom1)
+    v2 = effective_potential(E, cfg.atom2)
+    b = abs(2j * lat.t * cmath.sin(k))
+    scale = b * b + b * (abs(v1) + abs(v2)) + abs(v1 * v2) * (1.0 + abs(cmath.exp(2j * k * cfg.D)))
+    return abs(quasibound_residual(k, cfg, lat)) / scale
+
+
+class TestCompleteness:
+    @pytest.mark.parametrize(
+        "atom1, atom2, lat, D, expected",
+        [
+            pytest.param(LAMBDA, LAMBDA, LAT, 100, 101, id="lambda-100"),
+            pytest.param(LAMBDA, LAMBDA, LAT, 200, 201, id="lambda-200"),
+            pytest.param(TWO_LEVEL, TWO_LEVEL, NARROW_LAT, 100, 99, id="two-level-100"),
+            pytest.param(TWO_LEVEL, TWO_LEVEL, NARROW_LAT, 200, 199, id="two-level-200"),
+            pytest.param(DECAYING, DECAYING, LAT, 100, 101, id="decaying-100"),
+            pytest.param(DECAYING, DECAYING, LAT, 200, 201, id="decaying-200"),
+            pytest.param(*MIXED, LAT, 12, 12, id="lambda-two-level-12"),
+        ],
+    )
+    def test_every_window_root_is_found(self, atom1, atom2, lat, D, expected):
+        # the argument principle counts the roots without the polynomial;
+        # the contour stays off the structural band-edge zeros k = 0, pi
+        cfg = TwoNodeConfig(atom1, atom2, D)
+        modes, diag = find_quasibound_modes(cfg, lat, return_diagnostics=True)
+        assert len(modes) == diag["window_roots"] == expected
+        assert all(0.01 < m.k.real < math.pi - 0.01 for m in modes)
+        rect = (0.01, math.pi - 0.01, *DEFAULT_IM_WINDOW)
+        assert winding_number(cfg, lat, rect, 40 * D + 200) == expected
+        for m in modes:
+            assert m.residual <= VERIFY_TOL
+            assert scaled_transport_residual(m.k, cfg, lat) <= 1e-12
+        gaps = np.diff(sorted(m.k.real for m in modes))
+        assert gaps.min() > 1e-6
+
+    def test_failed_verification_raises(self, monkeypatch):
+        exact = quasibound._entire_residual
+
+        def offset(k, cfg, lat):
+            value, scale = exact(k, cfg, lat)
+            return value + 1e-6 * scale, scale
+
+        monkeypatch.setattr(quasibound, "_entire_residual", offset)
+        cfg = TwoNodeConfig(LAMBDA, LAMBDA, 10)
+        with pytest.raises(UnverifiedRootError, match="scaled residual"):
+            find_quasibound_modes(cfg, LAT)
