@@ -18,6 +18,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegenerateDecompositionError,
     OutOfBandError,
@@ -28,22 +30,27 @@ from .errors import (
 SINGULAR_TOL = 1e-12
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
+def _require_finite(name: str, value) -> float:
+    """Smallest value of a number or an array, after checking every value is finite."""
+    lo, hi = (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return lo
 
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Tight-binding channel: cavity frequency ``omega`` and hopping ``t > 0``."""
+    """Tight-binding channel: cavity frequency ``omega`` and hopping ``t > 0``.
+
+    Like AtomParams, the fields may be arrays, one value per grid point.
+    """
 
     omega: float
     t: float
 
     def __post_init__(self) -> None:
         _require_finite("omega", self.omega)
-        _require_finite("t", self.t)
-        if not self.t > 0:
+        if not _require_finite("t", self.t) > 0:
             raise ValueError(f"hopping t must be positive, got {self.t!r}")
 
     @property
@@ -65,7 +72,9 @@ class AtomParams:
     phenomenological decay rates of the excited and metastable levels; they
     enter every formula through the substitutions omega_e -> omega_e - i Gamma
     and delta -> delta - i gamma.  ``Omega = 0`` degenerates the node to a
-    two-level scatterer with V(E) = g^2 / (E - omega_e).
+    two-level scatterer with V(E) = g^2 / (E - omega_e).  Any field may be
+    an array (one value per sweep grid point); the vectorised kernel
+    broadcasts over them, the scalar closed forms need plain numbers.
     """
 
     omega_e: float
@@ -76,13 +85,15 @@ class AtomParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("omega_e", "delta", "Omega", "g", "Gamma", "gamma"):
-            _require_finite(name, getattr(self, name))
-        if self.Omega < 0:
+        low = {
+            name: _require_finite(name, getattr(self, name))
+            for name in ("omega_e", "delta", "Omega", "g", "Gamma", "gamma")
+        }
+        if low["Omega"] < 0:
             raise ValueError(f"Omega must be nonnegative, got {self.Omega!r}")
-        if not self.g > 0:
+        if not low["g"] > 0:
             raise ValueError(f"coupling g must be positive, got {self.g!r}")
-        if self.Gamma < 0 or self.gamma < 0:
+        if low["Gamma"] < 0 or low["gamma"] < 0:
             raise ValueError("decay rates must be nonnegative")
 
     @classmethod
@@ -197,6 +208,22 @@ def effective_potential(
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise FloatingPointError(f"effective potential overflowed at E={E!r}")
     return v
+
+
+def potential_parts(E, atom: AtomParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerator, denominator and singular scale of V(E) = num / den.
+
+    Broadcasts over E and over array-valued node fields.  The scale is g for
+    a two-level node and g^2 otherwise, as in ``effective_potential``, which
+    calls the denominator zero below ``SINGULAR_TOL`` times it.
+    """
+    g2 = atom.g * atom.g
+    E_we = E - (atom.omega_e - 1j * atom.Gamma)
+    E_dm = E - (atom.delta - 1j * atom.gamma)
+    two_level = np.equal(atom.Omega, 0.0)
+    num = np.where(two_level, g2, g2 * E_dm)
+    den = np.where(two_level, E_we, E_we * E_dm - atom.Omega * atom.Omega)
+    return num, den, np.where(two_level, atom.g, g2)
 
 
 def decompose_potential(atom: AtomParams) -> PotentialDecomposition:

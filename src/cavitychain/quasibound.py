@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnverifiedRootError
-from .model import (
-    SINGULAR_TOL,
-    AtomParams,
-    LatticeParams,
-    dispersion_energy_continued,
-    effective_potential,
-)
+from .model import AtomParams, LatticeParams, dispersion_energy_continued, potential_parts
 from .scattering import TwoNodeConfig
 
 log = logging.getLogger(__name__)
@@ -57,55 +51,23 @@ class QuasiboundMode:
     residual: float
 
 
-def quasibound_residual(
-    k: complex,
-    cfg: TwoNodeConfig,
-    lat: LatticeParams,
-    *,
-    singular_tol: float = SINGULAR_TOL,
-) -> complex:
-    """Transport denominator at complex momentum; zero exactly on a mode.
+def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bool = False):
+    """Pole-free trapped-mode residual F1 F2 - e^{2ikD} N1 N2; zero exactly on a mode.
 
-    Propagates SingularPotentialError when E(k) lands on a potential pole
-    within tolerance.
+    With V_j = N_j / den_j, F_j = b den_j - N_j, so the residual is the
+    transport denominator times den_1 den_2 and stays finite at a node pole,
+    where the perfect-mirror modes live.  Evaluated in k, independently of
+    the polynomial in z whose roots it verifies; k may be an array.
+    ``scaled`` returns |residual| / max(|F1 F2|, |e^{2ikD} N1 N2|) instead.
     """
-    E = dispersion_energy_continued(k, lat)
-    v1 = effective_potential(E, cfg.atom1, singular_tol=singular_tol)
-    v2 = effective_potential(E, cfg.atom2, singular_tol=singular_tol)
-    b = 2j * lat.t * cmath.sin(k)
-    # Expanded on purpose: kept algebraically independent of the factored
-    # form used by the scattering formulas so tests can cross-check them.
-    return b * b - b * (v1 + v2) + v1 * v2 * (1.0 - cmath.exp(2j * k * cfg.D))
-
-
-def _entire_residual(k: complex, cfg: TwoNodeConfig, lat: LatticeParams) -> tuple[complex, float]:
-    """Pole-free form of the residual and its natural magnitude scale.
-
-    Multiplying the denominator by both potential denominators clears every
-    pole, so the value stays finite arbitrarily close to the perfect-mirror
-    limit.  Evaluated in k, independently of the polynomial in z whose roots
-    it verifies.  Returns (value, scale).
-    """
-    E = dispersion_energy_continued(k, lat)
-    b = 2j * lat.t * cmath.sin(k)
-    factors = []
-    numerators = []
-    for atom in (cfg.atom1, cfg.atom2):
-        we = atom.excited_level
-        dm = atom.metastable_level
-        if atom.Omega == 0.0:
-            num = atom.g * atom.g + 0.0j
-            den = E - we
-        else:
-            num = atom.g * atom.g * (E - dm)
-            den = (E - we) * (E - dm) - atom.Omega * atom.Omega
-        factors.append(b * den - num)
-        numerators.append(num)
-    phase = cmath.exp(2j * k * cfg.D)
-    term1 = factors[0] * factors[1]
-    term2 = phase * numerators[0] * numerators[1]
-    scale = max(abs(term1), abs(term2), 1e-300)
-    return term1 - term2, scale
+    E = lat.omega - 2.0 * lat.t * np.cos(k)
+    b = 2j * lat.t * np.sin(k)
+    (n1, d1, _), (n2, d2, _) = (potential_parts(E, atom) for atom in (cfg.atom1, cfg.atom2))
+    term1 = (b * d1 - n1) * (b * d2 - n2)
+    term2 = np.exp(2j * k * cfg.D) * n1 * n2
+    if scaled:
+        return np.abs(term1 - term2) / np.maximum(np.maximum(np.abs(term1), np.abs(term2)), 1e-300)
+    return term1 - term2
 
 
 def _trapped_mode_polynomial(cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
@@ -184,10 +146,9 @@ def find_quasibound_modes(
     mid = 0.5 * (re_lo + re_hi)
     ks = mid - 1j * np.log(_polynomial_roots(coeffs) * cmath.exp(-1j * mid))
     inside = (re_lo < ks.real) & (ks.real < re_hi) & (im_lo < ks.imag) & (ks.imag < im_hi)
+    residuals = quasibound_residual(ks[inside], cfg, lat, scaled=True)
     modes = []
-    for k in ks[inside].tolist():
-        value, scale = _entire_residual(k, cfg, lat)
-        residual = abs(value) / scale
+    for k, residual in zip(ks[inside].tolist(), residuals.tolist()):
         if not residual <= verify_tol:
             raise UnverifiedRootError(
                 f"trapped-mode root k={k} has scaled residual {residual:.3e} > {verify_tol:.1e}"

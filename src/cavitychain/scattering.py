@@ -1,4 +1,4 @@
-"""Closed-form reflection and transmission for one or two embedded nodes.
+"""Reflection and transmission: closed forms for one or two nodes, a kernel for any number.
 
 Direction convention, fixed once for the whole package and enforced by the
 finite-lattice solver in :mod:`cavitychain.oracle`: the incident wave is
@@ -18,6 +18,10 @@ pair circulates with the opposite sign on the imaginary transport term; it
 is the complex conjugate of this one (with conjugated potentials) and agrees
 in |r|, |s| for real potentials, but only the form above matches the lattice
 solver in phase, with and without decay.
+
+``chain_scatter`` evaluates any number of nodes on whole parameter grids
+through a pole-free transfer-matrix product; the scalar closed forms are
+the paper's results and its references in the tests.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     LimitWindowError,
@@ -39,6 +45,7 @@ from .model import (
     dispersion_energy,
     effective_potential,
     momentum_from_energy,
+    potential_parts,
 )
 
 #: Half-width of the momentum windows in which the limit lineshapes apply.
@@ -46,6 +53,11 @@ LIMIT_WINDOW = 0.2
 
 #: Relative scale below which the two-node denominator counts as resonant.
 RESONANCE_TOL = 1e-12
+
+#: Point status codes returned by ``chain_scatter``.
+FLAG_OK = 0
+FLAG_SINGULAR = 1
+FLAG_RESONANCE = 2
 
 
 @dataclass(frozen=True)
@@ -117,22 +129,6 @@ def loss_ratio(k: float, atom: AtomParams, lat: LatticeParams) -> float:
     return single_node_scatter(k, atom, lat).xi
 
 
-def _transport_denominator(
-    k: complex,
-    cfg: TwoNodeConfig,
-    lat: LatticeParams,
-    *,
-    singular_tol: float = SINGULAR_TOL,
-) -> complex:
-    """Common denominator of the two-node r and s, complex-momentum capable."""
-    E = lat.omega - 2.0 * lat.t * cmath.cos(k)
-    v1 = effective_potential(E, cfg.atom1, singular_tol=singular_tol)
-    v2 = effective_potential(E, cfg.atom2, singular_tol=singular_tol)
-    b = 2j * lat.t * cmath.sin(k)
-    p = cmath.exp(2j * k * cfg.D)
-    return (b - v1) * (b - v2) - p * v1 * v2
-
-
 def two_node_scatter(
     k: float,
     cfg: TwoNodeConfig,
@@ -192,33 +188,92 @@ def limit_scatter(
     """Band-edge and band-centre lineshapes.
 
     ``regime="high"`` linearises the dispersion about k = pi/2,
-    eps = (omega - t pi - delta) + 2 t k, and uses r = V/(2it - V);
-    ``regime="low"`` uses the quadratic bottom-of-band dispersion
-    eps = (omega - 2t - delta) + t k^2 and r = V/(2itk - V).  The potential
-    itself is always evaluated exactly at E = eps + delta.
+    E = omega - t pi + 2 t k, and uses r = V/(2it - V); ``regime="low"``
+    uses the quadratic bottom-of-band dispersion E = omega - 2t + t k^2 and
+    r = V/(2itk - V).  The potential itself is evaluated exactly at E.
     """
-    if regime == "high":
-        if abs(k - 0.5 * math.pi) > window:
-            raise LimitWindowError(
-                f"high-energy window is |k - pi/2| <= {window}, got k={k!r}"
-            )
-        eps = (lat.omega - lat.t * math.pi - atom.delta) + 2.0 * lat.t * k
-        transport = 2j * lat.t
-    elif regime == "low":
-        if not 0.0 < k <= window:
-            raise LimitWindowError(f"low-energy window is 0 < k <= {window}, got k={k!r}")
-        eps = (lat.omega - 2.0 * lat.t - atom.delta) + lat.t * k * k
-        transport = 2j * lat.t * k
-    else:
-        raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
-
-    E = eps + atom.delta
+    E, transport = _limit_band(k, regime, lat, window)
     try:
         v = effective_potential(E, atom, singular_tol=singular_tol)
     except SingularPotentialError:
         return ScatteringResult(k=k, E=E, r=-1.0 + 0.0j, s=0.0j, singular=True)
     r = v / (transport - v)
     return ScatteringResult(k=k, E=E, r=r, s=1.0 + r)
+
+
+def _limit_band(k, regime: str, lat: LatticeParams, window: float):
+    """Energy and transport factor of a limit lineshape; raises outside its window."""
+    if regime == "high":
+        inside = np.abs(k - 0.5 * math.pi) <= window
+        E, transport = lat.omega - lat.t * math.pi + 2.0 * lat.t * k, 2j * lat.t
+        where = f"|k - pi/2| <= {window}"
+    elif regime == "low":
+        inside = (0.0 < k) & (k <= window)
+        E, transport = lat.omega - 2.0 * lat.t + lat.t * k * k, 2j * lat.t * k
+        where = f"0 < k <= {window}"
+    else:
+        raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
+    if not np.all(inside):
+        bad = np.asarray(k)[~np.asarray(inside)]
+        raise LimitWindowError(f"{regime}-energy window is {where}, got k={float(bad[0])!r}")
+    return E, transport
+
+
+def _transfer_row(k, E, b, nodes):
+    """Bottom row (P21, P22) of P = N_M ... N_1, built from the right as
+    (0, 1) N_M ... N_1, with prod_j max(|b den_j|, |n_j|), prod_j b den_j and
+    the mask of singular nodes.  Complex k is allowed.
+    """
+    P21, P22 = np.zeros(np.shape(E), complex), np.ones(np.shape(E), complex)
+    norm, flux, singular = 1.0, 1.0, False
+    for x, atom in reversed(nodes):
+        n, den, scale = potential_parts(E, atom)
+        hit = np.abs(den) < SINGULAR_TOL * scale
+        a = b * np.where(hit, 0.0, den)
+        q = np.exp(2j * k * x)
+        P21, P22 = P21 * (a + n) - P22 * n * q, P21 * n / q + P22 * (a - n)
+        norm = norm * np.maximum(np.abs(a), np.abs(n))
+        flux = flux * a
+        singular = singular | hit
+    return P21, P22, norm, flux, singular
+
+
+def chain_scatter(
+    k, nodes, lat: LatticeParams, *, limit: str | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitudes (r, s) and a status flag for any number of nodes, on whole grids.
+
+    ``nodes`` holds (x_j, atom_j) pairs with sites increasing along the
+    chain.  k, the sites and every lattice and node field may be arrays; the
+    results take their broadcast shape.  With b = 2 i t sin k and
+    V_j = n_j / den_j, node j is the pole-free matrix N_j = b den_j I + n_j K_j,
+    K_j = [[1, e^{-2ikx_j}], [-e^{2ikx_j}, -1]], and from P = N_M ... N_1
+    r = -P21 / P22 and s = prod_j (b den_j) / P22.  A node whose denominator
+    falls below SINGULAR_TOL times g (two-level) or g^2 gets den_j = 0, its
+    exact mirror limit, and the point is flagged FLAG_SINGULAR with s = 0.
+    Otherwise |P22| < RESONANCE_TOL * prod_j max(|b den_j|, |n_j|) marks a
+    trapped-mode hit, FLAG_RESONANCE, stored as r = -1, s = 0; for two nodes
+    this is the test of ``two_node_scatter``.
+    ``limit`` evaluates the first node alone on the band-centre ("high") or
+    band-bottom ("low") lineshape of ``limit_scatter``, and raises
+    LimitWindowError unless every k lies in its window.
+    """
+    k = np.asarray(k, dtype=float)
+    if limit is not None:
+        E, b = _limit_band(k, limit, lat, LIMIT_WINDOW)
+        nodes = [(0, atom) for _, atom in nodes[:1]]
+    elif np.all((0.0 < k) & (k < math.pi)):
+        E, b = lat.omega - 2.0 * lat.t * np.cos(k), 2j * lat.t * np.sin(k)
+    else:
+        raise ValueError("momentum must lie in the open interval (0, pi)")
+    P21, P22, norm, flux, singular = _transfer_row(k, E, b, nodes)
+    resonant = np.abs(P22) < RESONANCE_TOL * norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 0 - x, not -x, so that a bare chain reflects +0 rather than -0
+        r = np.where(resonant, -1.0 + 0j, 0.0 - P21 / P22)
+        s = np.where(resonant | singular, 0j, flux / P22)
+    flag = np.where(singular, FLAG_SINGULAR, np.where(resonant, FLAG_RESONANCE, FLAG_OK))
+    return r, s, flag.astype(np.int8)
 
 
 def find_perfect_reflection(

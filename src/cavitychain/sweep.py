@@ -1,44 +1,29 @@
 """Deterministic parameter sweeps over the analytic and lattice engines.
 
-A sweep walks a 1D or 2D linearly spaced grid, evaluates reflection and
-transmission at every point with either the closed-form expressions or the
-finite-lattice solver, and records a mask of the points where a potential
-diverged (the stored value is then the analytic limit, R = 1).  Points are
-independent pure evaluations, so the output is bitwise identical for any
-worker count; work is partitioned statically by rows.
+A sweep walks a 1D or 2D linearly spaced grid and evaluates reflection and
+transmission on it, with either one call of the vectorised transfer-matrix
+kernel over the whole grid or one finite-lattice solve per point.  It
+records a mask of the physical flags: a diverging potential (the stored
+value is then the analytic limit, R = 1) or an exact trapped-mode hit.
+Anything else that goes wrong raises.  ``build_scenario`` is the one place
+where run-configuration keys become lattice and node parameters, for the
+sweeps and the command line alike.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__ as _version
-from .errors import (
-    CavityChainError,
-    ResonanceDenominatorError,
-    SingularPotentialError,
-)
-from .model import AtomParams, LatticeParams, dispersion_energy
+from .model import AtomParams, LatticeParams
 from .oracle import ChainSpec, solve_stationary
-from .scattering import (
-    TwoNodeConfig,
-    limit_scatter,
-    single_node_scatter,
-    two_node_scatter,
-)
+from .scattering import FLAG_OK, chain_scatter
 
 QUANTITIES = ("R", "T", "xi", "Re_r", "Im_r", "R+T")
 ENGINES = ("analytic", "oracle")
-
-#: Grid-point status codes stored in the sweep mask.
-FLAG_OK = 0
-FLAG_SINGULAR = 1
-FLAG_RESONANCE = 2
-FLAG_ERROR = 3
 
 #: Parameters a sweep axis may vary.
 AXIS_NAMES = ("k", "Omega", "omega_C", "delta", "omega_e", "D")
@@ -84,15 +69,15 @@ class SweepSpec:
     ``fixed`` uses the same keys as the run configuration: lattice (t,
     omega), first node (omega_e, delta, Omega, g, Gamma, gamma), optional
     second node (same keys with suffix 2) plus integer D, and k when k is
-    not an axis.  The sign of Omega values is ignored (the potential depends
-    on Omega squared only).
+    not an axis; ``omega_a`` and ``omega_C`` may stand in for ``delta``.
+    The sign of Omega values is ignored (the potential depends on Omega
+    squared only).
     """
 
     axes: tuple[AxisSpec, ...]
     fixed: dict[str, float] = field(default_factory=dict)
     quantity: str = "R"
     engine: str = "analytic"
-    workers: int = 1
     limit: str | None = None
 
     def __post_init__(self) -> None:
@@ -102,8 +87,6 @@ class SweepSpec:
             raise ValueError(f"unknown quantity {self.quantity!r}; choose from {QUANTITIES}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.limit not in (None, "high", "low"):
             raise ValueError(f"limit must be 'high' or 'low', got {self.limit!r}")
         names = [a.name for a in self.axes]
@@ -113,7 +96,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Grid values plus the singular/error mask and run metadata."""
+    """Grid values plus the mask of physical flags and run metadata."""
 
     axes: tuple[AxisSpec, ...]
     axis_values: tuple[np.ndarray, ...]
@@ -136,138 +119,124 @@ class EngineComparison:
     n_points: int
 
 
-def _atom_from(params: dict, suffix: str = "") -> AtomParams:
-    return AtomParams(
-        omega_e=params.get(f"omega_e{suffix}", 0.0),
-        delta=params.get(f"delta{suffix}", 0.0),
-        Omega=abs(params.get(f"Omega{suffix}", 0.0)),
-        g=params.get(f"g{suffix}", 1.0),
-        Gamma=params.get(f"Gamma{suffix}", 0.0),
-        gamma=params.get(f"gamma{suffix}", 0.0),
-    )
+#: Configuration keys of one node; the second node's carry the suffix 2.
+_NODE_KEYS = ("omega_e", "delta", "omega_a", "omega_C", "Omega", "g", "Gamma", "gamma")
+
+#: Keys an axis value replaces: a swept detuning overrides the other form.
+_AXIS_REPLACES = {"delta": ("omega_a", "omega_C"), "omega_C": ("delta",)}
 
 
-_NODE_KEYS = ("omega_e", "delta", "Omega", "g", "Gamma", "gamma")
+@dataclass(frozen=True)
+class Scenario:
+    """A lattice and its nodes as (site, atom) pairs, the first node at site 0."""
+
+    lat: LatticeParams
+    nodes: tuple[tuple, ...]
 
 
-def _has_first_node(params: dict) -> bool:
-    return any(key in params for key in _NODE_KEYS)
+def reduce_delta(params: dict, suffix: str = ""):
+    """Detuning from either ``delta`` or the pair (omega_a, omega_C)."""
+    d_key, a_key, c_key = f"delta{suffix}", f"omega_a{suffix}", f"omega_C{suffix}"
+    has_pair = a_key in params or c_key in params
+    if d_key in params and has_pair:
+        raise ValueError(f"give either {d_key} or the ({a_key}, {c_key}) pair, not both")
+    if has_pair:
+        return params.get(a_key, 0.0) - params.get(c_key, 0.0)
+    return params.get(d_key, 0.0)
 
 
-def _has_second_node(params: dict) -> bool:
-    if "D" in params:
-        return True
-    return any(key.endswith("2") and key != "axis2" for key in params)
-
-
-def _oracle_chain(params: dict, lat: LatticeParams) -> ChainSpec:
-    buffer = 4
-    first = buffer + 4
-    if not _has_first_node(params):
-        return ChainSpec(16, (), lat, buffer=buffer)
-    if _has_second_node(params):
-        D = int(round(params["D"]))
-        atoms = (_atom_from(params), _atom_from(params, "2"))
-        placements = ((first, atoms[0]), (first + D, atoms[1]))
-        n = first + D + buffer + 4
-    else:
-        placements = ((first, _atom_from(params)),)
-        n = first + buffer + 4
-    return ChainSpec(max(16, n), placements, lat, buffer=buffer)
-
-
-def evaluate_point(params: dict, engine: str, limit: str | None = None) -> tuple[complex, complex, int]:
-    """Reflection and transmission amplitudes plus a status flag at one point.
-
-    Never raises for per-point conditions: diverging potentials yield the
-    limit (r, s) = (-1, 0) with FLAG_SINGULAR, an exact two-node trapped-mode
-    hit yields the same limit with FLAG_RESONANCE, and any other evaluation
-    error yields FLAG_ERROR.
-    """
-    if "omega_C" in params and "delta" not in params:
-        params = dict(params)
-        params["delta"] = params.get("omega_a", 0.0) - params.pop("omega_C")
-    lat = LatticeParams(omega=params.get("omega", 0.0), t=params["t"])
-    k = params["k"]
+def _atom(params: dict, suffix: str) -> AtomParams:
     try:
-        if engine == "oracle":
-            spec = _oracle_chain(params, lat)
-            r, s = solve_stationary(spec, k)
-            return r, s, FLAG_OK
-        if not _has_first_node(params):
-            dispersion_energy(k, lat)  # validate the momentum
-            return 0.0 + 0.0j, 1.0 + 0.0j, FLAG_OK
-        if limit is not None:
-            res = limit_scatter(k, limit, _atom_from(params), lat)
-        elif _has_second_node(params):
-            cfg = TwoNodeConfig(_atom_from(params), _atom_from(params, "2"), int(round(params["D"])))
-            res = two_node_scatter(k, cfg, lat)
-        else:
-            res = single_node_scatter(k, _atom_from(params), lat)
-        return res.r, res.s, FLAG_SINGULAR if res.singular else FLAG_OK
-    except SingularPotentialError:
-        return -1.0 + 0.0j, 0.0j, FLAG_SINGULAR
-    except ResonanceDenominatorError:
-        return -1.0 + 0.0j, 0.0j, FLAG_RESONANCE
-    except (CavityChainError, ValueError, np.linalg.LinAlgError):
-        return -1.0 + 0.0j, 0.0j, FLAG_ERROR
+        return AtomParams(
+            omega_e=params.get(f"omega_e{suffix}", 0.0),
+            delta=reduce_delta(params, suffix),
+            Omega=abs(params.get(f"Omega{suffix}", 0.0)),
+            g=params.get(f"g{suffix}", 1.0),
+            Gamma=params.get(f"Gamma{suffix}", 0.0),
+            gamma=params.get(f"gamma{suffix}", 0.0),
+        )
+    except ValueError as exc:
+        raise ValueError(f"invalid node{suffix or ' 1'} parameters: {exc}") from exc
 
 
-def _quantity_value(quantity: str, r: complex, s: complex) -> float:
+def build_scenario(params: dict) -> Scenario:
+    """Lattice and nodes from run-configuration keys; values may be grid arrays.
+
+    A second node, at site D (default 1), exists when D or any key of it is
+    given; the first node exists when any node key is given.  Other keys are
+    ignored.  Raises ValueError on a missing or invalid parameter.
+    """
+    if "t" not in params:
+        raise ValueError("missing required key 't'")
+    try:
+        lat = LatticeParams(omega=params.get("omega", 0.0), t=params["t"])
+    except ValueError as exc:
+        raise ValueError(f"invalid lattice parameters: {exc}") from exc
+    second = "D" in params or any(f"{key}2" in params for key in _NODE_KEYS)
+    if not (second or any(key in params for key in _NODE_KEYS)):
+        return Scenario(lat, ())
+    nodes = [(0, _atom(params, ""))]
+    if second:
+        D = params.get("D", 1)
+        if np.any(np.less(D, 1)):
+            raise ValueError(f"node separation D must be >= 1, got {D}")
+        nodes.append((D, _atom(params, "2")))
+    return Scenario(lat, tuple(nodes))
+
+
+def oracle_chain(scenario: Scenario) -> ChainSpec:
+    """Lattice-oracle chain of one point: first node at site 8, 8 sites past the last."""
+    placements = tuple((8 + int(round(x)), atom) for x, atom in scenario.nodes)
+    last = placements[-1][0] if placements else 8
+    return ChainSpec(max(16, last + 8), placements, scenario.lat, buffer=4)
+
+
+def _amplitudes(params: dict, engine: str, limit: str | None):
+    """(r, s, flag) over the broadcast shape of the array-valued ``params``.
+
+    The analytic engine is one kernel call; the oracle stays an independent
+    lattice solve per point and never flags.
+    """
+    if "k" not in params:
+        raise ValueError("no momentum: give k or a k axis")
+    if engine == "analytic":
+        scenario = build_scenario(params)
+        return chain_scatter(params["k"], scenario.nodes, scenario.lat, limit=limit)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in params.values()))
+    grids = {key: np.broadcast_to(v, shape) for key, v in params.items() if np.ndim(v)}
+    r, s = np.empty(shape, complex), np.empty(shape, complex)
+    for idx in np.ndindex(shape):
+        point = {**params, **{key: float(v[idx]) for key, v in grids.items()}}
+        r[idx], s[idx] = solve_stationary(oracle_chain(build_scenario(point)), point["k"])
+    return r, s, np.full(shape, FLAG_OK, dtype=np.int8)
+
+
+def _quantity_value(quantity: str, r, s):
     if quantity == "R":
-        return abs(r) ** 2
+        return np.abs(r) ** 2
     if quantity == "T":
-        return abs(s) ** 2
+        return np.abs(s) ** 2
     if quantity == "xi":
-        return 1.0 - abs(r) ** 2 - abs(s) ** 2
+        return 1.0 - np.abs(r) ** 2 - np.abs(s) ** 2
     if quantity == "Re_r":
         return r.real
     if quantity == "Im_r":
         return r.imag
-    return abs(r) ** 2 + abs(s) ** 2
-
-
-def _point_params(spec: SweepSpec, axis_vals: tuple[float, ...]) -> dict:
-    params = dict(spec.fixed)
-    for axis, value in zip(spec.axes, axis_vals):
-        params[axis.name] = float(value)
-    return params
-
-
-def _sweep_rows(spec: SweepSpec, rows: list[int]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    grids = [axis.values() for axis in spec.axes]
-    n_cols = len(grids[1]) if len(grids) == 2 else 1
-    values = np.empty((len(rows), n_cols))
-    mask = np.zeros((len(rows), n_cols), dtype=np.int8)
-    for i, row in enumerate(rows):
-        for j in range(n_cols):
-            axis_vals = (grids[0][row],) if len(grids) == 1 else (grids[0][row], grids[1][j])
-            r, s, flag = evaluate_point(_point_params(spec, axis_vals), spec.engine, spec.limit)
-            values[i, j] = _quantity_value(spec.quantity, r, s)
-            mask[i, j] = flag
-    return rows, values, mask
+    return np.abs(r) ** 2 + np.abs(s) ** 2
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid; output is bitwise independent of the worker count."""
+    """Evaluate the whole grid at once; the first axis runs along rows."""
     grids = tuple(axis.values() for axis in spec.axes)
-    n_rows = len(grids[0])
-    n_cols = len(grids[1]) if len(grids) == 2 else 1
-    values = np.empty((n_rows, n_cols))
-    mask = np.zeros((n_rows, n_cols), dtype=np.int8)
-
-    if spec.workers == 1 or n_rows < 2 * spec.workers:
-        _, values[:], mask[:] = _sweep_rows(spec, list(range(n_rows)))
-    else:
-        chunks = [list(range(start, n_rows, spec.workers)) for start in range(spec.workers)]
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            for rows, vals, flags in pool.map(_sweep_rows, [spec] * len(chunks), chunks):
-                values[rows] = vals
-                mask[rows] = flags
-
-    if len(grids) == 1:
-        values = values[:, 0]
-        mask = mask[:, 0]
+    params = dict(spec.fixed)
+    for axis, grid in zip(spec.axes, np.ix_(*grids)):
+        for key in _AXIS_REPLACES.get(axis.name, ()):
+            params.pop(key, None)
+        params[axis.name] = grid
+    r, s, flag = _amplitudes(params, spec.engine, spec.limit)
+    shape = tuple(len(grid) for grid in grids)
+    values = np.broadcast_to(_quantity_value(spec.quantity, r, s), shape).copy()
+    mask = np.broadcast_to(flag, shape).copy()
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("sweep produced a non-finite value that escaped the mask")
     metadata = {
@@ -287,11 +256,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     )
 
 
-def compare_engines(spec: SweepSpec) -> EngineComparison:
-    """Max |analytic - oracle| of the swept quantity over the grid."""
-    from dataclasses import replace
+def compare_engines(spec: SweepSpec, analytic: SweepResult | None = None) -> EngineComparison:
+    """Max |analytic - oracle| of the swept quantity over the grid.
 
-    analytic = run_sweep(replace(spec, engine="analytic"))
+    ``analytic`` is the analytic sweep of ``spec`` when it is already in hand.
+    """
+    if analytic is None:
+        analytic = run_sweep(replace(spec, engine="analytic"))
     oracle = run_sweep(replace(spec, engine="oracle"))
     dev = np.abs(analytic.values - oracle.values)
     flat = int(np.argmax(dev))
@@ -312,33 +283,25 @@ def spectrum_rows(
     params: dict,
     engine: str = "analytic",
     limit: str | None = None,
-) -> list[dict]:
-    """Full per-momentum scattering record used by the spectrum command.
+) -> dict[str, np.ndarray]:
+    """The spectrum command's table, one array per column.
 
-    Each row carries k, the energy offset eps_k = E(k) - delta, both complex
-    amplitudes, R, T, xi and the singular flag.
+    Columns: k, the energy offset eps_k = E(k) - delta, both complex
+    amplitudes r and s, R, T, xi, the status flag and the singular flag
+    (1 at any flagged point).
     """
-    lat = LatticeParams(omega=params.get("omega", 0.0), t=params["t"])
-    if "omega_C" in params and "delta" not in params:
-        params = dict(params)
-        params["delta"] = params.get("omega_a", 0.0) - params.pop("omega_C")
-    delta_ref = params.get("delta", 0.0)
-    rows = []
-    for k in k_values:
-        point = dict(params)
-        point["k"] = float(k)
-        r, s, flag = evaluate_point(point, engine, limit)
-        E = dispersion_energy(float(k), lat)
-        rows.append(
-            {
-                "k": float(k),
-                "eps_k": E - delta_ref,
-                "r": r,
-                "s": s,
-                "R": abs(r) ** 2,
-                "T": abs(s) ** 2,
-                "xi": 1.0 - abs(r) ** 2 - abs(s) ** 2,
-                "singular_flag": int(flag != FLAG_OK),
-            }
-        )
-    return rows
+    k = np.asarray(k_values, dtype=float)
+    r, s, flag = _amplitudes({**params, "k": k}, engine, limit)
+    lat = build_scenario(params).lat
+    R, T = np.abs(r) ** 2, np.abs(s) ** 2
+    return {
+        "k": k,
+        "eps_k": lat.omega - 2.0 * lat.t * np.cos(k) - reduce_delta(params),
+        "r": r,
+        "s": s,
+        "R": R,
+        "T": T,
+        "xi": 1.0 - R - T,
+        "flag": flag,
+        "singular_flag": (flag != FLAG_OK).astype(np.int8),
+    }

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cavitychain import ConfigError, cli
+from cavitychain import ConfigError, cli, sweep
 from cavitychain.cli import (
     coerce_config,
     load_config,
@@ -187,6 +187,31 @@ class TestSpectrumCommand:
         R = column(header, rows, "R")
         T = column(header, rows, "T")
         assert all(abs(r + t - 1.0) <= 1e-9 for r, t in zip(R, T))
+        sidecar = json.loads((tmp_path / "fig6a.csv.meta.json").read_text())
+        assert sidecar["flag_counts"] == {"singular": 0, "resonance": 0}
+
+    def test_flag_counts_on_a_pole(self, tmp_path):
+        # the middle momentum pi/2 lands on the bare level E = omega_e = 1
+        out = tmp_path / "pole.csv"
+        argv = ["spectrum", "--set", "t=2", "--set", "omega=1", "--set", "omega_e=1",
+                "--set", "k_min=0.7853981633974483", "--set", "k_max=2.356194490192345",
+                "--set", "k_count=3", "--out", str(out)]
+        assert main(argv) == 0
+        header, rows = read_csv(out)
+        assert column(header, rows, "singular_flag", cast=int) == [0, 1, 0]
+        assert column(header, rows, "R")[1] == 1.0
+        sidecar = json.loads((tmp_path / "pole.csv.meta.json").read_text())
+        assert sidecar["flag_counts"] == {"singular": 1, "resonance": 0}
+
+    @pytest.mark.parametrize("command", ["spectrum", "map2d"])
+    def test_limit_grid_outside_the_window_fails_without_output(self, tmp_path, command, capsys):
+        out = tmp_path / "x.csv"
+        sets = ["k_max=1.9"] if command == "spectrum" else [
+            "axis1=k", "axis1_min=1.3", "axis1_max=1.9", "axis1_count=5"]
+        argv = [command, "--config", "fig5a", *(a for s in sets for a in ("--set", s))]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "high-energy window" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMap2dCommand:
@@ -219,6 +244,32 @@ class TestMap2dCommand:
         on_axis = [i for i, om in enumerate(omega_col) if om == 0.0]
         assert len(on_axis) == 5
         assert all(R[i] == 1.0 and flags[i] == 1 for i in on_axis)
+
+    def test_fig4_bytes_repeat_and_flags_are_counted(self, tmp_path):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(["map2d", "--config", "fig4", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        header, rows = read_csv(outs[0])
+        assert len(rows) == 200 * 200
+        flags = column(header, rows, "singular_flag", cast=int)
+        sidecar = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert sidecar["flag_counts"] == {"singular": sum(flags), "resonance": 0}
+
+    def test_engine_both_compares_the_sweep_in_hand(self, tmp_path, monkeypatch):
+        calls = []
+        run = cli.run_sweep
+        def counted(spec):
+            calls.append(spec.engine)
+            return run(spec)
+
+        monkeypatch.setattr(cli, "run_sweep", counted)
+        monkeypatch.setattr(sweep, "run_sweep", counted)
+        out = tmp_path / "both.csv"
+        assert main(["map2d", "--config", "fig6b", "--engine", "both", "--out", str(out)]) == 0
+        assert calls == ["analytic", "oracle"]
+        sidecar = json.loads((tmp_path / "both.csv.meta.json").read_text())
+        assert sidecar["max_engine_deviation"] <= 1e-8
 
     def test_fig6b_runs_over_separations(self, tmp_path):
         out = tmp_path / "fig6b.csv"

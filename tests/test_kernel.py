@@ -1,0 +1,181 @@
+"""The vectorised transfer-matrix kernel against the scalar closed forms and the lattice."""
+
+import inspect
+import math
+import textwrap
+
+import numpy as np
+import pytest
+
+from cavitychain import (
+    AtomParams,
+    ChainSpec,
+    LatticeParams,
+    LimitWindowError,
+    ResonanceDenominatorError,
+    TwoNodeConfig,
+    chain_scatter,
+    limit_scatter,
+    scattering,
+    single_node_scatter,
+    solve_stationary,
+    two_node_scatter,
+)
+from cavitychain.scattering import FLAG_OK, FLAG_RESONANCE, FLAG_SINGULAR
+from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
+
+LAT = LatticeParams(omega=1.0, t=2.0)
+FIG3A_ATOM = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
+FIELDS = ("omega_e", "delta", "Omega", "g", "Gamma", "gamma")
+
+
+def stacked(atoms):
+    """One AtomParams whose fields are arrays over ``atoms``."""
+    return AtomParams(**{f: np.array([getattr(a, f) for a in atoms]) for f in FIELDS})
+
+
+def assert_matches_closed_forms(kernel, draws=1200, seed=5):
+    """Random one- and two-node draws, with and without decay, in one call each."""
+    rng = np.random.default_rng(seed)
+    lats, ks, singles, pairs = [], [], [], []
+    for i in range(draws):
+        decay = i % 2 == 1
+        lats.append(draw_lattice(rng))
+        ks.append(draw_momentum(rng))
+        singles.append(draw_atom(rng, two_level=i % 3 == 0, decay=decay))
+        pairs.append(draw_two_node(rng, decay=decay))
+    lat = LatticeParams(omega=np.array([x.omega for x in lats]), t=np.array([x.t for x in lats]))
+    k = np.array(ks)
+    r1, s1, f1 = kernel(k, [(0, stacked(singles))], lat)
+    r2, s2, f2 = kernel(
+        k,
+        [(0, stacked([p.atom1 for p in pairs])), (np.array([p.D for p in pairs]),
+                                                  stacked([p.atom2 for p in pairs]))],
+        lat,
+    )
+    for i in range(draws):
+        one = single_node_scatter(ks[i], singles[i], lats[i])
+        two = two_node_scatter(ks[i], pairs[i], lats[i])
+        assert abs(r1[i] - one.r) <= 1e-13 and abs(s1[i] - one.s) <= 1e-13, i
+        assert abs(r2[i] - two.r) <= 1e-13 and abs(s2[i] - two.s) <= 1e-13, i
+        assert f1[i] == f2[i] == FLAG_OK
+
+
+class TestClosedForms:
+    def test_matches_one_and_two_node_closed_forms(self):
+        assert_matches_closed_forms(chain_scatter)
+
+    def test_flipped_phase_sign_is_caught(self, monkeypatch):
+        # negative control: the same kernel with K_j's phase e^{2ikx_j}
+        # conjugated must fail the comparison above
+        source = textwrap.dedent(inspect.getsource(scattering._transfer_row))
+        assert source.count("np.exp(2j * k * x)") == 1
+        namespace = dict(vars(scattering))
+        exec(source.replace("np.exp(2j * k * x)", "np.exp(-2j * k * x)"), namespace)
+        monkeypatch.setattr(scattering, "_transfer_row", namespace["_transfer_row"])
+        with pytest.raises(AssertionError):
+            assert_matches_closed_forms(chain_scatter, draws=200)
+
+    def test_free_chain_transmits_everything(self):
+        r, s, flag = chain_scatter(np.linspace(0.1, 3.0, 5), (), LAT)
+        assert r.shape == s.shape == flag.shape == (5,)
+        assert r.tobytes() == np.zeros(5, complex).tobytes()
+        assert np.all(s == 1.0) and np.all(flag == FLAG_OK)
+
+    def test_broadcasts_over_axes(self):
+        k = np.linspace(0.2, 2.9, 7)[:, None]
+        Omega = np.linspace(0.0, 2.0, 4)[None, :]
+        atom = AtomParams(omega_e=0.3, delta=-0.2, Omega=Omega, g=1.1)
+        r, s, flag = chain_scatter(k, [(0, atom)], LAT)
+        assert r.shape == s.shape == flag.shape == (7, 4)
+        for i, j in np.ndindex(7, 4):
+            point = AtomParams(omega_e=0.3, delta=-0.2, Omega=float(Omega[0, j]), g=1.1)
+            ref = single_node_scatter(float(k[i, 0]), point, LAT)
+            assert abs(r[i, j] - ref.r) <= 1e-13 and abs(s[i, j] - ref.s) <= 1e-13
+
+    def test_momentum_outside_the_band_raises(self):
+        with pytest.raises(ValueError, match="open interval"):
+            chain_scatter(np.array([1.0, 4.0]), [(0, FIG3A_ATOM)], LAT)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("decay", [False, True])
+    def test_three_node_chains_match_the_lattice(self, decay):
+        rng = np.random.default_rng(17 + decay)
+        for _ in range(40):
+            lat = draw_lattice(rng)
+            atoms = [draw_atom(rng, two_level=bool(rng.integers(0, 2)), decay=decay)
+                     for _ in range(3)]
+            gaps = rng.integers(1, 7, size=2)
+            sites = [0, int(gaps[0]), int(gaps.sum())]
+            k = draw_momentum(rng)
+            r, s, flag = chain_scatter(k, list(zip(sites, atoms)), lat)
+            spec = ChainSpec(sites[-1] + 24, tuple((12 + x, a) for x, a in zip(sites, atoms)),
+                             lat, buffer=4)
+            r_o, s_o = solve_stationary(spec, k)
+            assert flag == FLAG_OK
+            assert abs(r - r_o) <= 1e-12 and abs(s - s_o) <= 1e-12
+
+
+class TestFlags:
+    def test_pole_grid_flags_and_limits_match_the_closed_forms(self):
+        # E(pi/2) = omega = 1 is the bare level of the two-level node
+        mirror = AtomParams.two_level(1.0)
+        k = np.linspace(math.pi / 4, 3 * math.pi / 4, 5)
+        for atoms in ([mirror], [mirror, FIG3A_ATOM], [FIG3A_ATOM, mirror]):
+            r, s, flag = chain_scatter(k, list(zip((0, 3), atoms)), LAT)
+            for i, ki in enumerate(k):
+                if len(atoms) == 1:
+                    ref = single_node_scatter(float(ki), mirror, LAT)
+                else:
+                    ref = two_node_scatter(float(ki), TwoNodeConfig(*atoms, 3), LAT)
+                assert flag[i] == (FLAG_SINGULAR if ref.singular else FLAG_OK)
+                assert abs(r[i] - ref.r) <= 1e-13 and abs(s[i] - ref.s) <= 1e-13
+            assert flag.tolist() == [0, 0, 1, 0, 0] and s[2] == 0.0
+
+    def test_bound_state_in_the_continuum_is_a_singular_mirror(self):
+        # two-level nodes at their level E = 2, D = 12: the trapped-mode
+        # condition and both poles hold at once at k = 2 pi / 3
+        node = AtomParams.two_level(2.0)
+        lat = LatticeParams(omega=1.0, t=1.0)
+        k = 2.0 * math.pi / 3.0
+        r, s, flag = chain_scatter(k, [(0, node), (12, node)], lat)
+        ref = two_node_scatter(k, TwoNodeConfig(node, node, 12), lat)
+        assert ref.singular and flag == FLAG_SINGULAR
+        assert (r, s) == (ref.r, ref.s) == (-1.0, 0.0)
+
+    def test_resonance_flag_is_the_scalar_guard(self, monkeypatch):
+        # |den| / scale runs from 0.72 to 2.2 on this grid, so a tolerance of
+        # 1.02 flags part of it as resonant under either criterion
+        monkeypatch.setattr(scattering, "RESONANCE_TOL", 1.02)
+        cfg = TwoNodeConfig(FIG3A_ATOM, AtomParams(omega_e=-0.4, delta=0.6, Omega=1.7), D=4)
+        k = np.linspace(0.05, math.pi - 0.05, 400)
+        r, s, flag = chain_scatter(k, [(0, cfg.atom1), (4, cfg.atom2)], LAT)
+        hits = 0
+        for i, ki in enumerate(k):
+            try:
+                ref = two_node_scatter(float(ki), cfg, LAT, resonance_tol=1.02)
+            except ResonanceDenominatorError:
+                hits += 1
+                assert flag[i] == FLAG_RESONANCE and (r[i], s[i]) == (-1.0, 0.0)
+            else:
+                assert flag[i] == FLAG_OK and abs(r[i] - ref.r) <= 1e-13
+        assert 0 < hits < len(k)
+
+
+class TestLimits:
+    @pytest.mark.parametrize("regime, k", [("high", np.linspace(1.4, 1.75, 30)),
+                                           ("low", np.linspace(0.005, 0.2, 30))])
+    def test_match_limit_scatter(self, regime, k):
+        r, s, flag = chain_scatter(k, [(0, FIG3A_ATOM)], LAT, limit=regime)
+        for i, ki in enumerate(k):
+            ref = limit_scatter(float(ki), regime, FIG3A_ATOM, LAT)
+            assert abs(r[i] - ref.r) <= 1e-13 and abs(s[i] - ref.s) <= 1e-13
+            assert flag[i] == (FLAG_SINGULAR if ref.singular else FLAG_OK)
+
+    def test_window_is_checked_for_the_whole_grid(self):
+        with pytest.raises(LimitWindowError, match="got k=1.0"):
+            chain_scatter(np.array([1.5, 1.0]), [(0, FIG3A_ATOM)], LAT, limit="high")
+        # fig5a's endpoints sit a rounding error inside the window
+        k = np.linspace(1.3707963267948965, 1.7707963267948966, 400)
+        chain_scatter(k, [(0, FIG3A_ATOM)], LAT, limit="high")

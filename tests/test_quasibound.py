@@ -12,7 +12,6 @@ from cavitychain import (
     bound_profile,
     dispersion_energy,
     dispersion_energy_continued,
-    effective_potential,
     find_perfect_reflection,
     find_quasibound_modes,
     momentum_from_energy,
@@ -20,8 +19,8 @@ from cavitychain import (
     quasibound,
     quasibound_residual,
 )
-from cavitychain.quasibound import DEFAULT_IM_WINDOW, VERIFY_TOL, _entire_residual
-from cavitychain.scattering import _transport_denominator
+from cavitychain.quasibound import DEFAULT_IM_WINDOW, VERIFY_TOL
+from cavitychain.scattering import _transfer_row
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 
@@ -37,6 +36,7 @@ def mirror_atom(pole_energy: float, *, Omega: float = 1.0, omega_e: float = 0.2,
 
 class TestResidual:
     def test_matches_transport_denominator(self):
+        # the kernel's P22 for nodes at 0 and D is the same pole-free product
         rng = np.random.default_rng(71)
         cfgs = [
             TwoNodeConfig(
@@ -53,8 +53,11 @@ class TestResidual:
         for _ in range(1000):
             k = complex(rng.uniform(0.05, math.pi - 0.05), rng.uniform(-0.4, 0.04))
             cfg = cfgs[int(rng.integers(0, len(cfgs)))]
+            E = dispersion_energy_continued(k, LAT)
+            b = 2j * LAT.t * cmath.sin(k)
+            nodes = [(0, cfg.atom1), (cfg.D, cfg.atom2)]
+            rhs = complex(_transfer_row(k, E, b, nodes)[1])
             lhs = quasibound_residual(k, cfg, LAT)
-            rhs = _transport_denominator(k, cfg, LAT)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_zero_exactly_on_a_found_mode(self):
@@ -65,18 +68,28 @@ class TestResidual:
         )
         assert modes
         for mode in modes:
-            value = quasibound_residual(mode.k, cfg, LAT)
-            scale = abs(_transport_denominator(mode.k + 0.05, cfg, LAT)) + 1.0
-            assert abs(value) / scale < 1e-6
+            assert quasibound_residual(mode.k, cfg, LAT, scaled=True) <= 1e-12
+            assert quasibound_residual(mode.k + 0.05, cfg, LAT, scaled=True) > 1e-3
 
     def test_transparent_first_node_never_vanishes_on_the_real_axis(self):
         # g -> 0 kills the first potential; the residual reduces to
-        # beta (beta - V2) which cannot vanish inside the open band
+        # b den1 (b den2 - N2), which cannot vanish against its own scale
+        # inside the open band
         weak = AtomParams(omega_e=0.3, delta=-0.1, Omega=0.5, g=1e-9)
         other = AtomParams(omega_e=0.8, delta=0.2, Omega=1.1)
         cfg = TwoNodeConfig(weak, other, D=6)
         for k in np.linspace(0.05, math.pi - 0.05, 200):
-            assert abs(quasibound_residual(complex(k), cfg, LAT)) > 1e-8
+            assert quasibound_residual(complex(k), cfg, LAT, scaled=True) > 1e-8
+
+    def test_finite_and_zero_at_a_node_pole(self):
+        # two-level nodes at the level energy E = 2 (k = 2 pi/3 on t = 1):
+        # a decay-free trapped mode on the real axis, where V1 and V2 diverge
+        cfg = TwoNodeConfig(TWO_LEVEL, TWO_LEVEL, D=12)
+        k = 2.0 * math.pi / 3.0
+        assert abs(quasibound_residual(k, cfg, NARROW_LAT)) <= 1e-13
+        modes = find_quasibound_modes(cfg, NARROW_LAT)
+        (mode,) = [m for m in modes if abs(m.k - k) <= 1e-12]
+        assert mode.n == 8 and mode.residual <= 1e-13
 
 
 class TestQuantizedMomenta:
@@ -226,20 +239,10 @@ def winding_number(cfg, lat, rect, per_edge):
         for a, b in zip(corners, corners[1:])
         for k in np.linspace(a, b, per_edge, endpoint=False)
     ] + [corners[0]]
-    values = np.array([_entire_residual(k, cfg, lat)[0] for k in path])
+    values = quasibound_residual(np.array(path), cfg, lat)
     turns = np.angle(values[1:] / values[:-1])
     assert np.max(np.abs(turns)) < 0.5, "contour too coarse to follow the phase"
     return round(turns.sum() / (2 * math.pi))
-
-
-def scaled_transport_residual(k, cfg, lat):
-    """|quasibound_residual| over the sum of its terms' magnitudes."""
-    E = dispersion_energy_continued(k, lat)
-    v1 = effective_potential(E, cfg.atom1)
-    v2 = effective_potential(E, cfg.atom2)
-    b = abs(2j * lat.t * cmath.sin(k))
-    scale = b * b + b * (abs(v1) + abs(v2)) + abs(v1 * v2) * (1.0 + abs(cmath.exp(2j * k * cfg.D)))
-    return abs(quasibound_residual(k, cfg, lat)) / scale
 
 
 class TestCompleteness:
@@ -250,6 +253,7 @@ class TestCompleteness:
             pytest.param(LAMBDA, LAMBDA, LAT, 200, 201, id="lambda-200"),
             pytest.param(TWO_LEVEL, TWO_LEVEL, NARROW_LAT, 100, 99, id="two-level-100"),
             pytest.param(TWO_LEVEL, TWO_LEVEL, NARROW_LAT, 200, 199, id="two-level-200"),
+            pytest.param(TWO_LEVEL, TWO_LEVEL, NARROW_LAT, 12, 11, id="two-level-12-on-the-pole"),
             pytest.param(DECAYING, DECAYING, LAT, 100, 101, id="decaying-100"),
             pytest.param(DECAYING, DECAYING, LAT, 200, 201, id="decaying-200"),
             pytest.param(*MIXED, LAT, 12, 12, id="lambda-two-level-12"),
@@ -265,19 +269,17 @@ class TestCompleteness:
         rect = (0.01, math.pi - 0.01, *DEFAULT_IM_WINDOW)
         assert winding_number(cfg, lat, rect, 40 * D + 200) == expected
         for m in modes:
-            assert m.residual <= VERIFY_TOL
-            assert scaled_transport_residual(m.k, cfg, lat) <= 1e-12
+            assert m.residual <= 1e-12
         gaps = np.diff(sorted(m.k.real for m in modes))
         assert gaps.min() > 1e-6
 
     def test_failed_verification_raises(self, monkeypatch):
-        exact = quasibound._entire_residual
+        exact = quasibound.quasibound_residual
 
-        def offset(k, cfg, lat):
-            value, scale = exact(k, cfg, lat)
-            return value + 1e-6 * scale, scale
+        def offset(k, cfg, lat, *, scaled=False):
+            return exact(k, cfg, lat, scaled=scaled) + 1e-6
 
-        monkeypatch.setattr(quasibound, "_entire_residual", offset)
+        monkeypatch.setattr(quasibound, "quasibound_residual", offset)
         cfg = TwoNodeConfig(LAMBDA, LAMBDA, 10)
         with pytest.raises(UnverifiedRootError, match="scaled residual"):
             find_quasibound_modes(cfg, LAT)

@@ -4,14 +4,13 @@ import time
 import numpy as np
 import pytest
 
+from cavitychain import scattering, sweep
+from cavitychain.scattering import FLAG_OK, FLAG_SINGULAR
 from cavitychain.sweep import (
-    FLAG_ERROR,
-    FLAG_OK,
-    FLAG_SINGULAR,
     AxisSpec,
     SweepSpec,
+    build_scenario,
     compare_engines,
-    evaluate_point,
     run_sweep,
     spectrum_rows,
 )
@@ -19,8 +18,14 @@ from cavitychain.sweep import (
 FIG3A = {"t": 2.0, "omega": 1.0, "omega_e": 1.0, "delta": 0.0, "Omega": 1.0, "g": 1.0}
 
 
+def evaluate_point(params, engine):
+    """(r, s, flag) at one point, through the spectrum table."""
+    table = spectrum_rows(np.array([params["k"]]), params, engine)
+    return complex(table["r"][0]), complex(table["s"][0]), int(table["flag"][0])
+
+
 def fig3a_spec(count=400, **overrides):
-    options = {"quantity": "R", "engine": "analytic", "workers": 1}
+    options = {"quantity": "R", "engine": "analytic"}
     options.update(overrides)
     return SweepSpec(
         axes=(AxisSpec("k", 0.002, math.pi - 0.002, count),),
@@ -70,8 +75,9 @@ class TestEvaluatePoint:
         )
         assert singular[2] == FLAG_SINGULAR
         assert singular[0] == -1.0 and singular[1] == 0.0
-        broken = evaluate_point({**FIG3A, "k": 4.0}, "analytic")
-        assert broken[2] == FLAG_ERROR
+        # outside the band the point is an error, not a flag
+        with pytest.raises(ValueError, match="open interval"):
+            evaluate_point({**FIG3A, "k": 4.0}, "analytic")
 
     def test_omega_c_reduces_to_detuning(self):
         via_pair = evaluate_point(
@@ -123,17 +129,16 @@ class TestRunSweep:
         assert a.values.tobytes() == b.values.tobytes()
         assert a.mask.tobytes() == b.mask.tobytes()
 
-    def test_worker_count_does_not_change_bits(self):
-        spec2d = SweepSpec(
-            axes=(AxisSpec("k", 0.1, 3.0, 40), AxisSpec("Omega", 0.0, 2.0, 25)),
-            fixed={k: v for k, v in FIG3A.items() if k != "Omega"},
-        )
-        serial = run_sweep(spec2d)
-        parallel = run_sweep(
-            SweepSpec(axes=spec2d.axes, fixed=spec2d.fixed, workers=3)
-        )
-        assert serial.values.tobytes() == parallel.values.tobytes()
-        assert serial.mask.tobytes() == parallel.mask.tobytes()
+    def test_worker_count_does_not_change_bits(self, tmp_path):
+        # --workers is an accepted no-op: the grid is one kernel call
+        from cavitychain.cli import main
+
+        outs = [tmp_path / f"w{workers}.csv" for workers in (1, 3)]
+        for workers, out in zip((1, 3), outs):
+            argv = ["map2d", "--config", "fig4", "--set", "axis1_count=40",
+                    "--set", "axis2_count=25", "--workers", str(workers), "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_two_node_axis_over_separation(self):
         spec = SweepSpec(
@@ -156,18 +161,65 @@ class TestRunSweep:
         assert res.metadata["axes"][0]["count"] == 16
         assert "timestamp" in res.metadata
 
-    def test_parallel_wall_time_is_sane(self):
+    def test_parallel_wall_time_is_sane(self, monkeypatch):
+        # no pool and no per-point loop: 10^5 points in one kernel call
+        calls = []
+        kernel = sweep.chain_scatter
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "chain_scatter", counted)
         spec = SweepSpec(
             axes=(AxisSpec("k", 0.1, 3.0, 500), AxisSpec("Omega", 0.0, 2.0, 200)),
             fixed={k: v for k, v in FIG3A.items() if k != "Omega"},
         )
         start = time.monotonic()
-        run_sweep(spec)
-        serial = time.monotonic() - start
-        start = time.monotonic()
-        run_sweep(SweepSpec(axes=spec.axes, fixed=spec.fixed, workers=2))
-        parallel = time.monotonic() - start
-        assert parallel <= serial * 1.5
+        res = run_sweep(spec)
+        assert time.monotonic() - start <= 5.0
+        assert len(calls) == 1
+        assert res.values.shape == res.mask.shape == (500, 200)
+
+    def test_limit_grid_outside_the_window_raises(self):
+        spec = SweepSpec(axes=(AxisSpec("k", 1.2, 1.9, 8),), fixed=dict(FIG3A), limit="high")
+        with pytest.raises(scattering.LimitWindowError, match="high-energy window"):
+            run_sweep(spec)
+
+    def test_missing_momentum_raises(self):
+        spec = SweepSpec(axes=(AxisSpec("Omega", 0.0, 1.0, 3),), fixed=dict(FIG3A))
+        with pytest.raises(ValueError, match="no momentum"):
+            run_sweep(spec)
+
+
+class TestScenario:
+    def test_one_builder_for_every_key_form(self):
+        free = build_scenario({"t": 2.0})
+        assert free.nodes == () and free.lat.omega == 0.0
+        one = build_scenario({**FIG3A, "Omega": -1.3})
+        assert [x for x, _ in one.nodes] == [0] and one.nodes[0][1].Omega == 1.3
+        pair = build_scenario({"t": 1.0, "omega_a": 1.0, "omega_C2": 0.25, "D": 3})
+        (x1, a1), (x2, a2) = pair.nodes
+        assert (x1, x2) == (0, 3) and a1.delta == 1.0 and a2.delta == -0.25
+
+    def test_array_valued_nodes(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        (_, atom), = build_scenario({**FIG3A, "delta": grid}).nodes
+        assert atom.delta is grid
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"omega": 1.0}, "missing required key 't'"),
+            ({"t": -1.0}, "invalid lattice"),
+            ({**FIG3A, "g": np.array([1.0, 0.0])}, "invalid node 1"),
+            ({**FIG3A, "omega_C": 0.5}, "not both"),
+            ({**FIG3A, "D": 0}, "D must be >= 1"),
+        ],
+    )
+    def test_invalid_parameters_raise(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            build_scenario(params)
 
 
 class TestCompareEngines:
@@ -201,16 +253,15 @@ class TestCompareEngines:
 class TestSpectrumRows:
     def test_columns_and_energy_offset(self):
         ks = np.linspace(0.5, 2.5, 7)
-        rows = spectrum_rows(ks, dict(FIG3A))
-        assert len(rows) == 7
-        for row in rows:
-            E = 1.0 - 4.0 * math.cos(row["k"])
-            assert row["eps_k"] == pytest.approx(E - FIG3A["delta"], abs=1e-12)
-            assert row["R"] == pytest.approx(abs(row["r"]) ** 2)
-            assert row["singular_flag"] in (0, 1)
+        table = spectrum_rows(ks, dict(FIG3A))
+        assert all(len(column) == 7 for column in table.values())
+        E = 1.0 - 4.0 * np.cos(ks)
+        assert np.allclose(table["eps_k"], E - FIG3A["delta"], rtol=0, atol=1e-12)
+        assert np.array_equal(table["R"], np.abs(table["r"]) ** 2)
+        assert set(table["singular_flag"].tolist()) <= {0, 1}
 
     def test_limit_rows_use_the_window_formula(self):
         ks = np.array([math.pi / 2])
-        exact = spectrum_rows(ks, dict(FIG3A))[0]
-        lim = spectrum_rows(ks, dict(FIG3A), limit="high")[0]
-        assert lim["r"] == pytest.approx(exact["r"], abs=1e-12)
+        exact = spectrum_rows(ks, dict(FIG3A))["r"][0]
+        lim = spectrum_rows(ks, dict(FIG3A), limit="high")["r"][0]
+        assert lim == pytest.approx(exact, abs=1e-12)
