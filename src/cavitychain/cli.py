@@ -66,7 +66,7 @@ _INT_KEYS = {
     "D", "k_count", "axis1_count", "axis2_count",
     "N", "site", "x0", "absorber_width",
     "profile_n", "mode_index",
-    "draws", "seed", "workers",
+    "draws", "seed",
 }
 _STR_KEYS = {"axis1", "axis2", "quantity", "engine", "limit", "negative_control"}
 _BOOL_KEYS = {"wavepacket_check"}
@@ -183,7 +183,11 @@ def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict | None = None)
     sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_csv(out: Path, header: list[str], columns: list, block: int = 4096) -> None:
+#: Rows per write of ``_write_csv``.
+_CSV_BLOCK = 4096
+
+
+def _write_csv(out: Path, header: list[str], columns: list) -> None:
     """Equal-length columns as rows: numbers at 17 significant digits, text as is.
 
     Rows go out in blocks through one format string, so the file is never
@@ -193,8 +197,8 @@ def _write_csv(out: Path, header: list[str], columns: list, block: int = 4096) -
     fmt = ",".join("%s" if c.dtype.kind in "OUS" else "%.17g" for c in cols) + "\n"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(cols[0]), block):
-            rows = zip(*(c[start : start + block].tolist() for c in cols))
+        for start in range(0, len(cols[0]), _CSV_BLOCK):
+            rows = zip(*(c[start : start + _CSV_BLOCK].tolist() for c in cols))
             fh.writelines(fmt % row for row in rows)
 
 
@@ -204,18 +208,30 @@ def _with_flag_counts(extra: dict | None, flag: np.ndarray) -> dict:
     return {**(extra or {}), "flag_counts": {"singular": counts[1], "resonance": counts[2]}}
 
 
+def _sweep_engine(cfg: dict, engine: str) -> str:
+    """Engine of a spectrum's or map's own CSV, once the config is checked.
+
+    Checks up front what the computation would otherwise reject halfway, so
+    every error raised while computing is a real one.
+    """
+    _scenario(cfg)
+    if "limit" in cfg and engine != "analytic":
+        raise ConfigError("a limit lineshape has no lattice-oracle counterpart; "
+                          "use --engine analytic")
+    return "analytic" if engine == "both" else engine
+
+
 def cmd_spectrum(cfg: dict, out: Path, engine: str) -> int:
     k_min = cfg.get("k_min", 0.01)
     k_max = cfg.get("k_max", math.pi - 0.01)
     count = cfg.get("k_count", 2000)
     if not k_min < k_max:
         raise ConfigError("k_min must be below k_max")
+    if count < 1:
+        raise ConfigError(f"k_count must be >= 1, got {count}")
+    run_engine = _sweep_engine(cfg, engine)
     k_values = np.linspace(k_min, k_max, count)
-    run_engine = "analytic" if engine == "both" else engine
-    try:
-        table = spectrum_rows(k_values, cfg, run_engine, cfg.get("limit"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = spectrum_rows(k_values, cfg, run_engine, cfg.get("limit"))
     r, s = table["r"], table["s"]
     _write_csv(
         out,
@@ -225,7 +241,7 @@ def cmd_spectrum(cfg: dict, out: Path, engine: str) -> int:
     )
     extra = None
     if engine == "both":
-        oracle = spectrum_rows(k_values, cfg, "oracle", cfg.get("limit"))
+        oracle = spectrum_rows(k_values, cfg, "oracle")
         dev = np.maximum(np.abs(r - oracle["r"]), np.abs(s - oracle["s"]))
         extra = {"max_engine_deviation": float(dev.max())}
     _write_sidecar(out, cfg, engine, _with_flag_counts(extra, table["flag"]))
@@ -258,18 +274,17 @@ def _map_axes(cfg: dict) -> tuple[AxisSpec, ...]:
 
 def cmd_map2d(cfg: dict, out: Path, engine: str) -> int:
     axes = _map_axes(cfg)
-    run_engine = "analytic" if engine == "both" else engine
     try:
         spec = SweepSpec(
             axes=axes,
             fixed=cfg,
             quantity=cfg.get("quantity", "R"),
-            engine=run_engine,
+            engine=_sweep_engine(cfg, engine),
             limit=cfg.get("limit"),
         )
-        result = run_sweep(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    result = run_sweep(spec)
     grids = np.meshgrid(*result.axis_values, indexing="ij")
     _write_csv(
         out,

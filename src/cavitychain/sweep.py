@@ -52,14 +52,13 @@ class AxisSpec:
             raise ValueError(f"a k axis must lie in (0, pi), got [{self.start}, {self.stop}]")
         if self.name == "D" and self.start < 1:
             raise ValueError(f"a D axis must start at 1 or above, got {self.start}")
+        vals = np.linspace(self.start, self.stop, self.count)
+        if self.name == "D" and not np.allclose(vals, np.round(vals), atol=1e-9):
+            raise ValueError("a D axis must land on integer separations")
 
     def values(self) -> np.ndarray:
         vals = np.linspace(self.start, self.stop, self.count)
-        if self.name == "D":
-            if not np.allclose(vals, np.round(vals), atol=1e-9):
-                raise ValueError("a D axis must land on integer separations")
-            vals = np.round(vals)
-        return vals
+        return np.round(vals) if self.name == "D" else vals
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,8 @@ class SweepSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate axis names {names}")
+        if "k" not in names and "k" not in self.fixed:
+            raise ValueError("no momentum: give k or a k axis")
 
 
 @dataclass(frozen=True)
@@ -195,13 +196,13 @@ def _amplitudes(params: dict, engine: str, limit: str | None):
     """(r, s, flag) over the broadcast shape of the array-valued ``params``.
 
     The analytic engine is one kernel call; the oracle stays an independent
-    lattice solve per point and never flags.
+    lattice solve per point, never flags and has no limit lineshape.
     """
-    if "k" not in params:
-        raise ValueError("no momentum: give k or a k axis")
     if engine == "analytic":
         scenario = build_scenario(params)
         return chain_scatter(params["k"], scenario.nodes, scenario.lat, limit=limit)
+    if limit is not None:
+        raise ValueError("a limit lineshape has no lattice-oracle counterpart")
     shape = np.broadcast_shapes(*(np.shape(v) for v in params.values()))
     grids = {key: np.broadcast_to(v, shape) for key, v in params.items() if np.ndim(v)}
     r, s = np.empty(shape, complex), np.empty(shape, complex)
@@ -256,13 +257,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     )
 
 
-def compare_engines(spec: SweepSpec, analytic: SweepResult | None = None) -> EngineComparison:
-    """Max |analytic - oracle| of the swept quantity over the grid.
+def compare_engines(spec: SweepSpec, analytic: SweepResult) -> EngineComparison:
+    """Max |analytic - oracle| of the swept quantity over the grid of ``spec``.
 
-    ``analytic`` is the analytic sweep of ``spec`` when it is already in hand.
+    ``analytic`` is the analytic sweep of ``spec``, already computed.
     """
-    if analytic is None:
-        analytic = run_sweep(replace(spec, engine="analytic"))
     oracle = run_sweep(replace(spec, engine="oracle"))
     dev = np.abs(analytic.values - oracle.values)
     flat = int(np.argmax(dev))

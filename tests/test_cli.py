@@ -4,6 +4,7 @@ import math
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cavitychain import ConfigError, cli, sweep
@@ -39,6 +40,15 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             coerce_config({"hopping": "2"})
+
+    def test_workers_key_is_unknown(self, tmp_path, capsys):
+        # only the --workers flag survives the process pool, as a no-op
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("t = 2\nomega_e = 1\nworkers = 4\n")
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown configuration key 'workers'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_typed_values(self):
         cfg = coerce_config({"t": "2.5", "D": "4", "quantity": "R", "wavepacket_check": "false"})
@@ -202,6 +212,42 @@ class TestSpectrumCommand:
         assert column(header, rows, "R")[1] == 1.0
         sidecar = json.loads((tmp_path / "pole.csv.meta.json").read_text())
         assert sidecar["flag_counts"] == {"singular": 1, "resonance": 0}
+
+    @pytest.mark.parametrize("engine", ["oracle", "both"])
+    @pytest.mark.parametrize("command", ["spectrum", "map2d"])
+    def test_limit_with_the_lattice_engine_fails_without_output(
+        self, tmp_path, command, engine, capsys
+    ):
+        out = tmp_path / "x.csv"
+        sets = [] if command == "spectrum" else [
+            "axis1=k", "axis1_min=1.4", "axis1_max=1.7", "axis1_count=3"]
+        argv = [command, "--config", "fig5a", "--engine", engine,
+                *(a for s in sets for a in ("--set", s))]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "no lattice-oracle counterpart" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "map2d"])
+    def test_missing_hopping_fails_before_computing(self, tmp_path, command, capsys):
+        out = tmp_path / "x.csv"
+        sets = ["omega_e=1", "k=1.2", "axis1=Omega", "axis1_min=0", "axis1_max=1"]
+        argv = [command, *(a for s in sets for a in ("--set", s)), "--out", str(out)]
+        assert main(argv) == 2
+        assert "missing required key 't'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "map2d"])
+    def test_errors_while_computing_propagate(self, tmp_path, command, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(sweep, "chain_scatter", broken)
+        out = tmp_path / "x.csv"
+        argv = [command, "--config", "fig4" if command == "map2d" else "fig3a",
+                "--out", str(out)]
+        with pytest.raises(np.linalg.LinAlgError):
+            main(argv)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "map2d"])
     def test_limit_grid_outside_the_window_fails_without_output(self, tmp_path, command, capsys):

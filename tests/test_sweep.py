@@ -187,8 +187,16 @@ class TestRunSweep:
             run_sweep(spec)
 
     def test_missing_momentum_raises(self):
-        spec = SweepSpec(axes=(AxisSpec("Omega", 0.0, 1.0, 3),), fixed=dict(FIG3A))
         with pytest.raises(ValueError, match="no momentum"):
+            SweepSpec(axes=(AxisSpec("Omega", 0.0, 1.0, 3),), fixed=dict(FIG3A))
+
+    def test_oracle_has_no_limit_lineshape(self):
+        ks = np.linspace(1.4, 1.7, 3)
+        with pytest.raises(ValueError, match="no lattice-oracle counterpart"):
+            spectrum_rows(ks, dict(FIG3A), "oracle", limit="high")
+        spec = SweepSpec(axes=(AxisSpec("k", 1.4, 1.7, 3),), fixed=dict(FIG3A),
+                         engine="oracle", limit="high")
+        with pytest.raises(ValueError, match="no lattice-oracle counterpart"):
             run_sweep(spec)
 
 
@@ -225,7 +233,7 @@ class TestScenario:
 class TestCompareEngines:
     def test_fig3a_gate(self):
         spec = fig3a_spec(count=40)
-        comparison = compare_engines(spec)
+        comparison = compare_engines(spec, run_sweep(spec))
         assert comparison.max_deviation <= 1e-8
         assert comparison.n_points == 40
 
@@ -234,10 +242,11 @@ class TestCompareEngines:
             axes=(AxisSpec("k", 0.1, 3.0, 30),),
             fixed={**FIG3A, "Gamma": 0.04, "gamma": 0.04},
         )
-        assert compare_engines(spec).max_deviation <= 1e-8
+        assert compare_engines(spec, run_sweep(spec)).max_deviation <= 1e-8
 
     def test_reports_location(self):
-        comparison = compare_engines(fig3a_spec(count=16))
+        spec = fig3a_spec(count=16)
+        comparison = compare_engines(spec, run_sweep(spec))
         assert len(comparison.at_indices) == 1
         assert 0 <= comparison.at_indices[0] < 16
         assert 0.002 <= comparison.at_values[0] <= math.pi
@@ -247,7 +256,7 @@ class TestCompareEngines:
             axes=(AxisSpec("k", 0.5, 2.5, 2),),
             fixed={"t": 2.0, "omega": 1.0},
         )
-        assert compare_engines(spec).max_deviation <= 1e-20
+        assert compare_engines(spec, run_sweep(spec)).max_deviation <= 1e-20
 
 
 class TestSpectrumRows:
