@@ -60,7 +60,7 @@ _FLOAT_KEYS = {
     "axis1_min", "axis1_max", "axis2_min", "axis2_max",
     "k0", "sigma", "tmax", "absorber_strength",
     "window_re_min", "window_re_max", "window_im_min", "window_im_max",
-    "threshold", "singular_tol", "drift_tol",
+    "threshold",
 }
 _INT_KEYS = {
     "D", "k_count", "axis1_count", "axis2_count",
@@ -169,9 +169,9 @@ def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict | None = None)
         "derived": derived,
         "engine": engine,
         "tolerances": {
-            "singular_tol": cfg.get("singular_tol", SINGULAR_TOL),
+            "singular_tol": SINGULAR_TOL,
             "oracle_gate": cfg.get("threshold", ORACLE_GATE),
-            "drift_tol": cfg.get("drift_tol", DRIFT_TOL),
+            "drift_tol": DRIFT_TOL,
         },
         "tool_version": __version__,
         "git_hash": _git_hash(),
@@ -468,7 +468,7 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
         )
         if dev_T > 0.02:
             failures.append(f"wavepacket transmission deviation {dev_T:.4f} > 0.02")
-        if result.drift > cfg.get("drift_tol", DRIFT_TOL):
+        if result.drift > DRIFT_TOL:
             failures.append(f"wavepacket norm drift {result.drift:.3e}")
 
     worst.sort(key=lambda item: -item[0])

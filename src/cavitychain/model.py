@@ -175,19 +175,14 @@ def in_band(E: float, lat: LatticeParams) -> bool:
     return abs(E - lat.omega) < 2.0 * lat.t
 
 
-def effective_potential(
-    E: complex,
-    atom: AtomParams,
-    *,
-    singular_tol: float = SINGULAR_TOL,
-) -> complex:
+def effective_potential(E: complex, atom: AtomParams) -> complex:
     """Contact-potential strength seen by a photon of energy ``E``.
 
     Complex energies are accepted (needed for analytic continuation into the
     complex momentum plane); with zero decay rates and real E the result is
     purely real.  Raises SingularPotentialError when the denominator falls
-    below the configured tolerance, which marks a perfect-reflection
-    resonance rather than a failure.
+    below SINGULAR_TOL times g (two-level) or g^2, which marks a
+    perfect-reflection resonance rather than a failure.
     """
     g2 = atom.g * atom.g
     we = atom.excited_level
@@ -196,12 +191,12 @@ def effective_potential(
         # The (E - delta) factor cancels exactly; keep the reduced form so the
         # removable singularity at E = delta never reaches floating point.
         den = E - we
-        if abs(den) < singular_tol * atom.g:
+        if abs(den) < SINGULAR_TOL * atom.g:
             raise SingularPotentialError(complex(E), abs(den))
         v = g2 / den
     else:
         den = (E - we) * (E - dm) - atom.Omega * atom.Omega
-        if abs(den) < singular_tol * g2:
+        if abs(den) < SINGULAR_TOL * g2:
             raise SingularPotentialError(complex(E), abs(den))
         v = g2 * (E - dm) / den
     v = complex(v)

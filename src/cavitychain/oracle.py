@@ -351,7 +351,6 @@ def design_scattering_run(
     sigma: float,
     *,
     D: int = 1,
-    buffer: int = 4,
 ) -> tuple[ChainSpec, WavepacketSpec]:
     """Build a chain just large enough for one clean scattering event.
 
@@ -368,7 +367,7 @@ def design_scattering_run(
     first = approach + travel_out + clearance
     last = first + (D if len(atoms) == 2 else 0)
     n = last + travel_out + clearance + 1
-    spec = ChainSpec(n, tuple(zip((first, last), atoms)), lat, buffer=buffer)
+    spec = ChainSpec(n, tuple(zip((first, last), atoms)), lat)
     return spec, design_wavepacket(spec, k0, sigma)
 
 

@@ -10,7 +10,10 @@ perfect-mirror limit (both potentials diverging) the condition collapses to
 e^{2ikD} = 1, quantising the trapped momentum to k = pi n / D; away from
 that limit the roots move into the lower half plane and the mode leaks at a
 rate -2 Im E.  Interior sites run over 1..D-1, with the first node at 0 and
-the second at D.
+the second at D.  The pole-free form of the condition is P22 = 0 for the
+bottom-right entry of ``chain_scatter``'s transfer matrix: the residual
+evaluates it in k, and the same recursion run on polynomials in z = e^{ik}
+gives the polynomial whose roots are the modes.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnverifiedRootError
-from .model import AtomParams, LatticeParams, dispersion_energy_continued, potential_parts
-from .scattering import TwoNodeConfig
+from .model import LatticeParams, dispersion_energy_continued
+from .scattering import TwoNodeConfig, _transfer_polynomial, _transfer_row
 
 log = logging.getLogger(__name__)
 
@@ -52,66 +55,29 @@ class QuasiboundMode:
 
 
 def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bool = False):
-    """Pole-free trapped-mode residual F1 F2 - e^{2ikD} N1 N2; zero exactly on a mode.
+    """Pole-free trapped-mode residual, the kernel's P22 for nodes at 0 and D.
 
-    With V_j = N_j / den_j, F_j = b den_j - N_j, so the residual is the
-    transport denominator times den_1 den_2 and stays finite at a node pole,
-    where the perfect-mirror modes live.  Evaluated in k, independently of
-    the polynomial in z whose roots it verifies; k may be an array.
-    ``scaled`` returns |residual| / max(|F1 F2|, |e^{2ikD} N1 N2|) instead.
+    P22 is the transport denominator times den_1 den_2, so it stays finite
+    at a node pole, where the perfect-mirror modes live.  Evaluated in k by
+    ``_transfer_row``, independently of the polynomial in z whose roots it
+    verifies; k may be an array.  ``scaled`` returns |P22| / norm instead,
+    with the norm that ``chain_scatter`` tests resonances against.
     """
     E = lat.omega - 2.0 * lat.t * np.cos(k)
     b = 2j * lat.t * np.sin(k)
-    (n1, d1, _), (n2, d2, _) = (potential_parts(E, atom) for atom in (cfg.atom1, cfg.atom2))
-    term1 = (b * d1 - n1) * (b * d2 - n2)
-    term2 = np.exp(2j * k * cfg.D) * n1 * n2
-    if scaled:
-        return np.abs(term1 - term2) / np.maximum(np.maximum(np.abs(term1), np.abs(term2)), 1e-300)
-    return term1 - term2
-
-
-def _trapped_mode_polynomial(cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
-    """Coefficients, lowest power first, of the pole-free residual in z = e^{ik}.
-
-    z b = t (z^2 - 1) and z (E - level) = -t + (omega - level) z - t z^2.  A
-    Lambda node gives F = z^3 f and N = z n, a two-level node F = z^2 f and
-    N = n, so z^{p1+p2} [f1 f2 - z^{2D} n1 n2] = F1 F2 - z^{2D+4} N1 N2, of
-    degree at most 2D + 8.  Decay-free coefficients are real.
-    """
-
-    def node(atom: AtomParams) -> tuple[np.ndarray, np.ndarray]:
-        e_we = np.array([-lat.t, lat.omega - atom.excited_level, -lat.t])
-        if atom.Omega == 0.0:
-            num, den = np.array([atom.g * atom.g]), e_we
-        else:
-            e_dm = np.array([-lat.t, lat.omega - atom.metastable_level, -lat.t])
-            num, den = atom.g * atom.g * e_dm, np.convolve(e_we, e_dm)
-            den[2] -= atom.Omega * atom.Omega
-        f = np.convolve([-lat.t, 0.0, lat.t], den)
-        f[2 : 2 + len(num)] -= num
-        return f, num
-
-    (f1, n1), (f2, n2) = node(cfg.atom1), node(cfg.atom2)
-    term1, term2, shift = np.convolve(f1, f2), np.convolve(n1, n2), 2 * cfg.D + 4
-    coeffs = np.zeros(max(len(term1), shift + len(term2)), dtype=complex)
-    coeffs[: len(term1)] += term1
-    coeffs[shift : shift + len(term2)] -= term2
-    return coeffs.real if not coeffs.imag.any() else coeffs
+    _, P22, norm, _, _ = _transfer_row(k, E, b, [(0, cfg.atom1), (cfg.D, cfg.atom2)])
+    return np.abs(P22) / norm if scaled else P22
 
 
 def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Every root in z, as companion-matrix eigenvalues with one Newton polish.
+    """Every root in z, as companion-matrix eigenvalues.
 
     Trimming low zero coefficients drops only roots at z = 0 (Im k = +inf).
     """
     c = np.trim_zeros(coeffs)
     companion = np.diag(np.ones(len(c) - 2, dtype=c.dtype), -1)
     companion[:, -1] -= c[:-1] / c[-1]
-    z = np.linalg.eigvals(companion)
-    high_first = c[::-1]
-    with np.errstate(all="ignore"):  # huge roots, far from any window, overflow
-        step = np.polyval(high_first, z) / np.polyval(np.polyder(high_first), z)
-    return np.where(np.isfinite(step), z - step, z)
+    return np.linalg.eigvals(companion)
 
 
 def find_quasibound_modes(
@@ -122,36 +88,40 @@ def find_quasibound_modes(
     im_window: tuple[float, float] = DEFAULT_IM_WINDOW,
     n_re: int = 48,
     n_im: int = 10,
-    verify_tol: float = VERIFY_TOL,
-    edge_margin: float = 1e-6,
     return_diagnostics: bool = False,
 ) -> list[QuasiboundMode] | tuple[list[QuasiboundMode], dict]:
     """Find every trapped-mode root inside the complex momentum window.
 
-    The roots are the companion-matrix eigenvalues of the residual's
+    The roots are the companion-matrix eigenvalues of the kernel's P22 as a
     polynomial in z = e^{ik} (Edelman & Murakami, Math. Comp. 64, 763
     (1995)), so none is missed; k = -i log z is taken on the 2 pi period
-    holding the window.  The bounds are exclusive by ``edge_margin``, which
-    also drops the structural zeros at the band edges k = 0 and k = pi.  A
-    window root whose scaled independent residual exceeds ``verify_tol``
-    raises UnverifiedRootError.  Results are sorted by (Re k, Im k).
-    ``n_re`` and ``n_im`` are accepted and ignored (they sized an earlier
-    seed grid).  ``return_diagnostics`` adds the polynomial degree, the
-    window-root count and the largest scaled residual.
+    holding the window.  The bounds are exclusive by 1e-6, which also drops
+    the structural zeros at the band edges k = 0 and k = pi.  Each window
+    root takes three Newton steps in k on ``quasibound_residual``, and one
+    whose scaled residual then exceeds VERIFY_TOL raises UnverifiedRootError.
+    Results are sorted by (Re k, Im k).  ``n_re`` and ``n_im`` are accepted
+    and ignored (they sized an earlier seed grid).  ``return_diagnostics``
+    adds the polynomial degree, the window-root count and the largest scaled
+    residual.
     """
-    re_lo = re_window[0] + edge_margin
-    re_hi = re_window[1] - edge_margin
+    re_lo, re_hi = re_window[0] + 1e-6, re_window[1] - 1e-6
     im_lo, im_hi = im_window
-    coeffs = _trapped_mode_polynomial(cfg, lat)
+    coeffs, power = _transfer_polynomial([(0, cfg.atom1), (cfg.D, cfg.atom2)], lat)
     mid = 0.5 * (re_lo + re_hi)
     ks = mid - 1j * np.log(_polynomial_roots(coeffs) * cmath.exp(-1j * mid))
-    inside = (re_lo < ks.real) & (ks.real < re_hi) & (im_lo < ks.imag) & (ks.imag < im_hi)
-    residuals = quasibound_residual(ks[inside], cfg, lat, scaled=True)
+    ks = ks[(re_lo < ks.real) & (ks.real < re_hi) & (im_lo < ks.imag) & (ks.imag < im_hi)]
+    slope = np.polyder(coeffs[::-1])
+    for _ in range(3):
+        # d(z^-p c(z))/dk = i z^-p (z c'(z) - p c(z)), with c(z) = z^p P22
+        z = np.exp(1j * ks)
+        P22 = quasibound_residual(ks, cfg, lat)
+        ks = ks - P22 / (1j * (z * np.polyval(slope, z) / z**power - power * P22))
+    residuals = quasibound_residual(ks, cfg, lat, scaled=True)
     modes = []
-    for k, residual in zip(ks[inside].tolist(), residuals.tolist()):
-        if not residual <= verify_tol:
+    for k, residual in zip(ks.tolist(), residuals.tolist()):
+        if not residual <= VERIFY_TOL:
             raise UnverifiedRootError(
-                f"trapped-mode root k={k} has scaled residual {residual:.3e} > {verify_tol:.1e}"
+                f"trapped-mode root k={k} has scaled residual {residual:.3e} > {VERIFY_TOL:.1e}"
             )
         E = dispersion_energy_continued(k, lat)
         n = _mode_index(k, cfg.D)

@@ -107,8 +107,6 @@ def single_node_scatter(
     k: float,
     atom: AtomParams,
     lat: LatticeParams,
-    *,
-    singular_tol: float = SINGULAR_TOL,
 ) -> ScatteringResult:
     """Scatter a photon of momentum ``k`` off one node at the origin.
 
@@ -117,7 +115,7 @@ def single_node_scatter(
     """
     E = dispersion_energy(k, lat)
     try:
-        v = effective_potential(E, atom, singular_tol=singular_tol)
+        v = effective_potential(E, atom)
     except SingularPotentialError:
         return ScatteringResult(k=k, E=E, r=-1.0 + 0.0j, s=0.0j, singular=True)
     r = v / (2j * lat.t * math.sin(k) - v)
@@ -134,7 +132,6 @@ def two_node_scatter(
     cfg: TwoNodeConfig,
     lat: LatticeParams,
     *,
-    singular_tol: float = SINGULAR_TOL,
     resonance_tol: float = RESONANCE_TOL,
 ) -> ScatteringResult:
     """Scatter off two nodes, the first at site 0 and the second at site D.
@@ -151,14 +148,14 @@ def two_node_scatter(
 
     v1: complex | None
     try:
-        v1 = effective_potential(E, cfg.atom1, singular_tol=singular_tol)
+        v1 = effective_potential(E, cfg.atom1)
     except SingularPotentialError:
         v1 = None
     if v1 is None:
         return ScatteringResult(k=k, E=E, r=-1.0 + 0.0j, s=0.0j, singular=True)
 
     try:
-        v2 = effective_potential(E, cfg.atom2, singular_tol=singular_tol)
+        v2 = effective_potential(E, cfg.atom2)
     except SingularPotentialError:
         # Perfect mirror at site D: u(D) = 0, so the photon reflects with the
         # phase accumulated on the round trip to the far node.
@@ -181,9 +178,6 @@ def limit_scatter(
     regime: str,
     atom: AtomParams,
     lat: LatticeParams,
-    *,
-    window: float = LIMIT_WINDOW,
-    singular_tol: float = SINGULAR_TOL,
 ) -> ScatteringResult:
     """Band-edge and band-centre lineshapes.
 
@@ -192,25 +186,25 @@ def limit_scatter(
     uses the quadratic bottom-of-band dispersion E = omega - 2t + t k^2 and
     r = V/(2itk - V).  The potential itself is evaluated exactly at E.
     """
-    E, transport = _limit_band(k, regime, lat, window)
+    E, transport = _limit_band(k, regime, lat)
     try:
-        v = effective_potential(E, atom, singular_tol=singular_tol)
+        v = effective_potential(E, atom)
     except SingularPotentialError:
         return ScatteringResult(k=k, E=E, r=-1.0 + 0.0j, s=0.0j, singular=True)
     r = v / (transport - v)
     return ScatteringResult(k=k, E=E, r=r, s=1.0 + r)
 
 
-def _limit_band(k, regime: str, lat: LatticeParams, window: float):
+def _limit_band(k, regime: str, lat: LatticeParams):
     """Energy and transport factor of a limit lineshape; raises outside its window."""
     if regime == "high":
-        inside = np.abs(k - 0.5 * math.pi) <= window
+        inside = np.abs(k - 0.5 * math.pi) <= LIMIT_WINDOW
         E, transport = lat.omega - lat.t * math.pi + 2.0 * lat.t * k, 2j * lat.t
-        where = f"|k - pi/2| <= {window}"
+        where = f"|k - pi/2| <= {LIMIT_WINDOW}"
     elif regime == "low":
-        inside = (0.0 < k) & (k <= window)
+        inside = (0.0 < k) & (k <= LIMIT_WINDOW)
         E, transport = lat.omega - 2.0 * lat.t + lat.t * k * k, 2j * lat.t * k
-        where = f"0 < k <= {window}"
+        where = f"0 < k <= {LIMIT_WINDOW}"
     else:
         raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
     if not np.all(inside):
@@ -221,8 +215,10 @@ def _limit_band(k, regime: str, lat: LatticeParams, window: float):
 
 def _transfer_row(k, E, b, nodes):
     """Bottom row (P21, P22) of P = N_M ... N_1, built from the right as
-    (0, 1) N_M ... N_1, with prod_j max(|b den_j|, |n_j|), prod_j b den_j and
-    the mask of singular nodes.  Complex k is allowed.
+    (0, 1) N_M ... N_1, with prod_j max(|b den_j|, |n_j|) e^{2|Im k| x_j},
+    prod_j b den_j and the mask of singular nodes.  Complex k is allowed; the
+    exponential, exactly 1 on the real axis, scales the norm with the phases
+    e^{2ikx_j} off it.
     """
     P21, P22 = np.zeros(np.shape(E), complex), np.ones(np.shape(E), complex)
     norm, flux, singular = 1.0, 1.0, False
@@ -232,10 +228,42 @@ def _transfer_row(k, E, b, nodes):
         a = b * np.where(hit, 0.0, den)
         q = np.exp(2j * k * x)
         P21, P22 = P21 * (a + n) - P22 * n * q, P21 * n / q + P22 * (a - n)
-        norm = norm * np.maximum(np.abs(a), np.abs(n))
+        norm = norm * np.maximum(np.abs(a), np.abs(n)) * np.exp(2.0 * np.abs(np.imag(k)) * x)
         flux = flux * a
         singular = singular | hit
     return P21, P22, norm, flux, singular
+
+
+def _transfer_polynomial(nodes, lat: LatticeParams) -> tuple[np.ndarray, int]:
+    """Coefficients, lowest power first, of z^p P22 in z = e^{ik}, and the power p.
+
+    ``_transfer_row``'s recursion on polynomials, for integer sites and
+    scalar node fields.  z b = t (z^2 - 1) and z (E - level) = -t +
+    (omega - level) z - t z^2, so node matrices scaled by z^3 (Lambda) or z^2
+    (two-level) have polynomial entries; p sums those powers.  P21 is carried
+    in units of e^{2ikx} of the last node folded in, so each phase becomes a
+    shift by twice the gap to the next node.  Decay-free coefficients are real.
+    """
+    zb = np.array([-lat.t, 0.0, lat.t])
+    A, B, p, x_next = np.zeros(1), np.ones(1), 0, nodes[-1][0]
+    for x, atom in reversed(nodes):
+        excited = np.array([-lat.t, lat.omega - atom.excited_level, -lat.t])
+        if atom.is_two_level:
+            den, num = excited, np.array([atom.g * atom.g])
+            p += 2
+        else:
+            metastable = np.array([-lat.t, lat.omega - atom.metastable_level, -lat.t])
+            den, num = np.convolve(excited, metastable), atom.g * atom.g * metastable
+            den[2] -= atom.Omega * atom.Omega
+            p += 3
+        a = np.convolve(zb, den)
+        n = np.zeros_like(a)
+        n[2 : 2 + len(num)] = num
+        pad = np.zeros(2 * (x_next - x))
+        A, B = np.concatenate([pad, A]), np.concatenate([B, pad])
+        A, B = np.convolve(A, a + n) - np.convolve(B, n), np.convolve(A, n) + np.convolve(B, a - n)
+        x_next = x
+    return (B if B.imag.any() else B.real), p
 
 
 def chain_scatter(
@@ -260,7 +288,7 @@ def chain_scatter(
     """
     k = np.asarray(k, dtype=float)
     if limit is not None:
-        E, b = _limit_band(k, limit, lat, LIMIT_WINDOW)
+        E, b = _limit_band(k, limit, lat)
         nodes = [(0, atom) for _, atom in nodes[:1]]
     elif np.all((0.0 < k) & (k < math.pi)):
         E, b = lat.omega - 2.0 * lat.t * np.cos(k), 2j * lat.t * np.sin(k)
@@ -281,8 +309,6 @@ def find_perfect_reflection(
     atom: AtomParams,
     lat: LatticeParams,
     free: str = "Omega",
-    *,
-    match_tol: float = 1e-9,
 ) -> list[float]:
     """Solve (E - omega_e)(E - delta) = Omega^2 for one free node parameter.
 
@@ -292,6 +318,7 @@ def find_perfect_reflection(
     NoSolutionError when no real solution exists, in particular at the
     two-photon resonance E = delta where the node is pinned transparent.
     """
+    match_tol = 1e-9  # relative gap below which two energies coincide
     E = dispersion_energy(target_k, lat)
     if free == "Omega":
         scale = max(1.0, abs(E), abs(atom.delta))

@@ -50,6 +50,15 @@ class TestConfigParsing:
         assert "unknown configuration key 'workers'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["singular_tol", "drift_tol"])
+    def test_tolerance_keys_are_unknown(self, tmp_path, capsys, key):
+        # the sidecar records the package's constants, which no config overrides
+        out = tmp_path / "x.csv"
+        argv = ["spectrum", "--config", "fig3a", "--set", f"{key}=0.5", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_typed_values(self):
         cfg = coerce_config({"t": "2.5", "D": "4", "quantity": "R", "wavepacket_check": "false"})
         assert cfg == {"t": 2.5, "D": 4, "quantity": "R", "wavepacket_check": False}
