@@ -34,7 +34,6 @@ from .model import (
 from .oracle import (
     ChainSpec,
     EigenMode,
-    SingleExcitationState,
     WavepacketResult,
     WavepacketSpec,
     build_hamiltonian,
@@ -82,7 +81,6 @@ __all__ = [
     "QuasiboundMode",
     "ResonanceDenominatorError",
     "ScatteringResult",
-    "SingleExcitationState",
     "SingularPotentialError",
     "TwoNodeConfig",
     "UnverifiedRootError",

@@ -34,19 +34,18 @@ from .oracle import (
     design_wavepacket,
     eigenmodes,
     propagate_wavepacket,
-    solve_stationary,
-    write_state_csv,
 )
 from .quasibound import bound_profile, find_quasibound_modes
-from .scattering import TwoNodeConfig, chain_scatter, single_node_scatter
+from .scattering import TwoNodeConfig, single_node_scatter
 from .sweep import (
+    _NODE_KEYS,
     ORACLE_GATE,
     AxisSpec,
     Scenario,
     SweepSpec,
+    amplitudes,
     build_scenario,
     compare_engines,
-    oracle_chain,
     reduce_delta,
     run_sweep,
     spectrum_rows,
@@ -54,8 +53,7 @@ from .sweep import (
 
 _FLOAT_KEYS = {
     "t", "omega", "kappa",
-    "omega_e", "delta", "omega_a", "omega_C", "Omega", "g", "Gamma", "gamma",
-    "omega_e2", "delta2", "omega_a2", "omega_C2", "Omega2", "g2", "Gamma2", "gamma2",
+    *(key + suffix for key in _NODE_KEYS for suffix in ("", "2")),
     "k", "k_min", "k_max",
     "axis1_min", "axis1_max", "axis2_min", "axis2_max",
     "k0", "sigma", "tmax", "absorber_strength",
@@ -241,8 +239,8 @@ def cmd_spectrum(cfg: dict, out: Path, engine: str) -> int:
     )
     extra = None
     if engine == "both":
-        oracle = spectrum_rows(k_values, cfg, "oracle")
-        dev = np.maximum(np.abs(r - oracle["r"]), np.abs(s - oracle["s"]))
+        r_o, s_o, _ = amplitudes({**cfg, "k": k_values}, "oracle", None)
+        dev = np.maximum(np.abs(r - r_o), np.abs(s - s_o))
         extra = {"max_engine_deviation": float(dev.max())}
     _write_sidecar(out, cfg, engine, _with_flag_counts(extra, table["flag"]))
     return 0
@@ -291,10 +289,7 @@ def cmd_map2d(cfg: dict, out: Path, engine: str) -> int:
         [a.name for a in axes] + [spec.quantity, "singular_flag"],
         [grid.ravel() for grid in grids] + [result.values.ravel(), result.mask.ravel()],
     )
-    extra = None
-    if engine == "both":
-        comparison = compare_engines(spec, result)
-        extra = {"max_engine_deviation": comparison.max_deviation}
+    extra = {"max_engine_deviation": compare_engines(spec, result)} if engine == "both" else None
     _write_sidecar(out, cfg, engine, _with_flag_counts(extra, result.mask))
     return 0
 
@@ -304,12 +299,18 @@ def cmd_quasibound(cfg: dict, out: Path) -> int:
         raise ConfigError("quasibound needs the node separation D")
     scenario = _scenario(cfg)
     (_, atom1), (_, atom2) = scenario.nodes
+    re_window = (cfg.get("window_re_min", 0.0), cfg.get("window_re_max", math.pi))
+    im_window = (cfg.get("window_im_min", -0.5), cfg.get("window_im_max", 0.05))
+    for part, (lo, hi) in (("re", re_window), ("im", im_window)):
+        if not lo < hi:
+            raise ConfigError(f"window_{part}_min must be below window_{part}_max")
+    try:
+        profile = bound_profile(cfg["D"], cfg["profile_n"]) if "profile_n" in cfg else None
+    except ValueError as exc:
+        raise ConfigError(f"profile_n: {exc}") from exc
     modes, diagnostics = find_quasibound_modes(
-        TwoNodeConfig(atom1, atom2, cfg["D"]),
-        scenario.lat,
-        re_window=(cfg.get("window_re_min", 0.0), cfg.get("window_re_max", math.pi)),
-        im_window=(cfg.get("window_im_min", -0.5), cfg.get("window_im_max", 0.05)),
-        return_diagnostics=True,
+        TwoNodeConfig(atom1, atom2, cfg["D"]), scenario.lat,
+        re_window=re_window, im_window=im_window, return_diagnostics=True,
     )
     k, E = np.array([m.k for m in modes], complex), np.array([m.E for m in modes], complex)
     _write_csv(
@@ -318,8 +319,7 @@ def cmd_quasibound(cfg: dict, out: Path) -> int:
         [[str(m.n) if m.n is not None else "" for m in modes], k.real, k.imag, E.real, E.imag,
          [m.leakage for m in modes], [m.residual for m in modes]],
     )
-    if "profile_n" in cfg:
-        profile = bound_profile(cfg["D"], cfg["profile_n"])
+    if profile is not None:
         _write_csv(
             out.with_name(out.stem + ".profile.csv"),
             ["j", "Re_u", "Im_u"],
@@ -344,14 +344,17 @@ def cmd_wavepacket(cfg: dict, out: Path) -> int:
     spec = _build_chain(cfg)
     if "k0" not in cfg or "sigma" not in cfg:
         raise ConfigError("wavepacket needs k0 and sigma")
-    if "x0" in cfg and "tmax" in cfg:
-        wp = WavepacketSpec(
-            k0=cfg["k0"], sigma=cfg["sigma"], x0=cfg["x0"], tmax=cfg["tmax"],
-            absorber_width=cfg.get("absorber_width", 0),
-            absorber_strength=cfg.get("absorber_strength", 0.2),
-        )
-    else:
-        wp = design_wavepacket(spec, cfg["k0"], cfg["sigma"])
+    try:
+        if "x0" in cfg and "tmax" in cfg:
+            wp = WavepacketSpec(
+                k0=cfg["k0"], sigma=cfg["sigma"], x0=cfg["x0"], tmax=cfg["tmax"],
+                absorber_width=cfg.get("absorber_width", 0),
+                absorber_strength=cfg.get("absorber_strength", 0.2),
+            )
+        else:
+            wp = design_wavepacket(spec, cfg["k0"], cfg["sigma"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = propagate_wavepacket(spec, wp)
     _write_csv(out, ["time", "norm"], [result.times, result.norm_history])
     _write_sidecar(
@@ -369,6 +372,9 @@ def cmd_wavepacket(cfg: dict, out: Path) -> int:
 
 def cmd_modes(cfg: dict, out: Path) -> int:
     spec = _build_chain(cfg)
+    idx = cfg.get("mode_index")
+    if idx is not None and not 0 <= idx < spec.dimension:
+        raise ConfigError(f"mode_index {idx} outside 0..{spec.dimension - 1}")
     modes = eigenmodes(spec)
     energy = np.array([m.energy for m in modes], complex)
     _write_csv(
@@ -377,17 +383,20 @@ def cmd_modes(cfg: dict, out: Path) -> int:
         [np.arange(len(modes)), energy.real, energy.imag,
          [m.ipr for m in modes], [m.interior_weight for m in modes]],
     )
-    if "mode_index" in cfg:
-        idx = cfg["mode_index"]
-        if not 0 <= idx < len(modes):
-            raise ConfigError(f"mode_index {idx} outside 0..{len(modes) - 1}")
-        write_state_csv(out.with_name(out.stem + ".vector.csv"), spec, modes[idx].vector)
+    if idx is not None:
+        vector = modes[idx].vector
+        _write_csv(
+            out.with_name(out.stem + ".vector.csv"),
+            ["kind", "index", "re", "im"],
+            [["site"] * spec.n_sites + ["excited", "metastable"] * len(spec.sites),
+             np.r_[np.arange(spec.n_sites), np.repeat(spec.sites, 2)], vector.real, vector.imag],
+        )
     _write_sidecar(out, cfg, "oracle")
     return 0
 
 
-def _agreement_draw(rng: np.random.Generator, with_decay: bool) -> tuple[dict, float]:
-    """One random scattering configuration for the oracle gate."""
+def _agreement_draw(rng: np.random.Generator, with_decay: bool) -> dict:
+    """One random scattering configuration, momentum k included, for the oracle gate."""
     flavor = rng.integers(0, 3)
     params = {
         "t": rng.uniform(0.5, 4.0),
@@ -411,8 +420,8 @@ def _agreement_draw(rng: np.random.Generator, with_decay: bool) -> tuple[dict, f
                 "gamma2": rng.uniform(0.0, 0.2) if with_decay else 0.0,
             }
         )
-    k = rng.uniform(0.05, math.pi - 0.05)
-    return params, k
+    params["k"] = rng.uniform(0.05, math.pi - 0.05)
+    return params
 
 
 def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
@@ -423,29 +432,29 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
     amplitude inside the comparison so the gate must fire; it exists to
     prove the check can fail.
     """
-    rng = np.random.default_rng(cfg.get("seed", 20240901))
-    draws = cfg.get("draws", 60)
+    seed, draws = cfg.get("seed", 20240901), cfg.get("draws", 60)
+    if draws < 1 or seed < 0:
+        raise ConfigError(f"oracle-check needs draws >= 1 and seed >= 0, got {draws} and {seed}")
+    rng = np.random.default_rng(seed)
     threshold = cfg.get("threshold", ORACLE_GATE)
     corrupt = cfg.get("negative_control", "") == "r-sign"
     drawn = [_agreement_draw(rng, i % 3 == 2) for i in range(draws)]
-    k = np.array([k_i for _, k_i in drawn])
-    r_a, s_a = np.empty(draws, complex), np.empty(draws, complex)
-    for two_nodes in (False, True):  # one kernel call per node count
-        group = [i for i, (params, _) in enumerate(drawn) if ("D" in params) == two_nodes]
+    r_a, s_a, r_o, s_o = (np.empty(draws, complex) for _ in range(4))
+    for two_nodes in (False, True):  # one stack of draws per node count
+        group = [i for i, params in enumerate(drawn) if ("D" in params) == two_nodes]
         if group:
-            rows = [drawn[i][0] for i in group]
-            scenario = build_scenario({key: np.array([p[key] for p in rows]) for key in rows[0]})
-            r_a[group], s_a[group], _ = chain_scatter(k[group], scenario.nodes, scenario.lat)
+            stack = {key: np.array([drawn[i][key] for i in group]) for key in drawn[group[0]]}
+            r_a[group], s_a[group], _ = amplitudes(stack, "analytic", None)
+            r_o[group], s_o[group], _ = amplitudes(stack, "oracle", None)
     if corrupt:
         r_a = -r_a
 
     failures: list[str] = []
     worst: list[tuple[float, str]] = []
-    for i, (params, k_i) in enumerate(drawn):
+    for i, params in enumerate(drawn):
         with_decay = i % 3 == 2
-        r_o, s_o = solve_stationary(oracle_chain(build_scenario(params)), k_i)
-        dev = max(abs(r_a[i] - r_o), abs(s_a[i] - s_o))
-        label = f"draw {i} ({'decay' if with_decay else 'elastic'}, k={k_i:.4f})"
+        dev = max(abs(r_a[i] - r_o[i]), abs(s_a[i] - s_o[i]))
+        label = f"draw {i} ({'decay' if with_decay else 'elastic'}, k={params['k']:.4f})"
         worst.append((dev, label))
         if dev > threshold:
             failures.append(f"{label}: deviation {dev:.3e} > {threshold:.1e}")

@@ -118,37 +118,6 @@ class WavepacketSpec:
             raise ValueError("tmax must be positive")
 
 
-@dataclass
-class SingleExcitationState:
-    """Amplitudes over the chain sites and the node internals."""
-
-    u: np.ndarray
-    u_e: np.ndarray
-    u_a: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        """Total occupation probability."""
-        return float(np.sum(np.abs(self.to_vector()) ** 2))
-
-    def normalized(self) -> "SingleExcitationState":
-        scale = 1.0 / math.sqrt(self.norm)
-        return SingleExcitationState(self.u * scale, self.u_e * scale, self.u_a * scale)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.u, np.column_stack([self.u_e, self.u_a]).ravel()])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, n_sites: int) -> "SingleExcitationState":
-        n_atoms = (len(vec) - n_sites) // 2
-        tail = vec[n_sites:]
-        return cls(
-            u=np.asarray(vec[:n_sites]),
-            u_e=tail[0::2][:n_atoms].copy(),
-            u_a=tail[1::2][:n_atoms].copy(),
-        )
-
-
 @dataclass(frozen=True)
 class EigenMode:
     """One eigenpair with its localisation metrics."""
@@ -205,13 +174,14 @@ def solve_stationary(
     k: float,
     *,
     return_state: bool = False,
-) -> tuple[complex, complex] | tuple[complex, complex, SingleExcitationState]:
+) -> tuple[complex, complex] | tuple[complex, complex, np.ndarray]:
     """Solve the full stationary scattering system for (r, s) at momentum k.
 
     The node amplitudes stay in the system (nothing is eliminated).  Four
     constraint rows pin two probe sites per end to the plane-wave form, which
     is exact on the free chain, so the result is N-independent up to
-    conditioning.
+    conditioning.  ``return_state`` adds the stationary state as a vector in
+    ``build_hamiltonian``'s basis.
     """
     E = dispersion_energy(k, spec.lat)
     n = spec.n_sites
@@ -260,8 +230,7 @@ def solve_stationary(
     s = complex(sol[idx_s])
     if not return_state:
         return r, s
-    state = SingleExcitationState.from_vector(sol[: spec.dimension], n)
-    return r, s, state
+    return r, s, sol[: spec.dimension]
 
 
 def eigenmodes(spec: ChainSpec) -> list[EigenMode]:
@@ -526,17 +495,3 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
         times=np.linspace(0.0, wp.tmax, n_steps + 1),
         absorbed_left=absorbed_left, absorbed_right=absorbed_right, drift=drift,
     )
-
-
-def write_state_csv(path, spec: ChainSpec, vector: np.ndarray) -> None:
-    """Dump a state vector as CSV rows of (kind, index, Re, Im)."""
-    n = spec.n_sites
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,index,re,im\n")
-        for j in range(n):
-            fh.write(f"site,{j},{vector[j].real:.17g},{vector[j].imag:.17g}\n")
-        for m, (site, _) in enumerate(spec.placements):
-            e = vector[n + 2 * m]
-            a = vector[n + 2 * m + 1]
-            fh.write(f"excited,{site},{e.real:.17g},{e.imag:.17g}\n")
-            fh.write(f"metastable,{site},{a.real:.17g},{a.imag:.17g}\n")

@@ -6,18 +6,17 @@ kernel over the whole grid or one finite-lattice solve per point.  It
 records a mask of the physical flags: a diverging potential (the stored
 value is then the analytic limit, R = 1) or an exact trapped-mode hit.
 Anything else that goes wrong raises.  ``build_scenario`` is the one place
-where run-configuration keys become lattice and node parameters, for the
-sweeps and the command line alike.
+where run-configuration keys become lattice and node parameters, and
+``amplitudes`` the one way from them into either engine, for the sweeps and
+the command line alike.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__ as _version
 from .model import AtomParams, LatticeParams
 from .oracle import ChainSpec, solve_stationary
 from .scattering import FLAG_OK, chain_scatter
@@ -97,27 +96,16 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Grid values plus the mask of physical flags and run metadata."""
+    """Grid values plus the mask of physical flags."""
 
     axes: tuple[AxisSpec, ...]
     axis_values: tuple[np.ndarray, ...]
     values: np.ndarray
     mask: np.ndarray
-    metadata: dict
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
-
-
-@dataclass(frozen=True)
-class EngineComparison:
-    """Worst analytic-vs-oracle deviation over a grid."""
-
-    max_deviation: float
-    at_indices: tuple[int, ...]
-    at_values: tuple[float, ...]
-    n_points: int
 
 
 #: Configuration keys of one node; the second node's carry the suffix 2.
@@ -185,18 +173,19 @@ def build_scenario(params: dict) -> Scenario:
     return Scenario(lat, tuple(nodes))
 
 
-def oracle_chain(scenario: Scenario) -> ChainSpec:
+def _oracle_chain(scenario: Scenario) -> ChainSpec:
     """Lattice-oracle chain of one point: first node at site 8, 8 sites past the last."""
     placements = tuple((8 + int(round(x)), atom) for x, atom in scenario.nodes)
     last = placements[-1][0] if placements else 8
     return ChainSpec(max(16, last + 8), placements, scenario.lat, buffer=4)
 
 
-def _amplitudes(params: dict, engine: str, limit: str | None):
+def amplitudes(params: dict, engine: str, limit: str | None):
     """(r, s, flag) over the broadcast shape of the array-valued ``params``.
 
-    The analytic engine is one kernel call; the oracle stays an independent
-    lattice solve per point, never flags and has no limit lineshape.
+    The one way from run-configuration keys to either engine.  The analytic
+    engine is one kernel call; the oracle stays an independent lattice solve
+    per point, never flags and has no limit lineshape.
     """
     if engine == "analytic":
         scenario = build_scenario(params)
@@ -208,7 +197,7 @@ def _amplitudes(params: dict, engine: str, limit: str | None):
     r, s = np.empty(shape, complex), np.empty(shape, complex)
     for idx in np.ndindex(shape):
         point = {**params, **{key: float(v[idx]) for key, v in grids.items()}}
-        r[idx], s[idx] = solve_stationary(oracle_chain(build_scenario(point)), point["k"])
+        r[idx], s[idx] = solve_stationary(_oracle_chain(build_scenario(point)), point["k"])
     return r, s, np.full(shape, FLAG_OK, dtype=np.int8)
 
 
@@ -234,47 +223,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for key in _AXIS_REPLACES.get(axis.name, ()):
             params.pop(key, None)
         params[axis.name] = grid
-    r, s, flag = _amplitudes(params, spec.engine, spec.limit)
+    r, s, flag = amplitudes(params, spec.engine, spec.limit)
     shape = tuple(len(grid) for grid in grids)
     values = np.broadcast_to(_quantity_value(spec.quantity, r, s), shape).copy()
     mask = np.broadcast_to(flag, shape).copy()
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("sweep produced a non-finite value that escaped the mask")
-    metadata = {
-        "engine": spec.engine,
-        "quantity": spec.quantity,
-        "limit": spec.limit,
-        "fixed": dict(spec.fixed),
-        "axes": [
-            {"name": a.name, "start": a.start, "stop": a.stop, "count": a.count}
-            for a in spec.axes
-        ],
-        "tool_version": _version,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    return SweepResult(
-        axes=spec.axes, axis_values=grids, values=values, mask=mask, metadata=metadata
-    )
+    return SweepResult(axes=spec.axes, axis_values=grids, values=values, mask=mask)
 
 
-def compare_engines(spec: SweepSpec, analytic: SweepResult) -> EngineComparison:
+def compare_engines(spec: SweepSpec, analytic: SweepResult) -> float:
     """Max |analytic - oracle| of the swept quantity over the grid of ``spec``.
 
     ``analytic`` is the analytic sweep of ``spec``, already computed.
     """
     oracle = run_sweep(replace(spec, engine="oracle"))
-    dev = np.abs(analytic.values - oracle.values)
-    flat = int(np.argmax(dev))
-    indices = np.unravel_index(flat, dev.shape)
-    at_values = tuple(
-        float(analytic.axis_values[d][indices[d]]) for d in range(len(indices))
-    )
-    return EngineComparison(
-        max_deviation=float(dev[indices]),
-        at_indices=tuple(int(i) for i in indices),
-        at_values=at_values,
-        n_points=int(dev.size),
-    )
+    return float(np.max(np.abs(analytic.values - oracle.values)))
 
 
 def spectrum_rows(
@@ -290,7 +254,7 @@ def spectrum_rows(
     (1 at any flagged point).
     """
     k = np.asarray(k_values, dtype=float)
-    r, s, flag = _amplitudes({**params, "k": k}, engine, limit)
+    r, s, flag = amplitudes({**params, "k": k}, engine, limit)
     lat = build_scenario(params).lat
     R, T = np.abs(r) ** 2, np.abs(s) ** 2
     return {

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitychain import ConfigError, cli, sweep
+from cavitychain import AtomParams, ChainSpec, ConfigError, LatticeParams, cli, eigenmodes, sweep
 from cavitychain.cli import (
     coerce_config,
     load_config,
@@ -62,6 +62,24 @@ class TestConfigParsing:
     def test_typed_values(self):
         cfg = coerce_config({"t": "2.5", "D": "4", "quantity": "R", "wavepacket_check": "false"})
         assert cfg == {"t": 2.5, "D": 4, "quantity": "R", "wavepacket_check": False}
+
+    def test_accepted_keys(self):
+        # the node keys are derived from the node vocabulary; the set stays fixed
+        node = ["omega_e", "delta", "omega_a", "omega_C", "Omega", "g", "Gamma", "gamma"]
+        expected = {
+            *node, *(key + "2" for key in node),
+            "t", "omega", "kappa", "k", "k_min", "k_max",
+            "axis1_min", "axis1_max", "axis2_min", "axis2_max",
+            "k0", "sigma", "tmax", "absorber_strength",
+            "window_re_min", "window_re_max", "window_im_min", "window_im_max", "threshold",
+            "D", "k_count", "axis1_count", "axis2_count", "N", "site", "x0", "absorber_width",
+            "profile_n", "mode_index", "draws", "seed",
+            "axis1", "axis2", "quantity", "engine", "limit", "negative_control",
+            "wavepacket_check",
+        }
+        accepted = cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS | cli._BOOL_KEYS
+        assert accepted == expected
+        assert len(cli._FLOAT_KEYS) == 35
 
     def test_bad_number(self):
         with pytest.raises(ConfigError):
@@ -124,6 +142,34 @@ class TestValidation:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+
+QB_SETS = ["--config", "fig3a", "--set", "D=10"]
+WP_SETS = ["--set", "t=2", "--set", "omega=1", "--set", "omega_e=1", "--set", "Omega=1",
+           "--set", "N=420", "--set", "site=210", "--set", "k0=2.2"]
+
+
+class TestConfigCheckedBeforeComputing:
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("quasibound", [*QB_SETS, "--set", "window_re_min=2", "--set", "window_re_max=1"]),
+            ("quasibound", [*QB_SETS, "--set", "window_im_min=0", "--set", "window_im_max=0"]),
+            ("quasibound", [*QB_SETS, "--set", "profile_n=0"]),
+            ("modes", ["--set", "t=2", "--set", "N=20", "--set", "mode_index=99"]),
+            ("wavepacket", [*WP_SETS, "--set", "sigma=2"]),
+            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "x0=100", "--set", "tmax=-1"]),
+            ("oracle-check", ["--config", "oracle_check", "--set", "draws=0"]),
+            ("oracle-check", ["--config", "oracle_check", "--set", "draws=-3"]),
+            ("oracle-check", ["--config", "oracle_check", "--set", "seed=-1"]),
+        ],
+        ids=["re-window", "im-window", "profile_n", "mode_index", "sigma", "tmax",
+             "no-draws", "negative-draws", "negative-seed"],
+    )
+    def test_bad_config_exits_2_without_output(self, tmp_path, capsys, command, args):
+        assert main([command, *args, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSpectrumCommand:
@@ -452,6 +498,25 @@ class TestModesCommand:
         assert header == ["index", "Re_E", "Im_E", "ipr", "interior_weight"]
         assert len(rows) == 34
         assert (tmp_path / "modes.vector.csv").exists()
+
+    def test_vector_csv_is_the_mode(self, tmp_path):
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text(
+            "t = 2\nomega = 1\nomega_e = 1\nOmega = 1\nomega_e2 = 0.5\nOmega2 = 0.8\n"
+            "Gamma2 = 0.05\ngamma2 = 0.02\nD = 5\nN = 40\nsite = 15\nmode_index = 7\n"
+        )
+        assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "pair.csv")]) == 0
+        lat = LatticeParams(omega=1.0, t=2.0)
+        nodes = ((15, AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)),
+                 (20, AtomParams(omega_e=0.5, delta=0.0, Omega=0.8, Gamma=0.05, gamma=0.02)))
+        vector = eigenmodes(ChainSpec(40, nodes, lat))[7].vector
+        header, rows = read_csv(tmp_path / "pair.vector.csv")
+        assert header == ["kind", "index", "re", "im"]
+        assert [row[:2] for row in rows] == [
+            *(["site", str(j)] for j in range(40)),
+            ["excited", "15"], ["metastable", "15"], ["excited", "20"], ["metastable", "20"],
+        ]
+        assert [complex(float(row[2]), float(row[3])) for row in rows] == vector.tolist()
 
 
 class TestOracleCheckCommand:
