@@ -36,19 +36,18 @@ from .oracle import (
     propagate_wavepacket,
 )
 from .quasibound import bound_profile, find_quasibound_modes
-from .scattering import TwoNodeConfig, single_node_scatter
+from .scattering import FLAG_OK, TwoNodeConfig, single_node_scatter
 from .sweep import (
     _NODE_KEYS,
     ORACLE_GATE,
+    QUANTITIES,
     AxisSpec,
     Scenario,
-    SweepSpec,
     amplitudes,
     build_scenario,
-    compare_engines,
+    grid_amplitudes,
+    quantity_value,
     reduce_delta,
-    run_sweep,
-    spectrum_rows,
 )
 
 _FLOAT_KEYS = {
@@ -206,91 +205,81 @@ def _with_flag_counts(extra: dict | None, flag: np.ndarray) -> dict:
     return {**(extra or {}), "flag_counts": {"singular": counts[1], "resonance": counts[2]}}
 
 
-def _sweep_engine(cfg: dict, engine: str) -> str:
-    """Engine of a spectrum's or map's own CSV, once the config is checked.
+def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
+    """Axes of a spectrum (one k axis) or a map, once the whole config is checked.
 
     Checks up front what the computation would otherwise reject halfway, so
     every error raised while computing is a real one.
     """
+    if command == "spectrum":
+        bounds = [("k", cfg.get("k_min", 0.01), cfg.get("k_max", math.pi - 0.01),
+                   cfg.get("k_count", 2000))]
+    else:
+        bounds = []
+        for slot in ("axis1", "axis2"):
+            if slot in cfg:
+                if f"{slot}_min" not in cfg or f"{slot}_max" not in cfg:
+                    raise ConfigError(f"missing {slot} bounds for axis {cfg[slot]!r}")
+                bounds.append((cfg[slot], cfg[f"{slot}_min"], cfg[f"{slot}_max"],
+                               cfg.get(f"{slot}_count", 100)))
+        if not bounds:
+            raise ConfigError("map2d needs at least axis1")
+        if cfg.get("quantity", "R") not in QUANTITIES:
+            raise ConfigError(f"unknown quantity {cfg['quantity']!r}; choose from {QUANTITIES}")
+    try:
+        axes = tuple(AxisSpec(*b) for b in bounds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _scenario(cfg)
+    names = [a.name for a in axes]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate axis names {names}")
+    if "k" not in names and "k" not in cfg:
+        raise ConfigError("no momentum: give k or a k axis")
+    if cfg.get("limit", "high") not in ("high", "low"):
+        raise ConfigError(f"limit must be 'high' or 'low', got {cfg['limit']!r}")
     if "limit" in cfg and engine != "analytic":
         raise ConfigError("a limit lineshape has no lattice-oracle counterpart; "
                           "use --engine analytic")
-    return "analytic" if engine == "both" else engine
+    return axes
 
 
-def cmd_spectrum(cfg: dict, out: Path, engine: str) -> int:
-    k_min = cfg.get("k_min", 0.01)
-    k_max = cfg.get("k_max", math.pi - 0.01)
-    count = cfg.get("k_count", 2000)
-    if not k_min < k_max:
-        raise ConfigError("k_min must be below k_max")
-    if count < 1:
-        raise ConfigError(f"k_count must be >= 1, got {count}")
-    run_engine = _sweep_engine(cfg, engine)
-    k_values = np.linspace(k_min, k_max, count)
-    table = spectrum_rows(k_values, cfg, run_engine, cfg.get("limit"))
-    r, s = table["r"], table["s"]
-    _write_csv(
-        out,
-        ["k", "eps_k", "Re_r", "Im_r", "Re_s", "Im_s", "R", "T", "xi", "singular_flag"],
-        [table["k"], table["eps_k"], r.real, r.imag, s.real, s.imag,
-         table["R"], table["T"], table["xi"], table["singular_flag"]],
-    )
+def _mapped(quantity: str, r, s) -> np.ndarray:
+    """The mapped ``quantity``; a non-finite value, which no flag explains, raises."""
+    values = quantity_value(quantity, r, s)
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("sweep produced a non-finite value that escaped the mask")
+    return values
+
+
+def cmd_grid(command: str, cfg: dict, out: Path, engine: str) -> int:
+    """``spectrum`` or ``map2d``: the amplitudes on the checked axes, in that command's columns."""
+    axes = _grid_axes(command, cfg, engine)
+    run_engine = "analytic" if engine == "both" else engine
+    r, s, flag = grid_amplitudes(cfg, axes, run_engine, cfg.get("limit"))
+    if command == "spectrum":
+        k = axes[0].values()
+        R, T = np.abs(r) ** 2, np.abs(s) ** 2
+        header = ["k", "eps_k", "Re_r", "Im_r", "Re_s", "Im_s", "R", "T", "xi", "singular_flag"]
+        columns = [k, cfg.get("omega", 0.0) - 2.0 * cfg["t"] * np.cos(k) - reduce_delta(cfg),
+                   r.real, r.imag, s.real, s.imag, R, T, 1.0 - R - T,
+                   (flag != FLAG_OK).astype(np.int8)]
+    else:
+        quantity = cfg.get("quantity", "R")
+        values = _mapped(quantity, r, s)
+        header = [a.name for a in axes] + [quantity, "singular_flag"]
+        grids = np.meshgrid(*(a.values() for a in axes), indexing="ij")
+        columns = [grid.ravel() for grid in grids] + [values.ravel(), flag.ravel()]
+    _write_csv(out, header, columns)
     extra = None
     if engine == "both":
-        r_o, s_o, _ = amplitudes({**cfg, "k": k_values}, "oracle", None)
-        dev = np.maximum(np.abs(r - r_o), np.abs(s - s_o))
+        r_o, s_o, _ = grid_amplitudes(cfg, axes, "oracle", None)
+        if command == "spectrum":
+            dev = np.maximum(np.abs(r - r_o), np.abs(s - s_o))
+        else:
+            dev = np.abs(values - _mapped(quantity, r_o, s_o))
         extra = {"max_engine_deviation": float(dev.max())}
-    _write_sidecar(out, cfg, engine, _with_flag_counts(extra, table["flag"]))
-    return 0
-
-
-def _map_axes(cfg: dict) -> tuple[AxisSpec, ...]:
-    axes = []
-    for slot in ("axis1", "axis2"):
-        if slot not in cfg:
-            continue
-        name = cfg[slot]
-        try:
-            axes.append(
-                AxisSpec(
-                    name=name,
-                    start=cfg[f"{slot}_min"],
-                    stop=cfg[f"{slot}_max"],
-                    count=cfg.get(f"{slot}_count", 100),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing {slot} bounds for axis {name!r}") from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if not axes:
-        raise ConfigError("map2d needs at least axis1")
-    return tuple(axes)
-
-
-def cmd_map2d(cfg: dict, out: Path, engine: str) -> int:
-    axes = _map_axes(cfg)
-    try:
-        spec = SweepSpec(
-            axes=axes,
-            fixed=cfg,
-            quantity=cfg.get("quantity", "R"),
-            engine=_sweep_engine(cfg, engine),
-            limit=cfg.get("limit"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    result = run_sweep(spec)
-    grids = np.meshgrid(*result.axis_values, indexing="ij")
-    _write_csv(
-        out,
-        [a.name for a in axes] + [spec.quantity, "singular_flag"],
-        [grid.ravel() for grid in grids] + [result.values.ravel(), result.mask.ravel()],
-    )
-    extra = {"max_engine_deviation": compare_engines(spec, result)} if engine == "both" else None
-    _write_sidecar(out, cfg, engine, _with_flag_counts(extra, result.mask))
+    _write_sidecar(out, cfg, engine, _with_flag_counts(extra, flag))
     return 0
 
 
@@ -344,8 +333,13 @@ def cmd_wavepacket(cfg: dict, out: Path) -> int:
     spec = _build_chain(cfg)
     if "k0" not in cfg or "sigma" not in cfg:
         raise ConfigError("wavepacket needs k0 and sigma")
+    placed = ("x0" in cfg) + ("tmax" in cfg)
+    if placed == 1:
+        raise ConfigError("wavepacket takes x0 and tmax together or neither")
+    if not placed and ("absorber_width" in cfg or "absorber_strength" in cfg):
+        raise ConfigError("absorbing layers need an explicit x0 and tmax")
     try:
-        if "x0" in cfg and "tmax" in cfg:
+        if placed:
             wp = WavepacketSpec(
                 k0=cfg["k0"], sigma=cfg["sigma"], x0=cfg["x0"], tmax=cfg["tmax"],
                 absorber_width=cfg.get("absorber_width", 0),
@@ -355,6 +349,9 @@ def cmd_wavepacket(cfg: dict, out: Path) -> int:
             wp = design_wavepacket(spec, cfg["k0"], cfg["sigma"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if 2 * wp.absorber_width > spec.n_sites:
+        raise ConfigError(f"absorbing layers of width {wp.absorber_width} overlap "
+                          f"on {spec.n_sites} sites")
     result = propagate_wavepacket(spec, wp)
     _write_csv(out, ["time", "norm"], [result.times, result.norm_history])
     _write_sidecar(
@@ -550,10 +547,8 @@ def main(argv: list[str] | None = None) -> int:
         if engine not in ("analytic", "oracle", "both"):
             raise ConfigError(f"engine must be analytic, oracle or both, got {engine!r}")
         out = Path(args.out) if args.out else None
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out, engine)
-        if args.command == "map2d":
-            return cmd_map2d(cfg, out, engine)
+        if args.command in ("spectrum", "map2d"):
+            return cmd_grid(args.command, cfg, out, engine)
         if args.command == "quasibound":
             return cmd_quasibound(cfg, out)
         if args.command == "wavepacket":

@@ -116,6 +116,9 @@ class WavepacketSpec:
             raise ValueError(f"carrier momentum must lie in (0, pi), got {self.k0}")
         if self.tmax <= 0:
             raise ValueError("tmax must be positive")
+        if self.absorber_width < 0 or self.absorber_strength < 0:
+            raise ValueError("absorber_width and absorber_strength must be >= 0, got "
+                             f"{self.absorber_width} and {self.absorber_strength}")
 
 
 @dataclass(frozen=True)
@@ -380,7 +383,8 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     probability its absorbing layer removed when absorbers are enabled.
     Raises IntegratorDriftError when the norm of a decay-free run drifts, or
     a dissipative step gains, more than DRIFT_TOL, and InsufficientChainError
-    when probability reaches the chain ends with absorbers off.
+    when the absorbing layers overlap or probability reaches the chain ends
+    with absorbers off.
     """
     if wp.x0 - 5.0 * wp.sigma < 2:
         raise InsufficientChainError(
@@ -389,6 +393,10 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     if spec.placements and not wp.x0 + 5.0 * wp.sigma < spec.sites[0]:
         raise InsufficientChainError(
             f"packet centre {wp.x0} is closer than 5 sigma to the first node"
+        )
+    if 2 * wp.absorber_width > spec.n_sites:
+        raise InsufficientChainError(
+            f"absorbing layers of width {wp.absorber_width} overlap on {spec.n_sites} sites"
         )
 
     n = spec.n_sites

@@ -1,19 +1,19 @@
 """Deterministic parameter sweeps over the analytic and lattice engines.
 
-A sweep walks a 1D or 2D linearly spaced grid and evaluates reflection and
-transmission on it, with either one call of the vectorised transfer-matrix
-kernel over the whole grid or one finite-lattice solve per point.  It
-records a mask of the physical flags: a diverging potential (the stored
-value is then the analytic limit, R = 1) or an exact trapped-mode hit.
-Anything else that goes wrong raises.  ``build_scenario`` is the one place
-where run-configuration keys become lattice and node parameters, and
+``grid_amplitudes`` evaluates the reflection and transmission amplitudes
+on a 1D or 2D linearly spaced grid, with either one call of the vectorised
+transfer-matrix kernel over the whole grid or one finite-lattice solve per
+point, plus the physical flag of each point: a diverging potential (the
+amplitudes are then the analytic limit, r = -1) or an exact trapped-mode
+hit.  Anything else that goes wrong raises.  ``build_scenario`` is the one
+place where run-configuration keys become lattice and node parameters, and
 ``amplitudes`` the one way from them into either engine, for the sweeps and
 the command line alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,54 +58,6 @@ class AxisSpec:
     def values(self) -> np.ndarray:
         vals = np.linspace(self.start, self.stop, self.count)
         return np.round(vals) if self.name == "D" else vals
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid definition: one or two axes over a set of fixed parameters.
-
-    ``fixed`` uses the same keys as the run configuration: lattice (t,
-    omega), first node (omega_e, delta, Omega, g, Gamma, gamma), optional
-    second node (same keys with suffix 2) plus integer D, and k when k is
-    not an axis; ``omega_a`` and ``omega_C`` may stand in for ``delta``.
-    The sign of Omega values is ignored (the potential depends on Omega
-    squared only).
-    """
-
-    axes: tuple[AxisSpec, ...]
-    fixed: dict[str, float] = field(default_factory=dict)
-    quantity: str = "R"
-    engine: str = "analytic"
-    limit: str | None = None
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.axes) <= 2:
-            raise ValueError("a sweep takes one or two axes")
-        if self.quantity not in QUANTITIES:
-            raise ValueError(f"unknown quantity {self.quantity!r}; choose from {QUANTITIES}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.limit not in (None, "high", "low"):
-            raise ValueError(f"limit must be 'high' or 'low', got {self.limit!r}")
-        names = [a.name for a in self.axes]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate axis names {names}")
-        if "k" not in names and "k" not in self.fixed:
-            raise ValueError("no momentum: give k or a k axis")
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Grid values plus the mask of physical flags."""
-
-    axes: tuple[AxisSpec, ...]
-    axis_values: tuple[np.ndarray, ...]
-    values: np.ndarray
-    mask: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
 
 
 #: Configuration keys of one node; the second node's carry the suffix 2.
@@ -187,6 +139,8 @@ def amplitudes(params: dict, engine: str, limit: str | None):
     engine is one kernel call; the oracle stays an independent lattice solve
     per point, never flags and has no limit lineshape.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "analytic":
         scenario = build_scenario(params)
         return chain_scatter(params["k"], scenario.nodes, scenario.lat, limit=limit)
@@ -201,7 +155,8 @@ def amplitudes(params: dict, engine: str, limit: str | None):
     return r, s, np.full(shape, FLAG_OK, dtype=np.int8)
 
 
-def _quantity_value(quantity: str, r, s):
+def quantity_value(quantity: str, r, s):
+    """One of ``QUANTITIES`` from the amplitudes r and s."""
     if quantity == "R":
         return np.abs(r) ** 2
     if quantity == "T":
@@ -215,56 +170,19 @@ def _quantity_value(quantity: str, r, s):
     return np.abs(r) ** 2 + np.abs(s) ** 2
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the whole grid at once; the first axis runs along rows."""
-    grids = tuple(axis.values() for axis in spec.axes)
-    params = dict(spec.fixed)
-    for axis, grid in zip(spec.axes, np.ix_(*grids)):
+def grid_amplitudes(fixed: dict, axes: tuple[AxisSpec, ...], engine: str, limit: str | None):
+    """(r, s, flag) on the grid of ``axes`` over ``fixed``; the first axis runs along rows.
+
+    ``fixed`` uses the run-configuration keys of ``build_scenario``, with k
+    among them when k is not an axis; an axis value overrides the key of
+    the same name and, for a detuning, the other form of it.  The whole
+    grid is one ``amplitudes`` call.
+    """
+    grids = tuple(axis.values() for axis in axes)
+    params = dict(fixed)
+    for axis, grid in zip(axes, np.ix_(*grids)):
         for key in _AXIS_REPLACES.get(axis.name, ()):
             params.pop(key, None)
         params[axis.name] = grid
-    r, s, flag = amplitudes(params, spec.engine, spec.limit)
     shape = tuple(len(grid) for grid in grids)
-    values = np.broadcast_to(_quantity_value(spec.quantity, r, s), shape).copy()
-    mask = np.broadcast_to(flag, shape).copy()
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("sweep produced a non-finite value that escaped the mask")
-    return SweepResult(axes=spec.axes, axis_values=grids, values=values, mask=mask)
-
-
-def compare_engines(spec: SweepSpec, analytic: SweepResult) -> float:
-    """Max |analytic - oracle| of the swept quantity over the grid of ``spec``.
-
-    ``analytic`` is the analytic sweep of ``spec``, already computed.
-    """
-    oracle = run_sweep(replace(spec, engine="oracle"))
-    return float(np.max(np.abs(analytic.values - oracle.values)))
-
-
-def spectrum_rows(
-    k_values: np.ndarray,
-    params: dict,
-    engine: str = "analytic",
-    limit: str | None = None,
-) -> dict[str, np.ndarray]:
-    """The spectrum command's table, one array per column.
-
-    Columns: k, the energy offset eps_k = E(k) - delta, both complex
-    amplitudes r and s, R, T, xi, the status flag and the singular flag
-    (1 at any flagged point).
-    """
-    k = np.asarray(k_values, dtype=float)
-    r, s, flag = amplitudes({**params, "k": k}, engine, limit)
-    lat = build_scenario(params).lat
-    R, T = np.abs(r) ** 2, np.abs(s) ** 2
-    return {
-        "k": k,
-        "eps_k": lat.omega - 2.0 * lat.t * np.cos(k) - reduce_delta(params),
-        "r": r,
-        "s": s,
-        "R": R,
-        "T": T,
-        "xi": 1.0 - R - T,
-        "flag": flag,
-        "singular_flag": (flag != FLAG_OK).astype(np.int8),
-    }
+    return tuple(np.broadcast_to(a, shape) for a in amplitudes(params, engine, limit))

@@ -31,7 +31,7 @@ from cavitychain import (
 )
 from cavitychain.cli import main as cli_main
 from cavitychain.oracle import design_scattering_run
-from cavitychain.sweep import AxisSpec, SweepSpec, run_sweep
+from cavitychain.sweep import AxisSpec, grid_amplitudes
 from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
 
 LAT = LatticeParams(omega=1.0, t=2.0)
@@ -167,17 +167,15 @@ def test_criterion_06_reflection_ridges():
     # fixed momentum pi/2 (E = 1) with a bare level at 0: the perfect-
     # reflection locus is Omega^2 = E(E - delta) with delta = -omega_C
     n_grid = 200
-    spec = SweepSpec(
-        axes=(
-            AxisSpec("Omega", -3.0, 3.0, n_grid),
-            AxisSpec("omega_C", -3.0, 3.0, n_grid),
-        ),
-        fixed={"t": 2.0, "omega": 1.0, "omega_e": 0.0, "omega_a": 0.0, "g": 1.0,
-               "k": math.pi / 2},
+    axes = (
+        AxisSpec("Omega", -3.0, 3.0, n_grid),
+        AxisSpec("omega_C", -3.0, 3.0, n_grid),
     )
-    result = run_sweep(spec)
-    omegas = result.axis_values[0]
-    omega_cs = result.axis_values[1]
+    fixed = {"t": 2.0, "omega": 1.0, "omega_e": 0.0, "omega_a": 0.0, "g": 1.0, "k": math.pi / 2}
+    r, _, _ = grid_amplitudes(fixed, axes, "analytic", None)
+    R = np.abs(r) ** 2
+    omegas = axes[0].values()
+    omega_cs = axes[1].values()
     cell = omegas[1] - omegas[0]
     E = 1.0
     checked = 0
@@ -189,7 +187,7 @@ def test_criterion_06_reflection_ridges():
         target = math.sqrt(product)
         if target > 2.95:
             continue
-        column = result.values[:, j]
+        column = R[:, j]
         pos = [i for i, om in enumerate(omegas) if om > cell / 2]
         neg = [i for i, om in enumerate(omegas) if om < -cell / 2]
         for side, sign in ((pos, 1.0), (neg, -1.0)):
@@ -350,12 +348,10 @@ def test_criterion_10_wavepacket_dynamics():
 
 
 def test_criterion_11_determinism(tmp_path, capsys):
-    spec = SweepSpec(
-        axes=(AxisSpec("k", 0.01, math.pi - 0.01, 300),),
-        fixed={"t": 2.0, "omega": 1.0, "omega_e": 1.0, "delta": 0.0, "Omega": 1.0,
-               "g": 1.0},
-    )
-    sweep_same = run_sweep(spec).values.tobytes() == run_sweep(spec).values.tobytes()
+    axes = (AxisSpec("k", 0.01, math.pi - 0.01, 300),)
+    fixed = {"t": 2.0, "omega": 1.0, "omega_e": 1.0, "delta": 0.0, "Omega": 1.0, "g": 1.0}
+    runs = [grid_amplitudes(fixed, axes, "analytic", None) for _ in range(2)]
+    sweep_same = all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
 
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["spectrum", "--config", "fig3a", "--set", "k_count=300"]

@@ -147,6 +147,8 @@ class TestValidation:
 QB_SETS = ["--config", "fig3a", "--set", "D=10"]
 WP_SETS = ["--set", "t=2", "--set", "omega=1", "--set", "omega_e=1", "--set", "Omega=1",
            "--set", "N=420", "--set", "site=210", "--set", "k0=2.2"]
+WP_PLACED = [*WP_SETS, "--set", "sigma=8", "--set", "x0=100", "--set", "tmax=100"]
+OMEGA_AXIS = ["--set", "axis1=Omega", "--set", "axis1_min=0", "--set", "axis1_max=1"]
 
 
 class TestConfigCheckedBeforeComputing:
@@ -162,9 +164,24 @@ class TestConfigCheckedBeforeComputing:
             ("oracle-check", ["--config", "oracle_check", "--set", "draws=0"]),
             ("oracle-check", ["--config", "oracle_check", "--set", "draws=-3"]),
             ("oracle-check", ["--config", "oracle_check", "--set", "seed=-1"]),
+            ("spectrum", ["--config", "fig3a", "--set", "limit=bogus"]),
+            ("map2d", ["--config", "fig4", "--set", "quantity=phase"]),
+            ("map2d", ["--config", "fig3a", "--set", "k=1.2", *OMEGA_AXIS,
+                       "--set", "axis2=Omega", "--set", "axis2_min=0", "--set", "axis2_max=1"]),
+            ("map2d", ["--config", "fig3a", *OMEGA_AXIS]),
+            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "x0=60"]),
+            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "tmax=5"]),
+            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "absorber_width=30",
+                            "--set", "absorber_strength=5"]),
+            ("wavepacket", [*WP_PLACED, "--set", "absorber_width=1000"]),
+            ("wavepacket", [*WP_PLACED, "--set", "absorber_width=-5"]),
+            ("wavepacket", [*WP_PLACED, "--set", "absorber_width=30",
+                            "--set", "absorber_strength=-0.5"]),
         ],
         ids=["re-window", "im-window", "profile_n", "mode_index", "sigma", "tmax",
-             "no-draws", "negative-draws", "negative-seed"],
+             "no-draws", "negative-draws", "negative-seed", "limit", "quantity",
+             "duplicate-axes", "no-momentum", "x0-alone", "tmax-alone",
+             "absorbers-unplaced", "overlapping-absorbers", "negative-width", "gain-layer"],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, capsys, command, args):
         assert main([command, *args, "--out", str(tmp_path / "x.csv")]) == 2
@@ -358,19 +375,38 @@ class TestMap2dCommand:
         assert sidecar["flag_counts"] == {"singular": sum(flags), "resonance": 0}
 
     def test_engine_both_compares_the_sweep_in_hand(self, tmp_path, monkeypatch):
+        # one grid per engine: the analytic grid written is the one compared
         calls = []
-        run = cli.run_sweep
-        def counted(spec):
-            calls.append(spec.engine)
-            return run(spec)
+        amplitudes = sweep.amplitudes
 
-        monkeypatch.setattr(cli, "run_sweep", counted)
-        monkeypatch.setattr(sweep, "run_sweep", counted)
-        out = tmp_path / "both.csv"
-        assert main(["map2d", "--config", "fig6b", "--engine", "both", "--out", str(out)]) == 0
-        assert calls == ["analytic", "oracle"]
-        sidecar = json.loads((tmp_path / "both.csv.meta.json").read_text())
-        assert sidecar["max_engine_deviation"] <= 1e-8
+        def counted(params, engine, limit):
+            calls.append(engine)
+            return amplitudes(params, engine, limit)
+
+        monkeypatch.setattr(sweep, "amplitudes", counted)
+        for command, config in (("spectrum", "fig3a"), ("map2d", "fig6b")):
+            calls.clear()
+            out = tmp_path / f"{command}.csv"
+            argv = [command, "--config", config, "--engine", "both", "--out", str(out)]
+            if command == "spectrum":
+                argv += ["--set", "k_count=50"]
+            assert main(argv) == 0
+            assert calls == ["analytic", "oracle"]
+            sidecar = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
+            assert sidecar["max_engine_deviation"] <= 1e-8
+
+    def test_k_map_is_the_spectrum(self, tmp_path):
+        # spectrum is the one-k-axis case of the same grid path
+        spectrum, k_map = tmp_path / "s.csv", tmp_path / "m.csv"
+        grid = ["k_min=0.2", "k_max=2.9", "k_count=301"]
+        axis = ["axis1=k", "axis1_min=0.2", "axis1_max=2.9", "axis1_count=301", "quantity=R"]
+        for out, command, sets in ((spectrum, "spectrum", grid), (k_map, "map2d", axis)):
+            argv = [command, "--config", "fig6a", *(a for s in sets for a in ("--set", s))]
+            assert main([*argv, "--out", str(out)]) == 0
+        s_header, s_rows = read_csv(spectrum)
+        m_header, m_rows = read_csv(k_map)
+        assert column(s_header, s_rows, "k", str) == column(m_header, m_rows, "k", str)
+        assert column(s_header, s_rows, "R", str) == column(m_header, m_rows, "R", str)
 
     def test_fig6b_runs_over_separations(self, tmp_path):
         out = tmp_path / "fig6b.csv"

@@ -4,34 +4,29 @@ import time
 import numpy as np
 import pytest
 
-from cavitychain import scattering, solve_stationary, sweep
+from cavitychain import ConfigError, cli, scattering, solve_stationary, sweep
 from cavitychain.scattering import FLAG_OK, FLAG_SINGULAR
-from cavitychain.sweep import (
-    AxisSpec,
-    SweepSpec,
-    build_scenario,
-    compare_engines,
-    run_sweep,
-    spectrum_rows,
-)
+from cavitychain.sweep import ENGINES, AxisSpec, build_scenario, grid_amplitudes, quantity_value
 
 FIG3A = {"t": 2.0, "omega": 1.0, "omega_e": 1.0, "delta": 0.0, "Omega": 1.0, "g": 1.0}
 
 
 def evaluate_point(params, engine):
-    """(r, s, flag) at one point, through the spectrum table."""
-    table = spectrum_rows(np.array([params["k"]]), params, engine)
-    return complex(table["r"][0]), complex(table["s"][0]), int(table["flag"][0])
+    """(r, s, flag) at one point."""
+    r, s, flag = sweep.amplitudes(params, engine, None)
+    return complex(r), complex(s), int(flag)
 
 
-def fig3a_spec(count=400, **overrides):
-    options = {"quantity": "R", "engine": "analytic"}
-    options.update(overrides)
-    return SweepSpec(
-        axes=(AxisSpec("k", 0.002, math.pi - 0.002, count),),
-        fixed=dict(FIG3A),
-        **options,
-    )
+def fig3a_grid(count=400, engine="analytic", limit=None):
+    """(r, s, flag) of the fig3a node over a k axis."""
+    axis = AxisSpec("k", 0.002, math.pi - 0.002, count)
+    return grid_amplitudes(dict(FIG3A), (axis,), engine, limit)
+
+
+def engine_deviation(fixed, axis):
+    """Max |R_analytic - R_oracle| over one axis."""
+    R = [quantity_value("R", *grid_amplitudes(fixed, (axis,), e, None)[:2]) for e in ENGINES]
+    return float(np.max(np.abs(R[0] - R[1])))
 
 
 class TestSpecs:
@@ -53,15 +48,18 @@ class TestSpecs:
             AxisSpec("D", 1, 2, 7).values()
 
     def test_sweep_spec_validation(self):
-        axis = AxisSpec("k", 0.1, 3.0, 10)
-        with pytest.raises(ValueError):
-            SweepSpec(axes=(), fixed={})
-        with pytest.raises(ValueError):
-            SweepSpec(axes=(axis,), fixed={}, quantity="phase")
-        with pytest.raises(ValueError):
-            SweepSpec(axes=(axis,), fixed={}, engine="guess")
-        with pytest.raises(ValueError):
-            SweepSpec(axes=(axis, axis), fixed={})
+        # checks on outside input belong to the command line's axes
+        base = {**FIG3A, "axis1": "k", "axis1_min": 0.1, "axis1_max": 3.0}
+        for cfg, match in [
+            ({**FIG3A, "k": 1.0}, "needs at least axis1"),
+            ({**base, "quantity": "phase"}, "unknown quantity"),
+            ({**base, "axis2": "k", "axis2_min": 0.1, "axis2_max": 3.0}, "duplicate axis"),
+            ({**base, "limit": "bogus"}, "limit must be"),
+        ]:
+            with pytest.raises(ConfigError, match=match):
+                cli._grid_axes("map2d", cfg, "analytic")
+        with pytest.raises(ValueError, match="engine must be"):
+            fig3a_grid(count=3, engine="guess")
 
 
 class TestEvaluatePoint:
@@ -101,58 +99,52 @@ class TestEvaluatePoint:
 
 
 class TestRunSweep:
+    """The grid path, ``grid_amplitudes``."""
+
     def test_values_and_mask_shapes(self):
-        res = run_sweep(fig3a_spec(count=64))
-        assert res.values.shape == (64,)
-        assert res.mask.shape == (64,)
-        assert np.all(np.isfinite(res.values))
+        r, s, flag = fig3a_grid(count=64)
+        assert r.shape == s.shape == flag.shape == (64,)
+        assert np.all(np.isfinite(r)) and np.all(np.isfinite(s))
 
     def test_flux_quantity_is_identically_one(self):
-        spec = fig3a_spec(count=200, quantity="R+T")
-        res = run_sweep(spec)
-        assert np.max(np.abs(res.values - 1.0)) <= 1e-10
+        r, s, _ = fig3a_grid(count=200)
+        assert np.max(np.abs(quantity_value("R+T", r, s) - 1.0)) <= 1e-10
 
     def test_singular_grid_point_is_masked_with_the_limit_value(self):
         # middle point of the axis lands exactly on the bare two-level pole
-        spec = SweepSpec(
-            axes=(AxisSpec("k", math.pi / 4, 3 * math.pi / 4, 3),),
-            fixed={"t": 2.0, "omega": 1.0, "omega_e": 1.0, "Omega": 0.0, "g": 1.0},
+        r, s, flag = grid_amplitudes(
+            {"t": 2.0, "omega": 1.0, "omega_e": 1.0, "Omega": 0.0, "g": 1.0},
+            (AxisSpec("k", math.pi / 4, 3 * math.pi / 4, 3),), "analytic", None,
         )
-        res = run_sweep(spec)
-        assert res.mask.tolist() == [FLAG_OK, FLAG_SINGULAR, FLAG_OK]
-        assert res.values[1] == 1.0
-        assert np.all(np.isfinite(res.values))
+        R = quantity_value("R", r, s)
+        assert flag.tolist() == [FLAG_OK, FLAG_SINGULAR, FLAG_OK]
+        assert R[1] == 1.0
+        assert np.all(np.isfinite(R))
 
     def test_repeat_runs_are_bitwise_identical(self):
-        a = run_sweep(fig3a_spec(count=256))
-        b = run_sweep(fig3a_spec(count=256))
-        assert a.values.tobytes() == b.values.tobytes()
-        assert a.mask.tobytes() == b.mask.tobytes()
+        a, b = fig3a_grid(count=256), fig3a_grid(count=256)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_worker_count_does_not_change_bits(self, tmp_path):
         # --workers is an accepted no-op: the grid is one kernel call
-        from cavitychain.cli import main
-
         outs = [tmp_path / f"w{workers}.csv" for workers in (1, 3)]
         for workers, out in zip((1, 3), outs):
             argv = ["map2d", "--config", "fig4", "--set", "axis1_count=40",
                     "--set", "axis2_count=25", "--workers", str(workers), "--out", str(out)]
-            assert main(argv) == 0
+            assert cli.main(argv) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_two_node_axis_over_separation(self):
-        spec = SweepSpec(
-            axes=(AxisSpec("D", 1, 10, 10),),
-            fixed={
-                "t": 1.0, "omega": 1.0, "k": math.pi / 5,
-                "omega_e": 2.0, "Omega": 0.0, "g": 1.0,
-                "omega_e2": 2.0, "Omega2": 0.0, "g2": 1.0,
-            },
-        )
-        res = run_sweep(spec)
+        fixed = {
+            "t": 1.0, "omega": 1.0, "k": math.pi / 5,
+            "omega_e": 2.0, "Omega": 0.0, "g": 1.0,
+            "omega_e2": 2.0, "Omega2": 0.0, "g2": 1.0,
+        }
+        r, _, _ = grid_amplitudes(fixed, (AxisSpec("D", 1, 10, 10),), "analytic", None)
+        R = np.abs(r) ** 2
         # round-trip phase repeats every 5 sites at k = pi/5
-        assert res.values[0] == pytest.approx(res.values[5], abs=1e-12)
-        assert res.values[2] == pytest.approx(res.values[7], abs=1e-12)
+        assert R[0] == pytest.approx(R[5], abs=1e-12)
+        assert R[2] == pytest.approx(R[7], abs=1e-12)
 
     def test_parallel_wall_time_is_sane(self, monkeypatch):
         # no pool and no per-point loop: 10^5 points in one kernel call
@@ -164,33 +156,29 @@ class TestRunSweep:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(sweep, "chain_scatter", counted)
-        spec = SweepSpec(
-            axes=(AxisSpec("k", 0.1, 3.0, 500), AxisSpec("Omega", 0.0, 2.0, 200)),
-            fixed={k: v for k, v in FIG3A.items() if k != "Omega"},
-        )
+        axes = (AxisSpec("k", 0.1, 3.0, 500), AxisSpec("Omega", 0.0, 2.0, 200))
+        fixed = {k: v for k, v in FIG3A.items() if k != "Omega"}
         start = time.monotonic()
-        res = run_sweep(spec)
+        r, s, flag = grid_amplitudes(fixed, axes, "analytic", None)
         assert time.monotonic() - start <= 5.0
         assert len(calls) == 1
-        assert res.values.shape == res.mask.shape == (500, 200)
+        assert r.shape == s.shape == flag.shape == (500, 200)
 
     def test_limit_grid_outside_the_window_raises(self):
-        spec = SweepSpec(axes=(AxisSpec("k", 1.2, 1.9, 8),), fixed=dict(FIG3A), limit="high")
+        axes = (AxisSpec("k", 1.2, 1.9, 8),)
         with pytest.raises(scattering.LimitWindowError, match="high-energy window"):
-            run_sweep(spec)
+            grid_amplitudes(dict(FIG3A), axes, "analytic", "high")
 
     def test_missing_momentum_raises(self):
-        with pytest.raises(ValueError, match="no momentum"):
-            SweepSpec(axes=(AxisSpec("Omega", 0.0, 1.0, 3),), fixed=dict(FIG3A))
+        cfg = {**FIG3A, "axis1": "Omega", "axis1_min": 0.0, "axis1_max": 1.0, "axis1_count": 3}
+        with pytest.raises(ConfigError, match="no momentum"):
+            cli._grid_axes("map2d", cfg, "analytic")
 
     def test_oracle_has_no_limit_lineshape(self):
-        ks = np.linspace(1.4, 1.7, 3)
         with pytest.raises(ValueError, match="no lattice-oracle counterpart"):
-            spectrum_rows(ks, dict(FIG3A), "oracle", limit="high")
-        spec = SweepSpec(axes=(AxisSpec("k", 1.4, 1.7, 3),), fixed=dict(FIG3A),
-                         engine="oracle", limit="high")
+            sweep.amplitudes({**FIG3A, "k": np.linspace(1.4, 1.7, 3)}, "oracle", "high")
         with pytest.raises(ValueError, match="no lattice-oracle counterpart"):
-            run_sweep(spec)
+            grid_amplitudes(dict(FIG3A), (AxisSpec("k", 1.4, 1.7, 3),), "oracle", "high")
 
 
 class TestScenario:
@@ -225,22 +213,15 @@ class TestScenario:
 
 class TestCompareEngines:
     def test_fig3a_gate(self):
-        spec = fig3a_spec(count=40)
-        assert compare_engines(spec, run_sweep(spec)) <= 1e-8
+        assert engine_deviation(dict(FIG3A), AxisSpec("k", 0.002, math.pi - 0.002, 40)) <= 1e-8
 
     def test_decay_gate(self):
-        spec = SweepSpec(
-            axes=(AxisSpec("k", 0.1, 3.0, 30),),
-            fixed={**FIG3A, "Gamma": 0.04, "gamma": 0.04},
-        )
-        assert compare_engines(spec, run_sweep(spec)) <= 1e-8
+        fixed = {**FIG3A, "Gamma": 0.04, "gamma": 0.04}
+        assert engine_deviation(fixed, AxisSpec("k", 0.1, 3.0, 30)) <= 1e-8
 
     def test_free_chain_engines_coincide(self):
-        spec = SweepSpec(
-            axes=(AxisSpec("k", 0.5, 2.5, 2),),
-            fixed={"t": 2.0, "omega": 1.0},
-        )
-        assert compare_engines(spec, run_sweep(spec)) <= 1e-20
+        fixed = {"t": 2.0, "omega": 1.0}
+        assert engine_deviation(fixed, AxisSpec("k", 0.5, 2.5, 2)) <= 1e-20
 
 
 class TestAmplitudes:
@@ -261,17 +242,23 @@ class TestAmplitudes:
 
 
 class TestSpectrumRows:
-    def test_columns_and_energy_offset(self):
-        ks = np.linspace(0.5, 2.5, 7)
-        table = spectrum_rows(ks, dict(FIG3A))
-        assert all(len(column) == 7 for column in table.values())
-        E = 1.0 - 4.0 * np.cos(ks)
-        assert np.allclose(table["eps_k"], E - FIG3A["delta"], rtol=0, atol=1e-12)
-        assert np.array_equal(table["R"], np.abs(table["r"]) ** 2)
-        assert set(table["singular_flag"].tolist()) <= {0, 1}
+    def test_columns_and_energy_offset(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--config", "fig3a", "--set", "k_min=0.5", "--set", "k_max=2.5",
+                "--set", "k_count=7", "--out", str(out)]
+        assert cli.main(argv) == 0
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        col = dict(zip(header, table.T))
+        assert table.shape == (7, 10)
+        E = 1.0 - 4.0 * np.cos(col["k"])
+        assert np.allclose(col["eps_k"], E - FIG3A["delta"], rtol=0, atol=1e-12)
+        assert np.array_equal(col["R"], np.abs(col["Re_r"] + 1j * col["Im_r"]) ** 2)
+        assert set(col["singular_flag"].tolist()) <= {0, 1}
 
     def test_limit_rows_use_the_window_formula(self):
-        ks = np.array([math.pi / 2])
-        exact = spectrum_rows(ks, dict(FIG3A))["r"][0]
-        lim = spectrum_rows(ks, dict(FIG3A), limit="high")["r"][0]
+        axes = (AxisSpec("k", math.pi / 2, math.pi / 2, 1),)
+        exact = grid_amplitudes(dict(FIG3A), axes, "analytic", None)[0][0]
+        lim = grid_amplitudes(dict(FIG3A), axes, "analytic", "high")[0][0]
         assert lim == pytest.approx(exact, abs=1e-12)
