@@ -27,7 +27,6 @@ from .model import (
     dispersion_energy,
     dispersion_energy_continued,
     effective_potential,
-    fwhm,
     in_band,
     momentum_from_energy,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "find_perfect_reflection",
     "find_perfect_transmission",
     "find_quasibound_modes",
-    "fwhm",
     "in_band",
     "limit_scatter",
     "loss_ratio",

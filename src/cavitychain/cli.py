@@ -24,12 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CavityChainError, ConfigError, LimitWindowError
+from .errors import CavityChainError, ConfigError, InsufficientChainError, LimitWindowError
 from .model import SINGULAR_TOL, AtomParams, LatticeParams
 from .oracle import (
     DRIFT_TOL,
     ChainSpec,
     WavepacketSpec,
+    check_packet_layout,
     design_scattering_run,
     design_wavepacket,
     eigenmodes,
@@ -57,7 +58,6 @@ _FLOAT_KEYS = {
     "axis1_min", "axis1_max", "axis2_min", "axis2_max",
     "k0", "sigma", "tmax", "absorber_strength",
     "window_re_min", "window_re_max", "window_im_min", "window_im_max",
-    "threshold",
 }
 _INT_KEYS = {
     "D", "k_count", "axis1_count", "axis2_count",
@@ -65,7 +65,7 @@ _INT_KEYS = {
     "profile_n", "mode_index",
     "draws", "seed",
 }
-_STR_KEYS = {"axis1", "axis2", "quantity", "engine", "limit", "negative_control"}
+_STR_KEYS = {"axis1", "axis2", "quantity", "limit", "negative_control"}
 _BOOL_KEYS = {"wavepacket_check"}
 
 
@@ -167,7 +167,7 @@ def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict | None = None)
         "engine": engine,
         "tolerances": {
             "singular_tol": SINGULAR_TOL,
-            "oracle_gate": cfg.get("threshold", ORACLE_GATE),
+            "oracle_gate": ORACLE_GATE,
             "drift_tol": DRIFT_TOL,
         },
         "tool_version": __version__,
@@ -347,11 +347,9 @@ def cmd_wavepacket(cfg: dict, out: Path) -> int:
             )
         else:
             wp = design_wavepacket(spec, cfg["k0"], cfg["sigma"])
-    except ValueError as exc:
+        check_packet_layout(spec, wp)
+    except (ValueError, InsufficientChainError) as exc:
         raise ConfigError(str(exc)) from exc
-    if 2 * wp.absorber_width > spec.n_sites:
-        raise ConfigError(f"absorbing layers of width {wp.absorber_width} overlap "
-                          f"on {spec.n_sites} sites")
     result = propagate_wavepacket(spec, wp)
     _write_csv(out, ["time", "norm"], [result.times, result.norm_history])
     _write_sidecar(
@@ -424,7 +422,7 @@ def _agreement_draw(rng: np.random.Generator, with_decay: bool) -> dict:
 def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
     """Regression gate: analytic engine against the lattice solver.
 
-    Exit status 0 when every deviation stays below the threshold, 1
+    Exit status 0 when every deviation stays below ORACLE_GATE, 1
     otherwise.  ``negative_control=r-sign`` flips the analytic reflection
     amplitude inside the comparison so the gate must fire; it exists to
     prove the check can fail.
@@ -433,7 +431,6 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
     if draws < 1 or seed < 0:
         raise ConfigError(f"oracle-check needs draws >= 1 and seed >= 0, got {draws} and {seed}")
     rng = np.random.default_rng(seed)
-    threshold = cfg.get("threshold", ORACLE_GATE)
     corrupt = cfg.get("negative_control", "") == "r-sign"
     drawn = [_agreement_draw(rng, i % 3 == 2) for i in range(draws)]
     r_a, s_a, r_o, s_o = (np.empty(draws, complex) for _ in range(4))
@@ -453,8 +450,8 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
         dev = max(abs(r_a[i] - r_o[i]), abs(s_a[i] - s_o[i]))
         label = f"draw {i} ({'decay' if with_decay else 'elastic'}, k={params['k']:.4f})"
         worst.append((dev, label))
-        if dev > threshold:
-            failures.append(f"{label}: deviation {dev:.3e} > {threshold:.1e}")
+        if dev > ORACLE_GATE:
+            failures.append(f"{label}: deviation {dev:.3e} > {ORACLE_GATE:.1e}")
         flux_error = abs(abs(r_a[i]) ** 2 + abs(s_a[i]) ** 2 - 1.0)
         if not with_decay and flux_error > 1e-10:
             failures.append(f"{label}: flux violation {flux_error:.3e}")
@@ -479,7 +476,7 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
 
     worst.sort(key=lambda item: -item[0])
     lines = [
-        f"oracle-check: {draws} draws against the lattice solver, threshold {threshold:.1e}",
+        f"oracle-check: {draws} draws against the lattice solver, threshold {ORACLE_GATE:.1e}",
         *(f"  worst offender: {label} deviation {dev:.3e}" for dev, label in worst[:5]),
         wavepacket_line,
     ]
@@ -502,13 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-photon transport in a coupled cavity array with embedded nodes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_out in (
-        ("spectrum", True),
-        ("map2d", True),
-        ("quasibound", True),
-        ("wavepacket", True),
-        ("modes", True),
-        ("oracle-check", False),
+    for name, needs_out, engines in (
+        ("spectrum", True, ("analytic", "oracle", "both")),
+        ("map2d", True, ("analytic", "oracle", "both")),
+        ("quasibound", True, ()),
+        ("wavepacket", True, ()),
+        ("modes", True, ()),
+        ("oracle-check", False, ("both",)),  # always compares both engines
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", help="config file path or bundled fixture name")
@@ -517,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="override one config entry (repeatable)",
         )
         p.add_argument("--out", required=needs_out, help="output CSV path")
-        p.add_argument("--engine", choices=("analytic", "oracle", "both"))
+        if engines:
+            p.add_argument("--engine", choices=engines, default=engines[0])
         p.add_argument("--workers", type=int, default=None,
                        help="accepted and ignored: sweeps run as one vectorised kernel call")
         p.add_argument("--log-level", default="WARNING", help="stderr log level",
@@ -543,12 +541,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.getLogger(__package__).setLevel(args.log_level)
     try:
         cfg = _merge_config(args)
-        engine = args.engine or cfg.get("engine", "analytic")
-        if engine not in ("analytic", "oracle", "both"):
-            raise ConfigError(f"engine must be analytic, oracle or both, got {engine!r}")
+        if "kappa" in cfg and args.command not in ("wavepacket", "modes"):
+            raise ConfigError(f"{args.command} has no cavity leakage; kappa is for wavepacket and modes")
         out = Path(args.out) if args.out else None
         if args.command in ("spectrum", "map2d"):
-            return cmd_grid(args.command, cfg, out, engine)
+            return cmd_grid(args.command, cfg, out, args.engine)
         if args.command == "quasibound":
             return cmd_quasibound(cfg, out)
         if args.command == "wavepacket":

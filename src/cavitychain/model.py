@@ -244,14 +244,3 @@ def decompose_potential(atom: AtomParams) -> PotentialDecomposition:
         B=0.5 * (1.0 - nu),
     )
 
-
-def fwhm(atom: AtomParams, zeta: float) -> tuple[float, float]:
-    """Full widths at half maximum of the two decay-broadened peaks.
-
-    ``zeta`` is the first-order expansion coefficient and must be supplied
-    by the caller; it is not derived here.
-    """
-    _require_finite("zeta", zeta)
-    half_sum = 0.5 * (atom.Gamma + atom.gamma)
-    skew = (atom.Gamma - atom.gamma) * zeta
-    return (half_sum - skew, half_sum + skew)

@@ -39,27 +39,27 @@ MAX_STEP_PHASE = 10.0
 #: Gauss-Legendre nodes per step for the flux into absorbing layers.
 FLUX_NODES = 16
 
+#: Fewest sites between a node and either end of the chain.
+BUFFER = 4
+
 
 @dataclass(frozen=True)
 class ChainSpec:
     """Finite chain with nodes at fixed sites.
 
     ``placements`` maps site indices to node parameters; sites must stay at
-    least ``buffer`` sites away from both ends.  ``kappa`` adds a uniform
+    least ``BUFFER`` sites away from both ends.  ``kappa`` adds a uniform
     -i kappa/2 cavity leakage to every site (off by default).
     """
 
     n_sites: int
     placements: tuple[tuple[int, AtomParams], ...]
     lat: LatticeParams
-    buffer: int = 4
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_sites < 16:
             raise PlacementError(f"need at least 16 sites, got {self.n_sites}")
-        if self.buffer < 4:
-            raise PlacementError(f"buffer must be at least 4, got {self.buffer}")
         if self.kappa < 0:
             raise PlacementError("cavity leakage kappa must be nonnegative")
         sites = [site for site, _ in self.placements]
@@ -68,10 +68,8 @@ class ChainSpec:
         if sorted(sites) != sites:
             raise PlacementError("placements must be sorted by site index")
         for site in sites:
-            if not self.buffer <= site <= self.n_sites - self.buffer:
-                raise PlacementError(
-                    f"site {site} outside [{self.buffer}, {self.n_sites - self.buffer}]"
-                )
+            if not BUFFER <= site <= self.n_sites - BUFFER:
+                raise PlacementError(f"site {site} outside [{BUFFER}, {self.n_sites - BUFFER}]")
 
     @property
     def sites(self) -> tuple[int, ...]:
@@ -151,13 +149,13 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     rates appear as -i Gamma / -i gamma on the node diagonals and cavity
     leakage as -i kappa/2 on every site diagonal.
     """
-    n = spec.n_sites
-    dim = spec.dimension
+    n, dim = spec.n_sites, spec.dimension
     H = np.zeros((dim, dim), dtype=np.complex128)
-    idx = np.arange(n)
-    H[idx, idx] = spec.lat.omega
-    H[idx[:-1], idx[:-1] + 1] = -spec.lat.t
-    H[idx[:-1] + 1, idx[:-1]] = -spec.lat.t
+    # Diagonal and hopping bands as strided views: faster than fancy indexing on small H.
+    flat = H.reshape(-1)
+    flat[: n * (dim + 1) : dim + 1] = spec.lat.omega - 0.5j * spec.kappa
+    flat[1 : (n - 1) * (dim + 1) : dim + 1] = -spec.lat.t
+    flat[dim : (n - 1) * (dim + 1) : dim + 1] = -spec.lat.t
     for m, (site, atom) in enumerate(spec.placements):
         e = n + 2 * m
         a = e + 1
@@ -167,8 +165,6 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
         H[e, site] = atom.g
         H[e, a] = atom.Omega
         H[a, e] = atom.Omega
-    if spec.kappa:
-        H[idx, idx] -= 0.5j * spec.kappa
     return H
 
 
@@ -180,60 +176,37 @@ def solve_stationary(
 ) -> tuple[complex, complex] | tuple[complex, complex, np.ndarray]:
     """Solve the full stationary scattering system for (r, s) at momentum k.
 
-    The node amplitudes stay in the system (nothing is eliminated).  Four
-    constraint rows pin two probe sites per end to the plane-wave form, which
-    is exact on the free chain, so the result is N-independent up to
-    conditioning.  ``return_state`` adds the stationary state as a vector in
-    ``build_hamiltonian``'s basis.
+    The system is (H - E) u = 0 on the bulk sites and the node levels, with
+    H from ``build_hamiltonian``, so the node amplitudes stay in it (nothing
+    is eliminated).  Four constraint rows pin two probe sites per end to the
+    plane-wave form, which is exact on the free chain, so the result is
+    N-independent up to conditioning.  ``return_state`` adds the stationary
+    state as a vector in ``build_hamiltonian``'s basis.
     """
     E = dispersion_energy(k, spec.lat)
-    n = spec.n_sites
-    dim = spec.dimension + 2
-    idx_r = spec.dimension
-    idx_s = spec.dimension + 1
+    n, dim = spec.n_sites, spec.dimension
+    H = build_hamiltonian(spec)
+    H.reshape(-1)[:: dim + 1] -= E
+    # Rows: two left probe sites, bulk sites 1..n-2, two right probe sites, node levels.
+    M = np.zeros((dim + 2, dim + 2), dtype=np.complex128)
+    M[2:n, :dim] = H[1 : n - 1]
+    M[n + 2 :, :dim] = H[n:]
+    del H
+    b = np.zeros(dim + 2, dtype=np.complex128)
     origin = spec.origin
-
-    M = np.zeros((dim, dim), dtype=np.complex128)
-    b = np.zeros(dim, dtype=np.complex128)
-    row = 0
     for j in (0, 1):
-        x = j - origin
+        M[j, j] = 1.0
+        M[j, dim] = -np.exp(-1j * k * (j - origin))
+        b[j] = np.exp(1j * k * (j - origin))
+    for row, j in ((n, n - 2), (n + 1, n - 1)):
         M[row, j] = 1.0
-        M[row, idx_r] = -np.exp(-1j * k * x)
-        b[row] = np.exp(1j * k * x)
-        row += 1
-    site_potentials: dict[int, int] = {site: m for m, (site, _) in enumerate(spec.placements)}
-    omega_site = spec.lat.omega - 0.5j * spec.kappa
-    for j in range(1, n - 1):
-        M[row, j] = omega_site - E
-        M[row, j - 1] = -spec.lat.t
-        M[row, j + 1] = -spec.lat.t
-        if j in site_potentials:
-            m = site_potentials[j]
-            M[row, n + 2 * m] = spec.placements[m][1].g
-        row += 1
-    for j in (n - 2, n - 1):
-        x = j - origin
-        M[row, j] = 1.0
-        M[row, idx_s] = -np.exp(1j * k * x)
-        row += 1
-    for m, (site, atom) in enumerate(spec.placements):
-        e = n + 2 * m
-        a = e + 1
-        M[row, e] = atom.excited_level - E
-        M[row, site] = atom.g
-        M[row, a] = atom.Omega
-        row += 1
-        M[row, a] = atom.metastable_level - E
-        M[row, e] = atom.Omega
-        row += 1
+        M[row, dim + 1] = -np.exp(1j * k * (j - origin))
 
     sol = np.linalg.solve(M, b)
-    r = complex(sol[idx_r])
-    s = complex(sol[idx_s])
+    r, s = complex(sol[dim]), complex(sol[dim + 1])
     if not return_state:
         return r, s
-    return r, s, sol[: spec.dimension]
+    return r, s, sol[:dim]
 
 
 def eigenmodes(spec: ChainSpec) -> list[EigenMode]:
@@ -316,6 +289,11 @@ def _chebyshev_coefficients(
     return coeffs * np.exp(-1j * centre * tau)
 
 
+def _clearance(sigma: float) -> int:
+    """Sites a packet of width ``sigma`` keeps clear of a node or a chain end."""
+    return int(math.ceil(6.0 * sigma)) + 5
+
+
 def design_scattering_run(
     atoms: tuple[AtomParams, ...],
     lat: LatticeParams,
@@ -333,13 +311,10 @@ def design_scattering_run(
     """
     if len(atoms) not in (1, 2):
         raise ValueError("design_scattering_run takes one or two nodes")
-    approach = int(math.ceil(6.0 * sigma)) + 10
-    clearance = int(math.ceil(6.0 * sigma)) + 5
-    travel_out = approach - 5
-    first = approach + travel_out + clearance
+    c = _clearance(sigma)
+    first = 3 * c + 5
     last = first + (D if len(atoms) == 2 else 0)
-    n = last + travel_out + clearance + 1
-    spec = ChainSpec(n, tuple(zip((first, last), atoms)), lat)
+    spec = ChainSpec(last + 2 * c + 1, tuple(zip((first, last), atoms)), lat)
     return spec, design_wavepacket(spec, k0, sigma)
 
 
@@ -355,36 +330,25 @@ def design_wavepacket(spec: ChainSpec, k0: float, sigma: float) -> WavepacketSpe
     if not spec.placements:
         raise InsufficientChainError("design_wavepacket needs at least one node")
     first, last = spec.sites[0], spec.sites[-1]
-    approach = int(math.ceil(6.0 * sigma)) + 10
-    clearance = int(math.ceil(6.0 * sigma)) + 5
-    x0 = first - approach
-    travel_out = approach - 5
-    if x0 - travel_out < clearance - 5:
+    c = _clearance(sigma)
+    x0 = first - c - 5
+    if x0 - c < c - 5:
         raise InsufficientChainError(
             f"chain too short on the left: packet at {x0} cannot clear the end"
         )
-    if last + travel_out > spec.n_sites - 1 - clearance + 5:
+    if last + c > spec.n_sites - 1 - c + 5:
         raise InsufficientChainError(
             f"chain too short on the right of site {last} for the outgoing packet"
         )
-    v_g = 2.0 * spec.lat.t * math.sin(k0)
-    tmax = ((first - x0) + (last - first) + travel_out) / v_g
+    tmax = (last - x0 + c) / (2.0 * spec.lat.t * math.sin(k0))
     return WavepacketSpec(k0=k0, sigma=sigma, x0=x0, tmax=tmax)
 
 
-def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResult:
-    """Propagate the packet through the chain and measure R and T.
+def check_packet_layout(spec: ChainSpec, wp: WavepacketSpec) -> None:
+    """Raise InsufficientChainError unless the packet fits the chain.
 
-    Each step applies a Chebyshev expansion of exp(-iH dt) on the Gershgorin
-    interval of H, accurate to rounding; ``times``/``norm_history`` hold one
-    sample per step end, and the guards below run at every step end.
-    R_meas is the probability left of the first node after the run,
-    T_meas the probability right of the last node, each augmented by the
-    probability its absorbing layer removed when absorbers are enabled.
-    Raises IntegratorDriftError when the norm of a decay-free run drifts, or
-    a dissipative step gains, more than DRIFT_TOL, and InsufficientChainError
-    when the absorbing layers overlap or probability reaches the chain ends
-    with absorbers off.
+    The packet centre must sit 5 sigma clear of the left end and of the
+    first node, and the two absorbing layers must not overlap.
     """
     if wp.x0 - 5.0 * wp.sigma < 2:
         raise InsufficientChainError(
@@ -398,6 +362,23 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
         raise InsufficientChainError(
             f"absorbing layers of width {wp.absorber_width} overlap on {spec.n_sites} sites"
         )
+
+
+def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResult:
+    """Propagate the packet through the chain and measure R and T.
+
+    Each step applies a Chebyshev expansion of exp(-iH dt) on the Gershgorin
+    interval of H, accurate to rounding; ``times``/``norm_history`` hold one
+    sample per step end, and the guards below run at every step end.
+    R_meas is the probability left of the first node after the run,
+    T_meas the probability right of the last node, each augmented by the
+    probability its absorbing layer removed when absorbers are enabled.
+    Raises IntegratorDriftError when the norm of a decay-free run drifts, or
+    a dissipative step gains, more than DRIFT_TOL, and InsufficientChainError
+    when check_packet_layout rejects the packet or probability reaches the
+    chain ends with absorbers off.
+    """
+    check_packet_layout(spec, wp)
 
     n = spec.n_sites
     cap = np.zeros(n)

@@ -145,12 +145,11 @@ def _mode_index(k: complex, D: int) -> int | None:
     return None
 
 
-def quantized_momenta(D: int, n_max: int | None = None) -> list[float]:
-    """Perfect-mirror momenta pi n / D inside the band, n = 1..min(n_max, D-1)."""
+def quantized_momenta(D: int) -> list[float]:
+    """Perfect-mirror momenta pi n / D inside the band, n = 1..D-1."""
     if not (isinstance(D, int) and D >= 1):
         raise ValueError(f"node separation D must be an integer >= 1, got {D!r}")
-    top = D - 1 if n_max is None else min(n_max, D - 1)
-    return [math.pi * n / D for n in range(1, top + 1)]
+    return [math.pi * n / D for n in range(1, D)]
 
 
 def bound_profile(D: int, n: int) -> np.ndarray:

@@ -127,13 +127,7 @@ def loss_ratio(k: float, atom: AtomParams, lat: LatticeParams) -> float:
     return single_node_scatter(k, atom, lat).xi
 
 
-def two_node_scatter(
-    k: float,
-    cfg: TwoNodeConfig,
-    lat: LatticeParams,
-    *,
-    resonance_tol: float = RESONANCE_TOL,
-) -> ScatteringResult:
+def two_node_scatter(k: float, cfg: TwoNodeConfig, lat: LatticeParams) -> ScatteringResult:
     """Scatter off two nodes, the first at site 0 and the second at site D.
 
     Diverging potentials are resolved by their limits: a singular first node
@@ -164,7 +158,7 @@ def two_node_scatter(
 
     den = (b - v1) * (b - v2) - p * v1 * v2
     scale = max(abs(b) ** 2, abs(b * v1), abs(b * v2), abs(v1 * v2))
-    if abs(den) < resonance_tol * scale:
+    if abs(den) < RESONANCE_TOL * scale:
         raise ResonanceDenominatorError(
             f"two-node denominator vanished at k={k!r} (trapped-mode condition)"
         )

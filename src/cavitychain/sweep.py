@@ -129,7 +129,7 @@ def _oracle_chain(scenario: Scenario) -> ChainSpec:
     """Lattice-oracle chain of one point: first node at site 8, 8 sites past the last."""
     placements = tuple((8 + int(round(x)), atom) for x, atom in scenario.nodes)
     last = placements[-1][0] if placements else 8
-    return ChainSpec(max(16, last + 8), placements, scenario.lat, buffer=4)
+    return ChainSpec(max(16, last + 8), placements, scenario.lat)
 
 
 def amplitudes(params: dict, engine: str, limit: str | None):

@@ -71,15 +71,15 @@ class TestConfigParsing:
             "t", "omega", "kappa", "k", "k_min", "k_max",
             "axis1_min", "axis1_max", "axis2_min", "axis2_max",
             "k0", "sigma", "tmax", "absorber_strength",
-            "window_re_min", "window_re_max", "window_im_min", "window_im_max", "threshold",
+            "window_re_min", "window_re_max", "window_im_min", "window_im_max",
             "D", "k_count", "axis1_count", "axis2_count", "N", "site", "x0", "absorber_width",
             "profile_n", "mode_index", "draws", "seed",
-            "axis1", "axis2", "quantity", "engine", "limit", "negative_control",
+            "axis1", "axis2", "quantity", "limit", "negative_control",
             "wavepacket_check",
         }
         accepted = cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS | cli._BOOL_KEYS
         assert accepted == expected
-        assert len(cli._FLOAT_KEYS) == 35
+        assert len(cli._FLOAT_KEYS) == 34
 
     def test_bad_number(self):
         with pytest.raises(ConfigError):
@@ -177,15 +177,43 @@ class TestConfigCheckedBeforeComputing:
             ("wavepacket", [*WP_PLACED, "--set", "absorber_width=-5"]),
             ("wavepacket", [*WP_PLACED, "--set", "absorber_width=30",
                             "--set", "absorber_strength=-0.5"]),
+            # the packet must start 5 sigma clear of the left end and of the node
+            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "x0=10", "--set", "tmax=5"]),
+            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "x0=190", "--set", "tmax=5"]),
+            # no kernel or lattice chain on these paths models cavity leakage
+            ("spectrum", ["--config", "fig3a", "--set", "kappa=0.5"]),
+            ("map2d", ["--config", "fig4", "--set", "kappa=0.5"]),
+            ("quasibound", [*QB_SETS, "--set", "kappa=0.3"]),
+            ("oracle-check", ["--config", "oracle_check", "--set", "threshold=3"]),
+            ("spectrum", ["--config", "fig3a", "--set", "engine=oracle"]),
         ],
         ids=["re-window", "im-window", "profile_n", "mode_index", "sigma", "tmax",
              "no-draws", "negative-draws", "negative-seed", "limit", "quantity",
              "duplicate-axes", "no-momentum", "x0-alone", "tmax-alone",
-             "absorbers-unplaced", "overlapping-absorbers", "negative-width", "gain-layer"],
+             "absorbers-unplaced", "overlapping-absorbers", "negative-width", "gain-layer",
+             "x0-near-end", "x0-near-node", "kappa-spectrum", "kappa-map2d",
+             "kappa-quasibound", "threshold-key", "engine-key"],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, capsys, command, args):
         assert main([command, *args, "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("quasibound", [*QB_SETS, "--engine", "analytic"]),
+            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--engine", "oracle"]),
+            ("modes", ["--set", "t=2", "--set", "N=20", "--engine", "both"]),
+            ("oracle-check", ["--config", "oracle_check", "--engine", "analytic"]),
+        ],
+        ids=["quasibound", "wavepacket", "modes", "oracle-check-analytic"],
+    )
+    def test_engine_flag_only_where_it_selects(self, tmp_path, capsys, command, args):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

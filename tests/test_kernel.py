@@ -110,8 +110,7 @@ class TestLattice:
             sites = [0, int(gaps[0]), int(gaps.sum())]
             k = draw_momentum(rng)
             r, s, flag = chain_scatter(k, list(zip(sites, atoms)), lat)
-            spec = ChainSpec(sites[-1] + 24, tuple((12 + x, a) for x, a in zip(sites, atoms)),
-                             lat, buffer=4)
+            spec = ChainSpec(sites[-1] + 24, tuple((12 + x, a) for x, a in zip(sites, atoms)), lat)
             r_o, s_o = solve_stationary(spec, k)
             assert flag == FLAG_OK
             assert abs(r - r_o) <= 1e-12 and abs(s - s_o) <= 1e-12
@@ -154,7 +153,7 @@ class TestFlags:
         hits = 0
         for i, ki in enumerate(k):
             try:
-                ref = two_node_scatter(float(ki), cfg, LAT, resonance_tol=1.02)
+                ref = two_node_scatter(float(ki), cfg, LAT)
             except ResonanceDenominatorError:
                 hits += 1
                 assert flag[i] == FLAG_RESONANCE and (r[i], s[i]) == (-1.0, 0.0)

@@ -13,7 +13,6 @@ from cavitychain import (
     dispersion_energy,
     dispersion_energy_continued,
     effective_potential,
-    fwhm,
     in_band,
     momentum_from_energy,
 )
@@ -240,30 +239,3 @@ class TestDecomposition:
             direct = effective_potential(E, atom)
             assert abs(direct - dec.potential(E, atom.g)) <= 1e-10 * atom.g**2
             checked += 1
-
-
-class TestFwhm:
-    def test_equal_decay_kills_the_skew(self):
-        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.04, gamma=0.04)
-        assert fwhm(atom, zeta=0.7) == (0.04, 0.04)
-
-    def test_zero_zeta(self):
-        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.1, gamma=0.0)
-        assert fwhm(atom, zeta=0.0) == (0.05, 0.05)
-
-    def test_direct_substitution(self):
-        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.1, gamma=0.02)
-        f1, f2 = fwhm(atom, zeta=0.25)
-        assert f1 == pytest.approx(0.04)
-        assert f2 == pytest.approx(0.08)
-
-    def test_widths_sum_to_total_decay(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            atom = AtomParams(
-                omega_e=0.0, delta=0.0, Omega=1.0,
-                Gamma=rng.uniform(0, 1), gamma=rng.uniform(0, 1),
-            )
-            zeta = rng.uniform(-2, 2)
-            f1, f2 = fwhm(atom, zeta)
-            assert abs((f1 + f2) - (atom.Gamma + atom.gamma)) <= 4e-16

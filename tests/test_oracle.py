@@ -111,6 +111,35 @@ def _taylor_run(spec, wp, order=20):
     return _measure(spec, psi, takes)
 
 
+def _row_by_row_solve(spec, k):
+    """(r, s) from the stationary system written out entry by entry, row by row."""
+    E = dispersion_energy(k, spec.lat)
+    n, dim = spec.n_sites, spec.dimension
+    M = np.zeros((dim + 2, dim + 2), dtype=complex)
+    b = np.zeros(dim + 2, dtype=complex)
+    node_of_site = {site: m for m, site in enumerate(spec.sites)}
+    rows = []
+    for j in (0, 1):
+        rows.append({j: 1.0, dim: -np.exp(-1j * k * (j - spec.origin))})
+        b[j] = np.exp(1j * k * (j - spec.origin))
+    for j in range(1, n - 1):
+        row = {j - 1: -spec.lat.t, j: spec.lat.omega - 0.5j * spec.kappa - E, j + 1: -spec.lat.t}
+        if j in node_of_site:
+            row[n + 2 * node_of_site[j]] = spec.placements[node_of_site[j]][1].g
+        rows.append(row)
+    for j in (n - 2, n - 1):
+        rows.append({j: 1.0, dim + 1: -np.exp(1j * k * (j - spec.origin))})
+    for m, (site, atom) in enumerate(spec.placements):
+        e, a = n + 2 * m, n + 2 * m + 1
+        rows.append({e: atom.excited_level - E, site: atom.g, a: atom.Omega})
+        rows.append({a: atom.metastable_level - E, e: atom.Omega})
+    for i, row in enumerate(rows):
+        for j, value in row.items():
+            M[i, j] = value
+    sol = np.linalg.solve(M, b)
+    return complex(sol[dim]), complex(sol[dim + 1])
+
+
 class TestChainSpec:
     def test_minimum_size(self):
         with pytest.raises(PlacementError):
@@ -121,8 +150,6 @@ class TestChainSpec:
             ChainSpec(32, ((2, FIG3A_ATOM),), LAT)
         with pytest.raises(PlacementError):
             ChainSpec(32, ((30, FIG3A_ATOM),), LAT)
-        with pytest.raises(PlacementError):
-            ChainSpec(32, ((10, FIG3A_ATOM),), LAT, buffer=3)
 
     def test_duplicates_and_order(self):
         with pytest.raises(PlacementError):
@@ -231,8 +258,8 @@ class TestStationarySolve:
     def test_finite_size_independence(self):
         # constraint rows impose exact plane waves; size only affects conditioning
         atom = AtomParams(omega_e=0.4, delta=-0.7, Omega=1.3)
-        small = ChainSpec(48, ((24, atom),), LAT, buffer=8)
-        large = ChainSpec(96, ((48, atom),), LAT, buffer=8)
+        small = ChainSpec(48, ((24, atom),), LAT)
+        large = ChainSpec(96, ((48, atom),), LAT)
         for k in (0.5, 1.3, 2.7):
             r1, s1 = solve_stationary(small, k)
             r2, s2 = solve_stationary(large, k)
@@ -276,6 +303,18 @@ class TestStationarySolve:
         H = build_hamiltonian(spec)
         residual = H @ vec - E * vec
         assert np.max(np.abs(residual[5 : 36])) <= 1e-9
+
+    def test_same_bits_as_the_row_by_row_system(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            decay = bool(rng.integers(0, 2))
+            sites = sorted({int(x) for x in rng.integers(6, 30, size=rng.integers(0, 4))})
+            atoms = [draw_atom(rng, two_level=bool(rng.integers(0, 2)), decay=decay)
+                     for _ in sites]
+            kappa = rng.uniform(0.0, 0.2) if decay else 0.0
+            spec = ChainSpec(36, tuple(zip(sites, atoms)), draw_lattice(rng), kappa=kappa)
+            k = draw_momentum(rng)
+            assert solve_stationary(spec, k) == _row_by_row_solve(spec, k)
 
 
 class TestEigenmodes:
@@ -454,6 +493,29 @@ class TestWavepacket:
         spec = ChainSpec(64, ((32, FIG3A_ATOM),), LAT)
         with pytest.raises(InsufficientChainError):
             design_wavepacket(spec, 1.3, 20.0)
+
+    @pytest.mark.parametrize(
+        "atoms, k0, sigma, D, layout",
+        [
+            ((FIG3A_ATOM,), 1.318, 4, 1, (151, (92,), 58, "16.26701767920555")),
+            ((FIG3A_ATOM, FIG3A_ATOM), 1.40, 4, 12, (163, (92, 104), 58, "19.02684574302899")),
+            ((FIG3A_ATOM,), 2.2, 20, 1, (631, (380,), 250, "78.85007242929596")),
+        ],
+        ids=["one-node", "two-nodes", "wide-packet"],
+    )
+    def test_designed_layouts_are_pinned(self, atoms, k0, sigma, D, layout):
+        spec, wp = design_scattering_run(atoms, LAT, k0, sigma, D=D)
+        assert (spec.n_sites, spec.sites, wp.x0, repr(wp.tmax)) == layout
+
+    def test_design_raises_one_site_short_of_either_end(self):
+        # sigma 4 keeps 29 sites clear: the first node needs site 87 and the
+        # chain at least 54 more sites than the last node's index
+        design_wavepacket(ChainSpec(200, ((87, FIG3A_ATOM),), LAT), 1.3, 4.0)
+        with pytest.raises(InsufficientChainError, match="on the left"):
+            design_wavepacket(ChainSpec(200, ((86, FIG3A_ATOM),), LAT), 1.3, 4.0)
+        design_wavepacket(ChainSpec(141, ((87, FIG3A_ATOM),), LAT), 1.3, 4.0)
+        with pytest.raises(InsufficientChainError, match="on the right"):
+            design_wavepacket(ChainSpec(140, ((87, FIG3A_ATOM),), LAT), 1.3, 4.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

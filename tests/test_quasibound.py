@@ -127,12 +127,6 @@ class TestQuantizedMomenta:
     def test_single_interior_site(self):
         assert quantized_momenta(2) == [math.pi / 2]
 
-    def test_n_max_clipping(self):
-        assert quantized_momenta(10, n_max=3) == pytest.approx(
-            [math.pi / 10, 2 * math.pi / 10, 3 * math.pi / 10]
-        )
-        assert quantized_momenta(4, n_max=99) == quantized_momenta(4)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             quantized_momenta(0)

@@ -20,6 +20,7 @@ from cavitychain import (
     limit_scatter,
     loss_ratio,
     momentum_from_energy,
+    scattering,
     single_node_scatter,
     two_node_scatter,
 )
@@ -216,10 +217,11 @@ class TestTwoNode:
             assert res.r == pytest.approx(ref.r, abs=1e-12)
             assert res.s == pytest.approx(ref.s, abs=1e-12)
 
-    def test_resonance_denominator_guard(self):
+    def test_resonance_denominator_guard(self, monkeypatch):
+        monkeypatch.setattr(scattering, "RESONANCE_TOL", 10.0)
         cfg = TwoNodeConfig(FIG3A_ATOM, FIG3A_ATOM, D=4)
         with pytest.raises(ResonanceDenominatorError):
-            two_node_scatter(1.1, cfg, LAT, resonance_tol=10.0)
+            two_node_scatter(1.1, cfg, LAT)
 
     def test_separation_validation(self):
         with pytest.raises(ValueError):
