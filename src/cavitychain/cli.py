@@ -1,6 +1,7 @@
 """Command line front end: parse flat key=value configs, dispatch, serialize.
 
 Subcommands: spectrum, map2d, quasibound, wavepacket, oracle-check, modes.
+``_COMMAND_KEYS`` lists the config keys each one reads; it rejects any other.
 Every command writes CSV with a mandatory header, LF newlines and floats at
 17 significant digits (binary64 round-trips bit-exactly), plus a
 ``<out>.meta.json`` sidecar carrying the parameters, engine, tolerances,
@@ -51,22 +52,28 @@ from .sweep import (
     reduce_delta,
 )
 
-_FLOAT_KEYS = {
-    "t", "omega", "kappa",
-    *(key + suffix for key in _NODE_KEYS for suffix in ("", "2")),
-    "k", "k_min", "k_max",
-    "axis1_min", "axis1_max", "axis2_min", "axis2_max",
-    "k0", "sigma", "tmax", "absorber_strength",
-    "window_re_min", "window_re_max", "window_im_min", "window_im_max",
+#: Keys of the lattice and its nodes; every command but ``oracle-check`` reads them.
+_CHAIN_KEYS = {"t": float, "omega": float, "D": int,
+               **{key + suffix: float for key in _NODE_KEYS for suffix in ("", "2")}}
+_LIMITS = ("high", "low")
+
+#: The keys each command reads, each with its type or its tuple of allowed strings.
+_COMMAND_KEYS = {
+    "spectrum": {**_CHAIN_KEYS, "k_min": float, "k_max": float, "k_count": int,
+                 "limit": _LIMITS},
+    "map2d": {**_CHAIN_KEYS, "k": float, "quantity": QUANTITIES, "limit": _LIMITS,
+              **{f"axis{i}{part}": kind for i in (1, 2) for part, kind
+                 in (("", str), ("_min", float), ("_max", float), ("_count", int))}},
+    "quasibound": {**_CHAIN_KEYS, "profile_n": int,
+                   **{f"window_{part}_{end}": float for part in ("re", "im")
+                      for end in ("min", "max")}},
+    "wavepacket": {**_CHAIN_KEYS, "kappa": float, "N": int, "site": int, "k0": float,
+                   "sigma": float, "x0": int, "tmax": float, "absorber_width": int,
+                   "absorber_strength": float},
+    "modes": {**_CHAIN_KEYS, "kappa": float, "N": int, "site": int, "mode_index": int},
+    "oracle-check": {"draws": int, "seed": int, "negative_control": ("r-sign",),
+                     "wavepacket_check": bool},
 }
-_INT_KEYS = {
-    "D", "k_count", "axis1_count", "axis2_count",
-    "N", "site", "x0", "absorber_width",
-    "profile_n", "mode_index",
-    "draws", "seed",
-}
-_STR_KEYS = {"axis1", "axis2", "quantity", "limit", "negative_control"}
-_BOOL_KEYS = {"wavepacket_check"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -94,28 +101,33 @@ def load_config(name_or_path: str) -> dict[str, str]:
     raise ConfigError(f"config {name_or_path!r} is neither a file nor a bundled fixture")
 
 
-def coerce_config(raw: dict[str, str]) -> dict:
-    """Type the raw strings and reject unknown keys."""
+def coerce_config(raw: dict[str, str], command: str) -> dict:
+    """Type the raw strings, reject keys ``command`` does not read, check momenta in (0, pi)."""
+    keys = _COMMAND_KEYS[command]
     cfg: dict = {}
     for key, value in raw.items():
-        if key in _FLOAT_KEYS:
-            try:
-                cfg[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: {value!r} is not a number") from exc
-        elif key in _INT_KEYS:
-            try:
-                cfg[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: {value!r} is not an integer") from exc
-        elif key in _STR_KEYS:
+        kind = keys.get(key)
+        if kind is None:
+            if any(key in other for other in _COMMAND_KEYS.values()):
+                raise ConfigError(f"{command} does not read the configuration key {key!r}")
+            raise ConfigError(f"unknown configuration key {key!r}")
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ConfigError(f"key {key!r}: {value!r} is not one of {kind}")
             cfg[key] = value
-        elif key in _BOOL_KEYS:
+        elif kind is bool:
             if value.lower() not in ("true", "false", "0", "1"):
                 raise ConfigError(f"key {key!r}: {value!r} is not a boolean")
             cfg[key] = value.lower() in ("true", "1")
         else:
-            raise ConfigError(f"unknown configuration key {key!r}")
+            try:
+                cfg[key] = kind(value)
+            except ValueError as exc:
+                noun = "an integer" if kind is int else "a number"
+                raise ConfigError(f"key {key!r}: {value!r} is not {noun}") from exc
+    for key in ("k", "k0", "k_min", "k_max"):
+        if key in cfg and not 0.0 < cfg[key] < math.pi:
+            raise ConfigError(f"{key} must lie in the open interval (0, pi)")
     return cfg
 
 
@@ -124,15 +136,6 @@ def _scenario(cfg: dict) -> Scenario:
         return build_scenario(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _validate(cfg: dict) -> None:
-    """Build the lattice and nodes, when the config has a lattice, so invariants fire early."""
-    if "t" in cfg:
-        _scenario(cfg)
-    for key in ("k", "k0", "k_min", "k_max"):
-        if key in cfg and not 0.0 < cfg[key] < math.pi:
-            raise ConfigError(f"{key} must lie in the open interval (0, pi)")
 
 
 @functools.cache
@@ -224,8 +227,6 @@ def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
                                cfg.get(f"{slot}_count", 100)))
         if not bounds:
             raise ConfigError("map2d needs at least axis1")
-        if cfg.get("quantity", "R") not in QUANTITIES:
-            raise ConfigError(f"unknown quantity {cfg['quantity']!r}; choose from {QUANTITIES}")
     try:
         axes = tuple(AxisSpec(*b) for b in bounds)
     except ValueError as exc:
@@ -236,8 +237,6 @@ def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
         raise ConfigError(f"duplicate axis names {names}")
     if "k" not in names and "k" not in cfg:
         raise ConfigError("no momentum: give k or a k axis")
-    if cfg.get("limit", "high") not in ("high", "low"):
-        raise ConfigError(f"limit must be 'high' or 'low', got {cfg['limit']!r}")
     if "limit" in cfg and engine != "analytic":
         raise ConfigError("a limit lineshape has no lattice-oracle counterpart; "
                           "use --engine analytic")
@@ -431,7 +430,7 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
     if draws < 1 or seed < 0:
         raise ConfigError(f"oracle-check needs draws >= 1 and seed >= 0, got {draws} and {seed}")
     rng = np.random.default_rng(seed)
-    corrupt = cfg.get("negative_control", "") == "r-sign"
+    corrupt = "negative_control" in cfg
     drawn = [_agreement_draw(rng, i % 3 == 2) for i in range(draws)]
     r_a, s_a, r_o, s_o = (np.empty(draws, complex) for _ in range(4))
     for two_nodes in (False, True):  # one stack of draws per node count
@@ -530,9 +529,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         raw[key.strip()] = value.strip()
-    cfg = coerce_config(raw)
-    _validate(cfg)
-    return cfg
+    return coerce_config(raw, args.command)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -541,8 +538,6 @@ def main(argv: list[str] | None = None) -> int:
     logging.getLogger(__package__).setLevel(args.log_level)
     try:
         cfg = _merge_config(args)
-        if "kappa" in cfg and args.command not in ("wavepacket", "modes"):
-            raise ConfigError(f"{args.command} has no cavity leakage; kappa is for wavepacket and modes")
         out = Path(args.out) if args.out else None
         if args.command in ("spectrum", "map2d"):
             return cmd_grid(args.command, cfg, out, args.engine)

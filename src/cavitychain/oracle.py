@@ -168,20 +168,14 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return H
 
 
-def solve_stationary(
-    spec: ChainSpec,
-    k: float,
-    *,
-    return_state: bool = False,
-) -> tuple[complex, complex] | tuple[complex, complex, np.ndarray]:
+def solve_stationary(spec: ChainSpec, k: float) -> tuple[complex, complex]:
     """Solve the full stationary scattering system for (r, s) at momentum k.
 
     The system is (H - E) u = 0 on the bulk sites and the node levels, with
     H from ``build_hamiltonian``, so the node amplitudes stay in it (nothing
     is eliminated).  Four constraint rows pin two probe sites per end to the
     plane-wave form, which is exact on the free chain, so the result is
-    N-independent up to conditioning.  ``return_state`` adds the stationary
-    state as a vector in ``build_hamiltonian``'s basis.
+    N-independent up to conditioning.
     """
     E = dispersion_energy(k, spec.lat)
     n, dim = spec.n_sites, spec.dimension
@@ -203,10 +197,7 @@ def solve_stationary(
         M[row, dim + 1] = -np.exp(1j * k * (j - origin))
 
     sol = np.linalg.solve(M, b)
-    r, s = complex(sol[dim]), complex(sol[dim + 1])
-    if not return_state:
-        return r, s
-    return r, s, sol[:dim]
+    return complex(sol[dim]), complex(sol[dim + 1])
 
 
 def eigenmodes(spec: ChainSpec) -> list[EigenMode]:

@@ -28,6 +28,17 @@ def column(header, rows, name, cast=float):
     return [cast(row[idx]) for row in rows]
 
 
+def sets(*items):
+    """One ``--set`` argument pair per key=value item."""
+    return [arg for item in items for arg in ("--set", item)]
+
+
+#: The chain keys of fixtures fig3a and fig6a, for commands that read no grid keys.
+FIG3A_NODE = ["t=2", "omega=1", "omega_e=1", "delta=0", "Omega=1", "g=1"]
+FIG6A_NODES = ["t=1", "omega=1", "omega_e=2", "Omega=0", "g=1",
+               "omega_e2=2", "Omega2=0", "g2=1", "D=4"]
+
+
 class TestConfigParsing:
     def test_comments_and_blanks(self):
         raw = parse_config_text("# header\n\nt = 2  # hopping\nomega=1\n")
@@ -38,8 +49,8 @@ class TestConfigParsing:
             parse_config_text("t 2\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            coerce_config({"hopping": "2"})
+        with pytest.raises(ConfigError, match="unknown configuration key 'hopping'"):
+            coerce_config({"hopping": "2"}, "spectrum")
 
     def test_workers_key_is_unknown(self, tmp_path, capsys):
         # only the --workers flag survives the process pool, as a no-op
@@ -60,11 +71,13 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_typed_values(self):
-        cfg = coerce_config({"t": "2.5", "D": "4", "quantity": "R", "wavepacket_check": "false"})
-        assert cfg == {"t": 2.5, "D": 4, "quantity": "R", "wavepacket_check": False}
+        cfg = coerce_config({"t": "2.5", "D": "4", "quantity": "R", "axis1": "Omega"}, "map2d")
+        assert cfg == {"t": 2.5, "D": 4, "quantity": "R", "axis1": "Omega"}
+        cfg = coerce_config({"wavepacket_check": "false", "draws": "5"}, "oracle-check")
+        assert cfg == {"wavepacket_check": False, "draws": 5}
 
     def test_accepted_keys(self):
-        # the node keys are derived from the node vocabulary; the set stays fixed
+        # one table of the keys each command reads; node keys derive from the node vocabulary
         node = ["omega_e", "delta", "omega_a", "omega_C", "Omega", "g", "Gamma", "gamma"]
         expected = {
             *node, *(key + "2" for key in node),
@@ -77,13 +90,21 @@ class TestConfigParsing:
             "axis1", "axis2", "quantity", "limit", "negative_control",
             "wavepacket_check",
         }
-        accepted = cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS | cli._BOOL_KEYS
-        assert accepted == expected
-        assert len(cli._FLOAT_KEYS) == 34
+        table = cli._COMMAND_KEYS
+        assert set().union(*table.values()) == expected
+        assert {command: len(keys) for command, keys in table.items()} == {
+            "spectrum": 23, "map2d": 30, "quasibound": 24, "wavepacket": 28, "modes": 23,
+            "oracle-check": 4,
+        }
+        kinds = {key: {keys[key] for keys in table.values() if key in keys} for key in expected}
+        assert all(len(kind) == 1 for kind in kinds.values())  # a key has one type everywhere
+        assert sum(kind == {float} for kind in kinds.values()) == 34
 
     def test_bad_number(self):
-        with pytest.raises(ConfigError):
-            coerce_config({"t": "fast"})
+        with pytest.raises(ConfigError, match="'fast' is not a number"):
+            coerce_config({"t": "fast"}, "spectrum")
+        with pytest.raises(ConfigError, match="'4.5' is not an integer"):
+            coerce_config({"N": "4.5"}, "modes")
 
     def test_bundled_fixture_loads(self):
         raw = load_config("fig3a")
@@ -93,6 +114,22 @@ class TestConfigParsing:
     def test_missing_config(self):
         with pytest.raises(ConfigError):
             load_config("no_such_fixture")
+
+    @pytest.mark.parametrize(
+        "fixture, command, overrides",
+        [
+            *(("fig" + name, "spectrum", []) for name in ("3a", "3b", "5a", "5b", "6a", "7")),
+            ("fig4", "map2d", []),
+            ("fig6b", "map2d", []),
+            ("oracle_check", "oracle-check", ["draws=5", "wavepacket_check=false"]),
+        ],
+    )
+    def test_bundled_fixture_runs_under_its_command(self, tmp_path, fixture, command, overrides):
+        # no fixture carries a key its command would reject as unread
+        out = tmp_path / "x.csv"
+        argv = [command, "--config", fixture, *sets(*overrides), "--out", str(out)]
+        assert main(argv) == 0
+        assert out.exists()
 
 
 class TestValidation:
@@ -107,12 +144,10 @@ class TestValidation:
         )
         assert code == 2
 
-    def test_bad_separation_rejected(self, tmp_path):
-        code = main(
-            ["quasibound", "--config", "fig3a", "--set", "D=0",
-             "--out", str(tmp_path / "x.csv")]
-        )
+    def test_bad_separation_rejected(self, tmp_path, capsys):
+        code = main(["quasibound", *sets(*FIG3A_NODE, "D=0"), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+        assert "node separation D must be >= 1" in capsys.readouterr().err
 
     def test_momentum_bounds_checked(self, tmp_path):
         code = main(
@@ -122,18 +157,24 @@ class TestValidation:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "command, overrides",
+        "command, overrides, fragment",
         [
-            ("spectrum", ["k_min=0.5", "k_max=3.2"]),
-            ("map2d", ["axis1=k", "axis1_min=0", "axis1_max=3.2", "axis1_count=5"]),
-            ("map2d", ["axis1=D", "axis1_min=0", "axis1_max=4", "axis1_count=5"]),
+            ("spectrum", ["--config", "fig3a", *sets("k_min=0.5", "k_max=3.2")],
+             "k_max must lie in the open interval (0, pi)"),
+            ("map2d", sets(*FIG3A_NODE, "axis1=k", "axis1_min=0", "axis1_max=3.2", "axis1_count=5"),
+             "a k axis must lie in (0, pi)"),
+            ("map2d", ["--config", "fig6b",
+                       *sets("axis1=D", "axis1_min=0", "axis1_max=4", "axis1_count=5")],
+             "a D axis must start at 1"),
         ],
+        ids=["spectrum-overrides0", "map2d-overrides1", "map2d-overrides2"],
     )
-    def test_out_of_domain_axes_fail_without_output(self, tmp_path, command, overrides):
+    def test_out_of_domain_axes_fail_without_output(
+        self, tmp_path, capsys, command, overrides, fragment
+    ):
         out = tmp_path / "x.csv"
-        config = "fig6b" if "axis1=D" in overrides else "fig3a"
-        sets = [arg for item in overrides for arg in ("--set", item)]
-        assert main([command, "--config", config, *sets, "--out", str(out)]) == 2
+        assert main([command, *overrides, "--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
         assert not out.exists()
 
     def test_conflicting_detuning_inputs(self, tmp_path):
@@ -144,59 +185,88 @@ class TestValidation:
         assert code == 2
 
 
-QB_SETS = ["--config", "fig3a", "--set", "D=10"]
+QB_SETS = sets(*FIG3A_NODE, "D=10")
 WP_SETS = ["--set", "t=2", "--set", "omega=1", "--set", "omega_e=1", "--set", "Omega=1",
            "--set", "N=420", "--set", "site=210", "--set", "k0=2.2"]
 WP_PLACED = [*WP_SETS, "--set", "sigma=8", "--set", "x0=100", "--set", "tmax=100"]
-OMEGA_AXIS = ["--set", "axis1=Omega", "--set", "axis1_min=0", "--set", "axis1_max=1"]
+OMEGA_AXIS = sets("axis1=Omega", "axis1_min=0", "axis1_max=1")
 
 
 class TestConfigCheckedBeforeComputing:
     @pytest.mark.parametrize(
-        "command, args",
+        "command, args, fragment",
         [
-            ("quasibound", [*QB_SETS, "--set", "window_re_min=2", "--set", "window_re_max=1"]),
-            ("quasibound", [*QB_SETS, "--set", "window_im_min=0", "--set", "window_im_max=0"]),
-            ("quasibound", [*QB_SETS, "--set", "profile_n=0"]),
-            ("modes", ["--set", "t=2", "--set", "N=20", "--set", "mode_index=99"]),
-            ("wavepacket", [*WP_SETS, "--set", "sigma=2"]),
-            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "x0=100", "--set", "tmax=-1"]),
-            ("oracle-check", ["--config", "oracle_check", "--set", "draws=0"]),
-            ("oracle-check", ["--config", "oracle_check", "--set", "draws=-3"]),
-            ("oracle-check", ["--config", "oracle_check", "--set", "seed=-1"]),
-            ("spectrum", ["--config", "fig3a", "--set", "limit=bogus"]),
-            ("map2d", ["--config", "fig4", "--set", "quantity=phase"]),
-            ("map2d", ["--config", "fig3a", "--set", "k=1.2", *OMEGA_AXIS,
-                       "--set", "axis2=Omega", "--set", "axis2_min=0", "--set", "axis2_max=1"]),
-            ("map2d", ["--config", "fig3a", *OMEGA_AXIS]),
-            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "x0=60"]),
-            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "tmax=5"]),
-            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "absorber_width=30",
-                            "--set", "absorber_strength=5"]),
-            ("wavepacket", [*WP_PLACED, "--set", "absorber_width=1000"]),
-            ("wavepacket", [*WP_PLACED, "--set", "absorber_width=-5"]),
-            ("wavepacket", [*WP_PLACED, "--set", "absorber_width=30",
-                            "--set", "absorber_strength=-0.5"]),
+            ("quasibound", [*QB_SETS, *sets("window_re_min=2", "window_re_max=1")],
+             "window_re_min must be below window_re_max"),
+            ("quasibound", [*QB_SETS, *sets("window_im_min=0", "window_im_max=0")],
+             "window_im_min must be below window_im_max"),
+            ("quasibound", [*QB_SETS, *sets("profile_n=0")], "profile_n: mode index"),
+            ("modes", sets("t=2", "N=20", "mode_index=99"), "mode_index 99 outside 0..19"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=2")], "sigma must be >= 4 sites"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "x0=100", "tmax=-1")],
+             "tmax must be positive"),
+            ("oracle-check", ["--config", "oracle_check", *sets("draws=0")], "got 0 and"),
+            ("oracle-check", ["--config", "oracle_check", *sets("draws=-3")], "got -3 and"),
+            ("oracle-check", ["--config", "oracle_check", *sets("seed=-1")], "and -1"),
+            ("spectrum", ["--config", "fig3a", *sets("limit=bogus")],
+             "key 'limit': 'bogus' is not one of ('high', 'low')"),
+            ("map2d", ["--config", "fig4", *sets("quantity=phase")],
+             "key 'quantity': 'phase' is not one of ('R', "),
+            ("map2d", [*sets(*FIG3A_NODE, "k=1.2"), *OMEGA_AXIS,
+                       *sets("axis2=Omega", "axis2_min=0", "axis2_max=1")],
+             "duplicate axis names ['Omega', 'Omega']"),
+            ("map2d", [*sets(*FIG3A_NODE), *OMEGA_AXIS], "no momentum: give k or a k axis"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "x0=60")], "x0 and tmax together"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "tmax=5")], "x0 and tmax together"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "absorber_width=30",
+                                            "absorber_strength=5")],
+             "absorbing layers need an explicit x0 and tmax"),
+            ("wavepacket", [*WP_PLACED, *sets("absorber_width=1000")],
+             "absorbing layers of width 1000 overlap on 420 sites"),
+            ("wavepacket", [*WP_PLACED, *sets("absorber_width=-5")], "got -5 and 0.2"),
+            ("wavepacket", [*WP_PLACED, *sets("absorber_width=30", "absorber_strength=-0.5")],
+             "got 30 and -0.5"),
             # the packet must start 5 sigma clear of the left end and of the node
-            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "x0=10", "--set", "tmax=5"]),
-            ("wavepacket", [*WP_SETS, "--set", "sigma=8", "--set", "x0=190", "--set", "tmax=5"]),
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "x0=10", "tmax=5")],
+             "closer than 5 sigma to the left end"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "x0=190", "tmax=5")],
+             "closer than 5 sigma to the first node"),
             # no kernel or lattice chain on these paths models cavity leakage
-            ("spectrum", ["--config", "fig3a", "--set", "kappa=0.5"]),
-            ("map2d", ["--config", "fig4", "--set", "kappa=0.5"]),
-            ("quasibound", [*QB_SETS, "--set", "kappa=0.3"]),
-            ("oracle-check", ["--config", "oracle_check", "--set", "threshold=3"]),
-            ("spectrum", ["--config", "fig3a", "--set", "engine=oracle"]),
+            ("spectrum", ["--config", "fig3a", *sets("kappa=0.5")],
+             "spectrum does not read the configuration key 'kappa'"),
+            ("map2d", ["--config", "fig4", *sets("kappa=0.5")],
+             "map2d does not read the configuration key 'kappa'"),
+            ("quasibound", [*QB_SETS, *sets("kappa=0.3")],
+             "quasibound does not read the configuration key 'kappa'"),
+            ("oracle-check", ["--config", "oracle_check", *sets("threshold=3")],
+             "unknown configuration key 'threshold'"),
+            ("spectrum", ["--config", "fig3a", *sets("engine=oracle")],
+             "unknown configuration key 'engine'"),
+            # keys another command reads, and a misspelt negative control
+            ("oracle-check", ["--config", "oracle_check", *sets(
+                "draws=5", "wavepacket_check=false", "t=2", "omega_e=9", "k0=1.0")],
+             "oracle-check does not read the configuration key 't'"),
+            ("modes", sets("t=2", "N=20", "k=1.0", "sigma=3", "draws=7"),
+             "modes does not read the configuration key 'k'"),
+            ("spectrum", ["--config", "fig3a", *sets("k=1.0")],
+             "spectrum does not read the configuration key 'k'"),
+            ("oracle-check", sets("negative_control=r_sign"),
+             "key 'negative_control': 'r_sign' is not one of ('r-sign',)"),
         ],
         ids=["re-window", "im-window", "profile_n", "mode_index", "sigma", "tmax",
              "no-draws", "negative-draws", "negative-seed", "limit", "quantity",
              "duplicate-axes", "no-momentum", "x0-alone", "tmax-alone",
              "absorbers-unplaced", "overlapping-absorbers", "negative-width", "gain-layer",
              "x0-near-end", "x0-near-node", "kappa-spectrum", "kappa-map2d",
-             "kappa-quasibound", "threshold-key", "engine-key"],
+             "kappa-quasibound", "threshold-key", "engine-key",
+             "oracle-check-chain-keys", "modes-packet-keys", "spectrum-k", "negative-control-typo"],
     )
-    def test_bad_config_exits_2_without_output(self, tmp_path, capsys, command, args):
+    def test_bad_config_exits_2_without_output(self, tmp_path, capsys, command, args, fragment):
         assert main([command, *args, "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert fragment in captured.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -319,20 +389,18 @@ class TestSpectrumCommand:
         self, tmp_path, command, engine, capsys
     ):
         out = tmp_path / "x.csv"
-        sets = [] if command == "spectrum" else [
-            "axis1=k", "axis1_min=1.4", "axis1_max=1.7", "axis1_count=3"]
-        argv = [command, "--config", "fig5a", "--engine", engine,
-                *(a for s in sets for a in ("--set", s))]
-        assert main([*argv, "--out", str(out)]) == 2
+        config = ["--config", "fig5a"] if command == "spectrum" else sets(
+            *FIG3A_NODE, "limit=high", "axis1=k", "axis1_min=1.4", "axis1_max=1.7", "axis1_count=3")
+        assert main([command, *config, "--engine", engine, "--out", str(out)]) == 2
         assert "no lattice-oracle counterpart" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "map2d"])
     def test_missing_hopping_fails_before_computing(self, tmp_path, command, capsys):
         out = tmp_path / "x.csv"
-        sets = ["omega_e=1", "k=1.2", "axis1=Omega", "axis1_min=0", "axis1_max=1"]
-        argv = [command, *(a for s in sets for a in ("--set", s)), "--out", str(out)]
-        assert main(argv) == 2
+        grid = ["k_min=1.2"] if command == "spectrum" else [
+            "k=1.2", "axis1=Omega", "axis1_min=0", "axis1_max=1"]
+        assert main([command, *sets("omega_e=1", *grid), "--out", str(out)]) == 2
         assert "missing required key 't'" in capsys.readouterr().err
         assert not out.exists()
 
@@ -352,10 +420,9 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("command", ["spectrum", "map2d"])
     def test_limit_grid_outside_the_window_fails_without_output(self, tmp_path, command, capsys):
         out = tmp_path / "x.csv"
-        sets = ["k_max=1.9"] if command == "spectrum" else [
-            "axis1=k", "axis1_min=1.3", "axis1_max=1.9", "axis1_count=5"]
-        argv = [command, "--config", "fig5a", *(a for s in sets for a in ("--set", s))]
-        assert main([*argv, "--out", str(out)]) == 2
+        config = ["--config", "fig5a", *sets("k_max=1.9")] if command == "spectrum" else sets(
+            *FIG3A_NODE, "limit=high", "axis1=k", "axis1_min=1.3", "axis1_max=1.9", "axis1_count=5")
+        assert main([command, *config, "--out", str(out)]) == 2
         assert "high-energy window" in capsys.readouterr().err
         assert not out.exists()
 
@@ -428,9 +495,8 @@ class TestMap2dCommand:
         spectrum, k_map = tmp_path / "s.csv", tmp_path / "m.csv"
         grid = ["k_min=0.2", "k_max=2.9", "k_count=301"]
         axis = ["axis1=k", "axis1_min=0.2", "axis1_max=2.9", "axis1_count=301", "quantity=R"]
-        for out, command, sets in ((spectrum, "spectrum", grid), (k_map, "map2d", axis)):
-            argv = [command, "--config", "fig6a", *(a for s in sets for a in ("--set", s))]
-            assert main([*argv, "--out", str(out)]) == 0
+        for out, command, keys in ((spectrum, "spectrum", grid), (k_map, "map2d", axis)):
+            assert main([command, *sets(*FIG6A_NODES, *keys), "--out", str(out)]) == 0
         s_header, s_rows = read_csv(spectrum)
         m_header, m_rows = read_csv(k_map)
         assert column(s_header, s_rows, "k", str) == column(m_header, m_rows, "k", str)
@@ -495,16 +561,14 @@ class TestQuasiboundCommand:
 
     def test_seed_grid_keys_are_unknown(self, tmp_path, capsys):
         for key in ("seeds_re", "seeds_im"):
-            code = main(
-                ["quasibound", "--config", "fig3a", "--set", "D=10", "--set", f"{key}=8",
-                 "--out", str(tmp_path / "x.csv")]
-            )
+            code = main(["quasibound", *QB_SETS, "--set", f"{key}=8",
+                         "--out", str(tmp_path / "x.csv")])
             assert code == 2
             assert f"unknown configuration key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_log_level_debug_emits_search_records(self, tmp_path, caplog):
-        argv = ["quasibound", "--config", "fig3a", "--set", "D=10", "--out", str(tmp_path / "x.csv")]
+        argv = ["quasibound", *QB_SETS, "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 0
         assert not [r for r in caplog.records if r.name == "cavitychain.quasibound"]
         assert main(argv + ["--log-level", "DEBUG"]) == 0

@@ -292,18 +292,6 @@ class TestStationarySolve:
         assert abs(r - res.r) <= 1e-9
         assert abs(s - res.s) <= 1e-9
 
-    def test_returned_state_solves_the_eigenproblem(self):
-        spec = ChainSpec(41, ((20, FIG3A_ATOM),), LAT)
-        k = 1.3
-        E = dispersion_energy(k, LAT)
-        r, s, vec = solve_stationary(spec, k, return_state=True)
-        assert (r, s) == solve_stationary(spec, k)
-        assert vec.shape == (spec.dimension,)
-        # interior bulk rows away from probes must satisfy (H - E) u = 0
-        H = build_hamiltonian(spec)
-        residual = H @ vec - E * vec
-        assert np.max(np.abs(residual[5 : 36])) <= 1e-9
-
     def test_same_bits_as_the_row_by_row_system(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
