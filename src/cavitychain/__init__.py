@@ -13,6 +13,7 @@ from .errors import (
     IntegratorDriftError,
     LimitWindowError,
     NoSolutionError,
+    OracleResidualError,
     OutOfBandError,
     PlacementError,
     ResonanceDenominatorError,
@@ -61,51 +62,3 @@ from .scattering import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AtomParams",
-    "CavityChainError",
-    "ChainSpec",
-    "ConfigError",
-    "DegenerateDecompositionError",
-    "EigenMode",
-    "InsufficientChainError",
-    "IntegratorDriftError",
-    "LatticeParams",
-    "LimitWindowError",
-    "NoSolutionError",
-    "OutOfBandError",
-    "PlacementError",
-    "PotentialDecomposition",
-    "QuasiboundMode",
-    "ResonanceDenominatorError",
-    "ScatteringResult",
-    "SingularPotentialError",
-    "TwoNodeConfig",
-    "UnverifiedRootError",
-    "WavepacketResult",
-    "WavepacketSpec",
-    "bound_profile",
-    "build_hamiltonian",
-    "chain_scatter",
-    "decompose_potential",
-    "design_wavepacket",
-    "dispersion_energy",
-    "dispersion_energy_continued",
-    "effective_potential",
-    "eigenmodes",
-    "find_perfect_reflection",
-    "find_perfect_transmission",
-    "find_quasibound_modes",
-    "in_band",
-    "limit_scatter",
-    "loss_ratio",
-    "momentum_from_energy",
-    "propagate_wavepacket",
-    "quantized_momenta",
-    "quasibound_residual",
-    "single_node_scatter",
-    "solve_stationary",
-    "two_node_scatter",
-    "__version__",
-]

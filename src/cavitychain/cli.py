@@ -29,6 +29,7 @@ from .errors import CavityChainError, ConfigError, InsufficientChainError, Limit
 from .model import SINGULAR_TOL, AtomParams, LatticeParams
 from .oracle import (
     DRIFT_TOL,
+    RESIDUAL_TOL,
     ChainSpec,
     WavepacketSpec,
     check_packet_layout,
@@ -172,6 +173,7 @@ def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict | None = None)
             "singular_tol": SINGULAR_TOL,
             "oracle_gate": ORACLE_GATE,
             "drift_tol": DRIFT_TOL,
+            "oracle_residual_tol": RESIDUAL_TOL,
         },
         "tool_version": __version__,
         "git_hash": _git_hash(),

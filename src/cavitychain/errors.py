@@ -63,5 +63,9 @@ class IntegratorDriftError(CavityChainError):
     """Time integration lost more norm than the decay-free budget allows."""
 
 
+class OracleResidualError(CavityChainError):
+    """A lattice-oracle solve left a residual above the oracle's bound."""
+
+
 class ConfigError(CavityChainError):
     """Invalid or unknown run-configuration entry."""

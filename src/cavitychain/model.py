@@ -145,11 +145,13 @@ class PotentialDecomposition:
         return (self.omega_plus, self.omega_minus)
 
 
-def dispersion_energy(k: float, lat: LatticeParams) -> float:
-    """Band energy E = omega - 2 t cos k for real momentum k in (0, pi)."""
-    if not 0.0 < k < math.pi:
+def dispersion_energy(k, lat: LatticeParams):
+    """Band energy E = omega - 2 t cos k for real momenta k in (0, pi); broadcasts."""
+    array = isinstance(k, np.ndarray)
+    lo, hi = (k.min(), k.max()) if array else (k, k)
+    if not (0.0 < lo and hi < math.pi):
         raise ValueError(f"momentum must lie in the open interval (0, pi), got {k!r}")
-    return lat.omega - 2.0 * lat.t * math.cos(k)
+    return lat.omega - 2.0 * lat.t * (np.cos(k) if array else math.cos(k))
 
 
 def dispersion_energy_continued(k: complex, lat: LatticeParams) -> complex:

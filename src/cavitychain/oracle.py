@@ -14,6 +14,7 @@ is e^{+ikx} moving toward +x, with x measured from the first node.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import (
     InsufficientChainError,
     IntegratorDriftError,
+    OracleResidualError,
     PlacementError,
 )
 from .model import AtomParams, LatticeParams, dispersion_energy
@@ -42,6 +44,11 @@ FLUX_NODES = 16
 #: Fewest sites between a node and either end of the chain.
 BUFFER = 4
 
+#: Largest relative residual |M x - b| / |b| a stationary solve may leave.
+RESIDUAL_TOL = 1e-12
+
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -49,7 +56,9 @@ class ChainSpec:
 
     ``placements`` maps site indices to node parameters; sites must stay at
     least ``BUFFER`` sites away from both ends.  ``kappa`` adds a uniform
-    -i kappa/2 cavity leakage to every site (off by default).
+    -i kappa/2 cavity leakage to every site (off by default).  Lattice and
+    node fields may be arrays (a batch of points) for ``build_hamiltonian``
+    and ``solve_stationary``.
     """
 
     n_sites: int
@@ -147,28 +156,31 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
 
     Basis order: the N sites, then (excited, metastable) per node.  Decay
     rates appear as -i Gamma / -i gamma on the node diagonals and cavity
-    leakage as -i kappa/2 on every site diagonal.
+    leakage as -i kappa/2 on every site diagonal.  Array fields broadcast to
+    a shape ``batch`` and give the ``(*batch, dim, dim)`` stack of their H.
     """
     n, dim = spec.n_sites, spec.dimension
-    H = np.zeros((dim, dim), dtype=np.complex128)
+    params = (spec.lat, *(atom for _, atom in spec.placements))
+    batch = np.broadcast_shapes(*(np.shape(v) for p in params for v in vars(p).values()))
+    H = np.zeros((*batch, dim, dim), dtype=np.complex128)
     # Diagonal and hopping bands as strided views: faster than fancy indexing on small H.
-    flat = H.reshape(-1)
-    flat[: n * (dim + 1) : dim + 1] = spec.lat.omega - 0.5j * spec.kappa
-    flat[1 : (n - 1) * (dim + 1) : dim + 1] = -spec.lat.t
-    flat[dim : (n - 1) * (dim + 1) : dim + 1] = -spec.lat.t
+    flat = H.reshape(*batch, dim * dim)
+    flat[..., : n * (dim + 1) : dim + 1] = np.expand_dims(spec.lat.omega - 0.5j * spec.kappa, -1)
+    flat[..., 1 : (n - 1) * (dim + 1) : dim + 1] = np.expand_dims(-spec.lat.t, -1)
+    flat[..., dim : (n - 1) * (dim + 1) : dim + 1] = np.expand_dims(-spec.lat.t, -1)
     for m, (site, atom) in enumerate(spec.placements):
         e = n + 2 * m
         a = e + 1
-        H[e, e] = atom.excited_level
-        H[a, a] = atom.metastable_level
-        H[site, e] = atom.g
-        H[e, site] = atom.g
-        H[e, a] = atom.Omega
-        H[a, e] = atom.Omega
+        # Real and imaginary parts set apart, as complex(omega_e, -Gamma) does,
+        # so a zero decay rate keeps its sign.
+        H[..., e, e].real, H[..., e, e].imag = atom.omega_e, -atom.Gamma
+        H[..., a, a].real, H[..., a, a].imag = atom.delta, -atom.gamma
+        H[..., site, e] = H[..., e, site] = atom.g
+        H[..., e, a] = H[..., a, e] = atom.Omega
     return H
 
 
-def solve_stationary(spec: ChainSpec, k: float) -> tuple[complex, complex]:
+def solve_stationary(spec: ChainSpec, k):
     """Solve the full stationary scattering system for (r, s) at momentum k.
 
     The system is (H - E) u = 0 on the bulk sites and the node levels, with
@@ -176,28 +188,47 @@ def solve_stationary(spec: ChainSpec, k: float) -> tuple[complex, complex]:
     is eliminated).  Four constraint rows pin two probe sites per end to the
     plane-wave form, which is exact on the free chain, so the result is
     N-independent up to conditioning.
+
+    Array fields of ``spec`` and an array ``k`` broadcast to ``batch``: one
+    ``np.linalg.solve`` of a ``(*batch, dim + 2, dim + 2)`` stack gives r and
+    s of shape ``batch``; plain numbers give two Python complex numbers.
+    Raises OracleResidualError when |M x - b| / |b| exceeds RESIDUAL_TOL.
     """
-    E = dispersion_energy(k, spec.lat)
+    k = np.asarray(k, dtype=float)
+    E = np.expand_dims(dispersion_energy(k, spec.lat), -1)
     n, dim = spec.n_sites, spec.dimension
     H = build_hamiltonian(spec)
-    H.reshape(-1)[:: dim + 1] -= E
+    batch = np.broadcast_shapes(H.shape[:-2], k.shape)
     # Rows: two left probe sites, bulk sites 1..n-2, two right probe sites, node levels.
-    M = np.zeros((dim + 2, dim + 2), dtype=np.complex128)
-    M[2:n, :dim] = H[1 : n - 1]
-    M[n + 2 :, :dim] = H[n:]
+    M = np.zeros((*batch, dim + 2, dim + 2), dtype=np.complex128)
+    M[..., 2:n, :dim] = H[..., 1 : n - 1, :]
+    M[..., n + 2 :, :dim] = H[..., n:, :]
     del H
-    b = np.zeros(dim + 2, dtype=np.complex128)
+    # H - E: the diagonal of H runs one column left of M's through the site
+    # rows and two columns left through the level rows.
+    for block in (M[..., 2:n, 1 : n - 1], M[..., n + 2 :, n:dim]):
+        np.einsum("...ii->...i", block)[...] -= E
+    b = np.zeros((*batch, dim + 2), dtype=np.complex128)
     origin = spec.origin
     for j in (0, 1):
-        M[j, j] = 1.0
-        M[j, dim] = -np.exp(-1j * k * (j - origin))
-        b[j] = np.exp(1j * k * (j - origin))
+        M[..., j, j] = 1.0
+        M[..., j, dim] = -np.exp(-1j * k * (j - origin))
+        b[..., j] = np.exp(1j * k * (j - origin))
     for row, j in ((n, n - 2), (n + 1, n - 1)):
-        M[row, j] = 1.0
-        M[row, dim + 1] = -np.exp(1j * k * (j - origin))
+        M[..., row, j] = 1.0
+        M[..., row, dim + 1] = -np.exp(1j * k * (j - origin))
 
-    sol = np.linalg.solve(M, b)
-    return complex(sol[dim]), complex(sol[dim + 1])
+    x = np.linalg.solve(M, b[..., None])
+    residual = np.linalg.norm(M @ x - b[..., None], axis=(-2, -1)) / np.linalg.norm(b, axis=-1)
+    worst = float(residual.max())
+    _log.debug("%d lattice system(s) of size %d: largest relative residual %.3e",
+               residual.size, dim + 2, worst)
+    if not worst <= RESIDUAL_TOL:
+        raise OracleResidualError(
+            f"lattice solve residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} on {n} sites"
+        )
+    r, s = x[..., dim, 0], x[..., dim + 1, 0]
+    return (r, s) if batch else (complex(r), complex(s))
 
 
 def eigenmodes(spec: ChainSpec) -> list[EigenMode]:

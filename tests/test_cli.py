@@ -304,6 +304,7 @@ class TestSpectrumCommand:
         assert sidecar["engine"] == "analytic"
         assert sidecar["parameters"]["t"] == 2.0
         assert sidecar["tool_version"]
+        assert sidecar["tolerances"]["oracle_residual_tol"] == 1e-12
 
     def test_floats_round_trip_bit_exactly(self, tmp_path):
         out = tmp_path / "small.csv"

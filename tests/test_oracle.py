@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from cavitychain import (
     InsufficientChainError,
     IntegratorDriftError,
     LatticeParams,
+    OracleResidualError,
     PlacementError,
     TwoNodeConfig,
     WavepacketSpec,
@@ -24,7 +26,7 @@ from cavitychain import (
     solve_stationary,
     two_node_scatter,
 )
-from cavitychain import oracle
+from cavitychain import cli, oracle
 from cavitychain.oracle import design_scattering_run
 from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
 
@@ -208,6 +210,25 @@ class TestBuildHamiltonian:
         assert H[25, 25] == 0.0 - 0.02j
         assert H[0, 0] == LAT.omega - 0.05j
 
+    def test_array_fields_stack_one_matrix_per_point(self):
+        # same bits as the scalar build, signed zeros of decay-free levels included
+        rng = np.random.default_rng(3)
+        lats = [draw_lattice(rng) for _ in range(5)]
+        atoms = [[draw_atom(rng, two_level=i == 2, decay=i % 2 == 1) for i in range(5)]
+                 for _ in range(2)]
+
+        def stacked(params):
+            return type(params[0])(**{key: np.array([vars(p)[key] for p in params])
+                                      for key in vars(params[0])})
+
+        spec = ChainSpec(30, ((10, stacked(atoms[0])), (15, stacked(atoms[1]))), stacked(lats),
+                         kappa=0.1)
+        H = build_hamiltonian(spec)
+        assert H.shape == (5, 34, 34)
+        for i in range(5):
+            one = ChainSpec(30, ((10, atoms[0][i]), (15, atoms[1][i])), lats[i], kappa=0.1)
+            assert H[i].tobytes() == build_hamiltonian(one).tobytes()
+
 
 class TestStationarySolve:
     def test_free_chain_transmits_everything(self):
@@ -291,6 +312,49 @@ class TestStationarySolve:
         r, s = solve_stationary(spec, k)
         assert abs(r - res.r) <= 1e-9
         assert abs(s - res.s) <= 1e-9
+
+    def test_scalar_call_returns_python_complex(self):
+        r, s = solve_stationary(ChainSpec(24, ((12, FIG3A_ATOM),), LAT), 1.1)
+        assert type(r) is complex and type(s) is complex
+
+    def test_broadcasts_over_fields_and_momenta(self):
+        # node fields of shape (3, 1) against momenta of shape (4,): a (3, 4) stack
+        Omega = np.array([[0.0], [0.5], [1.5]])
+        atom = AtomParams(omega_e=0.3, delta=-0.2, Omega=Omega, Gamma=0.05)
+        k = np.linspace(0.4, 2.7, 4)
+        r, s = solve_stationary(ChainSpec(24, ((12, atom),), LAT), k)
+        assert r.shape == s.shape == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            one = AtomParams(omega_e=0.3, delta=-0.2, Omega=float(Omega[i, 0]), Gamma=0.05)
+            assert (r[i, j], s[i, j]) == solve_stationary(ChainSpec(24, ((12, one),), LAT), k[j])
+
+    def test_momentum_outside_the_band_raises_for_any_element(self):
+        spec = ChainSpec(24, ((12, FIG3A_ATOM),), LAT)
+        for bad in (np.array([0.5, math.pi]), np.array([np.nan, 1.0])):
+            with pytest.raises(ValueError, match="open interval"):
+                solve_stationary(spec, bad)
+
+    @pytest.mark.parametrize("k", [1.1, np.linspace(0.3, 2.9, 7)])
+    def test_residual_guard_fires_on_a_perturbed_solve(self, monkeypatch, k):
+        spec = ChainSpec(24, ((12, FIG3A_ATOM),), LAT)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-9)
+        with pytest.raises(OracleResidualError, match="residual"):
+            solve_stationary(spec, k)
+
+    def test_residual_error_exits_one(self, monkeypatch, tmp_path):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-9)
+        argv = ["spectrum", "--config", "fig3a", "--engine", "oracle", "--set", "k_count=5",
+                "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 1
+
+    def test_residual_is_logged_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cavitychain.oracle"):
+            solve_stationary(ChainSpec(24, ((12, FIG3A_ATOM),), LAT), np.linspace(0.3, 2.9, 7))
+        (record,) = caplog.records
+        assert "7 lattice system(s) of size 28" in record.getMessage()
+        assert float(record.getMessage().rsplit(" ", 1)[1]) <= oracle.RESIDUAL_TOL
 
     def test_same_bits_as_the_row_by_row_system(self):
         rng = np.random.default_rng(11)

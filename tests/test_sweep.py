@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -237,6 +238,80 @@ class TestAmplitudes:
             chain = sweep._oracle_chain(build_scenario(point))
             assert (r[i], s[i]) == solve_stationary(chain, point["k"])
         assert np.all(flag == FLAG_OK)
+
+    @pytest.mark.parametrize("two_nodes", [False, True])
+    def test_stacks_scatter_back_bit_for_bit(self, two_nodes, monkeypatch):
+        # 400 points in stacks of 22-50 systems: D cycles through 1..8 in the
+        # two-node stack, and every second point decays
+        budget = 16 * 20**2 * 50
+        monkeypatch.setattr(sweep, "ORACLE_STACK_BYTES", budget)
+        stacks = []
+        solve = sweep.solve_stationary
+
+        def spy(chain, k):
+            stacks.append((chain.dimension, k.size))
+            return solve(chain, k)
+
+        monkeypatch.setattr(sweep, "solve_stationary", spy)
+        stack = _oracle_stack(np.random.default_rng(5), 400, two_nodes)
+        r, s, flag = sweep.amplitudes(stack, "oracle", None)
+        assert all(16 * (dim + 2) ** 2 * size <= budget for dim, size in stacks)
+        assert sum(size for _, size in stacks) == 400
+        # every chain shape holds more points than one stack
+        assert len(stacks) >= 2 * len({dim for dim, _ in stacks})
+        r_ref, s_ref = _per_point(stack)
+        assert r.tobytes() == r_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+        assert np.all(flag == FLAG_OK)
+        # negative control: the same comparison sees points scattered back out of order
+        r_rev, s_rev = _per_point({**stack, "k": stack["k"][::-1]})
+        assert r.tobytes() != r_rev.tobytes() and s.tobytes() != s_rev.tobytes()
+
+    def test_single_point_call(self):
+        point = {**FIG3A, "Gamma": 0.05, "k": 1.1}
+        r, s, flag = sweep.amplitudes(point, "oracle", None)
+        assert r.shape == s.shape == flag.shape == ()
+        chain = sweep._oracle_chain(build_scenario(point))
+        assert (complex(r), complex(s)) == solve_stationary(chain, 1.1)
+
+    def test_grid_over_momentum_and_separation(self):
+        fixed = {**FIG3A, "omega_e2": -0.5, "Omega2": 0.8}
+        axes = (AxisSpec("k", 0.3, 2.8, 5), AxisSpec("D", 1, 4, 4))
+        r, s, _ = grid_amplitudes(fixed, axes, "oracle", None)
+        for (i, k), (j, D) in itertools.product(*map(enumerate, (a.values() for a in axes))):
+            point = {**fixed, "k": k, "D": D}
+            chain = sweep._oracle_chain(build_scenario(point))
+            assert (r[i, j], s[i, j]) == solve_stationary(chain, k)
+
+
+def _oracle_stack(rng, size, two_nodes):
+    """``size`` random oracle points; two-node ones cycle D through 1..8.
+
+    Every third node is two-level and every second point decays.
+    """
+    index = np.arange(size)
+    stack = {"t": rng.uniform(0.5, 3.0, size), "omega": rng.uniform(-1.0, 1.0, size),
+             "k": rng.uniform(0.05, math.pi - 0.05, size)}
+    for suffix in ("", "2") if two_nodes else ("",):
+        stack.update({
+            f"omega_e{suffix}": rng.uniform(-2.0, 2.0, size),
+            f"delta{suffix}": rng.uniform(-2.0, 2.0, size),
+            f"Omega{suffix}": np.where(index % 3 == 0, 0.0, rng.uniform(0.2, 2.0, size)),
+            f"g{suffix}": rng.uniform(0.6, 1.5, size),
+            f"Gamma{suffix}": np.where(index % 2 == 1, rng.uniform(0.01, 0.2, size), 0.0),
+            f"gamma{suffix}": np.where(index % 2 == 1, rng.uniform(0.01, 0.2, size), 0.0),
+        })
+    if two_nodes:
+        stack["D"] = index % 8 + 1
+    return stack
+
+
+def _per_point(stack):
+    """(r, s) arrays of a 1-D stack, each point solved on its own chain."""
+    pairs = []
+    for i in range(len(stack["k"])):
+        point = {key: value[i] for key, value in stack.items()}
+        pairs.append(solve_stationary(sweep._oracle_chain(build_scenario(point)), point["k"]))
+    return np.array(pairs, dtype=complex).T
 
 
 class TestSpectrumRows:
