@@ -10,10 +10,11 @@ perfect-mirror limit (both potentials diverging) the condition collapses to
 e^{2ikD} = 1, quantising the trapped momentum to k = pi n / D; away from
 that limit the roots move into the lower half plane and the mode leaks at a
 rate -2 Im E.  Interior sites run over 1..D-1, with the first node at 0 and
-the second at D.  The pole-free form of the condition is P22 = 0 for the
-bottom-right entry of ``chain_scatter``'s transfer matrix: the residual
-evaluates it in k, and the same recursion run on polynomials in z = e^{ik}
-gives the polynomial whose roots are the modes.
+the second at D.  The roots are found on the lattice, as the Siegert states
+of the segment between the nodes: eigenvectors with purely outgoing waves
+outside it (Siegert, Phys. Rev. 56, 750 (1939)).  They are verified by the
+transfer matrix, as zeros of the pole-free form of the condition, P22 = 0
+for the bottom-right entry of ``chain_scatter``'s transfer matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import UnverifiedRootError
 from .model import LatticeParams, dispersion_energy_continued
-from .scattering import TwoNodeConfig, _transfer_polynomial, _transfer_row
+from .scattering import TwoNodeConfig, _transfer_row
 
 log = logging.getLogger(__name__)
 
@@ -59,8 +60,8 @@ def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bo
 
     P22 is the transport denominator times den_1 den_2, so it stays finite
     at a node pole, where the perfect-mirror modes live.  Evaluated in k by
-    ``_transfer_row``, independently of the polynomial in z whose roots it
-    verifies; k may be an array.  ``scaled`` returns |P22| / norm instead,
+    ``_transfer_row``, independently of the lattice eigenproblem whose roots
+    it verifies; k may be an array.  ``scaled`` returns |P22| / norm instead,
     with the norm that ``chain_scatter`` tests resonances against.
     """
     E = lat.omega - 2.0 * lat.t * np.cos(k)
@@ -69,15 +70,40 @@ def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bo
     return np.abs(P22) / norm if scaled else P22
 
 
-def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Every root in z, as companion-matrix eigenvalues.
+def _siegert_roots(nodes, lat: LatticeParams) -> np.ndarray:
+    """Every finite z = e^{ik} of the open segment from the first node to the last.
 
-    Trimming low zero coefficients drops only roots at z = 0 (Im k = +inf).
+    A trapped mode is a Siegert state (Siegert, Phys. Rev. 56, 750 (1939)):
+    an eigenvector of the segment with purely outgoing waves outside it.  The
+    unknowns are the sites 0..L of the segment and the node levels: both of a
+    Lambda node, only the excited one of a two-level node, whose decoupled
+    metastable level would add a false root at E = delta.  With
+    u_{-1} = z u_0, u_{L+1} = z u_L and E = omega - t (z + 1/z), z (E - H) u = 0
+    reads (A0 + z A1 + z^2 A2) u = 0 with A0 = -t I, A1 = omega I - H and
+    A2 = -t I but for zero rows at the two end sites.  In mu = 1/z that is the
+    eigenproblem of [[0, I], [A2/t, A1/t]], real when nothing decays.  Its two
+    eigenvalues mu = 0, forced by the zero rows, are dropped, which leaves
+    2n - 2 roots for n unknowns.
     """
-    c = np.trim_zeros(coeffs)
-    companion = np.diag(np.ones(len(c) - 2, dtype=c.dtype), -1)
-    companion[:, -1] -= c[:-1] / c[-1]
-    return np.linalg.eigvals(companion)
+    x0, span = nodes[0][0], nodes[-1][0] - nodes[0][0]
+    n = span + 1 + sum(1 if atom.is_two_level else 2 for _, atom in nodes)
+    A1 = np.zeros((n, n), complex)  # in units of t
+    A1[: span + 1, : span + 1] = np.eye(span + 1, k=1) + np.eye(span + 1, k=-1)
+    e = span + 1
+    for x, atom in nodes:
+        A1[e, e] = (lat.omega - atom.excited_level) / lat.t
+        A1[x - x0, e] = A1[e, x - x0] = -atom.g / lat.t
+        if not atom.is_two_level:
+            e += 1
+            A1[e, e] = (lat.omega - atom.metastable_level) / lat.t
+            A1[e - 1, e] = A1[e, e - 1] = -atom.Omega / lat.t
+        e += 1
+    A1 = A1 if A1.imag.any() else A1.real
+    companion = np.zeros((2 * n, 2 * n), A1.dtype)
+    companion[:n, n:], companion[n:, :n], companion[n:, n:] = np.eye(n), -np.eye(n), A1
+    companion[n, 0] = companion[n + span, span] = 0.0
+    mu = np.linalg.eigvals(companion).astype(complex)
+    return 1.0 / mu[np.argsort(np.abs(mu))[2:]]
 
 
 def find_quasibound_modes(
@@ -92,31 +118,35 @@ def find_quasibound_modes(
 ) -> list[QuasiboundMode] | tuple[list[QuasiboundMode], dict]:
     """Find every trapped-mode root inside the complex momentum window.
 
-    The roots are the companion-matrix eigenvalues of the kernel's P22 as a
-    polynomial in z = e^{ik} (Edelman & Murakami, Math. Comp. 64, 763
-    (1995)), so none is missed; k = -i log z is taken on the 2 pi period
-    holding the window.  The bounds are exclusive by 1e-6, which also drops
-    the structural zeros at the band edges k = 0 and k = pi.  Each window
-    root takes three Newton steps in k on ``quasibound_residual``, and one
-    whose scaled residual then exceeds VERIFY_TOL raises UnverifiedRootError.
+    The roots are the Siegert states of the lattice segment between the two
+    nodes, ``_siegert_roots``, so none is missed; k = -i log z is taken on the
+    2 pi period holding the window, whose bounds are exclusive by 1e-6.  The
+    lattice finds the roots and the kernel's transfer matrix verifies them:
+    each window root takes three Newton steps in k on ``quasibound_residual``
+    with a forward-difference slope, then moves to whichever of Re k's two
+    neighbouring doubles has a smaller scaled residual, if either has.  One
+    whose scaled residual still exceeds VERIFY_TOL raises UnverifiedRootError.
     Results are sorted by (Re k, Im k).  ``n_re`` and ``n_im`` are accepted
     and ignored (they sized an earlier seed grid).  ``return_diagnostics``
-    adds the polynomial degree, the window-root count and the largest scaled
-    residual.
+    adds the count of finite Siegert roots, the window-root count and the
+    largest scaled residual.
     """
     re_lo, re_hi = re_window[0] + 1e-6, re_window[1] - 1e-6
     im_lo, im_hi = im_window
-    coeffs, power = _transfer_polynomial([(0, cfg.atom1), (cfg.D, cfg.atom2)], lat)
+    zs = _siegert_roots([(0, cfg.atom1), (cfg.D, cfg.atom2)], lat)
     mid = 0.5 * (re_lo + re_hi)
-    ks = mid - 1j * np.log(_polynomial_roots(coeffs) * cmath.exp(-1j * mid))
+    ks = mid - 1j * np.log(zs * cmath.exp(-1j * mid))
     ks = ks[(re_lo < ks.real) & (ks.real < re_hi) & (im_lo < ks.imag) & (ks.imag < im_hi)]
-    slope = np.polyder(coeffs[::-1])
+    h = 1e-7
     for _ in range(3):
-        # d(z^-p c(z))/dk = i z^-p (z c'(z) - p c(z)), with c(z) = z^p P22
-        z = np.exp(1j * ks)
         P22 = quasibound_residual(ks, cfg, lat)
-        ks = ks - P22 / (1j * (z * np.polyval(slope, z) / z**power - power * P22))
-    residuals = quasibound_residual(ks, cfg, lat, scaled=True)
+        ks = ks - h * P22 / (quasibound_residual(ks + h, cfg, lat) - P22)
+    # On weak mirrors the residual moves by more than VERIFY_TOL / 10 per ulp
+    # of Re k, and Newton's last step need not round onto the best double.
+    below, above = (np.nextafter(ks.real, side) + 1j * ks.imag for side in (-np.inf, np.inf))
+    near = np.stack([ks, below, above])
+    scaled = quasibound_residual(near, cfg, lat, scaled=True)
+    ks, residuals = (np.take_along_axis(a, scaled.argmin(0)[None], 0)[0] for a in (near, scaled))
     modes = []
     for k, residual in zip(ks.tolist(), residuals.tolist()):
         if not residual <= VERIFY_TOL:
@@ -130,7 +160,7 @@ def find_quasibound_modes(
         )
     modes.sort(key=lambda m: (m.k.real, m.k.imag))
     diagnostics = {
-        "polynomial_degree": len(np.trim_zeros(coeffs, "b")) - 1,
+        "finite_roots": len(zs),
         "window_roots": len(modes),
         "max_residual": max((m.residual for m in modes), default=0.0),
     }

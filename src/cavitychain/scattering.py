@@ -228,38 +228,6 @@ def _transfer_row(k, E, b, nodes):
     return P21, P22, norm, flux, singular
 
 
-def _transfer_polynomial(nodes, lat: LatticeParams) -> tuple[np.ndarray, int]:
-    """Coefficients, lowest power first, of z^p P22 in z = e^{ik}, and the power p.
-
-    ``_transfer_row``'s recursion on polynomials, for integer sites and
-    scalar node fields.  z b = t (z^2 - 1) and z (E - level) = -t +
-    (omega - level) z - t z^2, so node matrices scaled by z^3 (Lambda) or z^2
-    (two-level) have polynomial entries; p sums those powers.  P21 is carried
-    in units of e^{2ikx} of the last node folded in, so each phase becomes a
-    shift by twice the gap to the next node.  Decay-free coefficients are real.
-    """
-    zb = np.array([-lat.t, 0.0, lat.t])
-    A, B, p, x_next = np.zeros(1), np.ones(1), 0, nodes[-1][0]
-    for x, atom in reversed(nodes):
-        excited = np.array([-lat.t, lat.omega - atom.excited_level, -lat.t])
-        if atom.is_two_level:
-            den, num = excited, np.array([atom.g * atom.g])
-            p += 2
-        else:
-            metastable = np.array([-lat.t, lat.omega - atom.metastable_level, -lat.t])
-            den, num = np.convolve(excited, metastable), atom.g * atom.g * metastable
-            den[2] -= atom.Omega * atom.Omega
-            p += 3
-        a = np.convolve(zb, den)
-        n = np.zeros_like(a)
-        n[2 : 2 + len(num)] = num
-        pad = np.zeros(2 * (x_next - x))
-        A, B = np.concatenate([pad, A]), np.concatenate([B, pad])
-        A, B = np.convolve(A, a + n) - np.convolve(B, n), np.convolve(A, n) + np.convolve(B, a - n)
-        x_next = x
-    return (B if B.imag.any() else B.real), p
-
-
 def chain_scatter(
     k, nodes, lat: LatticeParams, *, limit: str | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
