@@ -38,7 +38,12 @@ from .oracle import (
     eigenmodes,
     propagate_wavepacket,
 )
-from .quasibound import bound_profile, find_quasibound_modes
+from .quasibound import (
+    DEFAULT_IM_WINDOW,
+    DEFAULT_RE_WINDOW,
+    bound_profile,
+    find_quasibound_modes,
+)
 from .scattering import FLAG_OK, TwoNodeConfig, single_node_scatter
 from .sweep import (
     _NODE_KEYS,
@@ -289,8 +294,10 @@ def cmd_quasibound(cfg: dict, out: Path) -> int:
         raise ConfigError("quasibound needs the node separation D")
     scenario = _scenario(cfg)
     (_, atom1), (_, atom2) = scenario.nodes
-    re_window = (cfg.get("window_re_min", 0.0), cfg.get("window_re_max", math.pi))
-    im_window = (cfg.get("window_im_min", -0.5), cfg.get("window_im_max", 0.05))
+    re_window = (cfg.get("window_re_min", DEFAULT_RE_WINDOW[0]),
+                 cfg.get("window_re_max", DEFAULT_RE_WINDOW[1]))
+    im_window = (cfg.get("window_im_min", DEFAULT_IM_WINDOW[0]),
+                 cfg.get("window_im_max", DEFAULT_IM_WINDOW[1]))
     for part, (lo, hi) in (("re", re_window), ("im", im_window)):
         if not lo < hi:
             raise ConfigError(f"window_{part}_min must be below window_{part}_max")
@@ -494,7 +501,9 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cavitychain",
         description="Single-photon transport in a coupled cavity array with embedded nodes",

@@ -2,11 +2,15 @@
 
 Everything here works on the single-excitation sector of an N-site chain
 with embedded nodes: one basis state per cavity plus an excited and a
-metastable amplitude per node.  The stationary solver imposes exact
-plane-wave constraint rows at two probe sites on each end (incident plus
-reflected on the left, transmitted on the right), so its r and s do not
-depend on N beyond conditioning.  The wavepacket propagator and the
-eigenmode decomposition provide dynamic and spectral cross-checks.
+metastable amplitude per node.  H is written once, as a band: with each
+node's two levels right after its site, it has three diagonals on either
+side of the main one for any number of nodes.  The stationary solver
+imposes exact plane-wave constraint rows at two probe sites on each end
+(incident plus reflected on the left, transmitted on the right), so its r
+and s do not depend on N beyond conditioning.  It keeps the band and
+reduces long chains PANEL columns at a time by QR, in O(N PANEL^2) time.
+The wavepacket propagator and the eigenmode decomposition provide dynamic
+and spectral cross-checks.
 
 The solver fixes the package-wide direction convention: the incident wave
 is e^{+ikx} moving toward +x, with x measured from the first node.
@@ -151,83 +155,199 @@ class WavepacketResult:
     drift: float = 0.0
 
 
+def _interleaved_order(spec: ChainSpec) -> np.ndarray:
+    """Index in ``build_hamiltonian``'s basis of each unknown of the interleaved one.
+
+    The interleaved basis puts each node's two levels right after its site,
+    u_0, ..., u_p, e_p, a_p, u_{p+1}, ..., so H is a band with three
+    diagonals on either side of the main one for any number of nodes.
+    """
+    levels = np.repeat(spec.sites, 2) + np.tile((0.25, 0.5), len(spec.sites))
+    return np.argsort(np.concatenate((np.arange(spec.n_sites), levels)), kind="stable")
+
+
+def _hamiltonian_band(spec: ChainSpec) -> np.ndarray:
+    """H in the interleaved basis as its 7 diagonals: ``H[..., i, 3 + d]`` is H[i, i + d].
+
+    The one place H's entries are written.  Decay rates appear as
+    -i Gamma / -i gamma on the node diagonals and cavity leakage as -i kappa/2
+    on every site diagonal; array fields broadcast to a shape ``batch``.
+    """
+    params = (spec.lat, *(atom for _, atom in spec.placements))
+    batch = np.broadcast_shapes(*(np.shape(v) for p in params for v in vars(p).values()))
+    H = np.zeros((*batch, spec.dimension, 7), dtype=np.complex128)
+    # The bare chain on every row, then each node's rows and its neighbours' mended.
+    H[..., :, 3] = np.expand_dims(spec.lat.omega - 0.5j * spec.kappa, -1)
+    H[..., :-1, 4] = H[..., 1:, 2] = np.expand_dims(-spec.lat.t, -1)
+    for m, (site, atom) in enumerate(spec.placements):
+        u = site + 2 * m
+        e, a = u + 1, u + 2
+        # The hop from the node's site to the next site spans the two levels.
+        H[..., u, 6] = H[..., u + 3, 0] = -spec.lat.t
+        H[..., a, 4] = H[..., u + 3, 2] = 0.0
+        # Real and imaginary parts set apart, as complex(omega_e, -Gamma) does,
+        # so a zero decay rate keeps its sign.
+        H[..., e, 3].real, H[..., e, 3].imag = atom.omega_e, -atom.Gamma
+        H[..., a, 3].real, H[..., a, 3].imag = atom.delta, -atom.gamma
+        H[..., u, 4] = H[..., e, 2] = atom.g
+        H[..., e, 4] = H[..., a, 2] = atom.Omega
+    return H
+
+
+def _expand(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dense matrices holding ``band[..., i, 3 + d]`` at (rows[i], cols[i + d]), zero elsewhere."""
+    *batch, size, _ = band.shape
+    i = np.arange(size)[:, None]
+    i, c = np.broadcast_arrays(i, i + np.arange(-3, 4))
+    inside = (c >= 0) & (c < size)
+    dense = np.zeros((*batch, size * size), dtype=np.complex128)
+    dense[..., rows[i[inside]] * size + cols[c[inside]]] = band[..., inside]
+    return dense.reshape(*batch, size, size)
+
+
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Single-excitation Hamiltonian; Hermitian exactly when decay-free.
 
-    Basis order: the N sites, then (excited, metastable) per node.  Decay
-    rates appear as -i Gamma / -i gamma on the node diagonals and cavity
-    leakage as -i kappa/2 on every site diagonal.  Array fields broadcast to
+    Basis order: the N sites, then (excited, metastable) per node.  This is
+    the dense expansion of ``_hamiltonian_band``.  Array fields broadcast to
     a shape ``batch`` and give the ``(*batch, dim, dim)`` stack of their H.
     """
-    n, dim = spec.n_sites, spec.dimension
-    params = (spec.lat, *(atom for _, atom in spec.placements))
-    batch = np.broadcast_shapes(*(np.shape(v) for p in params for v in vars(p).values()))
-    H = np.zeros((*batch, dim, dim), dtype=np.complex128)
-    # Diagonal and hopping bands as strided views: faster than fancy indexing on small H.
-    flat = H.reshape(*batch, dim * dim)
-    flat[..., : n * (dim + 1) : dim + 1] = np.expand_dims(spec.lat.omega - 0.5j * spec.kappa, -1)
-    flat[..., 1 : (n - 1) * (dim + 1) : dim + 1] = np.expand_dims(-spec.lat.t, -1)
-    flat[..., dim : (n - 1) * (dim + 1) : dim + 1] = np.expand_dims(-spec.lat.t, -1)
-    for m, (site, atom) in enumerate(spec.placements):
-        e = n + 2 * m
-        a = e + 1
-        # Real and imaginary parts set apart, as complex(omega_e, -Gamma) does,
-        # so a zero decay rate keeps its sign.
-        H[..., e, e].real, H[..., e, e].imag = atom.omega_e, -atom.Gamma
-        H[..., a, a].real, H[..., a, a].imag = atom.delta, -atom.gamma
-        H[..., site, e] = H[..., e, site] = atom.g
-        H[..., e, a] = H[..., a, e] = atom.Omega
-    return H
+    order = _interleaved_order(spec)
+    return _expand(_hamiltonian_band(spec), order, order)
+
+
+def _stationary_band(spec: ChainSpec, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary system M x = b, M as 7 diagonals in the order r, u_0, ..., s.
+
+    Between r and s the unknowns are in the interleaved basis, and row i of
+    M is the H - E row of unknown i but at the ends: rows 0, 1 and the last
+    two pin the sites 0, 1, n - 2 and n - 1 to the plane-wave form,
+    u_j - e^{-ik(j - x0)} r = e^{ik(j - x0)} on the left and
+    u_j - e^{ik(j - x0)} s = 0 on the right, with x0 = ``spec.origin``.
+    """
+    E = np.expand_dims(dispersion_energy(k, spec.lat), -1)
+    H = _hamiltonian_band(spec)
+    batch = np.broadcast_shapes(H.shape[:-2], k.shape)
+    size = spec.dimension + 2
+    band = np.zeros((*batch, size, 7), dtype=np.complex128)
+    band[..., 1:-1, :] = H
+    band[..., 1:-1, 3] -= E
+    band[..., 1, :] = band[..., -2, :] = 0.0  # the rows of u_0 and u_{n-1} hold probes
+    b = np.zeros((*batch, size), dtype=np.complex128)
+    origin = spec.origin
+    for j in (0, 1):
+        band[..., j, 4] = 1.0
+        band[..., j, 3 - j] = -np.exp(-1j * k * (j - origin))
+        b[..., j] = np.exp(1j * k * (j - origin))
+    for row, j in ((size - 2, spec.n_sites - 2), (size - 1, spec.n_sites - 1)):
+        band[..., row, 2] = 1.0
+        band[..., row, 2 + size - row] = -np.exp(1j * k * (j - origin))
+    return band, b
+
+
+#: Columns one QR reduces in a long stationary system.  One chain solves about
+#: equally fast at widths 16 to 48 (fewer panels against more work in each);
+#: 48 also keeps every system of the bundled figures (at most 52 unknowns,
+#: fig6b at D = 30) below PANEL + 6 unknowns, on the dense path.
+PANEL = 48
+
+
+def _window(band: np.ndarray, b: np.ndarray, start: int, size: int, carry) -> np.ndarray:
+    """Rows start..start+size-1 of M x = b as a dense ``(size, size + 7)`` block.
+
+    Column c holds unknown start - 3 + c and the last column b.  ``carry``,
+    the three rows the previous panel left, replaces the first three rows.
+    """
+    *batch, _, _ = band.shape
+    i = np.arange(size)[:, None]
+    W = np.zeros((*batch, size * (size + 7)), dtype=np.complex128)
+    W[..., (i * (size + 8) + np.arange(7)).ravel()] = band[..., start : start + size, :].reshape(
+        *batch, 7 * size)
+    W = W.reshape(*batch, size, size + 7)
+    W[..., -1] = b[..., start : start + size]
+    if carry is not None:
+        W[..., :3, 3:9], W[..., :3, -1] = carry[..., :6], carry[..., 6]
+    return W
+
+
+def _solve_panels(band: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x of the banded M x = b, reduced PANEL columns at a time by QR.
+
+    The rows c0..c0+PANEL+2 are the only ones with entries in the columns
+    c0..c0+PANEL-1 still to be reduced, and they reach at most six columns
+    further.  One QR of that block with its six trailing columns and b
+    leaves PANEL rows of R and three reduced rows that join the next panel.
+    The trailing square block is one dense solve; back-substitution then
+    runs panel by panel.  QR is backward-stable without any pivot choice.
+    """
+    size = band.shape[-2]
+    panels = (size - 6) // PANEL
+    reduced, carry = [], None
+    for c0 in range(0, panels * PANEL, PANEL):
+        R = np.linalg.qr(_window(band, b, c0, PANEL + 3, carry)[..., 3:], mode="r")
+        reduced.append(R[..., :PANEL, :])
+        carry = R[..., PANEL:, PANEL:]
+    x = np.empty(b.shape, dtype=np.complex128)
+    tail = size - panels * PANEL
+    W = _window(band, b, panels * PANEL, tail, carry)
+    x[..., panels * PANEL :] = np.linalg.solve(W[..., 3 : 3 + tail], W[..., -1:])[..., 0]
+    for c0 in range(panels * PANEL - PANEL, -1, -PANEL):
+        R = reduced.pop()
+        y = R[..., -1] - (R[..., PANEL:-1] @ x[..., c0 + PANEL : c0 + PANEL + 6, None])[..., 0]
+        x[..., c0 : c0 + PANEL] = np.linalg.solve(R[..., :PANEL], y[..., None])[..., 0]
+    return x
 
 
 def solve_stationary(spec: ChainSpec, k):
     """Solve the full stationary scattering system for (r, s) at momentum k.
 
     The system is (H - E) u = 0 on the bulk sites and the node levels, with
-    H from ``build_hamiltonian``, so the node amplitudes stay in it (nothing
+    H from ``_hamiltonian_band``, so the node amplitudes stay in it (nothing
     is eliminated).  Four constraint rows pin two probe sites per end to the
     plane-wave form, which is exact on the free chain, so the result is
     N-independent up to conditioning.
 
+    In the order r, u_0, ..., u_p, e_p, a_p, ..., u_{n-1}, s the system is a
+    band with three diagonals on either side (``_stationary_band``).  A
+    system of fewer than PANEL + 6 unknowns is expanded to the dense M in
+    the order (sites, node levels, r, s) and solved by ``np.linalg.solve``.
+    A longer one is solved panel by panel (``_solve_panels``) in O(N PANEL^2)
+    time and O(N PANEL) memory; no dense N x N array is formed.
+
     Array fields of ``spec`` and an array ``k`` broadcast to ``batch``: one
-    ``np.linalg.solve`` of a ``(*batch, dim + 2, dim + 2)`` stack gives r and
-    s of shape ``batch``; plain numbers give two Python complex numbers.
-    Raises OracleResidualError when |M x - b| / |b| exceeds RESIDUAL_TOL.
+    call solves the whole ``(*batch, dim + 2)`` stack and gives r and s of
+    shape ``batch``; plain numbers give two Python complex numbers.  Raises
+    OracleResidualError when |M x - b| / |b| exceeds RESIDUAL_TOL.
     """
     k = np.asarray(k, dtype=float)
-    E = np.expand_dims(dispersion_energy(k, spec.lat), -1)
-    n, dim = spec.n_sites, spec.dimension
-    H = build_hamiltonian(spec)
-    batch = np.broadcast_shapes(H.shape[:-2], k.shape)
-    # Rows: two left probe sites, bulk sites 1..n-2, two right probe sites, node levels.
-    M = np.zeros((*batch, dim + 2, dim + 2), dtype=np.complex128)
-    M[..., 2:n, :dim] = H[..., 1 : n - 1, :]
-    M[..., n + 2 :, :dim] = H[..., n:, :]
-    del H
-    # H - E: the diagonal of H runs one column left of M's through the site
-    # rows and two columns left through the level rows.
-    for block in (M[..., 2:n, 1 : n - 1], M[..., n + 2 :, n:dim]):
-        np.einsum("...ii->...i", block)[...] -= E
-    b = np.zeros((*batch, dim + 2), dtype=np.complex128)
-    origin = spec.origin
-    for j in (0, 1):
-        M[..., j, j] = 1.0
-        M[..., j, dim] = -np.exp(-1j * k * (j - origin))
-        b[..., j] = np.exp(1j * k * (j - origin))
-    for row, j in ((n, n - 2), (n + 1, n - 1)):
-        M[..., row, j] = 1.0
-        M[..., row, dim + 1] = -np.exp(1j * k * (j - origin))
-
-    x = np.linalg.solve(M, b[..., None])
-    residual = np.linalg.norm(M @ x - b[..., None], axis=(-2, -1)) / np.linalg.norm(b, axis=-1)
+    band, b = _stationary_band(spec, k)
+    size = band.shape[-2]
+    if size < PANEL + 6:
+        # M's rows: probes at sites 0 and 1, bulk sites 1..n-2, probes at
+        # n-2 and n-1, node levels; its columns: sites, node levels, r, s.
+        order = _interleaved_order(spec)
+        n = spec.n_sites
+        rows = np.concatenate(([0], order + 1 + (order >= n), [n + 1]))
+        cols = np.concatenate(([size - 2], order, [size - 1]))
+        dense_b = np.zeros_like(b)
+        dense_b[..., rows] = b
+        x = np.linalg.solve(_expand(band, rows, cols), dense_b[..., None])[..., cols, 0]
+    else:
+        x = _solve_panels(band, b)
+    padded = np.zeros((*x.shape[:-1], size + 6), dtype=np.complex128)
+    padded[..., 3:-3] = x
+    window = np.lib.stride_tricks.sliding_window_view(padded, 7, axis=-1)
+    Mx = np.einsum("...ij,...ij->...i", band, window)
+    residual = np.linalg.norm(Mx - b, axis=-1) / np.linalg.norm(b, axis=-1)
     worst = float(residual.max())
     _log.debug("%d lattice system(s) of size %d: largest relative residual %.3e",
-               residual.size, dim + 2, worst)
+               residual.size, size, worst)
     if not worst <= RESIDUAL_TOL:
         raise OracleResidualError(
-            f"lattice solve residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} on {n} sites"
+            f"lattice solve residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} on {spec.n_sites} sites"
         )
-    r, s = x[..., dim, 0], x[..., dim + 1, 0]
+    r, s = x[..., 0], x[..., -1]
+    batch = x.shape[:-1]
     return (r, s) if batch else (complex(r), complex(s))
 
 

@@ -32,7 +32,8 @@ from .scattering import TwoNodeConfig, _transfer_row
 
 log = logging.getLogger(__name__)
 
-#: Search rectangle in complex momentum, Re k in (0, pi) by Im k below.
+#: Search rectangle in complex momentum: Re k by Im k.
+DEFAULT_RE_WINDOW = (0.0, math.pi)
 DEFAULT_IM_WINDOW = (-0.5, 0.05)
 
 #: Scaled-residual bound every window root must meet.
@@ -110,7 +111,7 @@ def find_quasibound_modes(
     cfg: TwoNodeConfig,
     lat: LatticeParams,
     *,
-    re_window: tuple[float, float] = (0.0, math.pi),
+    re_window: tuple[float, float] = DEFAULT_RE_WINDOW,
     im_window: tuple[float, float] = DEFAULT_IM_WINDOW,
     n_re: int = 48,
     n_im: int = 10,

@@ -30,8 +30,9 @@ AXIS_NAMES = ("k", "Omega", "omega_C", "delta", "omega_e", "D")
 #: Default CI gate on analytic-vs-oracle deviation for decay-free sweeps.
 ORACLE_GATE = 1e-8
 
-#: Bytes of stacked systems one lattice-oracle solve may hold.  Stacks of 1 to
-#: 8 MiB solve equally fast; 4 MiB left the lowest peak RSS under glibc malloc.
+#: Bytes of stacked systems, counted as dense, one lattice-oracle solve may
+#: hold; a system longer than one ``oracle.PANEL`` holds far less.  Stacks of
+#: 1 to 8 MiB solve equally fast; 4 MiB left the lowest peak RSS under glibc malloc.
 ORACLE_STACK_BYTES = 4 * 2**20
 
 

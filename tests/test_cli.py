@@ -701,3 +701,20 @@ class TestGitHash:
     def test_foreign_top_level_is_unknown(self, tmp_path, monkeypatch):
         self.fake_git(monkeypatch, tmp_path)
         assert cli._git_hash() == "unknown"
+
+
+class TestParser:
+    def test_built_once_and_sets_do_not_leak_between_calls(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        runs = (("five", sets("k_count=5", "k_min=0.5")), ("seven", sets("k_count=7")),
+                ("plain", []))
+        for name, extra in runs:
+            assert main(["spectrum", "--config", "fig3a", *extra,
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        counts = {name: len(read_csv(tmp_path / f"{name}.csv")[1]) for name, _ in runs}
+        assert counts == {"five": 5, "seven": 7, "plain": 2000}
+        k_min = float(load_config("fig3a")["k_min"])
+        header, rows = read_csv(tmp_path / "seven.csv")
+        assert column(header, rows, "k")[0] == k_min
+        params = json.loads((tmp_path / "plain.csv.meta.json").read_text())["parameters"]
+        assert params["k_count"] == 2000 and params["k_min"] == k_min

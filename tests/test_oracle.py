@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,8 +114,13 @@ def _taylor_run(spec, wp, order=20):
     return _measure(spec, psi, takes)
 
 
-def _row_by_row_solve(spec, k):
-    """(r, s) from the stationary system written out entry by entry, row by row."""
+def _row_by_row_system(spec, k):
+    """The stationary system (M, b) written out entry by entry, row by row.
+
+    Rows: the probe sites 0 and 1, bulk sites 1..n-2, the probe sites n-2
+    and n-1, then (excited, metastable) per node; columns: the sites, the
+    node levels, r and s.
+    """
     E = dispersion_energy(k, spec.lat)
     n, dim = spec.n_sites, spec.dimension
     M = np.zeros((dim + 2, dim + 2), dtype=complex)
@@ -138,8 +144,28 @@ def _row_by_row_solve(spec, k):
     for i, row in enumerate(rows):
         for j, value in row.items():
             M[i, j] = value
+    return M, b
+
+
+def _row_by_row_solve(spec, k):
+    """(r, s) from one dense solve of the row-by-row system."""
+    M, b = _row_by_row_system(spec, k)
     sol = np.linalg.solve(M, b)
-    return complex(sol[dim]), complex(sol[dim + 1])
+    return complex(sol[-2]), complex(sol[-1])
+
+
+def _refined_solve(spec, k):
+    """(r, s) of the row-by-row system, its dense solve refined on long-double residuals.
+
+    Partial pivoting in the row-by-row order can grow like the chain's
+    evanescent waves on long leaky chains; the refinement removes that error.
+    """
+    M, b = _row_by_row_system(spec, k)
+    sol = np.linalg.solve(M, b)
+    for _ in range(3):
+        residual = b.astype(np.clongdouble) - M.astype(np.clongdouble) @ sol.astype(np.clongdouble)
+        sol = sol + np.linalg.solve(M, residual.astype(complex))
+    return complex(sol[-2]), complex(sol[-1])
 
 
 class TestChainSpec:
@@ -336,11 +362,13 @@ class TestStationarySolve:
 
     @pytest.mark.parametrize("k", [1.1, np.linspace(0.3, 2.9, 7)])
     def test_residual_guard_fires_on_a_perturbed_solve(self, monkeypatch, k):
-        spec = ChainSpec(24, ((12, FIG3A_ATOM),), LAT)
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-9)
-        with pytest.raises(OracleResidualError, match="residual"):
-            solve_stationary(spec, k)
+        # a short chain solved dense and a long one solved panel by panel
+        for spec in (ChainSpec(24, ((12, FIG3A_ATOM),), LAT),
+                     ChainSpec(320, ((150, FIG3A_ATOM), (151, FIG3A_ATOM)), LAT)):
+            with pytest.raises(OracleResidualError, match="residual"):
+                solve_stationary(spec, k)
 
     def test_residual_error_exits_one(self, monkeypatch, tmp_path):
         solve = np.linalg.solve
@@ -367,6 +395,122 @@ class TestStationarySolve:
             spec = ChainSpec(36, tuple(zip(sites, atoms)), draw_lattice(rng), kappa=kappa)
             k = draw_momentum(rng)
             assert solve_stationary(spec, k) == _row_by_row_solve(spec, k)
+
+
+def _random_chain(rng, n_sites, n_nodes):
+    """Random nodes on ``n_sites`` sites, two of them adjacent when there are two or more."""
+    decay = bool(rng.integers(0, 2))
+    sites = set(int(x) for x in rng.integers(oracle.BUFFER, n_sites - oracle.BUFFER, n_nodes))
+    if len(sites) > 1:
+        sites.add(min(sites) + 1)
+    atoms = [draw_atom(rng, two_level=bool(rng.integers(0, 2)), decay=decay) for _ in sites]
+    kappa = rng.uniform(0.0, 0.2) if decay else 0.0
+    return ChainSpec(n_sites, tuple(zip(sorted(sites), atoms)), draw_lattice(rng), kappa=kappa)
+
+
+def _band_basis(spec):
+    """Row and column of the row-by-row system for each row and unknown of the band.
+
+    Unknowns: r, then each site followed by its node's (excited, metastable)
+    levels, then s; row i is the equation of unknown i, with the probe rows
+    of sites 0, 1, n-2 and n-1 in rows 0, 1 and the last two.
+    """
+    n, dim = spec.n_sites, spec.dimension
+    node_of_site = {site: m for m, site in enumerate(spec.sites)}
+    cols, rows = [dim], [0]
+    for j in range(n):
+        cols.append(j)
+        rows.append(1 if j == 0 else n if j == n - 1 else j + 1)
+        if j in node_of_site:
+            e = n + 2 * node_of_site[j]
+            cols += [e, e + 1]
+            rows += [e + 2, e + 3]
+    return np.array(rows + [n + 1]), np.array(cols + [dim + 1])
+
+
+def _fig3a_array(n_nodes, spacing=5):
+    sites = tuple(8 + spacing * i for i in range(n_nodes))
+    return ChainSpec(sites[-1] + 9, tuple((site, FIG3A_ATOM) for site in sites), LAT)
+
+
+class TestBandedSolve:
+    # 0, 1, 2 and 9 panels of oracle.PANEL columns
+    @pytest.mark.parametrize("n_sites, n_nodes", [(36, 3), (90, 4), (130, 5), (440, 5)])
+    def test_band_is_the_row_by_row_system(self, n_sites, n_nodes):
+        rng = np.random.default_rng(n_sites)
+        for _ in range(5):
+            spec = _random_chain(rng, n_sites, n_nodes)
+            k = draw_momentum(rng)
+            band, b = oracle._stationary_band(spec, np.asarray(k))
+            M, b_ref = _row_by_row_system(spec, k)
+            rows, cols = _band_basis(spec)
+            assert np.array_equal(b, b_ref[rows])
+            size = len(b)
+            seen = np.zeros((size, size), dtype=bool)
+            for i, d in np.ndindex(size, 7):
+                c = i + d - 3
+                if 0 <= c < size:
+                    assert band[i, d] == M[rows[i], cols[c]]
+                    seen[rows[i], cols[c]] = True
+                else:
+                    assert band[i, d] == 0
+            assert not np.any(M[~seen])
+
+    def test_agrees_with_the_dense_solve_on_random_long_chains(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            spec = _random_chain(rng, int(rng.integers(60, 601)), int(rng.integers(0, 6)))
+            k = draw_momentum(rng)
+            r, s = solve_stationary(spec, k)
+            r_ref, s_ref = _refined_solve(spec, k)
+            assert abs(r - r_ref) <= 1e-11 and abs(s - s_ref) <= 1e-11
+
+    def test_long_leaky_chain_that_the_dense_lu_fails(self):
+        # the dense solve in the row-by-row order leaves a residual far above
+        # RESIDUAL_TOL here; the panels stay on the refined solution
+        spec = ChainSpec(335, ((100, FIG3A_ATOM), (101, FIG3A_ATOM)),
+                         LatticeParams(omega=1.0, t=1.0), kappa=0.2)
+        k = 2.6
+        M, b = _row_by_row_system(spec, k)
+        dense = np.linalg.solve(M, b)
+        assert np.linalg.norm(M @ dense - b) / np.linalg.norm(b) > oracle.RESIDUAL_TOL
+        r, s = solve_stationary(spec, k)
+        r_ref, s_ref = _refined_solve(spec, k)
+        assert abs(r - r_ref) <= 1e-11 and abs(s - s_ref) <= 1e-11 * abs(s_ref) + 1e-14
+
+    def test_fifty_node_array_matches_the_dense_solve(self):
+        spec = _fig3a_array(50)
+        for k in (0.3, 1.16016, 1.9, 2.8):
+            r, s = solve_stationary(spec, k)
+            r_ref, s_ref = _row_by_row_solve(spec, k)
+            assert abs(r - r_ref) <= 1e-11 and abs(s - s_ref) <= 1e-11
+
+    def test_three_hundred_node_array_in_little_memory(self, caplog):
+        spec = _fig3a_array(300)
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="cavitychain.oracle"):
+                r, s = solve_stationary(spec, 1.16016)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert math.isfinite(abs(r)) and math.isfinite(abs(s))
+        assert abs(abs(r) ** 2 + abs(s) ** 2 - 1.0) <= 1e-9
+        (record,) = caplog.records
+        assert float(record.getMessage().rsplit(" ", 1)[1]) <= oracle.RESIDUAL_TOL
+
+    def test_multi_panel_stack_has_the_bits_of_each_system_alone(self):
+        Omega = np.array([[0.0], [0.7], [1.5]])
+        atom = AtomParams(omega_e=0.3, delta=-0.2, Omega=Omega, Gamma=0.05)
+        k = np.linspace(0.4, 2.7, 4)
+        sites = ((40, atom), (41, FIG3A_ATOM), (150, atom))
+        r, s = solve_stationary(ChainSpec(200, sites, LAT, kappa=0.01), k)
+        for i, j in np.ndindex(3, 4):
+            one = AtomParams(omega_e=0.3, delta=-0.2, Omega=float(Omega[i, 0]), Gamma=0.05)
+            alone = ((40, one), (41, FIG3A_ATOM), (150, one))
+            one_chain = ChainSpec(200, alone, LAT, kappa=0.01)
+            assert (r[i, j], s[i, j]) == solve_stationary(one_chain, k[j])
 
 
 class TestEigenmodes:
