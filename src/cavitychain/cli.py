@@ -368,6 +368,7 @@ def cmd_wavepacket(cfg: dict, out: Path) -> int:
             "drift": result.drift,
             "absorbed_left": result.absorbed_left,
             "absorbed_right": result.absorbed_right,
+            "h_applications": result.h_applications,
         },
     )
     return 0
@@ -400,30 +401,35 @@ def cmd_modes(cfg: dict, out: Path) -> int:
 
 def _agreement_draw(rng: np.random.Generator, with_decay: bool) -> dict:
     """One random scattering configuration, momentum k included, for the oracle gate."""
+
+    def uniform(lo: float, hi: float) -> float:
+        # numpy's own formula for rng.uniform(lo, hi), same bits, without its argument checks.
+        return lo + (hi - lo) * rng.random()
+
     flavor = rng.integers(0, 3)
     params = {
-        "t": rng.uniform(0.5, 4.0),
-        "omega": rng.uniform(-2.0, 2.0),
-        "omega_e": rng.uniform(-3.0, 3.0),
-        "delta": rng.uniform(-3.0, 3.0),
-        "Omega": rng.uniform(0.0, 3.0) if flavor != 1 else 0.0,
-        "g": rng.uniform(0.6, 1.5),
-        "Gamma": rng.uniform(0.0, 0.2) if with_decay else 0.0,
-        "gamma": rng.uniform(0.0, 0.2) if with_decay else 0.0,
+        "t": uniform(0.5, 4.0),
+        "omega": uniform(-2.0, 2.0),
+        "omega_e": uniform(-3.0, 3.0),
+        "delta": uniform(-3.0, 3.0),
+        "Omega": uniform(0.0, 3.0) if flavor != 1 else 0.0,
+        "g": uniform(0.6, 1.5),
+        "Gamma": uniform(0.0, 0.2) if with_decay else 0.0,
+        "gamma": uniform(0.0, 0.2) if with_decay else 0.0,
     }
     if flavor == 2:
         params.update(
             {
-                "omega_e2": rng.uniform(-3.0, 3.0),
-                "delta2": rng.uniform(-3.0, 3.0),
-                "Omega2": rng.uniform(0.0, 3.0) if rng.integers(0, 2) else 0.0,
-                "g2": rng.uniform(0.6, 1.5),
+                "omega_e2": uniform(-3.0, 3.0),
+                "delta2": uniform(-3.0, 3.0),
+                "Omega2": uniform(0.0, 3.0) if rng.integers(0, 2) else 0.0,
+                "g2": uniform(0.6, 1.5),
                 "D": int(rng.integers(1, 9)),
-                "Gamma2": rng.uniform(0.0, 0.2) if with_decay else 0.0,
-                "gamma2": rng.uniform(0.0, 0.2) if with_decay else 0.0,
+                "Gamma2": uniform(0.0, 0.2) if with_decay else 0.0,
+                "gamma2": uniform(0.0, 0.2) if with_decay else 0.0,
             }
         )
-    params["k"] = rng.uniform(0.05, math.pi - 0.05)
+    params["k"] = uniform(0.05, math.pi - 0.05)
     return params
 
 

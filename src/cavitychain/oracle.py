@@ -9,8 +9,9 @@ imposes exact plane-wave constraint rows at two probe sites on each end
 (incident plus reflected on the left, transmitted on the right), so its r
 and s do not depend on N beyond conditioning.  It keeps the band and
 reduces long chains PANEL columns at a time by QR, in O(N PANEL^2) time.
-The wavepacket propagator and the eigenmode decomposition provide dynamic
-and spectral cross-checks.
+The wavepacket propagator applies the same band, shifted and scaled, once
+per Chebyshev term, and with the eigenmode decomposition it provides
+dynamic and spectral cross-checks.
 
 The solver fixes the package-wide direction convention: the incident wave
 is e^{+ikx} moving toward +x, with x measured from the first node.
@@ -144,7 +145,11 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class WavepacketResult:
-    """Scattering probabilities measured after the packet has cleared."""
+    """Scattering probabilities measured after the packet has cleared.
+
+    ``h_applications`` is the work the run did: the number of products of H
+    with a vector, one per Chebyshev term past the first in every step.
+    """
 
     R_meas: float
     T_meas: float
@@ -153,6 +158,7 @@ class WavepacketResult:
     absorbed_left: float = 0.0
     absorbed_right: float = 0.0
     drift: float = 0.0
+    h_applications: int = 0
 
 
 def _interleaved_order(spec: ChainSpec) -> np.ndarray:
@@ -379,26 +385,43 @@ def eigenmodes(spec: ChainSpec) -> list[EigenMode]:
 
 
 def _gaussian_packet(spec: ChainSpec, wp: WavepacketSpec) -> np.ndarray:
+    """The normalised packet on the N sites."""
     j = np.arange(spec.n_sites)
     envelope = np.exp(-((j - wp.x0) ** 2) / (4.0 * wp.sigma**2))
     psi = envelope * np.exp(1j * wp.k0 * j)
-    vec = np.zeros(spec.dimension, dtype=np.complex128)
-    vec[: spec.n_sites] = psi / np.linalg.norm(psi)
-    return vec
+    return psi / np.linalg.norm(psi)
 
 
 def _spectral_interval(spec: ChainSpec) -> tuple[float, float]:
-    """Gershgorin bounds on the real parts of the eigenvalues of H.
+    """Gershgorin bounds on the real parts of the eigenvalues of H, from the rows of its band.
 
     Decay, leakage and absorbers only move eigenvalues below the real axis,
     so the interval depends on the real diagonals and the couplings alone.
     """
-    band_lo, band_hi = spec.lat.omega - 2.0 * spec.lat.t, spec.lat.omega + 2.0 * spec.lat.t
-    lo, hi = band_lo, band_hi
-    for _, a in spec.placements:
-        lo = min(lo, band_lo - a.g, a.omega_e - a.g - a.Omega, a.delta - a.Omega)
-        hi = max(hi, band_hi + a.g, a.omega_e + a.g + a.Omega, a.delta + a.Omega)
-    return lo, hi
+    H = _hamiltonian_band(spec)
+    coupling = np.abs(H)
+    coupling[:, 3] = 0.0
+    reach = coupling.sum(axis=1)
+    return float(np.min(H[:, 3].real - reach)), float(np.max(H[:, 3].real + reach))
+
+
+def _site_rows(spec: ChainSpec) -> np.ndarray:
+    """Position of each of the N sites in the interleaved basis, where they keep their order."""
+    return np.flatnonzero(_interleaved_order(spec) < spec.n_sites)
+
+
+def _propagator_band(
+    spec: ChainSpec, cap: np.ndarray, centre: complex, radius: float
+) -> np.ndarray:
+    """(H - centre - i cap) / radius as the 7 diagonals of ``_hamiltonian_band``.
+
+    ``cap`` is the absorbing potential on the N sites.
+    """
+    band = _hamiltonian_band(spec)
+    band[:, 3] -= centre
+    band[_site_rows(spec), 3] -= 1j * cap
+    band /= radius
+    return band
 
 
 def _bessel_series(x: float, rho: float = 1.0) -> np.ndarray:
@@ -510,8 +533,12 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     """Propagate the packet through the chain and measure R and T.
 
     Each step applies a Chebyshev expansion of exp(-iH dt) on the Gershgorin
-    interval of H, accurate to rounding; ``times``/``norm_history`` hold one
-    sample per step end, and the guards below run at every step end.
+    interval of H, accurate to rounding (Tal-Ezer & Kosloff, J. Chem. Phys.
+    81, 3967 (1984)); ``times``/``norm_history`` hold one sample per step
+    end, and the guards below run at every step end.  The state lives in the
+    interleaved basis, and each term applies H as one product of the 7
+    diagonals of ``_propagator_band`` with a fixed window on the previous
+    term, O(dim) work; ``h_applications`` counts these products.
     R_meas is the probability left of the first node after the run,
     T_meas the probability right of the last node, each augmented by the
     probability its absorbing layer removed when absorbers are enabled.
@@ -543,34 +570,20 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     dt = wp.tmax / n_steps
     coeffs = _chebyshev_coefficients(centre, radius, rho, dt)
 
-    # Every coefficient of H below is shifted and scaled onto the unit box.
-    site_diag = (spec.lat.omega - centre - 0.5j * spec.kappa - 1j * cap) / radius
-    t_hop = spec.lat.t / radius
-    atom_sites = np.array(spec.sites, dtype=int)
-    g_arr = np.array([a.g for _, a in spec.placements]) / radius
-    Om_arr = np.array([a.Omega for _, a in spec.placements]) / radius
-    e_diag = np.array([a.excited_level - centre for _, a in spec.placements]) / radius
-    a_diag = np.array([a.metastable_level - centre for _, a in spec.placements]) / radius
-
-    def apply_h(y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        u = y[:n]
-        hu = site_diag * u
-        hu[:-1] -= t_hop * u[1:]
-        hu[1:] -= t_hop * u[:-1]
-        if atom_sites.size:
-            ue = y[n::2]
-            ua = y[n + 1 :: 2]
-            hu[atom_sites] += g_arr * ue
-            out[n::2] = e_diag * ue + g_arr * u[atom_sites] + Om_arr * ua
-            out[n + 1 :: 2] = a_diag * ua + Om_arr * ue
-        out[:n] = hu
-        return out
+    # H acts in the interleaved basis through its band.  Row m of ``padded``
+    # holds T_m y between three zeros on either side, so one fixed window of
+    # width 7 on it lines up every unknown's neighbours with the band's row.
+    band = _propagator_band(spec, cap, centre, radius)
+    band2 = 2.0 * band
+    sites = _site_rows(spec)
+    padded = np.zeros((len(coeffs), spec.dimension + 6), dtype=np.complex128)
+    vectors = padded[:, 3:-3]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 7, axis=1)
 
     # The absorbed flux is integrated by Gauss-Legendre nodes inside each
     # step, evaluated from the step's own Chebyshev vectors on the layers.
     absorbing = np.nonzero(cap)[0]
-    basis = np.empty((len(coeffs), absorbing.size), dtype=np.complex128)
+    layer_rows = sites[absorbing]
     if absorbing.size:
         nodes, weights = np.polynomial.legendre.leggauss(FLUX_NODES)
         taus = 0.5 * dt * (nodes + 1.0)
@@ -579,25 +592,22 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
         )
         node_flux = np.outer(0.5 * dt * weights, 2.0 * cap[absorbing])
 
-    def chebyshev_step(y: np.ndarray) -> np.ndarray:
-        prev, cur = y, apply_h(y)
-        basis[0], basis[1] = prev[absorbing], cur[absorbing]
-        out = coeffs[0] * prev + coeffs[1] * cur
-        for m in range(2, len(coeffs)):
-            prev, cur = cur, 2.0 * apply_h(cur) - prev
-            basis[m] = cur[absorbing]
-            out += coeffs[m] * cur
-        return out
-
-    y = _gaussian_packet(spec, wp)
+    y = vectors[0]  # the state: T_0 y of every step
+    y[sites] = _gaussian_packet(spec, wp)
+    ends = sites[[0, 1, 2, -3, -2, -1]]  # three sites at either end of the chain
     decay_free = spec.is_decay_free and wp.absorber_width == 0
     norm_history = np.empty(n_steps + 1)
     norm_history[0] = float(np.vdot(y, y).real)
     taken = np.zeros(absorbing.size)
     for step in range(1, n_steps + 1):
-        y = chebyshev_step(y)
+        # T_1 y = H y, T_m y = 2 H T_{m-1} y - T_{m-2} y, all on the scaled H.
+        np.einsum("ij,ij->i", band, windows[0], out=vectors[1])
+        for m in range(2, len(coeffs)):
+            np.einsum("ij,ij->i", band2, windows[m - 1], out=vectors[m])
+            vectors[m] -= vectors[m - 2]
         if absorbing.size:
-            taken += np.sum(node_flux * np.abs(node_coeffs @ basis) ** 2, axis=0)
+            taken += np.sum(node_flux * np.abs(node_coeffs @ vectors[:, layer_rows]) ** 2, axis=0)
+        padded[0] = coeffs @ padded  # exp(-iH dt) y = sum_m a_m T_m y
         norm_history[step] = float(np.vdot(y, y).real)
         # A decay-free run keeps its norm; a dissipative one may only lose.
         gain = norm_history[step] - norm_history[0 if decay_free else step - 1]
@@ -607,7 +617,7 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
                 f"norm drift {drift:.3e} exceeded {DRIFT_TOL:.1e} at t={dt * step:.3f}; "
                 f"the spectral interval [{lo:.3g}, {hi:.3g}] misses part of the spectrum"
             )
-        edges = float(np.sum(np.abs(y[:3]) ** 2) + np.sum(np.abs(y[n - 3 : n]) ** 2))
+        edges = float(np.sum(np.abs(y[ends]) ** 2))
         if wp.absorber_width == 0 and edges > EDGE_TOL:
             raise InsufficientChainError(
                 f"probability {edges:.3e} reached the chain ends at "
@@ -616,7 +626,7 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     mid = spec.origin
     absorbed_left = float(np.sum(taken[absorbing < mid]))
     absorbed_right = float(np.sum(taken[absorbing >= mid]))
-    prob = np.abs(y[:n]) ** 2
+    prob = np.abs(y[sites]) ** 2
     left_cut, right_cut = (spec.sites[0], spec.sites[-1]) if spec.placements else (mid, mid)
     R_meas = float(np.sum(prob[:left_cut])) + absorbed_left
     T_meas = float(np.sum(prob[right_cut + 1 :])) + absorbed_right
@@ -625,4 +635,5 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
         R_meas=R_meas, T_meas=T_meas, norm_history=norm_history,
         times=np.linspace(0.0, wp.tmax, n_steps + 1),
         absorbed_left=absorbed_left, absorbed_right=absorbed_right, drift=drift,
+        h_applications=n_steps * (len(coeffs) - 1),
     )

@@ -608,6 +608,16 @@ class TestWavepacketCommand:
         assert sidecar["R_meas"] + sidecar["T_meas"] == pytest.approx(1.0, abs=1e-4)
         assert sidecar["drift"] <= 1e-8
 
+    def test_sidecar_records_the_h_applications(self, tmp_path):
+        out = tmp_path / "wp.csv"
+        assert main(["wavepacket", *WP_PLACED, *sets("absorber_width=30"), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        applications = json.loads((tmp_path / "wp.csv.meta.json").read_text())["h_applications"]
+        # every step applies H once per Chebyshev term past the first
+        assert isinstance(applications, int)
+        assert applications % (len(rows) - 1) == 0
+        assert applications > len(rows) - 1
+
     def test_missing_packet_keys(self, tmp_path):
         cfg = tmp_path / "wp.cfg"
         cfg.write_text("t = 2\nomega = 1\nomega_e = 1\nN = 420\nsite = 210\n")
@@ -648,7 +658,47 @@ class TestModesCommand:
         assert [complex(float(row[2]), float(row[3])) for row in rows] == vector.tolist()
 
 
+def _uniform_draw(rng, with_decay):
+    """``cli._agreement_draw`` written with ``rng.uniform``: the reference for its bits."""
+    flavor = rng.integers(0, 3)
+    params = {
+        "t": rng.uniform(0.5, 4.0),
+        "omega": rng.uniform(-2.0, 2.0),
+        "omega_e": rng.uniform(-3.0, 3.0),
+        "delta": rng.uniform(-3.0, 3.0),
+        "Omega": rng.uniform(0.0, 3.0) if flavor != 1 else 0.0,
+        "g": rng.uniform(0.6, 1.5),
+        "Gamma": rng.uniform(0.0, 0.2) if with_decay else 0.0,
+        "gamma": rng.uniform(0.0, 0.2) if with_decay else 0.0,
+    }
+    if flavor == 2:
+        params.update(
+            {
+                "omega_e2": rng.uniform(-3.0, 3.0),
+                "delta2": rng.uniform(-3.0, 3.0),
+                "Omega2": rng.uniform(0.0, 3.0) if rng.integers(0, 2) else 0.0,
+                "g2": rng.uniform(0.6, 1.5),
+                "D": int(rng.integers(1, 9)),
+                "Gamma2": rng.uniform(0.0, 0.2) if with_decay else 0.0,
+                "gamma2": rng.uniform(0.0, 0.2) if with_decay else 0.0,
+            }
+        )
+    params["k"] = rng.uniform(0.05, math.pi - 0.05)
+    return params
+
+
 class TestOracleCheckCommand:
+    @pytest.mark.parametrize("seed", [1, 7, 20240901])
+    def test_draws_have_the_bits_of_rng_uniform(self, seed):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(300):
+            with_decay = i % 3 == 2
+            drawn = cli._agreement_draw(ours, with_decay)
+            expected = _uniform_draw(reference, with_decay)
+            assert drawn.keys() == expected.keys()
+            assert all(type(drawn[key]) is type(expected[key]) for key in drawn)
+            assert drawn == expected, f"draw {i}"
+
     def test_default_suite_passes(self, capsys):
         code = main(
             ["oracle-check", "--config", "oracle_check",

@@ -618,11 +618,20 @@ class TestWavepacket:
             "leaky-cavity",
             "absorbers",
             "strong-absorbers",
+            "adjacent-nodes",
+            "two-level-node",
         ],
     )
     def test_matches_eigenbasis_propagation(self, case):
         if case == "decay-free":
             spec, wp = design_scattering_run((FIG3A_ATOM, FIG3A_ATOM), LAT, 1.4, 6.0, D=9)
+        elif case == "adjacent-nodes":
+            # D = 1: the hop from the first node's site spans both nodes' levels.
+            spec, wp = design_scattering_run((FIG3A_ATOM, FIG3A_ATOM), LAT, 1.4, 6.0, D=1)
+        elif case == "two-level-node":
+            # A two-level node beside a Lambda node; its metastable level is decoupled.
+            atoms = (AtomParams.two_level(0.5, g=1.2), FIG3A_ATOM)
+            spec, wp = design_scattering_run(atoms, LAT, 1.3, 6.0, D=3)
         elif case == "strong-coupling":
             # g = 30 puts bound states far outside the band, at the interval's edges.
             atom = AtomParams(omega_e=0.2, delta=-0.5, Omega=1.0, g=30.0)
@@ -655,6 +664,51 @@ class TestWavepacket:
         assert abs(res.absorbed_right - right) <= 1e-10
         if "absorbers" in case:
             assert right > 0.1
+
+    @pytest.mark.parametrize(
+        "case", ["adjacent-nodes", "two-level-node", "decay", "kappa", "absorbers"]
+    )
+    def test_propagator_band_is_the_shifted_scaled_hamiltonian(self, case):
+        n, kappa, cap = 60, 0.0, np.zeros(60)
+        nodes = ((20, FIG3A_ATOM), (21, AtomParams(omega_e=0.4, delta=-0.3, Omega=0.7, g=1.3)))
+        if case == "two-level-node":
+            nodes = ((20, AtomParams.two_level(0.6, g=1.4)), (33, FIG3A_ATOM))
+        elif case == "decay":
+            decaying = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.3, gamma=0.05)
+            nodes = ((20, decaying), (27, FIG3A_ATOM))
+        elif case == "kappa":
+            kappa = 0.05
+        elif case == "absorbers":
+            # the nodes shift the right layer's sites by four rows in the band
+            cap[:12] = 0.3 * np.linspace(1.0, 0.1, 12) ** 2
+            cap[-12:] = 0.7 * np.linspace(0.1, 1.0, 12) ** 2
+        spec = ChainSpec(n, nodes, LAT, kappa=kappa)
+        centre, radius = 1.1 - 0.4j, 4.7
+        band = oracle._propagator_band(spec, cap, centre, radius)
+        order = oracle._interleaved_order(spec)
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=spec.dimension) + 1j * rng.normal(size=spec.dimension)
+        padded = np.zeros(spec.dimension + 6, dtype=complex)
+        padded[3:-3] = y[order]
+        Hy = np.einsum("ij,ij->i", band, np.lib.stride_tricks.sliding_window_view(padded, 7))
+        shift = np.zeros(spec.dimension, dtype=complex)
+        shift[:n] = 1j * cap
+        dense = (build_hamiltonian(spec) - np.diag(centre + shift)) / radius
+        assert np.max(np.abs(Hy - (dense @ y)[order])) <= 1e-14
+
+    def test_h_applications_counts_the_band_products(self, monkeypatch):
+        products = []
+        einsum = np.einsum
+
+        def counting(subscripts, *operands, **kwargs):
+            products.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        spec, wp = design_scattering_run((FIG3A_ATOM,), LAT, 1.4, 6.0)
+        res = propagate_wavepacket(spec, wp)
+        assert set(products) == {"ij,ij->i"}
+        assert res.h_applications == len(products) > 10 * (len(res.times) - 1)
 
     def test_unitarity_over_a_long_run(self):
         # Criterion 10's transmission run: a 783-level chain over t ~ 80.
