@@ -8,7 +8,8 @@ side of the main one for any number of nodes.  The stationary solver
 imposes exact plane-wave constraint rows at two probe sites on each end
 (incident plus reflected on the left, transmitted on the right), so its r
 and s do not depend on N beyond conditioning.  It keeps the band and
-reduces long chains PANEL columns at a time by QR, in O(N PANEL^2) time.
+reduces it PANEL columns at a time by QR, in O(N PANEL^2) time; a system
+shorter than a panel is one dense solve of its band-order block.
 The wavepacket propagator applies the same band, shifted and scaled, once
 per Chebyshev term, and with the eigenmode decomposition it provides
 dynamic and spectral cross-checks.
@@ -60,10 +61,10 @@ class ChainSpec:
     """Finite chain with nodes at fixed sites.
 
     ``placements`` maps site indices to node parameters; sites must stay at
-    least ``BUFFER`` sites away from both ends.  ``kappa`` adds a uniform
-    -i kappa/2 cavity leakage to every site (off by default).  Lattice and
-    node fields may be arrays (a batch of points) for ``build_hamiltonian``
-    and ``solve_stationary``.
+    least ``BUFFER`` sites away from both ends, so a chain needs 2 ``BUFFER``
+    + 1 sites.  ``kappa`` adds a uniform -i kappa/2 cavity leakage to every
+    site (off by default).  Lattice and node fields may be arrays (a batch
+    of points) for ``build_hamiltonian`` and ``solve_stationary``.
     """
 
     n_sites: int
@@ -72,8 +73,8 @@ class ChainSpec:
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_sites < 16:
-            raise PlacementError(f"need at least 16 sites, got {self.n_sites}")
+        if self.n_sites < 2 * BUFFER + 1:
+            raise PlacementError(f"need at least {2 * BUFFER + 1} sites, got {self.n_sites}")
         if self.kappa < 0:
             raise PlacementError("cavity leakage kappa must be nonnegative")
         sites = [site for site, _ in self.placements]
@@ -253,8 +254,8 @@ def _stationary_band(spec: ChainSpec, k: np.ndarray) -> tuple[np.ndarray, np.nda
 
 #: Columns one QR reduces in a long stationary system.  One chain solves about
 #: equally fast at widths 16 to 48 (fewer panels against more work in each);
-#: 48 also keeps every system of the bundled figures (at most 52 unknowns,
-#: fig6b at D = 30) below PANEL + 6 unknowns, on the dense path.
+#: 48 also leaves every system of the bundled figures (at most 45 unknowns,
+#: fig6b at D = 30) below PANEL + 6 unknowns, one dense solve with no panel.
 PANEL = 48
 
 
@@ -265,11 +266,10 @@ def _window(band: np.ndarray, b: np.ndarray, start: int, size: int, carry) -> np
     the three rows the previous panel left, replaces the first three rows.
     """
     *batch, _, _ = band.shape
-    i = np.arange(size)[:, None]
-    W = np.zeros((*batch, size * (size + 7)), dtype=np.complex128)
-    W[..., (i * (size + 8) + np.arange(7)).ravel()] = band[..., start : start + size, :].reshape(
-        *batch, 7 * size)
-    W = W.reshape(*batch, size, size + 7)
+    W = np.zeros((*batch, size, size + 7), dtype=np.complex128)
+    flat = W.reshape(*batch, -1)
+    for d in range(7):  # band column d is W's diagonal at offset d: entries d + i (size + 8)
+        flat[..., d :: size + 8] = band[..., start : start + size, d]
     W[..., -1] = b[..., start : start + size]
     if carry is not None:
         W[..., :3, 3:9], W[..., :3, -1] = carry[..., :6], carry[..., 6]
@@ -283,8 +283,9 @@ def _solve_panels(band: np.ndarray, b: np.ndarray) -> np.ndarray:
     c0..c0+PANEL-1 still to be reduced, and they reach at most six columns
     further.  One QR of that block with its six trailing columns and b
     leaves PANEL rows of R and three reduced rows that join the next panel.
-    The trailing square block is one dense solve; back-substitution then
-    runs panel by panel.  QR is backward-stable without any pivot choice.
+    The trailing square block (all of a system of fewer than PANEL + 6
+    unknowns) is one dense solve; back-substitution then runs panel by
+    panel.  QR is backward-stable without any pivot choice.
     """
     size = band.shape[-2]
     panels = (size - 6) // PANEL
@@ -314,11 +315,11 @@ def solve_stationary(spec: ChainSpec, k):
     N-independent up to conditioning.
 
     In the order r, u_0, ..., u_p, e_p, a_p, ..., u_{n-1}, s the system is a
-    band with three diagonals on either side (``_stationary_band``).  A
-    system of fewer than PANEL + 6 unknowns is expanded to the dense M in
-    the order (sites, node levels, r, s) and solved by ``np.linalg.solve``.
-    A longer one is solved panel by panel (``_solve_panels``) in O(N PANEL^2)
-    time and O(N PANEL) memory; no dense N x N array is formed.
+    band with three diagonals on either side (``_stationary_band``), solved
+    panel by panel (``_solve_panels``) in O(N PANEL^2) time and O(N PANEL)
+    memory; no dense N x N array is formed.  A system of fewer than
+    PANEL + 6 unknowns is one ``np.linalg.solve`` of its dense band-order
+    block.
 
     Array fields of ``spec`` and an array ``k`` broadcast to ``batch``: one
     call solves the whole ``(*batch, dim + 2)`` stack and gives r and s of
@@ -328,18 +329,7 @@ def solve_stationary(spec: ChainSpec, k):
     k = np.asarray(k, dtype=float)
     band, b = _stationary_band(spec, k)
     size = band.shape[-2]
-    if size < PANEL + 6:
-        # M's rows: probes at sites 0 and 1, bulk sites 1..n-2, probes at
-        # n-2 and n-1, node levels; its columns: sites, node levels, r, s.
-        order = _interleaved_order(spec)
-        n = spec.n_sites
-        rows = np.concatenate(([0], order + 1 + (order >= n), [n + 1]))
-        cols = np.concatenate(([size - 2], order, [size - 1]))
-        dense_b = np.zeros_like(b)
-        dense_b[..., rows] = b
-        x = np.linalg.solve(_expand(band, rows, cols), dense_b[..., None])[..., cols, 0]
-    else:
-        x = _solve_panels(band, b)
+    x = _solve_panels(band, b)
     padded = np.zeros((*x.shape[:-1], size + 6), dtype=np.complex128)
     padded[..., 3:-3] = x
     window = np.lib.stride_tricks.sliding_window_view(padded, 7, axis=-1)
@@ -512,12 +502,16 @@ def design_wavepacket(spec: ChainSpec, k0: float, sigma: float) -> WavepacketSpe
 def check_packet_layout(spec: ChainSpec, wp: WavepacketSpec) -> None:
     """Raise InsufficientChainError unless the packet fits the chain.
 
-    The packet centre must sit 5 sigma clear of the left end and of the
-    first node, and the two absorbing layers must not overlap.
+    The packet centre must sit 5 sigma clear of both ends and of the first
+    node, and the two absorbing layers must not overlap.
     """
     if wp.x0 - 5.0 * wp.sigma < 2:
         raise InsufficientChainError(
             f"packet centre {wp.x0} is closer than 5 sigma to the left end"
+        )
+    if wp.x0 + 5.0 * wp.sigma > spec.n_sites - 3:
+        raise InsufficientChainError(
+            f"packet centre {wp.x0} is closer than 5 sigma to the right end"
         )
     if spec.placements and not wp.x0 + 5.0 * wp.sigma < spec.sites[0]:
         raise InsufficientChainError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import AtomParams, LatticeParams
-from .oracle import ChainSpec, solve_stationary
+from .oracle import BUFFER, PANEL, ChainSpec, solve_stationary
 from .scattering import FLAG_OK, chain_scatter
 
 QUANTITIES = ("R", "T", "xi", "Re_r", "Im_r", "R+T")
@@ -30,10 +30,12 @@ AXIS_NAMES = ("k", "Omega", "omega_C", "delta", "omega_e", "D")
 #: Default CI gate on analytic-vs-oracle deviation for decay-free sweeps.
 ORACLE_GATE = 1e-8
 
-#: Bytes of stacked systems, counted as dense, one lattice-oracle solve may
-#: hold; a system longer than one ``oracle.PANEL`` holds far less.  Stacks of
-#: 1 to 8 MiB solve equally fast; 4 MiB left the lowest peak RSS under glibc malloc.
-ORACLE_STACK_BYTES = 4 * 2**20
+#: Bytes of stacked systems one lattice-oracle solve may hold, each counted as
+#: the complex blocks ``oracle._solve_panels`` builds for it: about one row per
+#: unknown, min(unknowns, PANEL + 3) + 7 columns wide.  On the ``oracle-gate``
+#: benchmark (2-vCPU VM, glibc malloc) stacks of 1, 2 and 4 MiB ran equally
+#: fast and left a peak RSS of 45.4, 47.0 and 50.0 MB.
+ORACLE_STACK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,11 @@ def build_scenario(params: dict) -> Scenario:
 
 
 def _oracle_chain(scenario: Scenario, points=slice(None)) -> ChainSpec:
-    """Lattice-oracle chain: first node at site 8, 8 sites past the last.
+    """Lattice-oracle chain with ``BUFFER`` free sites before the first node and after the last.
 
-    ``points`` selects points of a flat array scenario; they share node sites.
+    The shortest chain the probes allow: they sit on the free sites at either
+    end, so r and s do not depend on its length.  ``points`` selects points
+    of a flat array scenario; they share node sites.
     """
     def at(value):
         return value[points] if np.ndim(value) else value
@@ -141,10 +145,10 @@ def _oracle_chain(scenario: Scenario, points=slice(None)) -> ChainSpec:
     def pick(params):
         return replace(params, **{key: at(value) for key, value in vars(params).items()})
 
-    placements = tuple((8 + int(round(np.ravel(at(x))[0])), pick(atom))
+    placements = tuple((BUFFER + int(round(np.ravel(at(x))[0])), pick(atom))
                        for x, atom in scenario.nodes)
-    last = placements[-1][0] if placements else 8
-    return ChainSpec(max(16, last + 8), placements, pick(scenario.lat))
+    last = placements[-1][0] if placements else BUFFER
+    return ChainSpec(last + BUFFER + 1, placements, pick(scenario.lat))
 
 
 def amplitudes(params: dict, engine: str, limit: str | None):
@@ -172,8 +176,9 @@ def amplitudes(params: dict, engine: str, limit: str | None):
     r, s = np.empty(k.shape, complex), np.empty(k.shape, complex)
     for site in np.unique(last):
         group = np.flatnonzero(last == site)
-        dim = _oracle_chain(scenario, group[:1]).dimension
-        step = max(1, ORACLE_STACK_BYTES // (16 * (dim + 2) ** 2))
+        # r, the sites of ``_oracle_chain``, two levels per node, and s
+        size = int(site) + 2 * BUFFER + 1 + 2 * len(scenario.nodes) + 2
+        step = max(1, ORACLE_STACK_BYTES // (16 * size * (min(size, PANEL + 3) + 7)))
         for start in range(0, group.size, step):
             chunk = group[start : start + step]
             r[chunk], s[chunk] = solve_stationary(_oracle_chain(scenario, chunk), k[chunk])

@@ -231,6 +231,8 @@ class TestConfigCheckedBeforeComputing:
              "closer than 5 sigma to the left end"),
             ("wavepacket", [*WP_SETS, *sets("sigma=8", "x0=190", "tmax=5")],
              "closer than 5 sigma to the first node"),
+            ("wavepacket", sets("t=2", "omega=1", "N=200", "k0=1", "sigma=4", "x0=1000", "tmax=5"),
+             "closer than 5 sigma to the right end"),
             # no kernel or lattice chain on these paths models cavity leakage
             ("spectrum", ["--config", "fig3a", *sets("kappa=0.5")],
              "spectrum does not read the configuration key 'kappa'"),
@@ -257,7 +259,7 @@ class TestConfigCheckedBeforeComputing:
              "no-draws", "negative-draws", "negative-seed", "limit", "quantity",
              "duplicate-axes", "no-momentum", "x0-alone", "tmax-alone",
              "absorbers-unplaced", "overlapping-absorbers", "negative-width", "gain-layer",
-             "x0-near-end", "x0-near-node", "kappa-spectrum", "kappa-map2d",
+             "x0-near-end", "x0-near-node", "x0-past-right-end", "kappa-spectrum", "kappa-map2d",
              "kappa-quasibound", "threshold-key", "engine-key",
              "oracle-check-chain-keys", "modes-packet-keys", "spectrum-k", "negative-control-typo"],
     )

@@ -154,6 +154,14 @@ def _row_by_row_solve(spec, k):
     return complex(sol[-2]), complex(sol[-1])
 
 
+def _band_order_solve(spec, k):
+    """(r, s) from one dense solve of the row-by-row system permuted into the band's order."""
+    M, b = _row_by_row_system(spec, k)
+    rows, cols = _band_basis(spec)
+    sol = np.linalg.solve(M[np.ix_(rows, cols)], b[rows])
+    return complex(sol[0]), complex(sol[-1])
+
+
 def _refined_solve(spec, k):
     """(r, s) of the row-by-row system, its dense solve refined on long-double residuals.
 
@@ -170,8 +178,11 @@ def _refined_solve(spec, k):
 
 class TestChainSpec:
     def test_minimum_size(self):
-        with pytest.raises(PlacementError):
-            ChainSpec(15, (), LAT)
+        # one node with BUFFER sites on either side
+        n = 2 * oracle.BUFFER + 1
+        ChainSpec(n, ((oracle.BUFFER, FIG3A_ATOM),), LAT)
+        with pytest.raises(PlacementError, match=f"need at least {n} sites"):
+            ChainSpec(n - 1, (), LAT)
 
     def test_buffer_and_range(self):
         with pytest.raises(PlacementError):
@@ -364,7 +375,7 @@ class TestStationarySolve:
     def test_residual_guard_fires_on_a_perturbed_solve(self, monkeypatch, k):
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-9)
-        # a short chain solved dense and a long one solved panel by panel
+        # a short chain solved as one dense block and a long one panel by panel
         for spec in (ChainSpec(24, ((12, FIG3A_ATOM),), LAT),
                      ChainSpec(320, ((150, FIG3A_ATOM), (151, FIG3A_ATOM)), LAT)):
             with pytest.raises(OracleResidualError, match="residual"):
@@ -394,7 +405,7 @@ class TestStationarySolve:
             kappa = rng.uniform(0.0, 0.2) if decay else 0.0
             spec = ChainSpec(36, tuple(zip(sites, atoms)), draw_lattice(rng), kappa=kappa)
             k = draw_momentum(rng)
-            assert solve_stationary(spec, k) == _row_by_row_solve(spec, k)
+            assert solve_stationary(spec, k) == _band_order_solve(spec, k)
 
 
 def _random_chain(rng, n_sites, n_nodes):
@@ -723,6 +734,15 @@ class TestWavepacket:
         wp = WavepacketSpec(k0=1.3, sigma=8.0, x0=60, tmax=200.0)
         with pytest.raises(InsufficientChainError):
             propagate_wavepacket(spec, wp)
+
+    def test_packet_must_clear_the_right_end(self):
+        # sigma 4 on 200 sites: the centre may sit at most at site 177
+        spec = ChainSpec(200, (), LAT)
+        oracle.check_packet_layout(spec, WavepacketSpec(k0=1.0, sigma=4.0, x0=177, tmax=5.0))
+        for x0 in (178, 1000):
+            wp = WavepacketSpec(k0=1.0, sigma=4.0, x0=x0, tmax=5.0)
+            with pytest.raises(InsufficientChainError, match="5 sigma to the right end"):
+                propagate_wavepacket(spec, wp)
 
     def test_packet_must_clear_the_first_node(self):
         spec = ChainSpec(200, ((100, FIG3A_ATOM),), LAT)

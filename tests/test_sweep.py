@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from cavitychain import ConfigError, cli, scattering, solve_stationary, sweep
+from cavitychain import ChainSpec, ConfigError, cli, oracle, scattering, solve_stationary, sweep
 from cavitychain.scattering import FLAG_OK, FLAG_SINGULAR
 from cavitychain.sweep import ENGINES, AxisSpec, build_scenario, grid_amplitudes, quantity_value
 
@@ -241,9 +241,10 @@ class TestAmplitudes:
 
     @pytest.mark.parametrize("two_nodes", [False, True])
     def test_stacks_scatter_back_bit_for_bit(self, two_nodes, monkeypatch):
-        # 400 points in stacks of 22-50 systems: D cycles through 1..8 in the
-        # two-node stack, and every second point decays
-        budget = 16 * 20**2 * 50
+        # 400 points in stacks of 21-56 systems: D cycles through 1..8 in the
+        # two-node stack, and every second point decays; at D = 1 a system has
+        # 16 unknowns and a block of 16 x 23 complex numbers
+        budget = 16 * 16 * 23 * 40
         monkeypatch.setattr(sweep, "ORACLE_STACK_BYTES", budget)
         stacks = []
         solve = sweep.solve_stationary
@@ -255,7 +256,11 @@ class TestAmplitudes:
         monkeypatch.setattr(sweep, "solve_stationary", spy)
         stack = _oracle_stack(np.random.default_rng(5), 400, two_nodes)
         r, s, flag = sweep.amplitudes(stack, "oracle", None)
-        assert all(16 * (dim + 2) ** 2 * size <= budget for dim, size in stacks)
+        # each chain shape's first stack is full, sized from its dense block
+        firsts = {}
+        for dim, size in stacks:
+            firsts.setdefault(dim, size)
+        assert all(size == budget // (16 * (dim + 2) * (dim + 9)) for dim, size in firsts.items())
         assert sum(size for _, size in stacks) == 400
         # every chain shape holds more points than one stack
         assert len(stacks) >= 2 * len({dim for dim, _ in stacks})
@@ -265,6 +270,31 @@ class TestAmplitudes:
         # negative control: the same comparison sees points scattered back out of order
         r_rev, s_rev = _per_point({**stack, "k": stack["k"][::-1]})
         assert r.tobytes() != r_rev.tobytes() and s.tobytes() != s_rev.tobytes()
+
+    def test_oracle_chain_keeps_buffer_sites_beyond_the_nodes(self):
+        B = oracle.BUFFER
+        for params, n_sites, sites in (
+            ({"t": 2.0}, 2 * B + 1, ()),
+            (FIG3A, 2 * B + 1, (B,)),
+            ({**FIG3A, "omega_e2": -0.5, "D": 5}, 2 * B + 6, (B, B + 5)),
+        ):
+            chain = sweep._oracle_chain(build_scenario(params))
+            assert (chain.n_sites, chain.sites) == (n_sites, sites)
+
+    @pytest.mark.parametrize("two_nodes", [False, True])
+    def test_oracle_does_not_depend_on_the_chain_length(self, two_nodes):
+        # the probes sit on free sites: 61 more sites, 30 of them on the left,
+        # leave r and s within 1e-12 (D = 1..8, decay, two-level nodes)
+        stack = _oracle_stack(np.random.default_rng(8), 64, two_nodes)
+        r, s, _ = sweep.amplitudes(stack, "oracle", None)
+        for i in range(64):
+            point = {key: value[i] for key, value in stack.items()}
+            chain = sweep._oracle_chain(build_scenario(point))
+            longer = ChainSpec(chain.n_sites + 61,
+                               tuple((site + 30, atom) for site, atom in chain.placements),
+                               chain.lat)
+            r_long, s_long = solve_stationary(longer, point["k"])
+            assert abs(r[i] - r_long) <= 1e-12 and abs(s[i] - s_long) <= 1e-12
 
     def test_single_point_call(self):
         point = {**FIG3A, "Gamma": 0.05, "k": 1.1}
