@@ -44,7 +44,7 @@ from .quasibound import (
     bound_profile,
     find_quasibound_modes,
 )
-from .scattering import FLAG_OK, TwoNodeConfig, single_node_scatter
+from .scattering import FLAG_OK, TwoNodeConfig, chain_scatter
 from .sweep import (
     _NODE_KEYS,
     ORACLE_GATE,
@@ -399,38 +399,32 @@ def cmd_modes(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _agreement_draw(rng: np.random.Generator, with_decay: bool) -> dict:
-    """One random scattering configuration, momentum k included, for the oracle gate."""
+#: Range of each key of an ``oracle-check`` configuration, momentum k included.
+_DRAW_RANGES = {
+    "t": (0.5, 4.0), "omega": (-2.0, 2.0), "k": (0.05, math.pi - 0.05),
+    **{key + suffix: bounds for suffix in ("", "2") for key, bounds in (
+        ("omega_e", (-3.0, 3.0)), ("delta", (-3.0, 3.0)), ("Omega", (0.0, 3.0)),
+        ("g", (0.6, 1.5)), ("Gamma", (0.0, 0.2)), ("gamma", (0.0, 0.2)))},
+}
 
-    def uniform(lo: float, hi: float) -> float:
-        # numpy's own formula for rng.uniform(lo, hi), same bits, without its argument checks.
-        return lo + (hi - lo) * rng.random()
 
-    flavor = rng.integers(0, 3)
-    params = {
-        "t": uniform(0.5, 4.0),
-        "omega": uniform(-2.0, 2.0),
-        "omega_e": uniform(-3.0, 3.0),
-        "delta": uniform(-3.0, 3.0),
-        "Omega": uniform(0.0, 3.0) if flavor != 1 else 0.0,
-        "g": uniform(0.6, 1.5),
-        "Gamma": uniform(0.0, 0.2) if with_decay else 0.0,
-        "gamma": uniform(0.0, 0.2) if with_decay else 0.0,
-    }
-    if flavor == 2:
-        params.update(
-            {
-                "omega_e2": uniform(-3.0, 3.0),
-                "delta2": uniform(-3.0, 3.0),
-                "Omega2": uniform(0.0, 3.0) if rng.integers(0, 2) else 0.0,
-                "g2": uniform(0.6, 1.5),
-                "D": int(rng.integers(1, 9)),
-                "Gamma2": uniform(0.0, 0.2) if with_decay else 0.0,
-                "gamma2": uniform(0.0, 0.2) if with_decay else 0.0,
-            }
-        )
-    params["k"] = uniform(0.05, math.pi - 0.05)
-    return params
+def _agreement_draws(rng: np.random.Generator, elastic: np.ndarray) -> tuple[dict, np.ndarray]:
+    """One random scattering configuration per entry of ``elastic``, as arrays over the draws.
+
+    Every key comes from one uniform block.  Flavour 1 makes node 1
+    two-level (Omega = 0) and flavour 2 adds a second node D = 1..8 sites on,
+    its Omega2 zero half the time; elastic draws have no decay.  Returns the
+    keys, D and node 2's among them, and the flavour (0, 1 or 2) of each draw.
+    """
+    lo, hi = np.array(list(_DRAW_RANGES.values())).T
+    params = dict(zip(_DRAW_RANGES, (lo + (hi - lo) * rng.random((elastic.size, len(lo)))).T))
+    flavor = rng.integers(0, 3, elastic.size)
+    params["Omega"][flavor == 1] = 0.0
+    params["Omega2"][rng.integers(0, 2, elastic.size) == 0] = 0.0
+    params["D"] = rng.integers(1, 9, elastic.size)
+    for key in ("Gamma", "gamma", "Gamma2", "gamma2"):
+        params[key][elastic] = 0.0
+    return params, flavor
 
 
 def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
@@ -444,31 +438,31 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
     seed, draws = cfg.get("seed", 20240901), cfg.get("draws", 60)
     if draws < 1 or seed < 0:
         raise ConfigError(f"oracle-check needs draws >= 1 and seed >= 0, got {draws} and {seed}")
-    rng = np.random.default_rng(seed)
-    corrupt = "negative_control" in cfg
-    drawn = [_agreement_draw(rng, i % 3 == 2) for i in range(draws)]
+    elastic = np.arange(draws) % 3 != 2
+    params, flavor = _agreement_draws(np.random.default_rng(seed), elastic)
     r_a, s_a, r_o, s_o = (np.empty(draws, complex) for _ in range(4))
     for two_nodes in (False, True):  # one stack of draws per node count
-        group = [i for i, params in enumerate(drawn) if ("D" in params) == two_nodes]
-        if group:
-            stack = {key: np.array([drawn[i][key] for i in group]) for key in drawn[group[0]]}
+        group = np.flatnonzero((flavor == 2) == two_nodes)
+        if group.size:
+            stack = {key: value[group] for key, value in params.items()
+                     if two_nodes or not (key == "D" or key.endswith("2"))}
             r_a[group], s_a[group], _ = amplitudes(stack, "analytic", None)
             r_o[group], s_o[group], _ = amplitudes(stack, "oracle", None)
-    if corrupt:
+    if "negative_control" in cfg:
         r_a = -r_a
+    dev = np.maximum(abs(r_a - r_o), abs(s_a - s_o))
+    flux_error = abs(abs(r_a) ** 2 + abs(s_a) ** 2 - 1.0)
+    off, leaky = ~(dev <= ORACLE_GATE), elastic & ~(flux_error <= 1e-10)
+
+    def label(i: int) -> str:
+        return f"draw {i} ({'elastic' if elastic[i] else 'decay'}, k={params['k'][i]:.4f})"
 
     failures: list[str] = []
-    worst: list[tuple[float, str]] = []
-    for i, params in enumerate(drawn):
-        with_decay = i % 3 == 2
-        dev = max(abs(r_a[i] - r_o[i]), abs(s_a[i] - s_o[i]))
-        label = f"draw {i} ({'decay' if with_decay else 'elastic'}, k={params['k']:.4f})"
-        worst.append((dev, label))
-        if dev > ORACLE_GATE:
-            failures.append(f"{label}: deviation {dev:.3e} > {ORACLE_GATE:.1e}")
-        flux_error = abs(abs(r_a[i]) ** 2 + abs(s_a[i]) ** 2 - 1.0)
-        if not with_decay and flux_error > 1e-10:
-            failures.append(f"{label}: flux violation {flux_error:.3e}")
+    for i in np.flatnonzero(off | leaky):
+        if off[i]:
+            failures.append(f"{label(i)}: deviation {dev[i]:.3e} > {ORACLE_GATE:.1e}")
+        if leaky[i]:
+            failures.append(f"{label(i)}: flux violation {flux_error[i]:.3e}")
 
     wavepacket_line = "wavepacket check: skipped"
     if cfg.get("wavepacket_check", True):
@@ -477,8 +471,8 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
         k0 = 2.2
         chain, wp = design_scattering_run((atom,), lat, k0, 20.0)
         result = propagate_wavepacket(chain, wp)
-        expected = single_node_scatter(k0, atom, lat)
-        dev_T = abs(result.T_meas - expected.T)
+        _, s_k0, _ = chain_scatter(k0, ((0, atom),), lat)
+        dev_T = abs(result.T_meas - abs(s_k0) ** 2)
         wavepacket_line = (
             f"wavepacket check: |T_meas - T| = {dev_T:.4f} (budget 0.02), "
             f"drift {result.drift:.2e}"
@@ -488,10 +482,10 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
         if result.drift > DRIFT_TOL:
             failures.append(f"wavepacket norm drift {result.drift:.3e}")
 
-    worst.sort(key=lambda item: -item[0])
     lines = [
         f"oracle-check: {draws} draws against the lattice solver, threshold {ORACLE_GATE:.1e}",
-        *(f"  worst offender: {label} deviation {dev:.3e}" for dev, label in worst[:5]),
+        *(f"  worst offender: {label(i)} deviation {dev[i]:.3e}"
+          for i in np.argsort(-dev, kind="stable")[:5]),
         wavepacket_line,
     ]
     if failures:

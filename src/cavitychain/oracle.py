@@ -47,8 +47,9 @@ MAX_STEP_PHASE = 10.0
 #: Gauss-Legendre nodes per step for the flux into absorbing layers.
 FLUX_NODES = 16
 
-#: Fewest sites between a node and either end of the chain.
-BUFFER = 4
+#: Fewest sites between a node and either end of the chain: the two probe
+#: sites at each end of a stationary system must be free.
+BUFFER = 2
 
 #: Largest relative residual |M x - b| / |b| a stationary solve may leave.
 RESIDUAL_TOL = 1e-12
@@ -60,11 +61,12 @@ _log = logging.getLogger(__name__)
 class ChainSpec:
     """Finite chain with nodes at fixed sites.
 
-    ``placements`` maps site indices to node parameters; sites must stay at
-    least ``BUFFER`` sites away from both ends, so a chain needs 2 ``BUFFER``
-    + 1 sites.  ``kappa`` adds a uniform -i kappa/2 cavity leakage to every
-    site (off by default).  Lattice and node fields may be arrays (a batch
-    of points) for ``build_hamiltonian`` and ``solve_stationary``.
+    ``placements`` maps site indices to node parameters; each node needs
+    ``BUFFER`` free sites between it and either end, so its site lies in
+    [BUFFER, n_sites - 1 - BUFFER] and a chain needs 2 ``BUFFER`` + 1 sites.
+    ``kappa`` adds a uniform -i kappa/2 cavity leakage to every site (off by
+    default).  Lattice and node fields may be arrays (a batch of points) for
+    ``build_hamiltonian`` and ``solve_stationary``.
     """
 
     n_sites: int
@@ -83,8 +85,8 @@ class ChainSpec:
         if sorted(sites) != sites:
             raise PlacementError("placements must be sorted by site index")
         for site in sites:
-            if not BUFFER <= site <= self.n_sites - BUFFER:
-                raise PlacementError(f"site {site} outside [{BUFFER}, {self.n_sites - BUFFER}]")
+            if not BUFFER <= site <= self.n_sites - 1 - BUFFER:
+                raise PlacementError(f"site {site} outside [{BUFFER}, {self.n_sites - 1 - BUFFER}]")
 
     @property
     def sites(self) -> tuple[int, ...]:
@@ -254,7 +256,7 @@ def _stationary_band(spec: ChainSpec, k: np.ndarray) -> tuple[np.ndarray, np.nda
 
 #: Columns one QR reduces in a long stationary system.  One chain solves about
 #: equally fast at widths 16 to 48 (fewer panels against more work in each);
-#: 48 also leaves every system of the bundled figures (at most 45 unknowns,
+#: 48 also leaves every system of the bundled figures (at most 41 unknowns,
 #: fig6b at D = 30) below PANEL + 6 unknowns, one dense solve with no panel.
 PANEL = 48
 

@@ -33,8 +33,9 @@ ORACLE_GATE = 1e-8
 #: Bytes of stacked systems one lattice-oracle solve may hold, each counted as
 #: the complex blocks ``oracle._solve_panels`` builds for it: about one row per
 #: unknown, min(unknowns, PANEL + 3) + 7 columns wide.  On the ``oracle-gate``
-#: benchmark (2-vCPU VM, glibc malloc) stacks of 1, 2 and 4 MiB ran equally
-#: fast and left a peak RSS of 45.4, 47.0 and 50.0 MB.
+#: benchmark (2-vCPU VM, glibc malloc, one run each) stacks of 0.5, 1, 2 and
+#: 4 MiB gave ``pass_ref`` 0.66, 0.61, 0.66 and 0.70 and a peak RSS of 44.8,
+#: 45.5, 46.9 and 50.4 MB.
 ORACLE_STACK_BYTES = 2**20
 
 
@@ -135,9 +136,9 @@ def build_scenario(params: dict) -> Scenario:
 def _oracle_chain(scenario: Scenario, points=slice(None)) -> ChainSpec:
     """Lattice-oracle chain with ``BUFFER`` free sites before the first node and after the last.
 
-    The shortest chain the probes allow: they sit on the free sites at either
-    end, so r and s do not depend on its length.  ``points`` selects points
-    of a flat array scenario; they share node sites.
+    The shortest chain the probes allow: the two at either end sit on that
+    end's free sites, so r and s do not depend on its length.  ``points``
+    selects points of a flat array scenario; they share node sites.
     """
     def at(value):
         return value[points] if np.ndim(value) else value

@@ -660,46 +660,45 @@ class TestModesCommand:
         assert [complex(float(row[2]), float(row[3])) for row in rows] == vector.tolist()
 
 
-def _uniform_draw(rng, with_decay):
-    """``cli._agreement_draw`` written with ``rng.uniform``: the reference for its bits."""
-    flavor = rng.integers(0, 3)
-    params = {
-        "t": rng.uniform(0.5, 4.0),
-        "omega": rng.uniform(-2.0, 2.0),
-        "omega_e": rng.uniform(-3.0, 3.0),
-        "delta": rng.uniform(-3.0, 3.0),
-        "Omega": rng.uniform(0.0, 3.0) if flavor != 1 else 0.0,
-        "g": rng.uniform(0.6, 1.5),
-        "Gamma": rng.uniform(0.0, 0.2) if with_decay else 0.0,
-        "gamma": rng.uniform(0.0, 0.2) if with_decay else 0.0,
-    }
-    if flavor == 2:
-        params.update(
-            {
-                "omega_e2": rng.uniform(-3.0, 3.0),
-                "delta2": rng.uniform(-3.0, 3.0),
-                "Omega2": rng.uniform(0.0, 3.0) if rng.integers(0, 2) else 0.0,
-                "g2": rng.uniform(0.6, 1.5),
-                "D": int(rng.integers(1, 9)),
-                "Gamma2": rng.uniform(0.0, 0.2) if with_decay else 0.0,
-                "gamma2": rng.uniform(0.0, 0.2) if with_decay else 0.0,
-            }
-        )
-    params["k"] = rng.uniform(0.05, math.pi - 0.05)
-    return params
+#: The range of each key ``oracle-check`` draws.
+DRAW_RANGES = {
+    "t": (0.5, 4.0), "omega": (-2.0, 2.0), "k": (0.05, math.pi - 0.05),
+    **{key + suffix: bounds for suffix in ("", "2") for key, bounds in (
+        ("omega_e", (-3.0, 3.0)), ("delta", (-3.0, 3.0)), ("Omega", (0.0, 3.0)),
+        ("g", (0.6, 1.5)), ("Gamma", (0.0, 0.2)), ("gamma", (0.0, 0.2)))},
+}
 
 
 class TestOracleCheckCommand:
     @pytest.mark.parametrize("seed", [1, 7, 20240901])
-    def test_draws_have_the_bits_of_rng_uniform(self, seed):
-        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        for i in range(300):
-            with_decay = i % 3 == 2
-            drawn = cli._agreement_draw(ours, with_decay)
-            expected = _uniform_draw(reference, with_decay)
-            assert drawn.keys() == expected.keys()
-            assert all(type(drawn[key]) is type(expected[key]) for key in drawn)
-            assert drawn == expected, f"draw {i}"
+    def test_draws_stay_in_their_ranges(self, seed):
+        elastic = np.arange(3000) % 3 != 2
+        params, flavor = cli._agreement_draws(np.random.default_rng(seed), elastic)
+        assert set(params) == {*DRAW_RANGES, "D"}
+        # each key fills its whole range and stays inside it
+        for key, (lo, hi) in DRAW_RANGES.items():
+            assert params[key].shape == (3000,)
+            assert np.all((lo <= params[key]) & (params[key] < hi)), key
+            assert params[key].min() < lo + 0.01 * (hi - lo), key
+            assert params[key].max() > hi - 0.01 * (hi - lo), key
+        assert set(flavor.tolist()) == {0, 1, 2}
+        # a two-level node has Omega = 0; every other node has a control field
+        assert np.all((params["Omega"] == 0.0) == (flavor == 1))
+        assert 0.4 < np.mean(params["Omega2"] == 0.0) < 0.6
+        # elastic draws have no decay, and the others decay on both nodes
+        for key in ("Gamma", "gamma", "Gamma2", "gamma2"):
+            assert np.all((params[key] == 0.0) == elastic), key
+        assert params["D"].dtype.kind == "i" and set(params["D"].tolist()) == set(range(1, 9))
+
+    def test_report_is_byte_identical_per_seed(self, tmp_path, capsys):
+        reports = []
+        for name, seed in (("a", 11), ("b", 11), ("c", 12)):
+            out = tmp_path / f"{name}.txt"
+            assert main(["oracle-check", "--config", "oracle_check", "--out", str(out),
+                         *sets("draws=90", f"seed={seed}", "wavepacket_check=false")]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] != reports[2]
+        assert capsys.readouterr().out.encode() == b"".join(reports)
 
     def test_default_suite_passes(self, capsys):
         code = main(
@@ -714,13 +713,17 @@ class TestOracleCheckCommand:
         report = tmp_path / "report.txt"
         code = main(
             ["oracle-check", "--config", "oracle_check",
-             "--set", "draws=10", "--set", "wavepacket_check=false",
+             "--set", "draws=60", "--set", "wavepacket_check=false",
              "--set", "negative_control=r-sign", "--out", str(report)]
         )
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAIL" in out
-        assert "FAIL" in report.read_text()
+        assert "FAIL: 60 violation(s)" in out
+        assert out == report.read_text()
+        # every draw fails its deviation gate, in draw order
+        failed = [int(line.split()[1]) for line in out.splitlines()
+                  if line.startswith("  draw ") and ": deviation " in line]
+        assert failed == list(range(60))
 
 
 class TestGitHash:

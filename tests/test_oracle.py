@@ -185,10 +185,13 @@ class TestChainSpec:
             ChainSpec(n - 1, (), LAT)
 
     def test_buffer_and_range(self):
-        with pytest.raises(PlacementError):
-            ChainSpec(32, ((2, FIG3A_ATOM),), LAT)
-        with pytest.raises(PlacementError):
-            ChainSpec(32, ((30, FIG3A_ATOM),), LAT)
+        # BUFFER free sites between a node and either end, no fewer
+        B, n = oracle.BUFFER, 32
+        ChainSpec(n, ((B, FIG3A_ATOM),), LAT)
+        ChainSpec(n, ((n - 1 - B, FIG3A_ATOM),), LAT)
+        for site in (B - 1, n - B):
+            with pytest.raises(PlacementError, match=f"site {site} outside \\[{B}, {n - 1 - B}\\]"):
+                ChainSpec(n, ((site, FIG3A_ATOM),), LAT)
 
     def test_duplicates_and_order(self):
         with pytest.raises(PlacementError):

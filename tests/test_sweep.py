@@ -241,10 +241,10 @@ class TestAmplitudes:
 
     @pytest.mark.parametrize("two_nodes", [False, True])
     def test_stacks_scatter_back_bit_for_bit(self, two_nodes, monkeypatch):
-        # 400 points in stacks of 21-56 systems: D cycles through 1..8 in the
+        # 400 points in stacks of 18-63 systems: D cycles through 1..8 in the
         # two-node stack, and every second point decays; at D = 1 a system has
-        # 16 unknowns and a block of 16 x 23 complex numbers
-        budget = 16 * 16 * 23 * 40
+        # 12 unknowns and a block of 12 x 19 complex numbers
+        budget = 16 * 12 * 19 * 40
         monkeypatch.setattr(sweep, "ORACLE_STACK_BYTES", budget)
         stacks = []
         solve = sweep.solve_stationary
