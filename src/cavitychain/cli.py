@@ -166,9 +166,11 @@ def _git_hash() -> str:
 
 
 def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict | None = None) -> None:
+    swept = {cfg.get("axis1"), cfg.get("axis2")}  # a swept detuning has no one derived value
     derived = {}
     for suffix in ("", "2"):
-        if f"omega_a{suffix}" in cfg or f"omega_C{suffix}" in cfg:
+        given = f"omega_a{suffix}" in cfg or f"omega_C{suffix}" in cfg
+        if given and not swept & {f"delta{suffix}", f"omega_C{suffix}"}:
             derived[f"delta{suffix}"] = reduce_delta(cfg, suffix)
     payload = {
         "parameters": {k: cfg[k] for k in sorted(cfg)},
@@ -238,7 +240,7 @@ def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
         axes = tuple(AxisSpec(*b) for b in bounds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _scenario(cfg)
+    scenario = _scenario(cfg)
     names = [a.name for a in axes]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate axis names {names}")
@@ -247,6 +249,8 @@ def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
     if "limit" in cfg and engine != "analytic":
         raise ConfigError("a limit lineshape has no lattice-oracle counterpart; "
                           "use --engine analytic")
+    if "limit" in cfg and len(scenario.nodes) > 1:
+        raise ConfigError("a limit lineshape takes one node; drop D and the keys of node 2")
     return axes
 
 

@@ -5,11 +5,10 @@ with embedded nodes: one basis state per cavity plus an excited and a
 metastable amplitude per node.  H is written once, as a band: with each
 node's two levels right after its site, it has three diagonals on either
 side of the main one for any number of nodes.  The stationary solver
-imposes exact plane-wave constraint rows at two probe sites on each end
-(incident plus reflected on the left, transmitted on the right), so its r
-and s do not depend on N beyond conditioning.  It keeps the band and
-reduces it PANEL columns at a time by QR, in O(N PANEL^2) time; a system
-shorter than a panel is one dense solve of its band-order block.
+takes the free chain beyond either end as a lead whose plane waves the
+end sites' rows read, so a node may sit on any site.  It keeps the band
+and reduces it PANEL columns at a time by QR, in O(N PANEL^2) time; a
+system shorter than a panel is one dense solve of its band-order block.
 The wavepacket propagator applies the same band, shifted and scaled, once
 per Chebyshev term, and with the eigenmode decomposition it provides
 dynamic and spectral cross-checks.
@@ -47,10 +46,6 @@ MAX_STEP_PHASE = 10.0
 #: Gauss-Legendre nodes per step for the flux into absorbing layers.
 FLUX_NODES = 16
 
-#: Fewest sites between a node and either end of the chain: the two probe
-#: sites at each end of a stationary system must be free.
-BUFFER = 2
-
 #: Largest relative residual |M x - b| / |b| a stationary solve may leave.
 RESIDUAL_TOL = 1e-12
 
@@ -61,9 +56,8 @@ _log = logging.getLogger(__name__)
 class ChainSpec:
     """Finite chain with nodes at fixed sites.
 
-    ``placements`` maps site indices to node parameters; each node needs
-    ``BUFFER`` free sites between it and either end, so its site lies in
-    [BUFFER, n_sites - 1 - BUFFER] and a chain needs 2 ``BUFFER`` + 1 sites.
+    ``placements`` maps site indices to node parameters; a chain has at
+    least one site and a node may sit on any of them, 0 to n_sites - 1.
     ``kappa`` adds a uniform -i kappa/2 cavity leakage to every site (off by
     default).  Lattice and node fields may be arrays (a batch of points) for
     ``build_hamiltonian`` and ``solve_stationary``.
@@ -75,8 +69,8 @@ class ChainSpec:
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_sites < 2 * BUFFER + 1:
-            raise PlacementError(f"need at least {2 * BUFFER + 1} sites, got {self.n_sites}")
+        if self.n_sites < 1:
+            raise PlacementError(f"need at least 1 site, got {self.n_sites}")
         if self.kappa < 0:
             raise PlacementError("cavity leakage kappa must be nonnegative")
         sites = [site for site, _ in self.placements]
@@ -85,8 +79,8 @@ class ChainSpec:
         if sorted(sites) != sites:
             raise PlacementError("placements must be sorted by site index")
         for site in sites:
-            if not BUFFER <= site <= self.n_sites - 1 - BUFFER:
-                raise PlacementError(f"site {site} outside [{BUFFER}, {self.n_sites - 1 - BUFFER}]")
+            if not 0 <= site <= self.n_sites - 1:
+                raise PlacementError(f"site {site} outside [0, {self.n_sites - 1}]")
 
     @property
     def sites(self) -> tuple[int, ...]:
@@ -191,9 +185,9 @@ def _hamiltonian_band(spec: ChainSpec) -> np.ndarray:
     for m, (site, atom) in enumerate(spec.placements):
         u = site + 2 * m
         e, a = u + 1, u + 2
-        # The hop from the node's site to the next site spans the two levels.
-        H[..., u, 6] = H[..., u + 3, 0] = -spec.lat.t
-        H[..., a, 4] = H[..., u + 3, 2] = 0.0
+        if site < spec.n_sites - 1:  # the hop to the next site spans the two levels
+            H[..., u, 6] = H[..., u + 3, 0] = -spec.lat.t
+            H[..., a, 4] = H[..., u + 3, 2] = 0.0
         # Real and imaginary parts set apart, as complex(omega_e, -Gamma) does,
         # so a zero decay rate keeps its sign.
         H[..., e, 3].real, H[..., e, 3].imag = atom.omega_e, -atom.Gamma
@@ -229,10 +223,11 @@ def _stationary_band(spec: ChainSpec, k: np.ndarray) -> tuple[np.ndarray, np.nda
     """The stationary system M x = b, M as 7 diagonals in the order r, u_0, ..., s.
 
     Between r and s the unknowns are in the interleaved basis, and row i of
-    M is the H - E row of unknown i but at the ends: rows 0, 1 and the last
-    two pin the sites 0, 1, n - 2 and n - 1 to the plane-wave form,
-    u_j - e^{-ik(j - x0)} r = e^{ik(j - x0)} on the left and
-    u_j - e^{ik(j - x0)} s = 0 on the right, with x0 = ``spec.origin``.
+    M is the H - E row of unknown i.  The rows of r and s pin the end sites
+    to the plane-wave form, u_0 - e^{ik x0} r = e^{-ik x0} and
+    u_{n-1} - e^{ik(n-1-x0)} s = 0, with x0 = ``spec.origin``; the rows of
+    u_0 and u_{n-1} read their outer neighbours from the leads,
+    u_{-1} = e^{-ik(1+x0)} + e^{ik(1+x0)} r and u_n = e^{ik(n-x0)} s.
     """
     E = np.expand_dims(dispersion_energy(k, spec.lat), -1)
     H = _hamiltonian_band(spec)
@@ -241,22 +236,21 @@ def _stationary_band(spec: ChainSpec, k: np.ndarray) -> tuple[np.ndarray, np.nda
     band = np.zeros((*batch, size, 7), dtype=np.complex128)
     band[..., 1:-1, :] = H
     band[..., 1:-1, 3] -= E
-    band[..., 1, :] = band[..., -2, :] = 0.0  # the rows of u_0 and u_{n-1} hold probes
     b = np.zeros((*batch, size), dtype=np.complex128)
-    origin = spec.origin
-    for j in (0, 1):
-        band[..., j, 4] = 1.0
-        band[..., j, 3 - j] = -np.exp(-1j * k * (j - origin))
-        b[..., j] = np.exp(1j * k * (j - origin))
-    for row, j in ((size - 2, spec.n_sites - 2), (size - 1, spec.n_sites - 1)):
-        band[..., row, 2] = 1.0
-        band[..., row, 2 + size - row] = -np.exp(1j * k * (j - origin))
+    n, x0, t = spec.n_sites, spec.origin, spec.lat.t
+    last = spec.dimension - 2 * (n - 1 in spec.sites)  # the row of u_{n-1}
+    band[..., 0, 3], band[..., 0, 4] = -np.exp(1j * k * x0), 1.0
+    b[..., 0] = np.exp(-1j * k * x0)
+    band[..., 1, 2] = -t * np.exp(1j * k * (1 + x0))
+    b[..., 1] = t * np.exp(-1j * k * (1 + x0))
+    band[..., last, 2 + size - last] = -t * np.exp(1j * k * (n - x0))
+    band[..., -1, 4 + last - size], band[..., -1, 3] = 1.0, -np.exp(1j * k * (n - 1 - x0))
     return band, b
 
 
 #: Columns one QR reduces in a long stationary system.  One chain solves about
 #: equally fast at widths 16 to 48 (fewer panels against more work in each);
-#: 48 also leaves every system of the bundled figures (at most 41 unknowns,
+#: 48 also leaves every system of the bundled figures (at most 37 unknowns,
 #: fig6b at D = 30) below PANEL + 6 unknowns, one dense solve with no panel.
 PANEL = 48
 
@@ -290,7 +284,7 @@ def _solve_panels(band: np.ndarray, b: np.ndarray) -> np.ndarray:
     panel.  QR is backward-stable without any pivot choice.
     """
     size = band.shape[-2]
-    panels = (size - 6) // PANEL
+    panels = max(0, (size - 6) // PANEL)
     reduced, carry = [], None
     for c0 in range(0, panels * PANEL, PANEL):
         R = np.linalg.qr(_window(band, b, c0, PANEL + 3, carry)[..., 3:], mode="r")
@@ -312,9 +306,9 @@ def solve_stationary(spec: ChainSpec, k):
 
     The system is (H - E) u = 0 on the bulk sites and the node levels, with
     H from ``_hamiltonian_band``, so the node amplitudes stay in it (nothing
-    is eliminated).  Four constraint rows pin two probe sites per end to the
-    plane-wave form, which is exact on the free chain, so the result is
-    N-independent up to conditioning.
+    is eliminated).  The end rows read the plane waves of the free leads,
+    exact on the free chain, so r and s do not depend on how many free sites
+    the chain has beyond conditioning.
 
     In the order r, u_0, ..., u_p, e_p, a_p, ..., u_{n-1}, s the system is a
     band with three diagonals on either side (``_stationary_band``), solved

@@ -12,9 +12,10 @@ that limit the roots move into the lower half plane and the mode leaks at a
 rate -2 Im E.  Interior sites run over 1..D-1, with the first node at 0 and
 the second at D.  The roots are found on the lattice, as the Siegert states
 of the segment between the nodes: eigenvectors with purely outgoing waves
-outside it (Siegert, Phys. Rev. 56, 750 (1939)).  They are verified by the
-transfer matrix, as zeros of the pole-free form of the condition, P22 = 0
-for the bottom-right entry of ``chain_scatter``'s transfer matrix.
+outside it (Siegert, Phys. Rev. 56, 750 (1939)), whose H is the lattice
+oracle's ``build_hamiltonian``.  They are verified by the transfer matrix,
+as zeros of the pole-free form of the condition, P22 = 0 for the
+bottom-right entry of ``chain_scatter``'s transfer matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import UnverifiedRootError
 from .model import LatticeParams, dispersion_energy_continued
+from .oracle import ChainSpec, build_hamiltonian
 from .scattering import TwoNodeConfig, _transfer_row
 
 log = logging.getLogger(__name__)
@@ -76,9 +78,9 @@ def _siegert_roots(nodes, lat: LatticeParams) -> np.ndarray:
 
     A trapped mode is a Siegert state (Siegert, Phys. Rev. 56, 750 (1939)):
     an eigenvector of the segment with purely outgoing waves outside it.  The
-    unknowns are the sites 0..L of the segment and the node levels: both of a
-    Lambda node, only the excited one of a two-level node, whose decoupled
-    metastable level would add a false root at E = delta.  With
+    unknowns are those of the segment's ``build_hamiltonian``, sites 0..L and
+    node levels, less the decoupled metastable level of a two-level node,
+    which would add a false root at E = delta.  With
     u_{-1} = z u_0, u_{L+1} = z u_L and E = omega - t (z + 1/z), z (E - H) u = 0
     reads (A0 + z A1 + z^2 A2) u = 0 with A0 = -t I, A1 = omega I - H and
     A2 = -t I but for zero rows at the two end sites.  In mu = 1/z that is the
@@ -87,19 +89,13 @@ def _siegert_roots(nodes, lat: LatticeParams) -> np.ndarray:
     2n - 2 roots for n unknowns.
     """
     x0, span = nodes[0][0], nodes[-1][0] - nodes[0][0]
-    n = span + 1 + sum(1 if atom.is_two_level else 2 for _, atom in nodes)
-    A1 = np.zeros((n, n), complex)  # in units of t
-    A1[: span + 1, : span + 1] = np.eye(span + 1, k=1) + np.eye(span + 1, k=-1)
-    e = span + 1
-    for x, atom in nodes:
-        A1[e, e] = (lat.omega - atom.excited_level) / lat.t
-        A1[x - x0, e] = A1[e, x - x0] = -atom.g / lat.t
-        if not atom.is_two_level:
-            e += 1
-            A1[e, e] = (lat.omega - atom.metastable_level) / lat.t
-            A1[e - 1, e] = A1[e, e - 1] = -atom.Omega / lat.t
-        e += 1
-    A1 = A1 if A1.imag.any() else A1.real
+    segment = ChainSpec(span + 1, tuple((x - x0, atom) for x, atom in nodes), lat)
+    metastable = span + 2 + 2 * np.flatnonzero([atom.is_two_level for _, atom in nodes])
+    keep = np.delete(np.arange(segment.dimension), metastable)
+    n = len(keep)
+    A1 = lat.omega * np.eye(n) - build_hamiltonian(segment)[np.ix_(keep, keep)]
+    # In units of t, each part divided on its own: complex division multiplies by 1/t.
+    A1 = (A1.view(float) / lat.t).view(complex) if A1.imag.any() else A1.real / lat.t
     companion = np.zeros((2 * n, 2 * n), A1.dtype)
     companion[:n, n:], companion[n:, :n], companion[n:, n:] = np.eye(n), -np.eye(n), A1
     companion[n, 0] = companion[n + span, span] = 0.0

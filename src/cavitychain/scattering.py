@@ -244,14 +244,16 @@ def chain_scatter(
     Otherwise |P22| < RESONANCE_TOL * prod_j max(|b den_j|, |n_j|) marks a
     trapped-mode hit, FLAG_RESONANCE, stored as r = -1, s = 0; for two nodes
     this is the test of ``two_node_scatter``.
-    ``limit`` evaluates the first node alone on the band-centre ("high") or
-    band-bottom ("low") lineshape of ``limit_scatter``, and raises
-    LimitWindowError unless every k lies in its window.
+    ``limit`` evaluates one node on the band-centre ("high") or band-bottom
+    ("low") lineshape of ``limit_scatter``; it raises ValueError for more
+    nodes and LimitWindowError unless every k lies in its window.
     """
     k = np.asarray(k, dtype=float)
     if limit is not None:
+        if len(nodes) > 1:
+            raise ValueError(f"a limit lineshape takes one node, got {len(nodes)}")
         E, b = _limit_band(k, limit, lat)
-        nodes = [(0, atom) for _, atom in nodes[:1]]
+        nodes = [(0, atom) for _, atom in nodes]
     elif np.all((0.0 < k) & (k < math.pi)):
         E, b = lat.omega - 2.0 * lat.t * np.cos(k), 2j * lat.t * np.sin(k)
     else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import AtomParams, LatticeParams
-from .oracle import BUFFER, PANEL, ChainSpec, solve_stationary
+from .oracle import PANEL, ChainSpec, solve_stationary
 from .scattering import FLAG_OK, chain_scatter
 
 QUANTITIES = ("R", "T", "xi", "Re_r", "Im_r", "R+T")
@@ -134,10 +134,10 @@ def build_scenario(params: dict) -> Scenario:
 
 
 def _oracle_chain(scenario: Scenario, points=slice(None)) -> ChainSpec:
-    """Lattice-oracle chain with ``BUFFER`` free sites before the first node and after the last.
+    """Lattice-oracle chain: the segment from the first node to the last.
 
-    The shortest chain the probes allow: the two at either end sit on that
-    end's free sites, so r and s do not depend on its length.  ``points``
+    The leads start at its end sites, so r and s do not depend on the free
+    sites beyond the nodes; without nodes it is one site.  ``points``
     selects points of a flat array scenario; they share node sites.
     """
     def at(value):
@@ -146,10 +146,9 @@ def _oracle_chain(scenario: Scenario, points=slice(None)) -> ChainSpec:
     def pick(params):
         return replace(params, **{key: at(value) for key, value in vars(params).items()})
 
-    placements = tuple((BUFFER + int(round(np.ravel(at(x))[0])), pick(atom))
-                       for x, atom in scenario.nodes)
-    last = placements[-1][0] if placements else BUFFER
-    return ChainSpec(last + BUFFER + 1, placements, pick(scenario.lat))
+    placements = tuple((int(round(np.ravel(at(x))[0])), pick(atom)) for x, atom in scenario.nodes)
+    last = placements[-1][0] if placements else 0
+    return ChainSpec(last + 1, placements, pick(scenario.lat))
 
 
 def amplitudes(params: dict, engine: str, limit: str | None):
@@ -177,8 +176,7 @@ def amplitudes(params: dict, engine: str, limit: str | None):
     r, s = np.empty(k.shape, complex), np.empty(k.shape, complex)
     for site in np.unique(last):
         group = np.flatnonzero(last == site)
-        # r, the sites of ``_oracle_chain``, two levels per node, and s
-        size = int(site) + 2 * BUFFER + 1 + 2 * len(scenario.nodes) + 2
+        size = _oracle_chain(scenario, group[:1]).dimension + 2  # the unknowns, r and s among them
         step = max(1, ORACLE_STACK_BYTES // (16 * size * (min(size, PANEL + 3) + 7)))
         for start in range(0, group.size, step):
             chunk = group[start : start + step]

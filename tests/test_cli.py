@@ -399,6 +399,16 @@ class TestSpectrumCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "map2d"])
+    def test_limit_with_two_nodes_fails_without_output(self, tmp_path, command, capsys):
+        # a limit lineshape holds one node; a second must not be dropped unseen
+        out = tmp_path / "x.csv"
+        config = ["--config", "fig5a", *sets("D=4", "omega_e2=0.3")] if command == "spectrum" \
+            else ["--config", "fig6b", *sets("limit=high")]
+        assert main([command, *config, "--out", str(out)]) == 2
+        assert "limit lineshape takes one node" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "map2d"])
     def test_missing_hopping_fails_before_computing(self, tmp_path, command, capsys):
         out = tmp_path / "x.csv"
         grid = ["k_min=1.2"] if command == "spectrum" else [
@@ -460,6 +470,17 @@ class TestMap2dCommand:
         on_axis = [i for i, om in enumerate(omega_col) if om == 0.0]
         assert len(on_axis) == 5
         assert all(R[i] == 1.0 and flags[i] == 1 for i in on_axis)
+
+    @pytest.mark.parametrize("axis, derived", [("Omega", {"delta": -0.5}), ("omega_C", {}),
+                                               ("delta", {})])
+    def test_derived_delta_only_when_the_detuning_is_fixed(self, tmp_path, axis, derived):
+        # fig4 sweeps omega_C: no single delta describes a map along a detuning axis
+        out = tmp_path / "m.csv"
+        config = sets("t=2", "omega=1", "omega_e=0", "Omega=1", "omega_a=0", "omega_C=0.5",
+                      "k=1.5", f"axis1={axis}", "axis1_min=-1", "axis1_max=1", "axis1_count=3")
+        assert main(["map2d", *config, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "m.csv.meta.json").read_text())
+        assert sidecar["derived"] == derived
 
     def test_fig4_bytes_repeat_and_flags_are_counted(self, tmp_path):
         outs = [tmp_path / "a.csv", tmp_path / "b.csv"]

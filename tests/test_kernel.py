@@ -178,3 +178,8 @@ class TestLimits:
         # fig5a's endpoints sit a rounding error inside the window
         k = np.linspace(1.3707963267948965, 1.7707963267948966, 400)
         chain_scatter(k, [(0, FIG3A_ATOM)], LAT, limit="high")
+
+    def test_takes_one_node(self):
+        # a second node has no place on a single-node lineshape; it must not be dropped
+        with pytest.raises(ValueError, match="one node, got 2"):
+            chain_scatter(1.5, [(0, FIG3A_ATOM), (4, FIG3A_ATOM)], LAT, limit="high")

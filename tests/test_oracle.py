@@ -16,6 +16,7 @@ from cavitychain import (
     TwoNodeConfig,
     WavepacketSpec,
     build_hamiltonian,
+    chain_scatter,
     decompose_potential,
     design_wavepacket,
     dispersion_energy,
@@ -29,6 +30,7 @@ from cavitychain import (
 )
 from cavitychain import cli, oracle
 from cavitychain.oracle import design_scattering_run
+from cavitychain.scattering import FLAG_OK
 from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
 
 LAT = LatticeParams(omega=1.0, t=2.0)
@@ -117,26 +119,34 @@ def _taylor_run(spec, wp, order=20):
 def _row_by_row_system(spec, k):
     """The stationary system (M, b) written out entry by entry, row by row.
 
-    Rows: the probe sites 0 and 1, bulk sites 1..n-2, the probe sites n-2
-    and n-1, then (excited, metastable) per node; columns: the sites, the
-    node levels, r and s.
+    Rows: the probe of site 0, the H - E rows of sites 0..n-1, then the
+    probe of site n-1, then (excited, metastable) per node; the rows of the
+    end sites read their outer neighbours from the leads,
+    u_{-1} = e^{-ik(1+x0)} + e^{ik(1+x0)} r and u_n = e^{ik(n-x0)} s.
+    Columns: the sites, the node levels, r and s.
     """
     E = dispersion_energy(k, spec.lat)
-    n, dim = spec.n_sites, spec.dimension
+    n, dim, x0, t = spec.n_sites, spec.dimension, spec.origin, spec.lat.t
     M = np.zeros((dim + 2, dim + 2), dtype=complex)
     b = np.zeros(dim + 2, dtype=complex)
     node_of_site = {site: m for m, site in enumerate(spec.sites)}
-    rows = []
-    for j in (0, 1):
-        rows.append({j: 1.0, dim: -np.exp(-1j * k * (j - spec.origin))})
-        b[j] = np.exp(1j * k * (j - spec.origin))
-    for j in range(1, n - 1):
-        row = {j - 1: -spec.lat.t, j: spec.lat.omega - 0.5j * spec.kappa - E, j + 1: -spec.lat.t}
+    rows = [{0: 1.0, dim: -np.exp(1j * k * x0)}]
+    b[0] = np.exp(-1j * k * x0)
+    for j in range(n):
+        row = {j: spec.lat.omega - 0.5j * spec.kappa - E}
+        if j > 0:
+            row[j - 1] = -t
+        else:
+            row[dim] = -t * np.exp(1j * k * (1 + x0))
+            b[1] = t * np.exp(-1j * k * (1 + x0))
+        if j < n - 1:
+            row[j + 1] = -t
+        else:
+            row[dim + 1] = -t * np.exp(1j * k * (n - x0))
         if j in node_of_site:
             row[n + 2 * node_of_site[j]] = spec.placements[node_of_site[j]][1].g
         rows.append(row)
-    for j in (n - 2, n - 1):
-        rows.append({j: 1.0, dim + 1: -np.exp(1j * k * (j - spec.origin))})
+    rows.append({n - 1: 1.0, dim + 1: -np.exp(1j * k * (n - 1 - x0))})
     for m, (site, atom) in enumerate(spec.placements):
         e, a = n + 2 * m, n + 2 * m + 1
         rows.append({e: atom.excited_level - E, site: atom.g, a: atom.Omega})
@@ -178,19 +188,18 @@ def _refined_solve(spec, k):
 
 class TestChainSpec:
     def test_minimum_size(self):
-        # one node with BUFFER sites on either side
-        n = 2 * oracle.BUFFER + 1
-        ChainSpec(n, ((oracle.BUFFER, FIG3A_ATOM),), LAT)
-        with pytest.raises(PlacementError, match=f"need at least {n} sites"):
-            ChainSpec(n - 1, (), LAT)
+        # one site, bare or holding a node
+        ChainSpec(1, (), LAT)
+        ChainSpec(1, ((0, FIG3A_ATOM),), LAT)
+        with pytest.raises(PlacementError, match="need at least 1 site, got 0"):
+            ChainSpec(0, (), LAT)
 
-    def test_buffer_and_range(self):
-        # BUFFER free sites between a node and either end, no fewer
-        B, n = oracle.BUFFER, 32
-        ChainSpec(n, ((B, FIG3A_ATOM),), LAT)
-        ChainSpec(n, ((n - 1 - B, FIG3A_ATOM),), LAT)
-        for site in (B - 1, n - B):
-            with pytest.raises(PlacementError, match=f"site {site} outside \\[{B}, {n - 1 - B}\\]"):
+    def test_any_site_in_range(self):
+        # a node may sit on any site, the two end sites included
+        n = 32
+        ChainSpec(n, ((0, FIG3A_ATOM), (1, FIG3A_ATOM), (n - 1, FIG3A_ATOM)), LAT)
+        for site in (-1, n):
+            with pytest.raises(PlacementError, match=f"site {site} outside \\[0, {n - 1}\\]"):
                 ChainSpec(n, ((site, FIG3A_ATOM),), LAT)
 
     def test_duplicates_and_order(self):
@@ -272,10 +281,27 @@ class TestBuildHamiltonian:
 
 class TestStationarySolve:
     def test_free_chain_transmits_everything(self):
-        spec = ChainSpec(32, (), LAT)
-        r, s = solve_stationary(spec, 1.1)
-        assert abs(r) <= 1e-12
-        assert abs(s - 1.0) <= 1e-12
+        for n_sites in (32, 1):  # one site: the oracle's segment without nodes
+            r, s = solve_stationary(ChainSpec(n_sites, (), LAT), np.linspace(0.05, 3.09, 30))
+            assert np.abs(r).max() <= 1e-12 and np.abs(s - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 12, 120])
+    def test_nodes_on_the_end_sites_agree_with_the_kernel(self, n_sites):
+        # the end rows read the leads, so a node needs no free site beside it:
+        # a node on site 0, one on site n-1, and both (one site and a node
+        # are 5 unknowns; 120 sites take more than one panel)
+        lam = AtomParams(omega_e=0.4, delta=-0.7, Omega=1.3, Gamma=0.03)
+        two = AtomParams.two_level(1.5, g=0.8)
+        layouts = [((0, lam),), ((n_sites - 1, two),)]
+        if n_sites > 1:
+            layouts.append(((0, lam), (n_sites - 1, two)))
+        k = np.linspace(0.05, 3.09, 60)
+        for placements in layouts:
+            r, s = solve_stationary(ChainSpec(n_sites, placements, LAT), k)
+            x0 = placements[0][0]
+            r_ref, s_ref, flag = chain_scatter(k, [(x - x0, a) for x, a in placements], LAT)
+            assert np.all(flag == FLAG_OK)
+            assert np.abs(r - r_ref).max() <= 1e-12 and np.abs(s - s_ref).max() <= 1e-12
 
     def test_single_node_agrees_with_closed_form(self):
         spec = ChainSpec(41, ((20, FIG3A_ATOM),), LAT)
@@ -414,7 +440,7 @@ class TestStationarySolve:
 def _random_chain(rng, n_sites, n_nodes):
     """Random nodes on ``n_sites`` sites, two of them adjacent when there are two or more."""
     decay = bool(rng.integers(0, 2))
-    sites = set(int(x) for x in rng.integers(oracle.BUFFER, n_sites - oracle.BUFFER, n_nodes))
+    sites = set(int(x) for x in rng.integers(0, n_sites, n_nodes))
     if len(sites) > 1:
         sites.add(min(sites) + 1)
     atoms = [draw_atom(rng, two_level=bool(rng.integers(0, 2)), decay=decay) for _ in sites]
@@ -426,15 +452,15 @@ def _band_basis(spec):
     """Row and column of the row-by-row system for each row and unknown of the band.
 
     Unknowns: r, then each site followed by its node's (excited, metastable)
-    levels, then s; row i is the equation of unknown i, with the probe rows
-    of sites 0, 1, n-2 and n-1 in rows 0, 1 and the last two.
+    levels, then s; row i is the equation of unknown i, with the probes of
+    sites 0 and n-1 in the rows of r and s.
     """
     n, dim = spec.n_sites, spec.dimension
     node_of_site = {site: m for m, site in enumerate(spec.sites)}
     cols, rows = [dim], [0]
     for j in range(n):
         cols.append(j)
-        rows.append(1 if j == 0 else n if j == n - 1 else j + 1)
+        rows.append(j + 1)
         if j in node_of_site:
             e = n + 2 * node_of_site[j]
             cols += [e, e + 1]
@@ -448,8 +474,8 @@ def _fig3a_array(n_nodes, spacing=5):
 
 
 class TestBandedSolve:
-    # 0, 1, 2 and 9 panels of oracle.PANEL columns
-    @pytest.mark.parametrize("n_sites, n_nodes", [(36, 3), (90, 4), (130, 5), (440, 5)])
+    # nodes on the end sites, then 0, 1, 2 and 9 panels of oracle.PANEL columns
+    @pytest.mark.parametrize("n_sites, n_nodes", [(4, 3), (36, 3), (90, 4), (130, 5), (440, 5)])
     def test_band_is_the_row_by_row_system(self, n_sites, n_nodes):
         rng = np.random.default_rng(n_sites)
         for _ in range(5):

@@ -291,16 +291,18 @@ class TestCompleteness:
             find_quasibound_modes(cfg, LAT)
 
     @pytest.mark.parametrize(
-        "sites, expected",
-        [((0, 12, 30), 33), ((0, 50, 120), 121), ((0, 7, 19, 40), 45)],
-        ids=["nodes-0-12-30", "nodes-0-50-120", "nodes-0-7-19-40"],
+        "sites, atoms, expected",
+        [((0, 12, 30), (LAMBDA,) * 3, 33), ((0, 50, 120), (LAMBDA,) * 3, 121),
+         ((0, 7, 19, 40), (LAMBDA,) * 4, 45), ((0, 9, 21), (TWO_LEVEL, LAMBDA, TWO_LEVEL), 22)],
+        ids=["nodes-0-12-30", "nodes-0-50-120", "nodes-0-7-19-40", "mixed-nodes-0-9-21"],
     )
-    def test_every_multi_node_root_is_found(self, sites, expected):
+    def test_every_multi_node_root_is_found(self, sites, atoms, expected):
         # the Siegert problem of any node list against the argument-principle
         # count of the kernel's P22.  P22 also vanishes at the band edges,
         # where no mode lives; at the production 1e-6 edge margin the Siegert
-        # problem has no root within 0.01 of them
-        nodes = [(x, LAMBDA) for x in sites]
+        # problem has no root within 0.01 of them.  A two-level node's
+        # metastable level, if kept, would add a false root at E = delta
+        nodes = list(zip(sites, atoms))
         k = -1j * np.log(quasibound._siegert_roots(nodes, LAT))
         im_lo, im_hi = DEFAULT_IM_WINDOW
 

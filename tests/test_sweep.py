@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from cavitychain import ChainSpec, ConfigError, cli, oracle, scattering, solve_stationary, sweep
+from cavitychain import ChainSpec, ConfigError, cli, scattering, solve_stationary, sweep
 from cavitychain.scattering import FLAG_OK, FLAG_SINGULAR
 from cavitychain.sweep import ENGINES, AxisSpec, build_scenario, grid_amplitudes, quantity_value
 
@@ -241,10 +241,10 @@ class TestAmplitudes:
 
     @pytest.mark.parametrize("two_nodes", [False, True])
     def test_stacks_scatter_back_bit_for_bit(self, two_nodes, monkeypatch):
-        # 400 points in stacks of 18-63 systems: D cycles through 1..8 in the
-        # two-node stack, and every second point decays; at D = 1 a system has
-        # 12 unknowns and a block of 12 x 19 complex numbers
-        budget = 16 * 12 * 19 * 40
+        # 400 points in stacks of 14-80 systems: D cycles through 1..8 in the
+        # two-node stack, 50 points each, and every second point decays; at
+        # D = 1 a system has 8 unknowns and a block of 8 x 15 complex numbers
+        budget = 16 * 8 * 15 * 40
         monkeypatch.setattr(sweep, "ORACLE_STACK_BYTES", budget)
         stacks = []
         solve = sweep.solve_stationary
@@ -271,20 +271,19 @@ class TestAmplitudes:
         r_rev, s_rev = _per_point({**stack, "k": stack["k"][::-1]})
         assert r.tobytes() != r_rev.tobytes() and s.tobytes() != s_rev.tobytes()
 
-    def test_oracle_chain_keeps_buffer_sites_beyond_the_nodes(self):
-        B = oracle.BUFFER
+    def test_oracle_chain_is_the_segment_between_the_nodes(self):
         for params, n_sites, sites in (
-            ({"t": 2.0}, 2 * B + 1, ()),
-            (FIG3A, 2 * B + 1, (B,)),
-            ({**FIG3A, "omega_e2": -0.5, "D": 5}, 2 * B + 6, (B, B + 5)),
+            ({"t": 2.0}, 1, ()),
+            (FIG3A, 1, (0,)),
+            ({**FIG3A, "omega_e2": -0.5, "D": 5}, 6, (0, 5)),
         ):
             chain = sweep._oracle_chain(build_scenario(params))
             assert (chain.n_sites, chain.sites) == (n_sites, sites)
 
     @pytest.mark.parametrize("two_nodes", [False, True])
     def test_oracle_does_not_depend_on_the_chain_length(self, two_nodes):
-        # the probes sit on free sites: 61 more sites, 30 of them on the left,
-        # leave r and s within 1e-12 (D = 1..8, decay, two-level nodes)
+        # the leads start at the end sites: 61 more free sites, 30 of them on
+        # the left, leave r and s within 1e-12 (D = 1..8, decay, two-level nodes)
         stack = _oracle_stack(np.random.default_rng(8), 64, two_nodes)
         r, s, _ = sweep.amplitudes(stack, "oracle", None)
         for i in range(64):
