@@ -343,31 +343,93 @@ def solve_stationary(spec: ChainSpec, k):
     return (r, s) if batch else (complex(r), complex(s))
 
 
+def _mirror(spec: ChainSpec) -> np.ndarray:
+    """Index in ``build_hamiltonian``'s basis of each unknown's mirror image.
+
+    Site j maps to N - 1 - j, and node m's two levels to node M - 1 - m's.
+    """
+    M = len(spec.placements)
+    levels = spec.n_sites + np.arange(2 * M).reshape(M, 2)[::-1].ravel()
+    return np.concatenate((np.arange(spec.n_sites)[::-1], levels))
+
+
+def _mirror_blocks(A: np.ndarray, mirror: np.ndarray) -> list[tuple[np.ndarray, tuple, tuple]]:
+    """A's even and odd parity blocks when it is mirror-symmetric, else A alone.
+
+    ``mirror`` is an involution of A's basis; when A equals
+    A[mirror][:, mirror] exactly, the basis (e_i + e_mirror(i)) / c,
+    (e_i - e_mirror(i)) / c of one representative i per pair (c = sqrt 2) or
+    fixed point (c = 2, even only) reduces A to its even and odd blocks,
+    2 (A[R, R] +- A[R, mirror[R]]) / (c c^T), each about half A's size.  A
+    negative entry of ``mirror``, an image outside A's basis, or any
+    difference between A and its image leaves A as its only block.
+    Each block comes as ``(block, columns, weights)``, tuples of one or two
+    index and weight arrays: entry i of a block vector w expands to
+    w[i] weights[j][i] at entry columns[j][i] of A's basis, for every j (on
+    the mirror plane the two name the same entry and agree).
+    """
+    index = np.arange(len(A))
+    if mirror.min() < 0 or not (A == A[mirror[:, None], mirror]).all():
+        return [(A, (index,), (np.ones(len(A)),))]
+    R = np.flatnonzero(index <= mirror)
+    image, rows = mirror[R], A[R]
+    same, swapped = rows[:, R], rows[:, image]
+    plane = image == R
+    pairs = np.flatnonzero(~plane)  # the odd block's entries of R
+    c2 = np.where(plane, 4.0, 2.0)
+    c = np.sqrt(c2)
+    # c c^T as sqrt(c^2 c^2^T) makes 2 / (c c^T) exactly 1 between pairs, 1/2 on the plane.
+    even = 2.0 * (same + swapped) / np.sqrt(np.outer(c2, c2))
+    odd = (same - swapped)[pairs[:, None], pairs]
+    return [(even, (R, image), (0.5 * c, 0.5 * c)),
+            (odd, (R[pairs], image[pairs]), (0.5 * c[pairs], -0.5 * c[pairs]))]
+
+
 def eigenmodes(spec: ChainSpec) -> list[EigenMode]:
     """Eigen-decomposition with per-mode localisation metrics.
 
     ``interior_weight`` is the probability on the sites strictly between the
     first and last node (zero when fewer than two nodes are placed); ``ipr``
-    is sum |u|^4 of the normalised mode.  Modes are sorted by Re(energy).
+    is sum |u|^4 of the normalised mode.  Modes are sorted by Re(energy),
+    stably.  A chain whose H equals its mirror image (``_mirror``) is solved
+    as the even and odd blocks of ``_mirror_blocks``, each about half the
+    size; every other chain as one problem.  The modes' vectors are the rows
+    of one ``(dim, dim)`` array, each expanded from its block once, straight
+    into its sorted row.
     """
     H = build_hamiltonian(spec)
-    if spec.is_decay_free:
-        values, vectors = np.linalg.eigh(H.real)
-        values = values.astype(np.complex128)
-        vectors = vectors.astype(np.complex128)
-    else:
-        values, vectors = np.linalg.eig(H)
+    decay_free = spec.is_decay_free
+    blocks = _mirror_blocks(H.real if decay_free else H, _mirror(spec))
+    _log.debug("eigenmodes of %d unknowns: blocks of %s", spec.dimension,
+               [len(block) for block, _, _ in blocks])
+    solve = np.linalg.eigh if decay_free else np.linalg.eig
+    solved = [(*solve(block), columns, weights) for block, columns, weights in blocks]
+    del H, blocks  # freed before the vectors are expanded
+    values = np.concatenate([v for v, _, _, _ in solved]).astype(np.complex128)
+    order = np.argsort(values.real, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    vectors = np.zeros((spec.dimension, spec.dimension), dtype=np.complex128)
+    start = 0
+    for _, W, columns, weights in solved:
+        rows = rank[start : start + W.shape[1], None]
+        for column, weight in zip(columns, weights):
+            vectors[rows, column] = W.T * weight
+        start += W.shape[1]
+    # Row by row, the sums np.linalg.norm takes of one vector: a chain solved as one block keeps its bits.
+    vectors /= np.sqrt(np.vecdot(vectors.real, vectors.real)
+                       + np.vecdot(vectors.imag, vectors.imag))[:, None]
+    prob = np.abs(vectors)
+    prob *= prob
     sites = spec.sites
-    interior_slice = slice(sites[0] + 1, sites[-1]) if len(sites) >= 2 else slice(0, 0)
-    modes = []
-    for i in np.argsort(values.real):
-        vec = vectors[:, i]
-        vec = vec / np.linalg.norm(vec)
-        prob = np.abs(vec) ** 2
-        ipr = float(np.sum(prob * prob))
-        interior = float(np.sum(prob[interior_slice]))
-        modes.append(EigenMode(complex(values[i]), vec, ipr, interior))
-    return modes
+    interior = prob[:, sites[0] + 1 : sites[-1]] if len(sites) >= 2 else prob[:, :0]
+    interior = interior.sum(axis=1)
+    prob *= prob
+    return [
+        EigenMode(energy, vector, ipr, weight)
+        for energy, vector, ipr, weight in zip(
+            values[order].tolist(), vectors, prob.sum(axis=1).tolist(), interior.tolist())
+    ]
 
 
 def _gaussian_packet(spec: ChainSpec, wp: WavepacketSpec) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import UnverifiedRootError
 from .model import LatticeParams, dispersion_energy_continued
-from .oracle import ChainSpec, build_hamiltonian
+from .oracle import ChainSpec, _mirror, _mirror_blocks, build_hamiltonian
 from .scattering import TwoNodeConfig, _transfer_row
 
 log = logging.getLogger(__name__)
@@ -73,7 +73,7 @@ def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bo
     return np.abs(P22) / norm if scaled else P22
 
 
-def _siegert_roots(nodes, lat: LatticeParams) -> np.ndarray:
+def _siegert_roots(nodes, lat: LatticeParams) -> tuple[np.ndarray, list[int]]:
     """Every finite z = e^{ik} of the open segment from the first node to the last.
 
     A trapped mode is a Siegert state (Siegert, Phys. Rev. 56, 750 (1939)):
@@ -84,9 +84,13 @@ def _siegert_roots(nodes, lat: LatticeParams) -> np.ndarray:
     u_{-1} = z u_0, u_{L+1} = z u_L and E = omega - t (z + 1/z), z (E - H) u = 0
     reads (A0 + z A1 + z^2 A2) u = 0 with A0 = -t I, A1 = omega I - H and
     A2 = -t I but for zero rows at the two end sites.  In mu = 1/z that is the
-    eigenproblem of [[0, I], [A2/t, A1/t]], real when nothing decays.  Its two
-    eigenvalues mu = 0, forced by the zero rows, are dropped, which leaves
-    2n - 2 roots for n unknowns.
+    eigenproblem of [[0, I], [A2/t, A1/t]], real when nothing decays.  A
+    mirror-symmetric segment (A1 equal to its image under ``oracle._mirror``)
+    splits into the even and odd blocks of ``_mirror_blocks``, in each of
+    which site 0 stands for both end sites; every other segment is one
+    block.  Each zero row forces one eigenvalue mu = 0, dropped, which leaves
+    2n - 2 roots for n unknowns either way.  Returns the roots and the size
+    of each companion solved.
     """
     x0, span = nodes[0][0], nodes[-1][0] - nodes[0][0]
     segment = ChainSpec(span + 1, tuple((x - x0, atom) for x, atom in nodes), lat)
@@ -96,11 +100,20 @@ def _siegert_roots(nodes, lat: LatticeParams) -> np.ndarray:
     A1 = lat.omega * np.eye(n) - build_hamiltonian(segment)[np.ix_(keep, keep)]
     # In units of t, each part divided on its own: complex division multiplies by 1/t.
     A1 = (A1.view(float) / lat.t).view(complex) if A1.imag.any() else A1.real / lat.t
-    companion = np.zeros((2 * n, 2 * n), A1.dtype)
-    companion[:n, n:], companion[n:, :n], companion[n:, n:] = np.eye(n), -np.eye(n), A1
-    companion[n, 0] = companion[n + span, span] = 0.0
-    mu = np.linalg.eigvals(companion).astype(complex)
-    return 1.0 / mu[np.argsort(np.abs(mu))[2:]]
+    # The mirror in the kept basis: -1 where a kept level's image was dropped.
+    position = np.full(segment.dimension, -1)
+    position[keep] = np.arange(n)
+    roots, sizes = [], []
+    for block, columns, _ in _mirror_blocks(A1, position[_mirror(segment)[keep]]):
+        m = len(block)
+        companion = np.zeros((2 * m, 2 * m), A1.dtype)
+        companion[:m, m:], companion[m:, :m], companion[m:, m:] = np.eye(m), -np.eye(m), block
+        ends = np.flatnonzero((columns[0] == 0) | (columns[0] == span))
+        companion[m + ends, ends] = 0.0
+        mu = np.linalg.eigvals(companion).astype(complex)
+        roots.append(1.0 / mu[np.argsort(np.abs(mu))[len(ends) :]])
+        sizes.append(2 * m)
+    return np.concatenate(roots), sizes
 
 
 def find_quasibound_modes(
@@ -125,12 +138,13 @@ def find_quasibound_modes(
     whose scaled residual still exceeds VERIFY_TOL raises UnverifiedRootError.
     Results are sorted by (Re k, Im k).  ``n_re`` and ``n_im`` are accepted
     and ignored (they sized an earlier seed grid).  ``return_diagnostics``
-    adds the count of finite Siegert roots, the window-root count and the
-    largest scaled residual.
+    adds the count of finite Siegert roots, the sizes of the companions
+    solved (two for a mirror-symmetric pair, one otherwise), the window-root
+    count and the largest scaled residual.
     """
     re_lo, re_hi = re_window[0] + 1e-6, re_window[1] - 1e-6
     im_lo, im_hi = im_window
-    zs = _siegert_roots([(0, cfg.atom1), (cfg.D, cfg.atom2)], lat)
+    zs, blocks = _siegert_roots([(0, cfg.atom1), (cfg.D, cfg.atom2)], lat)
     mid = 0.5 * (re_lo + re_hi)
     ks = mid - 1j * np.log(zs * cmath.exp(-1j * mid))
     ks = ks[(re_lo < ks.real) & (ks.real < re_hi) & (im_lo < ks.imag) & (ks.imag < im_hi)]
@@ -158,6 +172,7 @@ def find_quasibound_modes(
     modes.sort(key=lambda m: (m.k.real, m.k.imag))
     diagnostics = {
         "finite_roots": len(zs),
+        "blocks": blocks,
         "window_roots": len(modes),
         "max_residual": max((m.residual for m in modes), default=0.0),
     }

@@ -602,6 +602,17 @@ class TestQuasiboundCommand:
         assert main(argv) == 0
         assert logging.getLogger("cavitychain").level == logging.WARNING
 
+    def test_sidecar_records_the_companion_blocks(self, tmp_path):
+        # a mirror-symmetric pair is two half-size companions (sites 0..5 and
+        # 0..4 with one node's two levels each); the default second node is
+        # two-level, so the fig3a node alone faces it and gives one
+        for extra, blocks in ((["omega_e2=1", "delta2=0", "Omega2=1", "g2=1"], [16, 14]), ([], [28])):
+            out = tmp_path / f"blocks-{len(blocks)}.csv"
+            assert main(["quasibound", *QB_SETS, *sets(*extra), "--out", str(out)]) == 0
+            diagnostics = json.loads(out.with_name(out.name + ".meta.json").read_text())["mode_diagnostics"]
+            assert diagnostics["blocks"] == blocks
+            assert diagnostics["finite_roots"] == sum(blocks) - 2
+
     def test_profile_dump(self, tmp_path):
         cfg = tmp_path / "prof.cfg"
         cfg.write_text(

@@ -35,6 +35,8 @@ from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 FIG3A_ATOM = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
+DECAYING_ATOM = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.04, gamma=0.01)
+NUDGED_ATOM = AtomParams(omega_e=1.0, delta=0.0, Omega=np.nextafter(1.0, 2.0))
 
 
 def _initial_state_and_cap(spec, wp):
@@ -594,6 +596,49 @@ class TestEigenmodes:
         assert len(modes) == 50
         assert all(m.energy.imag <= 1e-12 for m in modes)
         assert min(m.energy.imag for m in modes) < -1e-4
+
+    @pytest.mark.parametrize(
+        "n_sites, sites, atoms, blocks",
+        [(41, (15, 25), (FIG3A_ATOM,) * 2, [23, 22]), (40, (14, 25), (FIG3A_ATOM,) * 2, [22, 22]),
+         (41, (20,), (FIG3A_ATOM,), [23, 20]), (41, (10, 20, 30), (FIG3A_ATOM,) * 3, [25, 22]),
+         (41, (15, 25), (DECAYING_ATOM,) * 2, [23, 22]), (40, (), (), [20, 20]), (41, (), (), [21, 20]),
+         (41, (15, 25), (FIG3A_ATOM, NUDGED_ATOM), [45]), (41, (15, 24), (FIG3A_ATOM,) * 2, [45])],
+        ids=["odd-N-pair", "even-N-pair", "node-on-the-centre", "three-nodes", "decaying-pair",
+             "free-even-N", "free-odd-N", "pair-one-ulp-apart", "pair-off-centre"],
+    )
+    def test_symmetric_chain_splits_into_parity_blocks(self, n_sites, sites, atoms, blocks, caplog):
+        # against the whole H: the same eigenvalues, eigenpairs to rounding,
+        # orthonormal vectors, and a definite parity for every vector of a
+        # chain that is its own mirror image; one ulp of Omega or one site
+        # off the mirror leaves one block
+        nodes = tuple(zip(sites, atoms))
+        spec = ChainSpec(n_sites, nodes, LAT)
+        with caplog.at_level(logging.DEBUG, logger="cavitychain.oracle"):
+            modes = eigenmodes(spec)
+        assert caplog.records[-1].getMessage().endswith(f"blocks of {blocks}")
+        H = build_hamiltonian(spec)
+        E = np.array([m.energy for m in modes])
+        V = np.array([m.vector for m in modes])
+        assert len(modes) == spec.dimension
+        assert np.all(np.diff(E.real) >= 0)
+        assert np.max(np.linalg.norm(V @ H.T - E[:, None] * V, axis=1)) <= 1e-12
+        assert np.allclose(np.linalg.norm(V, axis=1), 1.0, rtol=0, atol=1e-14)
+        if spec.is_decay_free:
+            assert np.allclose(E.real, np.linalg.eigvalsh(H), rtol=0, atol=1e-12)
+            assert np.allclose(V.conj() @ V.T, np.eye(len(V)), rtol=0, atol=1e-12)
+        else:
+            reference = np.linalg.eigvals(H)
+            nearest = np.abs(E[:, None] - reference[None, :]).argmin(axis=1)
+            assert sorted(nearest) == list(range(len(E)))
+            assert np.allclose(E, reference[nearest], rtol=0, atol=1e-12)
+            # H is complex symmetric: v_i^T v_j = 0 between distinct eigenvalues
+            overlap = V @ V.T
+            assert np.allclose(overlap - np.diag(np.diag(overlap)), 0.0, rtol=0, atol=1e-12)
+        if len(blocks) == 2:
+            image = V[:, oracle._mirror(spec)]
+            assert np.all(np.minimum(np.abs(image - V).max(axis=1), np.abs(image + V).max(axis=1)) <= 1e-12)
+            even = np.abs(image - V).max(axis=1) <= 1e-12
+            assert np.count_nonzero(even) == blocks[0]
 
 
 class TestWavepacket:

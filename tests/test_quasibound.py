@@ -6,15 +6,18 @@ import pytest
 
 from cavitychain import (
     AtomParams,
+    ChainSpec,
     LatticeParams,
     TwoNodeConfig,
     UnverifiedRootError,
     bound_profile,
+    build_hamiltonian,
     dispersion_energy,
     dispersion_energy_continued,
     find_perfect_reflection,
     find_quasibound_modes,
     momentum_from_energy,
+    oracle,
     quantized_momenta,
     quasibound,
     quasibound_residual,
@@ -303,7 +306,7 @@ class TestCompleteness:
         # problem has no root within 0.01 of them.  A two-level node's
         # metastable level, if kept, would add a false root at E = delta
         nodes = list(zip(sites, atoms))
-        k = -1j * np.log(quasibound._siegert_roots(nodes, LAT))
+        k = -1j * np.log(quasibound._siegert_roots(nodes, LAT)[0])
         im_lo, im_hi = DEFAULT_IM_WINDOW
 
         def count(margin):
@@ -325,3 +328,117 @@ class TestCompleteness:
         monkeypatch.setattr(quasibound, "_siegert_roots", shifted)
         with pytest.raises(UnverifiedRootError, match="scaled residual"):
             find_quasibound_modes(TwoNodeConfig(LAMBDA, LAMBDA, 10), LAT)
+
+
+def full_companion_roots(nodes, lat):
+    """Every finite Siegert root z of ``nodes`` from one companion of the whole segment.
+
+    Written out from ``build_hamiltonian`` as in ``_siegert_roots``, with no
+    parity blocks: sites 0..L, then the levels kept, A1 = (omega - H) / t,
+    and A2 = I but for zero rows at the two end sites, which force the two
+    eigenvalues mu = 1/z = 0 dropped.
+    """
+    span = nodes[-1][0] - nodes[0][0]
+    spec = ChainSpec(span + 1, tuple((x - nodes[0][0], atom) for x, atom in nodes), lat)
+    kept = [i for i in range(spec.dimension)
+            if i <= span or (i - span) % 2 == 1 or not nodes[(i - span - 2) // 2][1].is_two_level]
+    H = build_hamiltonian(spec)[np.ix_(kept, kept)]
+    n = len(kept)
+    A2 = np.eye(n)
+    A2[0, 0] = A2[span, span] = 0.0
+    companion = np.block([[np.zeros((n, n)), np.eye(n)], [-A2, (lat.omega * np.eye(n) - H) / lat.t]])
+    mu = np.linalg.eigvals(companion)
+    return n, 1.0 / mu[np.argsort(np.abs(mu))[2:]]
+
+
+def assert_same_roots(zs, reference, rtol):
+    """Each root of ``zs`` within ``rtol`` of its own root of ``reference``, one to one.
+
+    mu = 0 is a fourfold eigenvalue when no hop joins the two end sites (the
+    end rows of A1 vanish on them too); the two of them left after the drop
+    come out as rounding, |z| ~ 1e15, and only their count is compared.
+    """
+    assert len(zs) == len(reference)
+    assert np.count_nonzero(np.abs(zs) > 1e8) == np.count_nonzero(np.abs(reference) > 1e8)
+    zs, reference = zs[np.abs(zs) <= 1e8], reference[np.abs(reference) <= 1e8]
+    nearest = np.abs(zs[:, None] - reference[None, :]).argmin(axis=1)
+    assert sorted(nearest) == list(range(len(reference)))
+    assert np.all(np.abs(zs - reference[nearest]) <= rtol * np.abs(reference[nearest]))
+
+
+def nudged(atom):
+    """``atom`` with Omega one ulp larger: a mirror image that differs in one bit."""
+    return AtomParams(omega_e=atom.omega_e, delta=atom.delta, Omega=np.nextafter(atom.Omega, 2.0),
+                      g=atom.g, Gamma=atom.Gamma, gamma=atom.gamma)
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize(
+        "sites, atoms",
+        [((0, 10), (LAMBDA,) * 2), ((0, 9), (LAMBDA,) * 2), ((0, 1), (LAMBDA,) * 2),
+         ((0, 2), (LAMBDA,) * 2), ((0, 12), (TWO_LEVEL,) * 2), ((0, 7), (TWO_LEVEL,) * 2),
+         ((0, 10), (DECAYING,) * 2), ((0, 11), (DECAYING,) * 2), ((0, 10, 20), (LAMBDA,) * 3),
+         ((0, 10, 20), (TWO_LEVEL, DECAYING, TWO_LEVEL)), ((0, 3, 12, 15), (*MIXED, *MIXED[::-1])),
+         ((0, 4, 10, 14), (DECAYING, LAMBDA, LAMBDA, DECAYING))],
+        ids=["lambda-even-span", "lambda-odd-span", "lambda-D1", "lambda-D2", "two-level-even-span",
+             "two-level-odd-span", "decaying-even-span", "decaying-odd-span", "node-on-the-plane",
+             "two-level-ends-decaying-centre", "four-mixed-nodes", "four-decaying-ends"],
+    )
+    def test_symmetric_segment_splits_and_keeps_every_root(self, sites, atoms):
+        # the two blocks hold the n unknowns between them, and each drops one
+        # mu = 0 for the end sites it folds into one
+        nodes = list(zip(sites, atoms))
+        zs, sizes = quasibound._siegert_roots(nodes, LAT)
+        n, reference = full_companion_roots(nodes, LAT)
+        assert len(sizes) == 2 and sum(sizes) == 2 * n and 0 <= sizes[0] - sizes[1] <= 2 * len(nodes)
+        assert len(zs) == 2 * n - 2
+        assert_same_roots(zs, reference, 1e-12)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [[(0, LAMBDA), (10, nudged(LAMBDA))], [(0, DECAYING), (9, nudged(DECAYING))],
+         [(0, LAMBDA), (10, LAMBDA), (20, nudged(LAMBDA))], [(0, TWO_LEVEL), (10, LAMBDA)],
+         [(0, LAMBDA), (10, LAMBDA), (13, LAMBDA)]],
+        ids=["lambda-one-ulp", "decaying-one-ulp", "three-nodes-one-ulp", "two-level-facing-lambda",
+             "sites-off-the-mirror"],
+    )
+    def test_asymmetric_segment_is_one_block(self, nodes):
+        # one ulp of Omega, a dropped level facing a kept one, or nodes off
+        # each other's mirror sites: the whole companion, both end zeros dropped
+        zs, sizes = quasibound._siegert_roots(nodes, LAT)
+        n, reference = full_companion_roots(nodes, LAT)
+        assert sizes == [2 * n]
+        assert len(zs) == 2 * n - 2
+        assert_same_roots(zs, reference, 1e-12)
+
+    def test_mirror_blocks_fold_the_matrix(self):
+        # the fold is an orthogonal change of basis: both blocks' eigenvalues
+        # together are the matrix's, and the columns and weights rebuild the
+        # basis vectors, unit and of definite parity
+        rng = np.random.default_rng(5)
+        mirror = np.array([6, 5, 4, 3, 2, 1, 0, 8, 7])
+        B = rng.normal(size=(9, 9))
+        A = B + B[mirror][:, mirror]
+        A = A + A.T
+        blocks = oracle._mirror_blocks(A, mirror)
+        assert [len(block) for block, _, _ in blocks] == [5, 4]
+        values = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block, _, _ in blocks]))
+        assert np.allclose(values, np.linalg.eigvalsh(A), rtol=0, atol=1e-12)
+        basis = np.zeros((9, 9))
+        row = 0
+        for (block, columns, weights), sign in zip(blocks, (1.0, -1.0)):
+            for i in range(len(block)):
+                for column, weight in zip(columns, weights):
+                    basis[row, column[i]] = weight[i]
+                assert np.array_equal(basis[row][mirror], sign * basis[row])
+                row += 1
+        assert np.allclose(basis @ basis.T, np.eye(9), rtol=0, atol=1e-15)
+        folded = basis @ A @ basis.T
+        assert np.allclose(folded[:5, :5], blocks[0][0], rtol=0, atol=1e-14)
+        assert np.allclose(folded[5:, 5:], blocks[1][0], rtol=0, atol=1e-14)
+        assert np.allclose(folded[:5, 5:], 0.0, rtol=0, atol=1e-14)
+        # one entry off its image, or an image outside the basis: A alone
+        A[0, 1] = np.nextafter(A[0, 1], 0.0)
+        ((whole, columns, weights),) = oracle._mirror_blocks(A, mirror)
+        assert whole is A and np.array_equal(columns, [np.arange(9)]) and np.array_equal(weights, [np.ones(9)])
+        assert len(oracle._mirror_blocks(A + A[mirror][:, mirror], np.r_[mirror[:-1], -1])) == 1
