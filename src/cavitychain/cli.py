@@ -58,6 +58,8 @@ from .sweep import (
     reduce_delta,
 )
 
+_log = logging.getLogger(f"{__package__}.cli")  # not __main__ under python -m
+
 #: Keys of the lattice and its nodes; every command but ``oracle-check`` reads them.
 _CHAIN_KEYS = {"t": float, "omega": float, "D": int,
                **{key + suffix: float for key in _NODE_KEYS for suffix in ("", "2")}}
@@ -199,16 +201,39 @@ _CSV_BLOCK = 4096
 def _write_csv(out: Path, header: list[str], columns: list) -> None:
     """Equal-length columns as rows: numbers at 17 significant digits, text as is.
 
-    Rows go out in blocks through one format string, so the file is never
-    held whole as a string.
+    Rows go out in blocks of ``_CSV_BLOCK`` through one format string, so the
+    file is never held whole as a string.  Within a block, a numeric column
+    with repeats is formatted one distinct bit pattern at a time (so -0.0 and
+    0.0 stay apart) and its strings are indexed back into place; the bytes are
+    those of formatting every value.  Columns of unequal length raise
+    ValueError before the file is opened.
     """
     cols = [np.asarray(c) for c in columns]
-    fmt = ",".join("%s" if c.dtype.kind in "OUS" else "%.17g" for c in cols) + "\n"
+    lengths = [len(c) for c in cols]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{out.name}: columns of unequal length {lengths}")
+    numeric = [c.dtype.kind not in "OUS" for c in cols]
+    formatted = 0
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(cols[0]), _CSV_BLOCK):
-            rows = zip(*(c[start : start + _CSV_BLOCK].tolist() for c in cols))
-            fh.writelines(fmt % row for row in rows)
+        for start in range(0, lengths[0], _CSV_BLOCK):
+            parts, specs = [], []
+            for c, is_number in zip(cols, numeric):
+                c = c[start : start + _CSV_BLOCK]
+                spec, values = ("%.17g" if is_number else "%s"), c
+                if is_number:
+                    _, first, inverse = np.unique(c.view(f"u{c.itemsize}"),
+                                                  return_index=True, return_inverse=True)
+                    formatted += len(first)
+                    if len(first) < len(c):
+                        text = np.array(["%.17g" % v for v in c[first].tolist()], dtype=object)
+                        spec, values = "%s", text[inverse]
+                parts.append(values.tolist())
+                specs.append(spec)
+            row = ",".join(specs) + "\n"
+            fh.writelines(row % r for r in zip(*parts))
+    _log.debug("%s: %d rows, %d numeric fields, %d numbers formatted",
+               out.name, lengths[0], lengths[0] * sum(numeric), formatted)
 
 
 def _with_flag_counts(extra: dict | None, flag: np.ndarray) -> dict:

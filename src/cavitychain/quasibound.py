@@ -88,9 +88,12 @@ def _siegert_roots(nodes, lat: LatticeParams) -> tuple[np.ndarray, list[int]]:
     mirror-symmetric segment (A1 equal to its image under ``oracle._mirror``)
     splits into the even and odd blocks of ``_mirror_blocks``, in each of
     which site 0 stands for both end sites; every other segment is one
-    block.  Each zero row forces one eigenvalue mu = 0, dropped, which leaves
-    2n - 2 roots for n unknowns either way.  Returns the roots and the size
-    of each companion solved.
+    block.  Each zero row forces one eigenvalue mu = 0.  When no hop joins
+    the two end sites (a span of 2 or more), A1 vanishes between them too,
+    and each of those zeros has a Jordan partner, which rounding would
+    return as |z| ~ 1e15.  Every mu = 0 is dropped, the smallest |mu|
+    first: 2n - 2 roots for n unknowns at a span of 1, 2n - 4 beyond.
+    Returns the roots and the size of each companion solved.
     """
     x0, span = nodes[0][0], nodes[-1][0] - nodes[0][0]
     segment = ChainSpec(span + 1, tuple((x - x0, atom) for x, atom in nodes), lat)
@@ -110,8 +113,9 @@ def _siegert_roots(nodes, lat: LatticeParams) -> tuple[np.ndarray, list[int]]:
         companion[:m, m:], companion[m:, :m], companion[m:, m:] = np.eye(m), -np.eye(m), block
         ends = np.flatnonzero((columns[0] == 0) | (columns[0] == span))
         companion[m + ends, ends] = 0.0
+        zeros = len(ends) if block[np.ix_(ends, ends)].any() else 2 * len(ends)
         mu = np.linalg.eigvals(companion).astype(complex)
-        roots.append(1.0 / mu[np.argsort(np.abs(mu))[len(ends) :]])
+        roots.append(1.0 / mu[np.argsort(np.abs(mu))[zeros:]])
         sizes.append(2 * m)
     return np.concatenate(roots), sizes
 

@@ -1,4 +1,4 @@
-"""Shared random-draw utilities for the test suite."""
+"""Shared random-draw utilities and a reference CSV writer for the test suite."""
 
 from __future__ import annotations
 
@@ -43,3 +43,15 @@ def draw_two_node(
         draw_atom(rng, two_level=rng.choice(flavors), decay=decay),
         int(rng.integers(1, d_max + 1)),
     )
+
+
+def reference_csv(header: list[str], columns: list) -> bytes:
+    """The bytes of the row-by-row CSV writer: one ``fmt % row`` per row.
+
+    Numbers go through ``%.17g`` and text (``O``, ``U`` and ``S`` columns)
+    through ``%s``, every value formatted on its own.
+    """
+    cols = [np.asarray(c) for c in columns]
+    fmt = ",".join("%s" if c.dtype.kind in "OUS" else "%.17g" for c in cols) + "\n"
+    rows = zip(*(c.tolist() for c in cols))
+    return "".join([",".join(header) + "\n", *(fmt % row for row in rows)]).encode("utf-8")

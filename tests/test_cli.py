@@ -14,6 +14,7 @@ from cavitychain.cli import (
     main,
     parse_config_text,
 )
+from helpers import reference_csv
 
 
 def read_csv(path):
@@ -538,6 +539,115 @@ class TestMap2dCommand:
         assert R[1] == pytest.approx(R[3], abs=1e-12)
 
 
+#: The bundled figures, each with the command that draws it.
+FIGURES = [("spectrum", f) for f in ("fig3a", "fig3b", "fig5a", "fig5b", "fig6a", "fig7")] + [
+    ("map2d", f) for f in ("fig4", "fig6b")]
+
+
+def recorded_csvs(monkeypatch):
+    """Every ``(out, header, columns)`` the CLI writes from now on, as it writes it."""
+    written = []
+    write = cli._write_csv
+
+    def record(out, header, columns):
+        write(out, header, columns)
+        written.append((out, header, columns))
+
+    monkeypatch.setattr(cli, "_write_csv", record)
+    return written
+
+
+class TestCsvWriter:
+    """``_write_csv`` writes the bytes of the row-by-row reference writer."""
+
+    def assert_reference_bytes(self, tmp_path, columns):
+        out = tmp_path / "columns.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        cli._write_csv(out, header, columns)
+        assert out.read_bytes() == reference_csv(header, columns)
+
+    def test_repeats_inside_and_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(19)
+        rows = 2 * cli._CSV_BLOCK + 123
+        self.assert_reference_bytes(tmp_path, [
+            rng.integers(0, 40, rows) / 8.0,
+            rng.random(rows),  # every entry distinct
+            np.r_[rng.random(cli._CSV_BLOCK), rng.integers(0, 5, rows - cli._CSV_BLOCK) * 0.1],
+            np.repeat(rng.normal(size=rows // 97 + 1), 97)[:rows],  # runs across block edges
+            np.tile(rng.normal(size=200), rows // 200 + 1)[:rows],
+            rng.integers(0, 3, rows).astype(np.int8),
+        ])
+
+    def test_special_values_keep_their_bits(self, tmp_path):
+        payloads = np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(float)
+        special = np.r_[0.0, -0.0, np.nan, payloads, np.inf, -np.inf, 5e-324, -5e-324,
+                        2.2250738585072009e-308, 1e300, -1e300, 0.1]
+        big = np.array([2**53, 2**53 + 1, 2**53 + 2, 2**63 - 1, -(2**63), -(2**53) - 1], np.int64)
+        ints = np.resize(big, len(special))
+        self.assert_reference_bytes(tmp_path, [special, ints[::-1].copy()])  # all distinct
+        self.assert_reference_bytes(tmp_path, [np.r_[special, special[::-1], special],
+                                               np.r_[ints, ints, ints]])
+        self.assert_reference_bytes(tmp_path, [np.r_[0.0, -0.0, 0.0, -0.0]])
+
+    def test_integer_boolean_and_text_columns(self, tmp_path):
+        rng = np.random.default_rng(7)
+        words = ["", "site", "excited", "", "metastable"] * 4
+        self.assert_reference_bytes(tmp_path, [
+            rng.integers(-128, 128, 20).astype(np.int8), np.arange(20, dtype=np.int64) * 3,
+            np.arange(20) % 3 == 0, np.array(words), np.array(words, dtype=object),
+            [str(i) if i % 2 else "" for i in range(20)], np.zeros(20, np.int64),
+        ])
+
+    def test_empty_and_strided_columns(self, tmp_path):
+        self.assert_reference_bytes(tmp_path, [np.array([]), np.array([], np.int8),
+                                               np.array([], "U1"), []])
+        rng = np.random.default_rng(3)
+        r = rng.integers(0, 4, 3 * cli._CSV_BLOCK) * 0.5 + 1j * rng.random(3 * cli._CSV_BLOCK)
+        self.assert_reference_bytes(tmp_path, [r.real, r.imag, r[::-1].real, np.abs(r) ** 2])
+
+    @pytest.mark.parametrize("command, figure", FIGURES, ids=[f for _, f in FIGURES])
+    def test_bundled_figures(self, tmp_path, monkeypatch, command, figure):
+        written = recorded_csvs(monkeypatch)
+        assert main([command, "--config", figure, "--out", str(tmp_path / "f.csv")]) == 0
+        ((out, header, columns),) = written
+        assert out.read_bytes() == reference_csv(header, columns)
+
+    def test_quasibound_profile_and_modes_vector(self, tmp_path, monkeypatch):
+        written = recorded_csvs(monkeypatch)
+        assert main(["quasibound", *QB_SETS, *sets("profile_n=3"),
+                     "--out", str(tmp_path / "qb.csv")]) == 0
+        assert main(["modes", *sets(*FIG3A_NODE, "omega_e2=0.5", "Omega2=0.8", "Gamma2=0.05",
+                                    "D=5", "N=40", "site=15", "mode_index=7"),
+                     "--out", str(tmp_path / "modes.csv")]) == 0
+        assert [out.name for out, _, _ in written] == ["qb.csv", "qb.profile.csv", "modes.csv",
+                                                      "modes.vector.csv"]
+        for out, header, columns in written:
+            assert out.read_bytes() == reference_csv(header, columns)
+
+    def test_unequal_columns_raise_before_writing(self, tmp_path):
+        out = tmp_path / "short.csv"
+        with pytest.raises(ValueError, match="unequal length"):
+            cli._write_csv(out, ["a", "b"], [np.zeros(3), np.zeros(2)])
+        assert not out.exists()
+
+    def test_debug_log_counts_the_numbers_formatted(self, tmp_path, caplog):
+        out = tmp_path / "fig4.csv"
+        argv = ["map2d", "--config", "fig4", "--out", str(out)]
+        assert main(argv) == 0
+        assert not [r for r in caplog.records if r.name == "cavitychain.cli"]
+        assert main(argv + ["--log-level", "DEBUG"]) == 0
+        (record,) = [r for r in caplog.records if r.name == "cavitychain.cli"]
+        assert record.levelno == logging.DEBUG
+        name, rows, fields, formatted = record.args
+        assert (name, rows, fields) == ("fig4.csv", 40000, 4 * 40000)
+        # each block formats each distinct bit pattern of a column once: the
+        # map about once a row, the two axes and the flag a few hundred times
+        bits = np.loadtxt(out, delimiter=",", skiprows=1).view(np.uint64)
+        assert formatted == sum(len(np.unique(bits[start : start + cli._CSV_BLOCK, j]))
+                                for start in range(0, 40000, cli._CSV_BLOCK) for j in range(4))
+        assert formatted - rows < 0.02 * fields
+
+
 class TestQuasiboundCommand:
     def test_resonant_fixture_quantises(self, tmp_path):
         cfg = tmp_path / "resonant.cfg"
@@ -611,7 +721,7 @@ class TestQuasiboundCommand:
             assert main(["quasibound", *QB_SETS, *sets(*extra), "--out", str(out)]) == 0
             diagnostics = json.loads(out.with_name(out.name + ".meta.json").read_text())["mode_diagnostics"]
             assert diagnostics["blocks"] == blocks
-            assert diagnostics["finite_roots"] == sum(blocks) - 2
+            assert diagnostics["finite_roots"] == sum(blocks) - 4  # D = 10: no mu = 0 kept
 
     def test_profile_dump(self, tmp_path):
         cfg = tmp_path / "prof.cfg"

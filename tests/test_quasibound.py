@@ -195,7 +195,8 @@ class TestModeSearch:
         atom = mirror_atom(dispersion_energy(0.3 * math.pi, LAT) + 1e-2)
         cfg = TwoNodeConfig(atom, atom, D=4)
         modes, diag = find_quasibound_modes(cfg, LAT, return_diagnostics=True)
-        assert diag["finite_roots"] == 2 * 4 + 8
+        # sites 0..4 and two levels per node: 2n - 4 roots for n = 9 unknowns
+        assert diag["finite_roots"] == 2 * (5 + 4) - 4
         assert diag["window_roots"] == len(modes)
         assert diag["max_residual"] == max(m.residual for m in modes) <= VERIFY_TOL
 
@@ -335,8 +336,10 @@ def full_companion_roots(nodes, lat):
 
     Written out from ``build_hamiltonian`` as in ``_siegert_roots``, with no
     parity blocks: sites 0..L, then the levels kept, A1 = (omega - H) / t,
-    and A2 = I but for zero rows at the two end sites, which force the two
-    eigenvalues mu = 1/z = 0 dropped.
+    and A2 = I but for zero rows at the two end sites, which force two
+    eigenvalues mu = 1/z = 0.  With no hop between the end sites (a span of 2
+    or more) A1 vanishes between them too and mu = 0 is fourfold; every mu = 0 is
+    dropped.
     """
     span = nodes[-1][0] - nodes[0][0]
     spec = ChainSpec(span + 1, tuple((x - nodes[0][0], atom) for x, atom in nodes), lat)
@@ -348,19 +351,17 @@ def full_companion_roots(nodes, lat):
     A2[0, 0] = A2[span, span] = 0.0
     companion = np.block([[np.zeros((n, n)), np.eye(n)], [-A2, (lat.omega * np.eye(n) - H) / lat.t]])
     mu = np.linalg.eigvals(companion)
-    return n, 1.0 / mu[np.argsort(np.abs(mu))[2:]]
+    return n, 1.0 / mu[np.argsort(np.abs(mu))[2 if span == 1 else 4 :]]
 
 
 def assert_same_roots(zs, reference, rtol):
     """Each root of ``zs`` within ``rtol`` of its own root of ``reference``, one to one.
 
-    mu = 0 is a fourfold eigenvalue when no hop joins the two end sites (the
-    end rows of A1 vanish on them too); the two of them left after the drop
-    come out as rounding, |z| ~ 1e15, and only their count is compared.
+    No root is at infinity: a mu = 0 left in either would come out as
+    rounding, |z| ~ 1e15.
     """
     assert len(zs) == len(reference)
-    assert np.count_nonzero(np.abs(zs) > 1e8) == np.count_nonzero(np.abs(reference) > 1e8)
-    zs, reference = zs[np.abs(zs) <= 1e8], reference[np.abs(reference) <= 1e8]
+    assert np.abs(zs).max() <= 1e8 and np.abs(reference).max() <= 1e8
     nearest = np.abs(zs[:, None] - reference[None, :]).argmin(axis=1)
     assert sorted(nearest) == list(range(len(reference)))
     assert np.all(np.abs(zs - reference[nearest]) <= rtol * np.abs(reference[nearest]))
@@ -385,13 +386,14 @@ class TestParityBlocks:
              "two-level-ends-decaying-centre", "four-mixed-nodes", "four-decaying-ends"],
     )
     def test_symmetric_segment_splits_and_keeps_every_root(self, sites, atoms):
-        # the two blocks hold the n unknowns between them, and each drops one
-        # mu = 0 for the end sites it folds into one
+        # the two blocks hold the n unknowns between them, and each drops the
+        # mu = 0 of the end sites it folds into one, plus its Jordan partner
+        # past a span of 1
         nodes = list(zip(sites, atoms))
         zs, sizes = quasibound._siegert_roots(nodes, LAT)
         n, reference = full_companion_roots(nodes, LAT)
         assert len(sizes) == 2 and sum(sizes) == 2 * n and 0 <= sizes[0] - sizes[1] <= 2 * len(nodes)
-        assert len(zs) == 2 * n - 2
+        assert len(zs) == 2 * n - (2 if sites[-1] - sites[0] == 1 else 4)
         assert_same_roots(zs, reference, 1e-12)
 
     @pytest.mark.parametrize(
@@ -404,12 +406,22 @@ class TestParityBlocks:
     )
     def test_asymmetric_segment_is_one_block(self, nodes):
         # one ulp of Omega, a dropped level facing a kept one, or nodes off
-        # each other's mirror sites: the whole companion, both end zeros dropped
+        # each other's mirror sites: the whole companion, both end zeros and
+        # their Jordan partners dropped
         zs, sizes = quasibound._siegert_roots(nodes, LAT)
         n, reference = full_companion_roots(nodes, LAT)
         assert sizes == [2 * n]
-        assert len(zs) == 2 * n - 2
+        assert len(zs) == 2 * n - 4
         assert_same_roots(zs, reference, 1e-12)
+
+    @pytest.mark.parametrize("D", [1, 2, 10, 100])
+    @pytest.mark.parametrize("second", [LAMBDA, nudged(LAMBDA)], ids=["symmetric", "one-ulp"])
+    def test_no_root_at_infinity(self, D, second):
+        # past a span of 1 the end zeros' Jordan partners came back as |z| ~ 1e15
+        zs, sizes = quasibound._siegert_roots([(0, LAMBDA), (D, second)], LAT)
+        assert len(sizes) == (2 if second is LAMBDA else 1)
+        assert len(zs) == sum(sizes) - (2 if D == 1 else 4)
+        assert np.abs(zs).max() <= 1e8
 
     def test_mirror_blocks_fold_the_matrix(self):
         # the fold is an orthogonal change of basis: both blocks' eigenvalues
