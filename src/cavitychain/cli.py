@@ -199,41 +199,18 @@ _CSV_BLOCK = 4096
 
 
 def _write_csv(out: Path, header: list[str], columns: list) -> None:
-    """Equal-length columns as rows: numbers at 17 significant digits, text as is.
+    """Equal-length columns as rows: numbers as ``"%.17g" % v``, text as ``"%s" % v``.
 
-    Rows go out in blocks of ``_CSV_BLOCK`` through one format string, so the
-    file is never held whole as a string.  Within a block, a numeric column
-    with repeats is formatted one distinct bit pattern at a time (so -0.0 and
-    0.0 stay apart) and its strings are indexed back into place; the bytes are
-    those of formatting every value.  Columns of unequal length raise
-    ValueError before the file is opened.
+    ``csvtext.write_csv`` writes them ``_CSV_BLOCK`` rows at a time and
+    checks them before it opens the file.  It is imported on the first CSV:
+    compiled apart from cli, it adds nothing to start-up time or to the peak
+    memory of compiling cli.
     """
-    cols = [np.asarray(c) for c in columns]
-    lengths = [len(c) for c in cols]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"{out.name}: columns of unequal length {lengths}")
-    numeric = [c.dtype.kind not in "OUS" for c in cols]
-    formatted = 0
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, lengths[0], _CSV_BLOCK):
-            parts, specs = [], []
-            for c, is_number in zip(cols, numeric):
-                c = c[start : start + _CSV_BLOCK]
-                spec, values = ("%.17g" if is_number else "%s"), c
-                if is_number:
-                    _, first, inverse = np.unique(c.view(f"u{c.itemsize}"),
-                                                  return_index=True, return_inverse=True)
-                    formatted += len(first)
-                    if len(first) < len(c):
-                        text = np.array(["%.17g" % v for v in c[first].tolist()], dtype=object)
-                        spec, values = "%s", text[inverse]
-                parts.append(values.tolist())
-                specs.append(spec)
-            row = ",".join(specs) + "\n"
-            fh.writelines(row % r for r in zip(*parts))
-    _log.debug("%s: %d rows, %d numeric fields, %d numbers formatted",
-               out.name, lengths[0], lengths[0] * sum(numeric), formatted)
+    from .csvtext import write_csv
+
+    rows, numeric, python = write_csv(out, header, columns, _CSV_BLOCK)
+    _log.debug("%s: %d rows, %d numeric fields, %d formatted by Python's %%.17g",
+               out.name, rows, numeric, python)
 
 
 def _with_flag_counts(extra: dict | None, flag: np.ndarray) -> dict:

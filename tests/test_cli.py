@@ -624,10 +624,40 @@ class TestCsvWriter:
         for out, header, columns in written:
             assert out.read_bytes() == reference_csv(header, columns)
 
+    def test_whole_blocks_and_zero_row_files(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for rows in (cli._CSV_BLOCK, 2 * cli._CSV_BLOCK):  # no partial block at the end
+            self.assert_reference_bytes(tmp_path, [rng.random(rows), np.arange(rows) % 7 == 0,
+                                                   np.array(["x"] * rows)])
+        for columns in ([np.array([])], [np.array([], "U3"), np.array([], bool)], []):
+            self.assert_reference_bytes(tmp_path, columns)
+            assert (tmp_path / "columns.csv").read_bytes().count(b"\n") == 1  # the header alone
+
+    def test_blocks_of_text_or_of_values_python_formats(self, tmp_path):
+        rows = cli._CSV_BLOCK + 5
+        words = np.array(["é", "", "kind,n", "a b", "ünïcode text longer than eight"] * rows)
+        self.assert_reference_bytes(tmp_path, [words[:rows], words[::-1][:rows]])
+        special = np.resize([np.nan, np.inf, -np.inf, 5e-324, 1e300, 2.5e-320], rows)
+        self.assert_reference_bytes(tmp_path, [special, -special])
+
     def test_unequal_columns_raise_before_writing(self, tmp_path):
         out = tmp_path / "short.csv"
         with pytest.raises(ValueError, match="unequal length"):
             cli._write_csv(out, ["a", "b"], [np.zeros(3), np.zeros(2)])
+        with pytest.raises(ValueError, match="1 names for 2 columns"):
+            cli._write_csv(out, ["a"], [np.zeros(3), np.zeros(3)])
+        assert not out.exists()
+
+    def test_complex_column_raises_before_writing(self, tmp_path):
+        out = tmp_path / "complex.csv"
+        with pytest.raises(TypeError, match="column 'r' has dtype complex128"):
+            cli._write_csv(out, ["k", "r"], [np.zeros(3), np.zeros(3) + 1j])
+        assert not out.exists()
+
+    def test_text_holding_nul_raises_before_writing(self, tmp_path):
+        out = tmp_path / "nul.csv"
+        with pytest.raises(ValueError, match="column 'kind' holds a NUL character"):
+            cli._write_csv(out, ["x", "kind"], [np.zeros(2), ["site", "node\0level"]])
         assert not out.exists()
 
     def test_debug_log_counts_the_numbers_formatted(self, tmp_path, caplog):
@@ -638,14 +668,13 @@ class TestCsvWriter:
         assert main(argv + ["--log-level", "DEBUG"]) == 0
         (record,) = [r for r in caplog.records if r.name == "cavitychain.cli"]
         assert record.levelno == logging.DEBUG
-        name, rows, fields, formatted = record.args
-        assert (name, rows, fields) == ("fig4.csv", 40000, 4 * 40000)
-        # each block formats each distinct bit pattern of a column once: the
-        # map about once a row, the two axes and the flag a few hundred times
-        bits = np.loadtxt(out, delimiter=",", skiprows=1).view(np.uint64)
-        assert formatted == sum(len(np.unique(bits[start : start + cli._CSV_BLOCK, j]))
-                                for start in range(0, 40000, cli._CSV_BLOCK) for j in range(4))
-        assert formatted - rows < 0.02 * fields
+        # the kernel certifies every number of the map, so Python formats none
+        assert record.args == ("fig4.csv", 40000, 4 * 40000, 0)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cavitychain.cli"):
+            cli._write_csv(tmp_path / "special.csv", ["x", "n"],
+                           [[np.nan, 1.0, np.inf, 0.1, 1e-300], ["a"] * 5])
+        assert caplog.records[-1].args == ("special.csv", 5, 5, 3)
 
 
 class TestQuasiboundCommand:
