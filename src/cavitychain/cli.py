@@ -201,6 +201,7 @@ _CSV_BLOCK = 4096
 def _write_csv(out: Path, header: list[str], columns: list) -> None:
     """Equal-length columns as rows: numbers as ``"%.17g" % v``, text as ``"%s" % v``.
 
+    A column is an array or a pair ``(values, index)``, ``values[index]``.
     ``csvtext.write_csv`` writes them ``_CSV_BLOCK`` rows at a time and
     checks them before it opens the file.  It is imported on the first CSV:
     compiled apart from cli, it adds nothing to start-up time or to the peak
@@ -208,9 +209,9 @@ def _write_csv(out: Path, header: list[str], columns: list) -> None:
     """
     from .csvtext import write_csv
 
-    rows, numeric, python = write_csv(out, header, columns, _CSV_BLOCK)
-    _log.debug("%s: %d rows, %d numeric fields, %d formatted by Python's %%.17g",
-               out.name, rows, numeric, python)
+    rows, kernel, python = write_csv(out, header, columns, _CSV_BLOCK)
+    _log.debug("%s: %d rows, %d fields formatted by the kernel, %d numbers by Python's %%.17g",
+               out.name, rows, kernel, python)
 
 
 def _with_flag_counts(extra: dict | None, flag: np.ndarray) -> dict:
@@ -274,14 +275,15 @@ def cmd_grid(command: str, cfg: dict, out: Path, engine: str) -> int:
         R, T = np.abs(r) ** 2, np.abs(s) ** 2
         header = ["k", "eps_k", "Re_r", "Im_r", "Re_s", "Im_s", "R", "T", "xi", "singular_flag"]
         columns = [k, cfg.get("omega", 0.0) - 2.0 * cfg["t"] * np.cos(k) - reduce_delta(cfg),
-                   r.real, r.imag, s.real, s.imag, R, T, 1.0 - R - T,
-                   (flag != FLAG_OK).astype(np.int8)]
+                   r.real, r.imag, s.real, s.imag, R, T, 1.0 - R - T, ([0, 1], flag != FLAG_OK)]
     else:
         quantity = cfg.get("quantity", "R")
         values = _mapped(quantity, r, s)
         header = [a.name for a in axes] + [quantity, "singular_flag"]
-        grids = np.meshgrid(*(a.values() for a in axes), indexing="ij")
-        columns = [grid.ravel() for grid in grids] + [values.ravel(), flag.ravel()]
+        columns = [a.values() for a in axes]
+        if len(axes) == 2:  # each axis value written once, gathered by its grid index
+            columns = list(zip(columns, np.indices(values.shape).reshape(2, -1)))
+        columns += [values.ravel(), ([0, 1, 2], flag.ravel())]
     _write_csv(out, header, columns)
     extra = None
     if engine == "both":

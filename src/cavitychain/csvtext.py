@@ -139,54 +139,72 @@ def number_cells(x: np.ndarray, out: np.ndarray) -> int:
 def write_csv(out: Path, header: list[str], columns: list,
               block_rows: int) -> tuple[int, int, int]:
     """Write equal-length columns as CSV rows, ``block_rows`` at a time; return
-    the rows, the numeric fields and how many numbers Python formatted.
+    the rows, the fields ``number_cells`` formatted and the numbers Python formatted.
 
     Numbers come out as ``"%.17g" % v`` (integer and boolean columns as
     float64, which is how ``%.17g`` rounds them) and text as ``"%s" % v``.
+    A column is an array, or a tuple ``(values, index)`` meaning ``values[index]``.
     A block is one column-major array of 8-byte cells in which a NUL byte
-    means "nothing": a number takes its ``number_cells``, a text its UTF-8
-    bytes padded to whole cells.  Each column's separator goes into the NUL
-    last byte of its last cell, and the block is written as its cells in
-    row order, NULs dropped.  Before the file is opened, columns of unequal
-    length or not one per name and text holding a NUL (it would be dropped
-    as padding) raise ValueError, and a column that is neither real numbers
-    nor text (complex, say) raises TypeError naming it.
+    means "nothing": a numeric array takes its ``number_cells``; each entry
+    of a pair's values (a text array is the pair ``(values, arange)``) is
+    formatted once into the fewest whole cells that leave a last NUL byte,
+    and each block gathers its rows' cells by index.  Each column's
+    separator goes into the NUL last byte of its last cell, and the block is
+    written as its cells in row order, NULs dropped.  Before the file is
+    opened, columns of unequal length (a pair's is ``len(index)``), not one
+    per name or not one-dimensional, text holding a NUL (it would be dropped
+    as padding) and an index not of integers or outside ``[0, len(values))``
+    raise ValueError, and values neither real numbers nor text raise
+    TypeError, naming the column.
     """
-    cols = [np.asarray(c) for c in columns]
-    lengths = [len(c) for c in cols]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"{out.name}: columns of unequal length {lengths}")
-    if len(header) != len(cols):
-        raise ValueError(f"{out.name}: {len(header)} names for {len(cols)} columns")
-    rows = lengths[0] if cols else 0
-    texts = []  # per column: the cells of its text, or None for numbers
-    for name, c in zip(header, cols):
-        if c.dtype.kind in "OUS":
-            text = [str(v).encode() for v in c.tolist()]
+    if len(header) != len(columns):
+        raise ValueError(f"{out.name}: {len(header)} names for {len(columns)} columns")
+    cols, python = [], 0  # per column: its numbers, or its (cells, index)
+    for name, c in zip(header, columns):
+        values, index = c if isinstance(c, tuple) else (c, None)
+        values = np.asarray(values)
+        if values.ndim != 1 or index is not None and np.ndim(index) != 1:
+            raise ValueError(f"{out.name}: column {name!r} is not one-dimensional")
+        if values.dtype.kind in "OUS":
+            text = [str(v).encode() for v in values.tolist()]
             if any(b"\0" in t for t in text):
                 raise ValueError(f"{out.name}: column {name!r} holds a NUL character")
-            width = max(map(len, text), default=0) // 8 + 1  # cells, the last byte left NUL
-            texts.append(np.array(text, f"S{8 * width}").view(np.uint64).reshape(rows, width))
-        elif c.dtype.kind in "biuf":
-            texts.append(None)
-        else:
-            raise TypeError(f"{out.name}: column {name!r} has dtype {c.dtype}, "
+        elif values.dtype.kind not in "biuf":
+            raise TypeError(f"{out.name}: column {name!r} has dtype {values.dtype}, "
                             "neither real numbers nor text")
-    ends = np.cumsum([CELLS if t is None else t.shape[1] for t in texts])
+        elif index is None:
+            cols.append(values)
+            continue
+        else:
+            text = [b"%.17g" % v for v in values.astype(np.float64).tolist()]
+            python += len(text)
+        index = np.arange(len(text)) if index is None else np.asarray(index)
+        if index.dtype.kind not in "biu":
+            raise ValueError(f"{out.name}: column {name!r} has an index of dtype {index.dtype}")
+        if index.size and not (0 <= index.min() and index.max() < len(text)):
+            raise ValueError(f"{out.name}: column {name!r} has an index outside [0, {len(text)})")
+        width = max(map(len, text), default=0) // 8 + 1  # cells, the last byte left NUL
+        cells = np.array(text, f"S{8 * width}").view(np.uint64).reshape(len(text), width)
+        cols.append((np.ascontiguousarray(cells.T), index))
+    lengths = [len(c[1]) if isinstance(c, tuple) else len(c) for c in cols]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{out.name}: columns of unequal length {lengths}")
+    rows = lengths[0] if cols else 0
+    ends = np.cumsum([len(c[0]) if isinstance(c, tuple) else CELLS for c in cols])
     separators = np.array([b","] * (len(cols) - 1) + [b"\n"]).view(np.uint8).astype(np.uint64)
     separators = separators[:, None] << np.uint64(56)
-    python = 0
     with open(out, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, block_rows):
             stop = min(start + block_rows, rows)
             block = np.empty((ends[-1], stop - start), np.uint64)
-            for c, text, end in zip(cols, texts, ends):
-                if text is None:
+            for c, end in zip(cols, ends):
+                if isinstance(c, tuple):  # mode="clip" skips the bounds check made above
+                    c[0].take(c[1][start:stop], axis=1, out=block[end - len(c[0]) : end],
+                              mode="clip")
+                else:
                     python += number_cells(c[start:stop].astype(np.float64, copy=False),
                                            block[end - CELLS : end])
-                else:
-                    block[end - text.shape[1] : end] = text[start:stop].T
             block[ends - 1] |= separators
             fh.write(block.T.tobytes().translate(None, b"\0"))
-    return rows, rows * sum(t is None for t in texts), python
+    return rows, rows * sum(not isinstance(c, tuple) for c in cols), python

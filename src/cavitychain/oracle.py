@@ -263,9 +263,9 @@ def _window(band: np.ndarray, b: np.ndarray, start: int, size: int, carry) -> np
     """
     *batch, _, _ = band.shape
     W = np.zeros((*batch, size, size + 7), dtype=np.complex128)
-    flat = W.reshape(*batch, -1)
-    for d in range(7):  # band column d is W's diagonal at offset d: entries d + i (size + 8)
-        flat[..., d :: size + 8] = band[..., start : start + size, d]
+    *outer, row, col = W.strides  # one view of W's diagonals: band column d at (i, i + d)
+    diagonals = np.lib.stride_tricks.as_strided(W, (*batch, size, 7), (*outer, row + col, col))
+    diagonals[...] = band[..., start : start + size, :]
     W[..., -1] = b[..., start : start + size]
     if carry is not None:
         W[..., :3, 3:9], W[..., :3, -1] = carry[..., :6], carry[..., 6]

@@ -176,7 +176,7 @@ def amplitudes(params: dict, engine: str, limit: str | None):
     r, s = np.empty(k.shape, complex), np.empty(k.shape, complex)
     for site in np.unique(last):
         group = np.flatnonzero(last == site)
-        size = _oracle_chain(scenario, group[:1]).dimension + 2  # the unknowns, r and s among them
+        size = int(site) + 1 + 2 * len(scenario.nodes) + 2  # sites, levels, r and s
         step = max(1, ORACLE_STACK_BYTES // (16 * size * (min(size, PANEL + 3) + 7)))
         for start in range(0, group.size, step):
             chunk = group[start : start + step]

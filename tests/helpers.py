@@ -49,9 +49,10 @@ def reference_csv(header: list[str], columns: list) -> bytes:
     """The bytes of the row-by-row CSV writer: one ``fmt % row`` per row.
 
     Numbers go through ``%.17g`` and text (``O``, ``U`` and ``S`` columns)
-    through ``%s``, every value formatted on its own.
+    through ``%s``, every value formatted on its own.  A pair
+    ``(values, index)`` is expanded to the column ``values[index]`` first.
     """
-    cols = [np.asarray(c) for c in columns]
+    cols = [np.take(c[0], c[1]) if isinstance(c, tuple) else np.asarray(c) for c in columns]
     fmt = ",".join("%s" if c.dtype.kind in "OUS" else "%.17g" for c in cols) + "\n"
     rows = zip(*(c.tolist() for c in cols))
     return "".join([",".join(header) + "\n", *(fmt % row for row in rows)]).encode("utf-8")

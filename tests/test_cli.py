@@ -660,6 +660,72 @@ class TestCsvWriter:
             cli._write_csv(out, ["x", "kind"], [np.zeros(2), ["site", "node\0level"]])
         assert not out.exists()
 
+    def test_pairs_with_repeats_inside_and_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(29)
+        rows = 2 * cli._CSV_BLOCK + 77
+        axis = rng.normal(size=61)
+        self.assert_reference_bytes(tmp_path, [
+            (axis, np.repeat(np.arange(61), rows // 61 + 1)[:rows]),  # runs across block edges
+            (axis, np.tile(np.arange(61), rows // 61 + 1)[:rows]),
+            (axis[::-1], rng.integers(0, 61, rows)),  # an unsorted index into a strided table
+            ([0, 1], rng.random(rows) < 0.1),
+            ([0, 1, 2], rng.integers(0, 3, rows).astype(np.int8)),
+            (np.arange(5, dtype=np.uint8) * 50, rng.integers(0, 5, rows).astype(np.uint64)),
+            rng.random(rows),
+        ])
+
+    def test_pair_tables_of_special_values_and_text(self, tmp_path):
+        payloads = np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(float)
+        special = np.r_[0.0, -0.0, np.nan, payloads, np.inf, -np.inf, 5e-324, -5e-324,
+                        2.2250738585072009e-308, 1e300, -1e300, 0.1]
+        index = np.random.default_rng(31).permutation(np.resize(np.arange(len(special)), 50))
+        words = ["", "é", "ünïcode text longer than eight", "kind,n", "site", ""]
+        self.assert_reference_bytes(tmp_path, [
+            (special, index), (np.array(words), index % 6),
+            (np.array(words, dtype=object), index[::-1] % 6), (words, np.zeros(50, int)),
+        ])
+
+    def test_empty_pairs(self, tmp_path):
+        for table in ([1.5, 2.5], np.array([]), np.array(["a"])):
+            self.assert_reference_bytes(tmp_path, [(table, np.array([], np.int64)), np.array([])])
+            assert (tmp_path / "columns.csv").read_bytes().count(b"\n") == 1
+
+    def test_bad_pair_raises_before_writing(self, tmp_path):
+        out = tmp_path / "pair.csv"
+        with pytest.raises(ValueError, match="column 'D' has an index of dtype float64"):
+            cli._write_csv(out, ["k", "D"], [np.zeros(2), ([1.0, 2.0], np.array([0.0, 1.0]))])
+        for table, index in (([1.0, 2.0], [0, -1]), ([1.0, 2.0], [2, 0]), (["a"], [True, False]),
+                             ([], np.zeros(2, np.uint8)),
+                             ([1.0, 2.0], np.array([0, 2**63 + 1], np.uint64))):
+            with pytest.raises(ValueError, match=fr"'D' has an index outside \[0, {len(table)}\)"):
+                cli._write_csv(out, ["k", "D"], [np.zeros(2), (table, index)])
+        with pytest.raises(ValueError, match=r"unequal length \[3, 2\]"):
+            cli._write_csv(out, ["k", "D"], [np.zeros(3), (np.zeros(5), [0, 4])])
+        for column in (np.zeros((3, 2)), np.float64(1.0), (np.zeros(2), np.zeros((1, 3), int)),
+                       ([[1.0, 2.0]], [0, 0, 0]), (np.zeros(2), 1)):
+            with pytest.raises(ValueError, match="column 'D' is not one-dimensional"):
+                cli._write_csv(out, ["k", "D"], [np.zeros(3), column])
+        with pytest.raises(TypeError, match="column 'r' has dtype complex128"):
+            cli._write_csv(out, ["r"], [([1j, 2.0], [0, 1])])
+        with pytest.raises(ValueError, match="column 'kind' holds a NUL character"):
+            cli._write_csv(out, ["kind"], [(["site", "node\0level"], [1, 0])])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axes", [
+        ("omega_e2=0.5", "Omega2=0.8", "axis1=k", "axis1_min=0.1", "axis1_max=3",
+         "axis1_count=37", "axis2=D", "axis2_min=1", "axis2_max=25", "axis2_count=25"),
+        ("Gamma=0.1", "gamma=0.05", "quantity=T", "axis1=k", "axis1_min=0.02", "axis1_max=3.12",
+         "axis1_count=60", "axis2=delta", "axis2_min=-2", "axis2_max=2", "axis2_count=50"),
+    ], ids=["k-D", "k-delta-decay"])
+    def test_two_axis_maps(self, tmp_path, monkeypatch, axes):
+        written = recorded_csvs(monkeypatch)
+        assert main(["map2d", *sets(*FIG3A_NODE, *axes), "--out", str(tmp_path / "m.csv")]) == 0
+        ((out, header, columns),) = written
+        assert isinstance(columns[0], tuple) and isinstance(columns[1], tuple)
+        (first, _), (second, _) = columns[:2]
+        grids = [np.repeat(first, len(second)), np.tile(second, len(first)), *columns[2:]]
+        assert out.read_bytes() == reference_csv(header, grids)
+
     def test_debug_log_counts_the_numbers_formatted(self, tmp_path, caplog):
         out = tmp_path / "fig4.csv"
         argv = ["map2d", "--config", "fig4", "--out", str(out)]
@@ -668,13 +734,15 @@ class TestCsvWriter:
         assert main(argv + ["--log-level", "DEBUG"]) == 0
         (record,) = [r for r in caplog.records if r.name == "cavitychain.cli"]
         assert record.levelno == logging.DEBUG
-        # the kernel certifies every number of the map, so Python formats none
-        assert record.args == ("fig4.csv", 40000, 4 * 40000, 0)
+        # the kernel formats and certifies the mapped R; Python formats each of the
+        # 200 + 200 axis values and the 3 flags once
+        assert record.args == ("fig4.csv", 40000, 40000, 403)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="cavitychain.cli"):
-            cli._write_csv(tmp_path / "special.csv", ["x", "n"],
-                           [[np.nan, 1.0, np.inf, 0.1, 1e-300], ["a"] * 5])
-        assert caplog.records[-1].args == ("special.csv", 5, 5, 3)
+            cli._write_csv(tmp_path / "special.csv", ["x", "n", "p"],
+                           [[np.nan, 1.0, np.inf, 0.1, 1e-300], ["a"] * 5,
+                            ([0.5, np.nan], [0, 1, 1, 0, 0])])
+        assert caplog.records[-1].args == ("special.csv", 5, 5, 3 + 2)
 
 
 class TestQuasiboundCommand:

@@ -114,12 +114,13 @@ class TestKernelAgainstPercentG:
 
 
 def test_figure_values_need_no_python(tmp_path, monkeypatch):
-    """The fig3a spectrum's 20,000 numbers are all certified by the kernel."""
+    """The fig3a spectrum's 18,000 kernel numbers are all certified; its flags are a pair."""
     written = []
     monkeypatch.setattr(cli, "_write_csv", lambda out, header, columns: written.append(columns))
     assert cli.main(["spectrum", "--config", "fig3a", "--out", str(tmp_path / "f.csv")]) == 0
-    (columns,) = written
-    for column in columns:
+    ((*numbers, flags),) = written
+    assert isinstance(flags, tuple) and not any(isinstance(c, tuple) for c in numbers)
+    for column in numbers:
         assert assert_g17(column) == 0
 
 
