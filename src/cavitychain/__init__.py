@@ -1,8 +1,9 @@
 """Single-photon transport and trapping in a 1D coupled cavity array.
 
-Analytic reflection/transmission for chains with one or two embedded
-three-level nodes, an independent finite-lattice oracle, a complex-momentum
-trapped-mode solver, and a deterministic parameter-sweep engine with a CLI.
+One vectorised reflection/transmission kernel for chains with any number of
+embedded three-level nodes, an independent finite-lattice oracle, a
+complex-momentum trapped-mode solver, and a deterministic parameter-sweep
+engine with a CLI.
 """
 
 from .errors import (
@@ -16,8 +17,6 @@ from .errors import (
     OracleResidualError,
     OutOfBandError,
     PlacementError,
-    ResonanceDenominatorError,
-    SingularPotentialError,
     UnverifiedRootError,
 )
 from .model import (
@@ -27,7 +26,6 @@ from .model import (
     decompose_potential,
     dispersion_energy,
     dispersion_energy_continued,
-    effective_potential,
     in_band,
     momentum_from_energy,
 )
@@ -50,15 +48,9 @@ from .quasibound import (
     quasibound_residual,
 )
 from .scattering import (
-    ScatteringResult,
     TwoNodeConfig,
     chain_scatter,
     find_perfect_reflection,
-    find_perfect_transmission,
-    limit_scatter,
-    loss_ratio,
-    single_node_scatter,
-    two_node_scatter,
 )
 
 __version__ = "0.1.0"

@@ -257,14 +257,6 @@ def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
     return axes
 
 
-def _mapped(quantity: str, r, s) -> np.ndarray:
-    """The mapped ``quantity``; a non-finite value, which no flag explains, raises."""
-    values = quantity_value(quantity, r, s)
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("sweep produced a non-finite value that escaped the mask")
-    return values
-
-
 def cmd_grid(command: str, cfg: dict, out: Path, engine: str) -> int:
     """``spectrum`` or ``map2d``: the amplitudes on the checked axes, in that command's columns."""
     axes = _grid_axes(command, cfg, engine)
@@ -278,7 +270,7 @@ def cmd_grid(command: str, cfg: dict, out: Path, engine: str) -> int:
                    r.real, r.imag, s.real, s.imag, R, T, 1.0 - R - T, ([0, 1], flag != FLAG_OK)]
     else:
         quantity = cfg.get("quantity", "R")
-        values = _mapped(quantity, r, s)
+        values = quantity_value(quantity, r, s)
         header = [a.name for a in axes] + [quantity, "singular_flag"]
         columns = [a.values() for a in axes]
         if len(axes) == 2:  # each axis value written once, gathered by its grid index
@@ -291,7 +283,7 @@ def cmd_grid(command: str, cfg: dict, out: Path, engine: str) -> int:
         if command == "spectrum":
             dev = np.maximum(np.abs(r - r_o), np.abs(s - s_o))
         else:
-            dev = np.abs(values - _mapped(quantity, r_o, s_o))
+            dev = np.abs(values - quantity_value(quantity, r_o, s_o))
         extra = {"max_engine_deviation": float(dev.max())}
     _write_sidecar(out, cfg, engine, _with_flag_counts(extra, flag))
     return 0
@@ -341,7 +333,7 @@ def _build_chain(cfg: dict) -> ChainSpec:
     atoms = tuple((site + x, atom) for x, atom in scenario.nodes)
     try:
         return ChainSpec(n, atoms, scenario.lat, kappa=cfg.get("kappa", 0.0))
-    except CavityChainError as exc:
+    except (ValueError, CavityChainError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -11,22 +11,6 @@ class OutOfBandError(CavityChainError):
     """Requested energy lies on or outside the cosine band edges."""
 
 
-class SingularPotentialError(CavityChainError):
-    """The effective potential diverges at the requested energy.
-
-    This signals a perfect-reflection resonance, not a numerical failure;
-    callers that want the analytic limit should catch it and use r = -1.
-    """
-
-    def __init__(self, energy: complex, denominator: float):
-        self.energy = energy
-        self.denominator = denominator
-        super().__init__(
-            f"effective potential singular at E={energy} "
-            f"(|denominator|={denominator:.3e})"
-        )
-
-
 class DegenerateDecompositionError(CavityChainError):
     """Both resonant frequencies coincide; no two-pole split exists."""
 
@@ -37,14 +21,6 @@ class LimitWindowError(CavityChainError):
 
 class NoSolutionError(CavityChainError):
     """The perfect-reflection condition has no real solution here."""
-
-
-class ResonanceDenominatorError(CavityChainError):
-    """Two-node transport denominator vanished at real momentum.
-
-    The parameters sit exactly on a trapped-mode condition; reflection and
-    transmission are not defined as scattering amplitudes at this point.
-    """
 
 
 class UnverifiedRootError(CavityChainError):

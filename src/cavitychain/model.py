@@ -20,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDecompositionError,
-    OutOfBandError,
-    SingularPotentialError,
-)
+from .errors import DegenerateDecompositionError, OutOfBandError
 
 #: Relative scale below which the potential's denominator counts as zero.
 SINGULAR_TOL = 1e-12
@@ -73,8 +69,8 @@ class AtomParams:
     enter every formula through the substitutions omega_e -> omega_e - i Gamma
     and delta -> delta - i gamma.  ``Omega = 0`` degenerates the node to a
     two-level scatterer with V(E) = g^2 / (E - omega_e).  Any field may be
-    an array (one value per sweep grid point); the vectorised kernel
-    broadcasts over them, the scalar closed forms need plain numbers.
+    an array (one value per sweep grid point); ``potential_parts`` and the
+    vectorised kernel broadcast over them.
     """
 
     omega_e: float
@@ -177,42 +173,15 @@ def in_band(E: float, lat: LatticeParams) -> bool:
     return abs(E - lat.omega) < 2.0 * lat.t
 
 
-def effective_potential(E: complex, atom: AtomParams) -> complex:
-    """Contact-potential strength seen by a photon of energy ``E``.
-
-    Complex energies are accepted (needed for analytic continuation into the
-    complex momentum plane); with zero decay rates and real E the result is
-    purely real.  Raises SingularPotentialError when the denominator falls
-    below SINGULAR_TOL times g (two-level) or g^2, which marks a
-    perfect-reflection resonance rather than a failure.
-    """
-    g2 = atom.g * atom.g
-    we = atom.excited_level
-    dm = atom.metastable_level
-    if atom.Omega == 0.0:
-        # The (E - delta) factor cancels exactly; keep the reduced form so the
-        # removable singularity at E = delta never reaches floating point.
-        den = E - we
-        if abs(den) < SINGULAR_TOL * atom.g:
-            raise SingularPotentialError(complex(E), abs(den))
-        v = g2 / den
-    else:
-        den = (E - we) * (E - dm) - atom.Omega * atom.Omega
-        if abs(den) < SINGULAR_TOL * g2:
-            raise SingularPotentialError(complex(E), abs(den))
-        v = g2 * (E - dm) / den
-    v = complex(v)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise FloatingPointError(f"effective potential overflowed at E={E!r}")
-    return v
-
-
 def potential_parts(E, atom: AtomParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator, denominator and singular scale of V(E) = num / den.
 
-    Broadcasts over E and over array-valued node fields.  The scale is g for
-    a two-level node and g^2 otherwise, as in ``effective_potential``, which
-    calls the denominator zero below ``SINGULAR_TOL`` times it.
+    Broadcasts over E and over array-valued node fields, and accepts complex
+    E (the continuation to complex momentum).  A two-level node (Omega = 0)
+    keeps the reduced form num = g^2, den = E - omega_e, so its removable
+    singularity at E = delta never reaches floating point.  The scale is g
+    for a two-level node and g^2 otherwise; a denominator below
+    ``SINGULAR_TOL`` times it counts as zero, a perfect-reflection pole.
     """
     g2 = atom.g * atom.g
     E_we = E - (atom.omega_e - 1j * atom.Gamma)

@@ -31,7 +31,7 @@ from .errors import (
     OracleResidualError,
     PlacementError,
 )
-from .model import AtomParams, LatticeParams, dispersion_energy
+from .model import AtomParams, LatticeParams, _require_finite, dispersion_energy
 
 #: Decay-free probability budget the propagator may lose over one run.
 DRIFT_TOL = 1e-8
@@ -71,7 +71,7 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.n_sites < 1:
             raise PlacementError(f"need at least 1 site, got {self.n_sites}")
-        if self.kappa < 0:
+        if _require_finite("kappa", self.kappa) < 0:
             raise PlacementError("cavity leakage kappa must be nonnegative")
         sites = [site for site, _ in self.placements]
         if len(set(sites)) != len(sites):
@@ -119,6 +119,8 @@ class WavepacketSpec:
     absorber_strength: float = 0.2
 
     def __post_init__(self) -> None:
+        for name in ("k0", "sigma", "tmax", "absorber_strength"):
+            _require_finite(name, getattr(self, name))
         if self.sigma < 4:
             raise ValueError(f"packet width sigma must be >= 4 sites, got {self.sigma}")
         if not 0.0 < self.k0 < math.pi:
@@ -504,7 +506,7 @@ def _chebyshev_coefficients(
 
 def _clearance(sigma: float) -> int:
     """Sites a packet of width ``sigma`` keeps clear of a node or a chain end."""
-    return int(math.ceil(6.0 * sigma)) + 5
+    return int(math.ceil(6.0 * _require_finite("sigma", sigma))) + 5
 
 
 def design_scattering_run(

@@ -1,14 +1,14 @@
-"""Reflection and transmission: closed forms for one or two nodes, a kernel for any number.
+"""Reflection and transmission of any number of nodes, from one vectorised kernel.
 
 Direction convention, fixed once for the whole package and enforced by the
 finite-lattice solver in :mod:`cavitychain.oracle`: the incident wave is
 e^{+ikj} travelling toward +j, the reflected wave is r e^{-ikj}, the
-transmitted wave s e^{+ikj}.  Under this convention the single-node
-amplitudes are
+transmitted wave s e^{+ikj}.  Under this convention the paper's closed forms
+for one node are
 
     r = V / (2 i t sin k - V),    s = 1 + r,
 
-and the two-node amplitudes (first node at site 0, second at site D) are
+and for two nodes (first node at site 0, second at site D)
 
     r = [b (V1 + p V2) - V1 V2 (1 - p)] / den,    s = b^2 / den,
     den = (b - V1)(b - V2) - p V1 V2,
@@ -20,31 +20,24 @@ in |r|, |s| for real potentials, but only the form above matches the lattice
 solver in phase, with and without decay.
 
 ``chain_scatter`` evaluates any number of nodes on whole parameter grids
-through a pole-free transfer-matrix product; the scalar closed forms are
-the paper's results and its references in the tests.
+through a pole-free transfer-matrix product that reduces to these forms for
+one and two nodes; the test suite evaluates the forms on their own as its
+reference.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    LimitWindowError,
-    NoSolutionError,
-    ResonanceDenominatorError,
-    SingularPotentialError,
-)
+from .errors import LimitWindowError, NoSolutionError
 from .model import (
     SINGULAR_TOL,
     AtomParams,
     LatticeParams,
     dispersion_energy,
-    effective_potential,
-    momentum_from_energy,
     potential_parts,
 )
 
@@ -61,36 +54,6 @@ FLAG_RESONANCE = 2
 
 
 @dataclass(frozen=True)
-class ScatteringResult:
-    """Amplitudes and derived probabilities at one momentum.
-
-    ``singular`` marks points where a diverging potential forced the
-    analytic limit (r = -1 at the diverging node).
-    """
-
-    k: float
-    E: float
-    r: complex
-    s: complex
-    singular: bool = False
-
-    @property
-    def R(self) -> float:
-        """Reflectance |r|^2."""
-        return abs(self.r) ** 2
-
-    @property
-    def T(self) -> float:
-        """Transmittance |s|^2."""
-        return abs(self.s) ** 2
-
-    @property
-    def xi(self) -> float:
-        """Loss ratio 1 - (R + T); zero for elastic scattering."""
-        return 1.0 - (self.R + self.T)
-
-
-@dataclass(frozen=True)
 class TwoNodeConfig:
     """Two nodes a positive integer number of sites apart."""
 
@@ -101,92 +64,6 @@ class TwoNodeConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.D, int) and self.D >= 1):
             raise ValueError(f"node separation D must be an integer >= 1, got {self.D!r}")
-
-
-def single_node_scatter(
-    k: float,
-    atom: AtomParams,
-    lat: LatticeParams,
-) -> ScatteringResult:
-    """Scatter a photon of momentum ``k`` off one node at the origin.
-
-    At a potential singularity the exact limit r = -1, s = 0 is returned
-    instead of dividing through: the node is a perfect mirror there.
-    """
-    E = dispersion_energy(k, lat)
-    try:
-        v = effective_potential(E, atom)
-    except SingularPotentialError:
-        return ScatteringResult(k=k, E=E, r=-1.0 + 0.0j, s=0.0j, singular=True)
-    r = v / (2j * lat.t * math.sin(k) - v)
-    return ScatteringResult(k=k, E=E, r=r, s=1.0 + r)
-
-
-def loss_ratio(k: float, atom: AtomParams, lat: LatticeParams) -> float:
-    """Probability lost to the decay channels, 1 - (R + T)."""
-    return single_node_scatter(k, atom, lat).xi
-
-
-def two_node_scatter(k: float, cfg: TwoNodeConfig, lat: LatticeParams) -> ScatteringResult:
-    """Scatter off two nodes, the first at site 0 and the second at site D.
-
-    Diverging potentials are resolved by their limits: a singular first node
-    reflects everything with r = -1; a singular second node reflects
-    everything with a round-trip phase.  Raises ResonanceDenominatorError
-    when the transport denominator vanishes at real k, which only happens on
-    exact trapped-mode parameter sets.
-    """
-    E = dispersion_energy(k, lat)
-    b = 2j * lat.t * math.sin(k)
-    p = cmath.exp(2j * k * cfg.D)
-
-    v1: complex | None
-    try:
-        v1 = effective_potential(E, cfg.atom1)
-    except SingularPotentialError:
-        v1 = None
-    if v1 is None:
-        return ScatteringResult(k=k, E=E, r=-1.0 + 0.0j, s=0.0j, singular=True)
-
-    try:
-        v2 = effective_potential(E, cfg.atom2)
-    except SingularPotentialError:
-        # Perfect mirror at site D: u(D) = 0, so the photon reflects with the
-        # phase accumulated on the round trip to the far node.
-        r = (v1 * (1.0 - p) - p * b) / (b - v1 * (1.0 - p))
-        return ScatteringResult(k=k, E=E, r=r, s=0.0j, singular=True)
-
-    den = (b - v1) * (b - v2) - p * v1 * v2
-    scale = max(abs(b) ** 2, abs(b * v1), abs(b * v2), abs(v1 * v2))
-    if abs(den) < RESONANCE_TOL * scale:
-        raise ResonanceDenominatorError(
-            f"two-node denominator vanished at k={k!r} (trapped-mode condition)"
-        )
-    r = (b * (v1 + p * v2) - v1 * v2 * (1.0 - p)) / den
-    s = b * b / den
-    return ScatteringResult(k=k, E=E, r=r, s=s)
-
-
-def limit_scatter(
-    k: float,
-    regime: str,
-    atom: AtomParams,
-    lat: LatticeParams,
-) -> ScatteringResult:
-    """Band-edge and band-centre lineshapes.
-
-    ``regime="high"`` linearises the dispersion about k = pi/2,
-    E = omega - t pi + 2 t k, and uses r = V/(2it - V); ``regime="low"``
-    uses the quadratic bottom-of-band dispersion E = omega - 2t + t k^2 and
-    r = V/(2itk - V).  The potential itself is evaluated exactly at E.
-    """
-    E, transport = _limit_band(k, regime, lat)
-    try:
-        v = effective_potential(E, atom)
-    except SingularPotentialError:
-        return ScatteringResult(k=k, E=E, r=-1.0 + 0.0j, s=0.0j, singular=True)
-    r = v / (transport - v)
-    return ScatteringResult(k=k, E=E, r=r, s=1.0 + r)
 
 
 def _limit_band(k, regime: str, lat: LatticeParams):
@@ -243,10 +120,15 @@ def chain_scatter(
     exact mirror limit, and the point is flagged FLAG_SINGULAR with s = 0.
     Otherwise |P22| < RESONANCE_TOL * prod_j max(|b den_j|, |n_j|) marks a
     trapped-mode hit, FLAG_RESONANCE, stored as r = -1, s = 0; for two nodes
-    this is the test of ``two_node_scatter``.
-    ``limit`` evaluates one node on the band-centre ("high") or band-bottom
-    ("low") lineshape of ``limit_scatter``; it raises ValueError for more
-    nodes and LimitWindowError unless every k lies in its window.
+    this is the closed form's |den| < RESONANCE_TOL * max(|b|^2, |b V1|,
+    |b V2|, |V1 V2|), both sides times |den_1 den_2|.  A non-finite r or s,
+    which no flag explains, raises FloatingPointError.
+    ``limit`` evaluates one node on a limit lineshape, with V taken exactly
+    at its E: band-centre ("high", |k - pi/2| <= LIMIT_WINDOW) linearises
+    the band to E = omega - t pi + 2 t k with b = 2 i t, band-bottom
+    ("low", 0 < k <= LIMIT_WINDOW) takes E = omega - 2 t + t k^2 with
+    b = 2 i t k.  It raises ValueError for more nodes and LimitWindowError
+    unless every k lies in its window.
     """
     k = np.asarray(k, dtype=float)
     if limit is not None:
@@ -258,12 +140,15 @@ def chain_scatter(
         E, b = lat.omega - 2.0 * lat.t * np.cos(k), 2j * lat.t * np.sin(k)
     else:
         raise ValueError("momentum must lie in the open interval (0, pi)")
-    P21, P22, norm, flux, singular = _transfer_row(k, E, b, nodes)
-    resonant = np.abs(P22) < RESONANCE_TOL * norm
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        P21, P22, norm, flux, singular = _transfer_row(k, E, b, nodes)
+        resonant = np.abs(P22) < RESONANCE_TOL * norm
         # 0 - x, not -x, so that a bare chain reflects +0 rather than -0
         r = np.where(resonant, -1.0 + 0j, 0.0 - P21 / P22)
         s = np.where(resonant | singular, 0j, flux / P22)
+    bad = np.count_nonzero(~(np.isfinite(r) & np.isfinite(s)))
+    if bad:
+        raise FloatingPointError(f"{bad} of {r.size} points gave a non-finite amplitude")
     flag = np.where(singular, FLAG_SINGULAR, np.where(resonant, FLAG_RESONANCE, FLAG_OK))
     return r, s, flag.astype(np.int8)
 
@@ -313,11 +198,3 @@ def find_perfect_reflection(
         return [E - atom.Omega * atom.Omega / (E - atom.omega_e)]
     raise ValueError(f"free parameter must be 'Omega' or 'delta', got {free!r}")
 
-
-def find_perfect_transmission(atom: AtomParams, lat: LatticeParams) -> float:
-    """Momentum of the transparency point, where E(k) = delta and r = 0.
-
-    Raises OutOfBandError when the detuning lies outside the band.  The
-    returned momentum gives r = 0 exactly only for a decay-free node.
-    """
-    return momentum_from_energy(atom.delta, lat)

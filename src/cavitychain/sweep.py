@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import AtomParams, LatticeParams
+from .model import AtomParams, LatticeParams, _require_finite
 from .oracle import PANEL, ChainSpec, solve_stationary
 from .scattering import FLAG_OK, chain_scatter
 
@@ -51,6 +51,8 @@ class AxisSpec:
     def __post_init__(self) -> None:
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
+        for end in ("start", "stop"):
+            _require_finite(f"{self.name} axis {end}", getattr(self, end))
         if self.count < 1:
             raise ValueError(f"axis count must be >= 1, got {self.count}")
         if self.count > 1 and not self.start < self.stop:

@@ -13,26 +13,31 @@ from cavitychain import (
     AtomParams,
     ChainSpec,
     LatticeParams,
-    ResonanceDenominatorError,
-    SingularPotentialError,
     TwoNodeConfig,
     bound_profile,
     decompose_potential,
     dispersion_energy,
-    effective_potential,
     eigenmodes,
     find_perfect_reflection,
     find_quasibound_modes,
     momentum_from_energy,
     propagate_wavepacket,
-    single_node_scatter,
     solve_stationary,
-    two_node_scatter,
 )
 from cavitychain.cli import main as cli_main
 from cavitychain.oracle import design_scattering_run
 from cavitychain.sweep import AxisSpec, grid_amplitudes
-from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
+from helpers import (
+    ResonanceDenominatorError,
+    SingularPotentialError,
+    draw_atom,
+    draw_lattice,
+    draw_momentum,
+    draw_two_node,
+    effective_potential,
+    single_node_scatter,
+    two_node_scatter,
+)
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 FIG3A_ATOM = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)

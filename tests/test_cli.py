@@ -255,6 +255,24 @@ class TestConfigCheckedBeforeComputing:
              "spectrum does not read the configuration key 'k'"),
             ("oracle-check", sets("negative_control=r_sign"),
              "key 'negative_control': 'r_sign' is not one of ('r-sign',)"),
+            # non-finite numbers
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "x0=100", "tmax=inf")],
+             "tmax must be finite"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "x0=100", "tmax=nan")],
+             "tmax must be finite"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "kappa=nan")], "kappa must be finite"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=8", "kappa=inf")], "kappa must be finite"),
+            ("wavepacket", [*WP_SETS, *sets("sigma=inf")], "sigma must be finite"),
+            ("modes", sets("t=2", "N=20", "kappa=nan"), "kappa must be finite"),
+            ("modes", sets("t=2", "N=20", "kappa=inf"), "kappa must be finite"),
+            ("wavepacket", [*WP_PLACED, *sets("absorber_width=20", "absorber_strength=nan")],
+             "absorber_strength must be finite"),
+            ("wavepacket", [*WP_PLACED, *sets("absorber_width=20", "absorber_strength=inf")],
+             "absorber_strength must be finite"),
+            ("map2d", sets(*FIG3A_NODE, "k=1.2", "axis1=Omega", "axis1_min=nan",
+                           "axis1_max=nan", "axis1_count=1"), "Omega axis start must be finite"),
+            ("map2d", sets(*FIG3A_NODE, "k=1.2", "axis1=omega_e", "axis1_min=0",
+                           "axis1_max=inf"), "omega_e axis stop must be finite"),
         ],
         ids=["re-window", "im-window", "profile_n", "mode_index", "sigma", "tmax",
              "no-draws", "negative-draws", "negative-seed", "limit", "quantity",
@@ -262,7 +280,10 @@ class TestConfigCheckedBeforeComputing:
              "absorbers-unplaced", "overlapping-absorbers", "negative-width", "gain-layer",
              "x0-near-end", "x0-near-node", "x0-past-right-end", "kappa-spectrum", "kappa-map2d",
              "kappa-quasibound", "threshold-key", "engine-key",
-             "oracle-check-chain-keys", "modes-packet-keys", "spectrum-k", "negative-control-typo"],
+             "oracle-check-chain-keys", "modes-packet-keys", "spectrum-k", "negative-control-typo",
+             "tmax-inf", "tmax-nan", "wavepacket-kappa-nan", "wavepacket-kappa-inf",
+             "designed-sigma-inf", "modes-kappa-nan", "modes-kappa-inf", "absorber-nan",
+             "absorber-inf", "axis-nan", "axis-inf"],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, capsys, command, args, fragment):
         assert main([command, *args, "--out", str(tmp_path / "x.csv")]) == 2

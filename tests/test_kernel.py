@@ -1,4 +1,4 @@
-"""The vectorised transfer-matrix kernel against the scalar closed forms and the lattice."""
+"""The vectorised transfer-matrix kernel against the closed-form reference and the lattice."""
 
 import inspect
 import math
@@ -12,17 +12,22 @@ from cavitychain import (
     ChainSpec,
     LatticeParams,
     LimitWindowError,
-    ResonanceDenominatorError,
     TwoNodeConfig,
     chain_scatter,
-    limit_scatter,
     scattering,
-    single_node_scatter,
     solve_stationary,
-    two_node_scatter,
 )
 from cavitychain.scattering import FLAG_OK, FLAG_RESONANCE, FLAG_SINGULAR
-from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
+from helpers import (
+    ResonanceDenominatorError,
+    draw_atom,
+    draw_lattice,
+    draw_momentum,
+    draw_two_node,
+    limit_scatter,
+    single_node_scatter,
+    two_node_scatter,
+)
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 FIG3A_ATOM = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
@@ -96,6 +101,8 @@ class TestClosedForms:
     def test_momentum_outside_the_band_raises(self):
         with pytest.raises(ValueError, match="open interval"):
             chain_scatter(np.array([1.0, 4.0]), [(0, FIG3A_ATOM)], LAT)
+        with pytest.raises(ValueError, match="open interval"):
+            chain_scatter(0.0, [(0, FIG3A_ATOM)], LAT)
 
 
 class TestLattice:
@@ -114,6 +121,25 @@ class TestLattice:
             r_o, s_o = solve_stationary(spec, k)
             assert flag == FLAG_OK
             assert abs(r - r_o) <= 1e-12 and abs(s - s_o) <= 1e-12
+
+
+class TestManyNodes:
+    """fig3a nodes at sites 0, 5, 10, ... over 2,000 momenta."""
+
+    k = np.linspace(0.05, 3.09, 2000)
+
+    def test_overflow_raises_instead_of_returning_nan(self):
+        # at M = 300 the transfer row overflows on about half of the momenta
+        nodes = [(5 * j, FIG3A_ATOM) for j in range(300)]
+        with pytest.raises(FloatingPointError, match="non-finite amplitude"):
+            chain_scatter(self.k, nodes, LAT)
+
+    def test_ten_nodes_stay_finite_and_match_the_lattice(self):
+        nodes = [(5 * j, FIG3A_ATOM) for j in range(10)]
+        r, s, flag = chain_scatter(self.k, nodes, LAT)
+        assert np.all(np.isfinite(r)) and np.all(np.isfinite(s)) and np.all(flag == FLAG_OK)
+        r_o, s_o = solve_stationary(ChainSpec(46, tuple(nodes), LAT), self.k[::20])
+        assert np.abs(r[::20] - r_o).max() <= 1e-8 and np.abs(s[::20] - s_o).max() <= 1e-8
 
 
 class TestFlags:
@@ -175,6 +201,10 @@ class TestLimits:
     def test_window_is_checked_for_the_whole_grid(self):
         with pytest.raises(LimitWindowError, match="got k=1.0"):
             chain_scatter(np.array([1.5, 1.0]), [(0, FIG3A_ATOM)], LAT, limit="high")
+        with pytest.raises(LimitWindowError, match="got k=0.5"):
+            chain_scatter(np.array([0.1, 0.5]), [(0, FIG3A_ATOM)], LAT, limit="low")
+        with pytest.raises(ValueError, match="'sideways'"):
+            chain_scatter(1.5, [(0, FIG3A_ATOM)], LAT, limit="sideways")
         # fig5a's endpoints sit a rounding error inside the window
         k = np.linspace(1.3707963267948965, 1.7707963267948966, 400)
         chain_scatter(k, [(0, FIG3A_ATOM)], LAT, limit="high")

