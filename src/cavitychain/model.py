@@ -105,16 +105,6 @@ class AtomParams:
     def is_decay_free(self) -> bool:
         return self.Gamma == 0.0 and self.gamma == 0.0
 
-    @property
-    def excited_level(self) -> complex:
-        """omega_e shifted by the excited-state decay rate."""
-        return complex(self.omega_e, -self.Gamma)
-
-    @property
-    def metastable_level(self) -> complex:
-        """delta shifted by the metastable-state decay rate."""
-        return complex(self.delta, -self.gamma)
-
 
 @dataclass(frozen=True)
 class PotentialDecomposition:

@@ -67,7 +67,7 @@ def effective_potential(E: complex, atom: AtomParams) -> complex:
     times g (two-level) or g^2.
     """
     g2 = atom.g * atom.g
-    we, dm = atom.excited_level, atom.metastable_level
+    we, dm = complex(atom.omega_e, -atom.Gamma), complex(atom.delta, -atom.gamma)
     if atom.Omega == 0.0:
         den, num, scale = E - we, g2, atom.g
     else:

@@ -14,6 +14,8 @@ from cavitychain.cli import (
     main,
     parse_config_text,
 )
+from cavitychain.oracle import WavepacketSpec, design_scattering_run, propagate_wavepacket
+from cavitychain.scattering import chain_scatter
 from helpers import reference_csv
 
 
@@ -984,6 +986,36 @@ class TestOracleCheckCommand:
         failed = [int(line.split()[1]) for line in out.splitlines()
                   if line.startswith("  draw ") and ": deviation " in line]
         assert failed == list(range(60))
+
+    def test_wavepacket_check_gates_on_the_packet_average(self, capsys, monkeypatch):
+        assert main(["oracle-check", "--config", "oracle_check", *sets("draws=3")]) == 0
+        out = capsys.readouterr().out
+        assert "wavepacket check: |T_meas - <T>| = " in out and "(budget 1e-06)" in out
+        # the gate has teeth: T_meas sits about 5e-10 from <T>
+        monkeypatch.setattr(cli, "WAVEPACKET_GATE", 1e-11)
+        assert main(["oracle-check", "--config", "oracle_check", *sets("draws=3")]) == 1
+        assert "  wavepacket transmission deviation " in capsys.readouterr().out
+
+    def test_packet_average_is_the_reference_and_the_carrier_is_not(self):
+        # the default check: k0 = 2.2, sigma = 20 through a fig3a node on 631 sites
+        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
+        lat = LatticeParams(omega=1.0, t=2.0)
+        chain, wp = design_scattering_run((atom,), lat, 2.2, 20.0)
+        T_meas = propagate_wavepacket(chain, wp).T_meas
+        T_avg, outside = cli.packet_transmission(chain, wp)
+        assert outside <= cli.OUTSIDE_TOL
+        assert abs(T_meas - T_avg) <= cli.WAVEPACKET_GATE
+        # negative control: the carrier's T(k0) misses the packet by about 1e-4
+        _, s_k0, _ = chain_scatter(2.2, ((0, atom),), lat)
+        assert abs(T_meas - abs(s_k0) ** 2) > cli.WAVEPACKET_GATE
+
+    def test_packet_weight_outside_the_band_is_measured(self):
+        # momentum spread 1 / (2 sigma) = 0.125 against pi - k0 = 0.14
+        chain = ChainSpec(200, ((120, AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)),),
+                          LatticeParams(omega=1.0, t=2.0))
+        wp = WavepacketSpec(k0=3.0, sigma=4.0, x0=60, tmax=1.0)
+        _, outside = cli.packet_transmission(chain, wp)
+        assert 0.05 < outside < 0.5
 
 
 class TestGitHash:
