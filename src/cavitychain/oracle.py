@@ -11,8 +11,10 @@ and reduces it PANEL columns at a time by QR, in O(N PANEL^2) time; a
 system shorter than a panel is one dense solve of its band-order block.
 The wavepacket propagator stores the same band shifted, scaled and
 diagonal-major, one row per diagonal, and applies it once per Chebyshev
-term as one multiply and one sum over the 7 rows; with the eigenmode
-decomposition it provides dynamic and spectral cross-checks.
+term as one multiply and one sum over the 7 rows.  It samples the state a
+phase of MAX_STEP_PHASE apart, and a Hermitian run lets one expansion span
+up to SPAN_SAMPLES samples.  With the eigenmode decomposition it provides
+dynamic and spectral cross-checks.
 
 The solver fixes the package-wide direction convention: the incident wave
 is e^{+ikx} moving toward +x, with x measured from the first node.
@@ -41,11 +43,16 @@ DRIFT_TOL = 1e-8
 #: Probability allowed to touch the chain ends before the run is rejected.
 EDGE_TOL = 1e-7
 
-#: Largest phase (radius + decay) * dt one Chebyshev step spans; bounds the
-#: length and the growth of the series when H is non-Hermitian.
+#: Largest phase (radius + decay) * dt between two samples of a run: sets the
+#: sample spacing of the norm history, the drift and edge guards and the
+#: absorber flux nodes, and bounds the length and the growth of one series
+#: when H is non-Hermitian.
 MAX_STEP_PHASE = 10.0
 
-#: Gauss-Legendre nodes per step for the flux into absorbing layers.
+#: Most consecutive samples one Chebyshev expansion spans when H is Hermitian.
+SPAN_SAMPLES = 12
+
+#: Gauss-Legendre nodes per sample interval for the flux into absorbing layers.
 FLUX_NODES = 16
 
 #: Largest relative residual |M x - b| / |b| a stationary solve may leave.
@@ -108,7 +115,7 @@ class WavepacketSpec:
     """Gaussian probe packet: exp(-(j - x0)^2 / (4 sigma^2) + i k0 j).
 
     The packet runs from t = 0 to ``tmax``; the propagator is exact up to
-    rounding and picks its own steps, so there is no step-size setting.
+    rounding and picks its own sample spacing, so there is no step-size setting.
     ``absorber_width > 0`` enables smooth complex absorbing layers at both
     ends; absorbed probability is then reported separately.
     """
@@ -149,7 +156,7 @@ class WavepacketResult:
     """Scattering probabilities measured after the packet has cleared.
 
     ``h_applications`` is the work the run did: the number of products of H
-    with a vector, one per Chebyshev term past the first in every step.
+    with a vector, one per Chebyshev term past the first in every expansion.
     """
 
     R_meas: float
@@ -480,12 +487,16 @@ def _propagator_band(
 def _bessel_series(x: float, rho: float = 1.0) -> np.ndarray:
     """J_0(x), J_1(x), ... by Miller's recurrence, cut past max(x, 1) at |J_n| rho^n < 1e-17."""
     top = int(3.0 * x * rho) + 60
-    j = np.zeros(top + 2)
-    j[top] = 1.0
-    for n in range(top, 0, -1):
-        j[n - 1] = 2.0 * n / x * j[n] - j[n + 1]
-        if abs(j[n - 1]) > 1e200:
-            j[n - 1 :] *= 1e-200
+    # J_{n-1} = (2n / x) J_n - J_{n+1} from n = top down, on Python floats.
+    upper, current = 0.0, 1.0
+    j = [upper, current]  # J_{top+1}, J_top, ... unnormalised
+    for factor in (2.0 * np.arange(top, 0, -1) / x).tolist():
+        upper, current = current, factor * current - upper
+        if abs(current) > 1e200:
+            j = [v * 1e-200 for v in j]
+            upper, current = upper * 1e-200, current * 1e-200
+        j.append(current)
+    j = np.array(j[::-1])
     j /= j[0] + 2.0 * np.sum(j[2::2])
     order = np.arange(top + 2)
     tail = np.nonzero((order > max(x, 1.0)) & (np.abs(j) * rho**order < 1e-17))[0]
@@ -505,6 +516,29 @@ def _chebyshev_coefficients(
     coeffs[: len(bessel)] = 2.0 * (-1j) ** np.arange(len(bessel)) * bessel
     coeffs[0] /= 2.0
     return coeffs * np.exp(-1j * centre * tau)
+
+
+def _chebyshev_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of (sum_m a_m T_m)(sum_n b_n T_n), by T_m T_n = (T_{m+n} + T_{|m-n|}) / 2."""
+    c = np.convolve(a, b)
+    lag = np.convolve(a, b[::-1])  # entry m - n + len(b) - 1
+    mid = len(b) - 1
+    c[: len(a)] += lag[mid:]
+    c[1 : len(b)] += lag[:mid][::-1]
+    return 0.5 * c
+
+
+def _span_coefficients(first: np.ndarray, samples: int, size: int) -> np.ndarray:
+    """Row j - 1 holds the coefficients of exp(-iH j dt), j = 1 .. ``samples``, cut at ``size``.
+
+    ``first`` holds those of exp(-iH dt); row j is row j - 1 times ``first``
+    as Chebyshev series, since exp(-iH j dt) = exp(-iH (j - 1) dt) exp(-iH dt).
+    """
+    table = np.zeros((samples, size), dtype=np.complex128)
+    table[0, : len(first)] = first
+    for j in range(1, samples):
+        table[j] = _chebyshev_product(table[j - 1], first)[:size]
+    return table
 
 
 def _clearance(sigma: float) -> int:
@@ -541,7 +575,7 @@ def design_wavepacket(spec: ChainSpec, k0: float, sigma: float) -> WavepacketSpe
 
     The packet starts 6 sigma plus a margin before the first node and the
     run ends with both outgoing packets at least 6 sigma clear of the ends.
-    Only x0 and tmax are chosen here: propagate_wavepacket takes its steps
+    Only x0 and tmax are chosen here: propagate_wavepacket takes its samples
     from the spectral interval of H.  Raises InsufficientChainError when
     the chain cannot host that layout.
     """
@@ -589,19 +623,25 @@ def check_packet_layout(spec: ChainSpec, wp: WavepacketSpec) -> None:
 def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResult:
     """Propagate the packet through the chain and measure R and T.
 
-    Each step applies a Chebyshev expansion of exp(-iH dt) on the Gershgorin
-    interval of H, accurate to rounding (Tal-Ezer & Kosloff, J. Chem. Phys.
-    81, 3967 (1984)); ``times``/``norm_history`` hold one sample per step
-    end, and the guards below run at every step end.  The state lives in the
-    interleaved basis, and each term applies H as one ``np.multiply`` of the
-    ``(7, dim)`` diagonal-major band of ``_propagator_band`` with a fixed
-    ``(7, dim)`` window on the previous term and one ``np.add.reduce`` over
-    the 7 rows, O(dim) work; ``h_applications`` counts these products.
+    Chebyshev expansions of exp(-iH t) on the Gershgorin interval of H,
+    accurate to rounding (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)), carry the state over samples dt apart, with (radius + decay) dt
+    at most MAX_STEP_PHASE; ``times``/``norm_history`` hold one row per
+    sample, and the guards below run at every sample.  When H is Hermitian
+    (decay-free, no absorbers) one expansion spans up to SPAN_SAMPLES
+    samples: every K - 2 new terms, one matrix product folds them into the
+    state at each of its samples, where K is the length of the one-sample
+    series.  Otherwise an expansion spans one sample.  The state lives in
+    the interleaved basis, and each term applies H as one ``np.multiply``
+    of the ``(7, dim)`` diagonal-major band of ``_propagator_band`` with a
+    fixed ``(7, dim)`` window on the previous term and one
+    ``np.add.reduce`` over the 7 rows, O(dim) work; ``h_applications``
+    counts these products.
     R_meas is the probability left of the first node after the run,
     T_meas the probability right of the last node, each augmented by the
     probability its absorbing layer removed when absorbers are enabled.
     Raises IntegratorDriftError when the norm of a decay-free run drifts, or
-    a dissipative step gains, more than DRIFT_TOL, and InsufficientChainError
+    a dissipative sample gains, more than DRIFT_TOL, and InsufficientChainError
     when check_packet_layout rejects the packet or probability reaches the
     chain ends with absorbers off.
     """
@@ -626,7 +666,13 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     rho = math.sqrt(sinh2) + math.sqrt(1.0 + sinh2)
     n_steps = max(1, math.ceil((radius + decay) * wp.tmax / MAX_STEP_PHASE))
     dt = wp.tmax / n_steps
+    # With H Hermitian (rho = 1) no term of the recurrence grows, so one
+    # expansion may span many samples; otherwise each spans one.
+    decay_free = spec.is_decay_free and wp.absorber_width == 0
+    span = SPAN_SAMPLES if decay_free else 1
     coeffs = _chebyshev_coefficients(centre, radius, rho, dt)
+    table = coeffs[None]  # the expansion over one sample
+    size = len(coeffs)
 
     # H acts in the interleaved basis through its diagonal-major band.  Row m
     # of ``padded`` holds T_m y between three zeros on either side, so
@@ -637,61 +683,88 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     band2 = 2.0 * band
     sites = _site_rows(spec)
     dim = spec.dimension
-    padded = np.zeros((len(coeffs), dim + 6), dtype=np.complex128)
+    padded = np.zeros((size, dim + 6), dtype=np.complex128)
     vectors = padded[:, 3:-3]
     windows = np.lib.stride_tricks.sliding_window_view(padded, dim, axis=1)
     work = np.empty((7, dim), dtype=np.complex128)
     # T_1 y = H y, T_m y = 2 H T_{m-1} y - T_{m-2} y, all on the scaled H.
     products = [(band, windows[0], vectors[1], None)] + [
-        (band2, windows[m - 1], vectors[m], vectors[m - 2]) for m in range(2, len(coeffs))]
+        (band2, windows[m - 1], vectors[m], vectors[m - 2]) for m in range(2, size)]
+    # The state at every sample of one expansion, padded like the terms.
+    states = np.empty((min(span, n_steps), dim + 6), dtype=np.complex128)
 
-    # The absorbed flux is integrated by Gauss-Legendre nodes inside each
-    # step, evaluated from the step's own Chebyshev vectors on the layers.
+    # The absorbed flux is integrated by Gauss-Legendre nodes between two
+    # samples, evaluated from that expansion's Chebyshev vectors on the layers.
     absorbing = np.nonzero(cap)[0]
     layer_rows = sites[absorbing]
     if absorbing.size:
         nodes, weights = np.polynomial.legendre.leggauss(FLUX_NODES)
         taus = 0.5 * dt * (nodes + 1.0)
         node_coeffs = np.array(
-            [_chebyshev_coefficients(centre, radius, rho, tau, coeffs.size) for tau in taus]
+            [_chebyshev_coefficients(centre, radius, rho, tau, size) for tau in taus]
         )
         node_flux = np.outer(0.5 * dt * weights, 2.0 * cap[absorbing])
 
-    y = vectors[0]  # the state: T_0 y of every step
+    y = vectors[0]  # the state: T_0 y of every expansion
     y[sites] = _gaussian_packet(spec, wp)
     ends = sites[[0, 1, 2, -3, -2, -1]]  # three sites at either end of the chain
-    decay_free = spec.is_decay_free and wp.absorber_width == 0
     norm_history = np.empty(n_steps + 1)
     norm_history[0] = float(np.vdot(y, y).real)
     taken = np.zeros(absorbing.size)
+    applications = 0
     start = time.perf_counter()
-    for step in range(1, n_steps + 1):
-        for scaled, window, vector, before in products:
-            np.multiply(scaled, window, out=work)
-            np.add.reduce(work, axis=0, out=vector)
-            if before is not None:
-                vector -= before
-        if absorbing.size:
-            taken += np.sum(node_flux * np.abs(node_coeffs @ vectors[:, layer_rows]) ** 2, axis=0)
-        padded[0] = coeffs @ padded  # exp(-iH dt) y = sum_m a_m T_m y
-        norm_history[step] = float(np.vdot(y, y).real)
-        # A decay-free run keeps its norm; a dissipative one may only lose.
-        gain = norm_history[step] - norm_history[0 if decay_free else step - 1]
-        drift = abs(gain) if decay_free else gain
-        if not drift <= DRIFT_TOL:
-            raise IntegratorDriftError(
-                f"norm drift {drift:.3e} exceeded {DRIFT_TOL:.1e} at t={dt * step:.3f}; "
-                f"the spectral interval [{lo:.3g}, {hi:.3g}] misses part of the spectrum"
-            )
-        edges = float(np.sum(np.abs(y[ends]) ** 2))
-        if wp.absorber_width == 0 and edges > EDGE_TOL:
-            raise InsufficientChainError(
-                f"probability {edges:.3e} reached the chain ends at "
-                f"t={dt * step:.3f}; enlarge the chain or enable absorbers"
-            )
-    applications = n_steps * len(products)
-    _log.debug("%d H applications in %d steps on %d unknowns: %.2f us each, step loop included",
-               applications, n_steps, dim, 1e6 * (time.perf_counter() - start) / applications)
+    # A series that grows past the float range (an interval that misses part
+    # of the spectrum) leaves inf or nan in the norm, which the guard reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(0, n_steps, span):
+            count = min(span, n_steps - done)
+            if count != len(table):  # each expansion is cut at the series length of its own span
+                table = _span_coefficients(
+                    coeffs, count, len(_bessel_series(radius * dt * count, rho)))
+            terms = table.shape[1]
+            # Row r of ``padded`` holds T_{offset + r} y.  Each pass makes the
+            # terms up to row size - 1 and folds them into the states by
+            # exp(-iH j dt) y = sum_m a_jm T_m y; the next pass restarts the
+            # recurrence from the last two terms, moved to rows 0 and 1.  A
+            # series of two terms (radius dt below ~1e-8) makes one pass.
+            for offset in range(0, max(terms - 2, 1), max(size - 2, 1)):
+                if offset:
+                    padded[:2] = padded[-2:]
+                low, high = (2 if offset else 0), min(size, terms - offset)
+                for scaled, window, vector, before in products[max(low, 1) - 1 : high - 1]:
+                    np.multiply(scaled, window, out=work)
+                    np.add.reduce(work, axis=0, out=vector)
+                    if before is not None:
+                        vector -= before
+                fold = table[:count, offset + low : offset + high] @ padded[low:high]
+                if offset:
+                    states[:count] += fold
+                else:
+                    states[:count] = fold
+            applications += terms - 1
+            if absorbing.size:  # one sample per expansion: all its terms are in ``vectors``
+                flux = node_flux * np.abs(node_coeffs @ vectors[:, layer_rows]) ** 2
+                taken += np.sum(flux, axis=0)
+            for step, state in enumerate(states[:count, 3:-3], done + 1):
+                norm_history[step] = float(np.vdot(state, state).real)
+                # A decay-free run keeps its norm; a dissipative one may only lose.
+                gain = norm_history[step] - norm_history[0 if decay_free else step - 1]
+                drift = abs(gain) if decay_free else gain
+                if not drift <= DRIFT_TOL:
+                    raise IntegratorDriftError(
+                        f"norm drift {drift:.3e} exceeded {DRIFT_TOL:.1e} at t={dt * step:.3f}; "
+                        f"the spectral interval [{lo:.3g}, {hi:.3g}] misses part of the spectrum"
+                    )
+                edges = float(np.sum(np.abs(state[ends]) ** 2))
+                if wp.absorber_width == 0 and edges > EDGE_TOL:
+                    raise InsufficientChainError(
+                        f"probability {edges:.3e} reached the chain ends at "
+                        f"t={dt * step:.3f}; enlarge the chain or enable absorbers"
+                    )
+            padded[0] = states[count - 1]
+    _log.debug("%d H applications in %d expansions over %d samples on %d unknowns: "
+               "%.2f us each, expansion loop included", applications, math.ceil(n_steps / span),
+               n_steps, dim, 1e6 * (time.perf_counter() - start) / applications)
     mid = spec.origin
     absorbed_left = float(np.sum(taken[absorbing < mid]))
     absorbed_right = float(np.sum(taken[absorbing >= mid]))

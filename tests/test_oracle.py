@@ -809,12 +809,102 @@ class TestWavepacket:
         res = propagate_wavepacket(spec, wp)
         assert len(res.times) > 30
         assert res.drift <= 1e-12
+        # one expansion per sample applied H 1,476 times
+        assert res.h_applications <= 740
 
     def test_short_chain_is_rejected_mid_run(self):
         spec = ChainSpec(120, (), LAT)
         wp = WavepacketSpec(k0=1.3, sigma=8.0, x0=60, tmax=200.0)
-        with pytest.raises(InsufficientChainError):
+        with pytest.raises(InsufficientChainError, match=r"t=5\.000;"):
             propagate_wavepacket(spec, wp)
+
+    def test_edge_guard_reads_every_sample_inside_an_expansion(self):
+        # the packet reaches the right end at the 5th of 12 samples one
+        # expansion spans, the time one expansion per sample reports
+        spec = ChainSpec(200, (), LAT)
+        wp = WavepacketSpec(k0=1.3, sigma=8.0, x0=60, tmax=200.0)
+        with pytest.raises(InsufficientChainError, match=r"t=25\.000;"):
+            propagate_wavepacket(spec, wp)
+
+    def test_drift_guard_fires_on_a_long_hermitian_run(self, monkeypatch):
+        # Negative control: 30 samples of a decay-free run on an interval a
+        # twentieth of the spectrum; the terms of one expansion over 12
+        # samples pass the float range, and the guard, not an overflow
+        # warning, must report it at the first sample, as one expansion per
+        # sample does.
+        spec = ChainSpec(200, (), LAT)
+        wp = WavepacketSpec(k0=1.3, sigma=8.0, x0=60, tmax=1500.0)
+        lo, hi = oracle._spectral_interval(spec)
+        monkeypatch.setattr(oracle, "_spectral_interval", lambda _: (lo, lo + 0.05 * (hi - lo)))
+        with pytest.raises(IntegratorDriftError, match=r"at t=50\.000;"):
+            propagate_wavepacket(spec, wp)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 9.0, 120.0, 355.0])
+    def test_bessel_series_sums_to_its_generating_function(self, x):
+        # exp(i x sin th) = J_0 + 2 sum_k J_2k cos(2k th) + 2i sum_k J_2k+1 sin((2k+1) th);
+        # at x = 355 Miller's recurrence rescales twice on its way down
+        j = oracle._bessel_series(x)
+        n = np.arange(len(j))
+        th = np.linspace(0.1, 3.0, 7)[:, None]
+        terms = np.where(n % 2 == 0, np.cos(n * th), 1j * np.sin(n * th)) * j
+        series = 2.0 * terms.sum(axis=1) - j[0]
+        assert np.max(np.abs(series - np.exp(1j * x * np.sin(th[:, 0])))) <= 1e-13
+
+    def test_a_two_term_series_makes_one_pass(self):
+        # radius tmax = 4e-10: J_2 is below the cut, so the series has two terms
+        spec = ChainSpec(120, (), LAT)
+        res = propagate_wavepacket(spec, WavepacketSpec(k0=1.3, sigma=8.0, x0=60, tmax=1e-10))
+        assert res.h_applications == 1
+        assert res.drift <= 1e-15
+
+    @pytest.mark.parametrize("x1", [0.7, 9.0, 9.99])
+    def test_span_rows_are_the_series_of_longer_times(self, x1):
+        # row j against the Bessel series of exp(-iH j dt) itself; 11 products of
+        # rows whose moduli sum to ~20 leave ~1e-16 each
+        centre, radius, samples = 0.3, 4.0, 12
+        dt = x1 / radius
+        first = oracle._chebyshev_coefficients(centre, radius, 1.0, dt)
+        size = len(oracle._bessel_series(radius * dt * samples))
+        table = oracle._span_coefficients(first, samples, size)
+        assert table.shape == (samples, size)
+        assert np.array_equal(table[0, : len(first)], first) and not table[0, len(first) :].any()
+        for j in range(1, samples + 1):
+            direct = oracle._chebyshev_coefficients(centre, radius, 1.0, j * dt, size)
+            assert np.max(np.abs(table[j - 1] - direct)) <= 2e-14
+
+    def test_expansions_over_many_samples_match_one_per_sample(self, monkeypatch):
+        # 18 samples: one expansion over 12, then one over 6 cut at its own length
+        spec = ChainSpec(420, ((210, FIG3A_ATOM),), LAT)
+        wp = design_wavepacket(spec, 2.2, 8.0)
+        res = propagate_wavepacket(spec, wp)
+        lo, hi = oracle._spectral_interval(spec)
+        radius = 0.5 * (hi - lo)
+        steps = math.ceil(radius * wp.tmax / oracle.MAX_STEP_PHASE)
+        assert (oracle.SPAN_SAMPLES, len(res.times) - 1) == (12, steps) == (12, 18)
+        lengths = [len(oracle._bessel_series(radius * wp.tmax / steps * n)) for n in (12, 6)]
+        assert res.h_applications == sum(lengths) - 2
+        monkeypatch.setattr(oracle, "SPAN_SAMPLES", 1)
+        single = propagate_wavepacket(spec, wp)
+        assert np.array_equal(res.times, single.times)
+        assert abs(res.R_meas - single.R_meas) <= 1e-13
+        assert abs(res.T_meas - single.T_meas) <= 1e-13
+        assert np.max(np.abs(res.norm_history - single.norm_history)) <= 1e-13
+        assert res.h_applications < 0.5 * single.h_applications
+
+    @pytest.mark.parametrize("case", ["decaying-node", "absorbers"])
+    def test_non_hermitian_runs_expand_once_per_sample(self, monkeypatch, case):
+        if case == "absorbers":
+            spec = ChainSpec(240, ((150, FIG3A_ATOM),), LAT)
+            wp = WavepacketSpec(k0=1.5, sigma=10.0, x0=90, tmax=33.0, absorber_width=40)
+        else:
+            spec, wp = design_scattering_run((DECAYING_ATOM,), LAT, 1.7, 8.0)
+        res = propagate_wavepacket(spec, wp)
+        monkeypatch.setattr(oracle, "SPAN_SAMPLES", 1)
+        single = propagate_wavepacket(spec, wp)
+        for field in ("R_meas", "T_meas", "norm_history", "absorbed_left", "absorbed_right",
+                      "h_applications"):
+            assert np.array_equal(getattr(res, field), getattr(single, field))
+        assert res.h_applications % (len(res.times) - 1) == 0
 
     def test_packet_must_clear_the_right_end(self):
         # sigma 4 on 200 sites: the centre may sit at most at site 177
