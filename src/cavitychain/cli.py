@@ -45,7 +45,7 @@ from .quasibound import (
     bound_profile,
     find_quasibound_modes,
 )
-from .scattering import FLAG_OK, TwoNodeConfig, chain_scatter
+from .scattering import TwoNodeConfig, chain_scatter
 from .sweep import (
     _NODE_KEYS,
     ORACLE_GATE,
@@ -215,12 +215,6 @@ def _write_csv(out: Path, header: list[str], columns: list) -> None:
                out.name, rows, kernel, python)
 
 
-def _with_flag_counts(extra: dict | None, flag: np.ndarray) -> dict:
-    """``extra`` plus the number of points under each physical flag."""
-    counts = np.bincount(flag.ravel(), minlength=3).tolist()
-    return {**(extra or {}), "flag_counts": {"singular": counts[1], "resonance": counts[2]}}
-
-
 def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
     """Axes of a spectrum (one k axis) or a map, once the whole config is checked.
 
@@ -253,7 +247,7 @@ def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
     if "limit" in cfg and engine != "analytic":
         raise ConfigError("a limit lineshape has no lattice-oracle counterpart; "
                           "use --engine analytic")
-    if "limit" in cfg and len(scenario.nodes) > 1:
+    if "limit" in cfg and (len(scenario.nodes) > 1 or "D" in names):
         raise ConfigError("a limit lineshape takes one node; drop D and the keys of node 2")
     return axes
 
@@ -262,13 +256,13 @@ def cmd_grid(command: str, cfg: dict, out: Path, engine: str) -> int:
     """``spectrum`` or ``map2d``: the amplitudes on the checked axes, in that command's columns."""
     axes = _grid_axes(command, cfg, engine)
     run_engine = "analytic" if engine == "both" else engine
-    r, s, flag = grid_amplitudes(cfg, axes, run_engine, cfg.get("limit"))
+    r, s, singular = grid_amplitudes(cfg, axes, run_engine, cfg.get("limit"))
     if command == "spectrum":
         k = axes[0].values()
         R, T = np.abs(r) ** 2, np.abs(s) ** 2
         header = ["k", "eps_k", "Re_r", "Im_r", "Re_s", "Im_s", "R", "T", "xi", "singular_flag"]
         columns = [k, cfg.get("omega", 0.0) - 2.0 * cfg["t"] * np.cos(k) - reduce_delta(cfg),
-                   r.real, r.imag, s.real, s.imag, R, T, 1.0 - R - T, ([0, 1], flag != FLAG_OK)]
+                   r.real, r.imag, s.real, s.imag, R, T, 1.0 - R - T, ([0, 1], singular)]
     else:
         quantity = cfg.get("quantity", "R")
         values = quantity_value(quantity, r, s)
@@ -276,17 +270,17 @@ def cmd_grid(command: str, cfg: dict, out: Path, engine: str) -> int:
         columns = [a.values() for a in axes]
         if len(axes) == 2:  # each axis value written once, gathered by its grid index
             columns = list(zip(columns, np.indices(values.shape).reshape(2, -1)))
-        columns += [values.ravel(), ([0, 1, 2], flag.ravel())]
+        columns += [values.ravel(), ([0, 1], singular.ravel())]
     _write_csv(out, header, columns)
-    extra = None
+    extra = {"flag_counts": {"singular": int(np.count_nonzero(singular))}}
     if engine == "both":
         r_o, s_o, _ = grid_amplitudes(cfg, axes, "oracle", None)
         if command == "spectrum":
             dev = np.maximum(np.abs(r - r_o), np.abs(s - s_o))
         else:
             dev = np.abs(values - quantity_value(quantity, r_o, s_o))
-        extra = {"max_engine_deviation": float(dev.max())}
-    _write_sidecar(out, cfg, engine, _with_flag_counts(extra, flag))
+        extra["max_engine_deviation"] = float(dev.max())
+    _write_sidecar(out, cfg, engine, extra)
     return 0
 
 

@@ -65,7 +65,7 @@ def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bo
     at a node pole, where the perfect-mirror modes live.  Evaluated in k by
     ``_transfer_row``, independently of the lattice eigenproblem whose roots
     it verifies; k may be an array.  ``scaled`` returns |P22| / norm instead,
-    with the norm that ``chain_scatter`` tests resonances against.
+    norm = prod_j max(|b den_j|, |n_j|) e^{2|Im k| x_j}, the size of its terms.
     """
     E = lat.omega - 2.0 * lat.t * np.cos(k)
     b = 2j * lat.t * np.sin(k)

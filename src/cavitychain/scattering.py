@@ -44,14 +44,6 @@ from .model import (
 #: Half-width of the momentum windows in which the limit lineshapes apply.
 LIMIT_WINDOW = 0.2
 
-#: Relative scale below which the two-node denominator counts as resonant.
-RESONANCE_TOL = 1e-12
-
-#: Point status codes returned by ``chain_scatter``.
-FLAG_OK = 0
-FLAG_SINGULAR = 1
-FLAG_RESONANCE = 2
-
 
 @dataclass(frozen=True)
 class TwoNodeConfig:
@@ -87,9 +79,12 @@ def _limit_band(k, regime: str, lat: LatticeParams):
 def _transfer_row(k, E, b, nodes):
     """Bottom row (P21, P22) of P = N_M ... N_1, built from the right as
     (0, 1) N_M ... N_1, with prod_j max(|b den_j|, |n_j|) e^{2|Im k| x_j},
-    prod_j b den_j and the mask of singular nodes.  Complex k is allowed; the
-    exponential, exactly 1 on the real axis, scales the norm with the phases
-    e^{2ikx_j} off it.
+    prod_j b den_j and the mask of singular nodes.  A singular node's
+    N_j = n_j [1, -q_j]^T [1, 1/q_j], q_j = e^{2ikx_j}, has rank one, so the
+    row it leaves is c n_j [1, 1/q_j] with c = P21 - P22 q_j taken once: the
+    direction survives where c vanishes, at a trapped mode behind the mirror.
+    Complex k is allowed; the exponential, exactly 1 on the real axis, scales
+    the norm with the phases e^{2ikx_j} off it.
     """
     P21, P22 = np.zeros(np.shape(E), complex), np.ones(np.shape(E), complex)
     norm, flux, singular = 1.0, 1.0, False
@@ -98,7 +93,11 @@ def _transfer_row(k, E, b, nodes):
         hit = np.abs(den) < SINGULAR_TOL * scale
         a = b * np.where(hit, 0.0, den)
         q = np.exp(2j * k * x)
-        P21, P22 = P21 * (a + n) - P22 * n * q, P21 * n / q + P22 * (a - n)
+        row = P21 * (a + n) - P22 * n * q, P21 * n / q + P22 * (a - n)
+        if np.any(hit):
+            c = (P21 - P22 * q) * n
+            row = np.where(hit, c, row[0]), np.where(hit, c / q, row[1])
+        P21, P22 = row
         norm = norm * np.maximum(np.abs(a), np.abs(n)) * np.exp(2.0 * np.abs(np.imag(k)) * x)
         flux = flux * a
         singular = singular | hit
@@ -108,7 +107,7 @@ def _transfer_row(k, E, b, nodes):
 def chain_scatter(
     k, nodes, lat: LatticeParams, *, limit: str | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Amplitudes (r, s) and a status flag for any number of nodes, on whole grids.
+    """Amplitudes (r, s) and the singular-point mask for any number of nodes, on whole grids.
 
     ``nodes`` holds (x_j, atom_j) pairs with sites increasing along the
     chain.  k, the sites and every lattice and node field may be arrays; the
@@ -117,12 +116,10 @@ def chain_scatter(
     K_j = [[1, e^{-2ikx_j}], [-e^{2ikx_j}, -1]], and from P = N_M ... N_1
     r = -P21 / P22 and s = prod_j (b den_j) / P22.  A node whose denominator
     falls below SINGULAR_TOL times g (two-level) or g^2 gets den_j = 0, its
-    exact mirror limit, and the point is flagged FLAG_SINGULAR with s = 0.
-    Otherwise |P22| < RESONANCE_TOL * prod_j max(|b den_j|, |n_j|) marks a
-    trapped-mode hit, FLAG_RESONANCE, stored as r = -1, s = 0; for two nodes
-    this is the closed form's |den| < RESONANCE_TOL * max(|b|^2, |b V1|,
-    |b V2|, |V1 V2|), both sides times |den_1 den_2|.  A non-finite r or s,
-    which no flag explains, raises FloatingPointError.
+    exact mirror limit; the point is marked singular, with s = 0 and r the
+    reflection of the chain up to the first singular node.  A passive chain
+    keeps |s| <= 1, so P22 vanishes at real k only behind such a mirror, and
+    a non-finite r or s raises FloatingPointError.
     ``limit`` evaluates one node on a limit lineshape, with V taken exactly
     at its E: band-centre ("high", |k - pi/2| <= LIMIT_WINDOW) linearises
     the band to E = omega - t pi + 2 t k with b = 2 i t, band-bottom
@@ -141,16 +138,14 @@ def chain_scatter(
     else:
         raise ValueError("momentum must lie in the open interval (0, pi)")
     with np.errstate(all="ignore"):
-        P21, P22, norm, flux, singular = _transfer_row(k, E, b, nodes)
-        resonant = np.abs(P22) < RESONANCE_TOL * norm
+        P21, P22, _, flux, singular = _transfer_row(k, E, b, nodes)
         # 0 - x, not -x, so that a bare chain reflects +0 rather than -0
-        r = np.where(resonant, -1.0 + 0j, 0.0 - P21 / P22)
-        s = np.where(resonant | singular, 0j, flux / P22)
+        r = 0.0 - P21 / P22
+        s = np.where(singular, 0j, flux / P22)
     bad = np.count_nonzero(~(np.isfinite(r) & np.isfinite(s)))
     if bad:
         raise FloatingPointError(f"{bad} of {r.size} points gave a non-finite amplitude")
-    flag = np.where(singular, FLAG_SINGULAR, np.where(resonant, FLAG_RESONANCE, FLAG_OK))
-    return r, s, flag.astype(np.int8)
+    return r, s, np.broadcast_to(singular, r.shape).copy()  # node sites may add axes
 
 
 def find_perfect_reflection(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import AtomParams, LatticeParams, _require_finite
 from .oracle import PANEL, ChainSpec, solve_stationary
-from .scattering import FLAG_OK, chain_scatter
+from .scattering import chain_scatter
 
 QUANTITIES = ("R", "T", "xi", "Re_r", "Im_r", "R+T")
 ENGINES = ("analytic", "oracle")
@@ -154,7 +154,7 @@ def _oracle_chain(scenario: Scenario, points=slice(None)) -> ChainSpec:
 
 
 def amplitudes(params: dict, engine: str, limit: str | None):
-    """(r, s, flag) over the broadcast shape of the array-valued ``params``.
+    """(r, s, singular) over the broadcast shape of the array-valued ``params``.
 
     The one way from run-configuration keys to either engine.  The analytic
     engine is one kernel call.  The oracle stays the full lattice system of
@@ -183,7 +183,7 @@ def amplitudes(params: dict, engine: str, limit: str | None):
         for start in range(0, group.size, step):
             chunk = group[start : start + step]
             r[chunk], s[chunk] = solve_stationary(_oracle_chain(scenario, chunk), k[chunk])
-    return r.reshape(shape), s.reshape(shape), np.full(shape, FLAG_OK, dtype=np.int8)
+    return r.reshape(shape), s.reshape(shape), np.zeros(shape, bool)
 
 
 def quantity_value(quantity: str, r, s):
@@ -202,7 +202,7 @@ def quantity_value(quantity: str, r, s):
 
 
 def grid_amplitudes(fixed: dict, axes: tuple[AxisSpec, ...], engine: str, limit: str | None):
-    """(r, s, flag) on the grid of ``axes`` over ``fixed``; the first axis runs along rows.
+    """(r, s, singular) on the grid of ``axes`` over ``fixed``; the first axis runs along rows.
 
     ``fixed`` uses the run-configuration keys of ``build_scenario``, with k
     among them when k is not an axis; an axis value overrides the key of

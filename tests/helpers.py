@@ -3,9 +3,9 @@
 The closed forms below are the reference the vectorised kernel
 ``chain_scatter`` is checked against.  They evaluate the paper's formulas
 point by point, with their own potential and limit bands, and share no code
-with the kernel: only the tolerances ``model.SINGULAR_TOL``,
-``scattering.RESONANCE_TOL`` and ``scattering.LIMIT_WINDOW``, read at each
-call so that a test may patch them.
+with the kernel: only the tolerances ``model.SINGULAR_TOL`` and
+``scattering.LIMIT_WINDOW``, read at each call so that a test may patch
+them.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from cavitychain import (
 
 class SingularPotentialError(Exception):
     """The potential diverges at this energy: the node is a perfect mirror there."""
-
-
-class ResonanceDenominatorError(Exception):
-    """The two-node denominator vanished at real k, an exact trapped-mode condition."""
 
 
 @dataclass(frozen=True)
@@ -97,9 +93,7 @@ def two_node_scatter(k: float, cfg: TwoNodeConfig, lat: LatticeParams) -> Scatte
     """Nodes at sites 0 and D.
 
     A singular first node reflects everything with r = -1; a singular second
-    node reflects everything with the round-trip phase to it.  Raises
-    ResonanceDenominatorError when the denominator falls below
-    RESONANCE_TOL times its largest term.
+    node reflects everything with the round-trip phase to it.
     """
     E = dispersion_energy(k, lat)
     b = 2j * lat.t * math.sin(k)
@@ -114,9 +108,6 @@ def two_node_scatter(k: float, cfg: TwoNodeConfig, lat: LatticeParams) -> Scatte
         r = (v1 * (1.0 - p) - p * b) / (b - v1 * (1.0 - p))
         return ScatteringResult(k=k, E=E, r=r, s=0.0j, singular=True)
     den = (b - v1) * (b - v2) - p * v1 * v2
-    scale = max(abs(b) ** 2, abs(b * v1), abs(b * v2), abs(v1 * v2))
-    if abs(den) < scattering.RESONANCE_TOL * scale:
-        raise ResonanceDenominatorError(f"two-node denominator vanished at k={k!r}")
     r = (b * (v1 + p * v2) - v1 * v2 * (1.0 - p)) / den
     return ScatteringResult(k=k, E=E, r=r, s=b * b / den)
 

@@ -395,7 +395,7 @@ class TestSpectrumCommand:
         T = column(header, rows, "T")
         assert all(abs(r + t - 1.0) <= 1e-9 for r, t in zip(R, T))
         sidecar = json.loads((tmp_path / "fig6a.csv.meta.json").read_text())
-        assert sidecar["flag_counts"] == {"singular": 0, "resonance": 0}
+        assert sidecar["flag_counts"] == {"singular": 0}
 
     def test_flag_counts_on_a_pole(self, tmp_path):
         # the middle momentum pi/2 lands on the bare level E = omega_e = 1
@@ -408,7 +408,7 @@ class TestSpectrumCommand:
         assert column(header, rows, "singular_flag", cast=int) == [0, 1, 0]
         assert column(header, rows, "R")[1] == 1.0
         sidecar = json.loads((tmp_path / "pole.csv.meta.json").read_text())
-        assert sidecar["flag_counts"] == {"singular": 1, "resonance": 0}
+        assert sidecar["flag_counts"] == {"singular": 1}
 
     @pytest.mark.parametrize("engine", ["oracle", "both"])
     @pytest.mark.parametrize("command", ["spectrum", "map2d"])
@@ -422,12 +422,16 @@ class TestSpectrumCommand:
         assert "no lattice-oracle counterpart" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["spectrum", "map2d"])
-    def test_limit_with_two_nodes_fails_without_output(self, tmp_path, command, capsys):
+    @pytest.mark.parametrize("command, config", [
+        ("spectrum", ["--config", "fig5a", *sets("D=4", "omega_e2=0.3")]),
+        ("map2d", ["--config", "fig6b", *sets("limit=high")]),
+        # a D axis places the second node
+        ("map2d", sets(*FIG3A_NODE, "limit=high", "k=1.57", "axis1=D", "axis1_min=1",
+                       "axis1_max=5", "axis1_count=5")),
+    ], ids=["spectrum", "map2d", "map2d-D-axis"])
+    def test_limit_with_two_nodes_fails_without_output(self, tmp_path, command, config, capsys):
         # a limit lineshape holds one node; a second must not be dropped unseen
         out = tmp_path / "x.csv"
-        config = ["--config", "fig5a", *sets("D=4", "omega_e2=0.3")] if command == "spectrum" \
-            else ["--config", "fig6b", *sets("limit=high")]
         assert main([command, *config, "--out", str(out)]) == 2
         assert "limit lineshape takes one node" in capsys.readouterr().err
         assert not out.exists()
@@ -515,7 +519,7 @@ class TestMap2dCommand:
         assert len(rows) == 200 * 200
         flags = column(header, rows, "singular_flag", cast=int)
         sidecar = json.loads((tmp_path / "a.csv.meta.json").read_text())
-        assert sidecar["flag_counts"] == {"singular": sum(flags), "resonance": 0}
+        assert sidecar["flag_counts"] == {"singular": sum(flags)}
 
     def test_engine_both_compares_the_sweep_in_hand(self, tmp_path, monkeypatch):
         # one grid per engine: the analytic grid written is the one compared
@@ -758,8 +762,8 @@ class TestCsvWriter:
         (record,) = [r for r in caplog.records if r.name == "cavitychain.cli"]
         assert record.levelno == logging.DEBUG
         # the kernel formats and certifies the mapped R; Python formats each of the
-        # 200 + 200 axis values and the 3 flags once
-        assert record.args == ("fig4.csv", 40000, 40000, 403)
+        # 200 + 200 axis values and the 2 flag values once
+        assert record.args == ("fig4.csv", 40000, 40000, 402)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="cavitychain.cli"):
             cli._write_csv(tmp_path / "special.csv", ["x", "n", "p"],

@@ -175,6 +175,18 @@ class TestModeSearch:
             distances.append(abs(root.k - kn))
         assert distances[0] > distances[1] > distances[2]
 
+    def test_rabi_frequency_on_the_mirror_pole_makes_a_bound_state(self):
+        # fig3a nodes with Omega tuned so that E_12 of D = 20 is a node pole:
+        # the n = 12 root is a bound state in the continuum, with both nodes
+        # singular at it
+        kn = 12 * math.pi / 20
+        (Omega,) = find_perfect_reflection(kn, AtomParams(omega_e=1.0, delta=0.0, Omega=1.0), LAT)
+        assert Omega == 1.6625077511098134
+        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=Omega)
+        (mode,) = [m for m in find_quasibound_modes(TwoNodeConfig(atom, atom, 20), LAT)
+                   if m.n == 12]
+        assert abs(mode.k.real - kn) <= 1e-12 and abs(mode.k.imag) <= 1e-15
+
     def test_passivity_without_decay(self):
         atom = mirror_atom(dispersion_energy(0.3 * math.pi, LAT) + 1e-3)
         cfg = TwoNodeConfig(atom, atom, D=10)

@@ -14,10 +14,8 @@ from cavitychain import (
     dispersion_energy,
     find_perfect_reflection,
     momentum_from_energy,
-    scattering,
 )
 from helpers import (
-    ResonanceDenominatorError,
     SingularPotentialError,
     draw_atom,
     draw_lattice,
@@ -199,7 +197,7 @@ class TestTwoNode:
                 v1 = effective_potential(E, cfg.atom1)
                 v2 = effective_potential(E, cfg.atom2)
                 res = two_node_scatter(k, cfg, lat)
-            except (SingularPotentialError, ResonanceDenominatorError):
+            except SingularPotentialError:
                 continue
             beta = 2j * lat.t * math.sin(k)
             s_single = beta / (beta - (v1 + v2))
@@ -220,12 +218,6 @@ class TestTwoNode:
             )
             assert res.r == pytest.approx(ref.r, abs=1e-12)
             assert res.s == pytest.approx(ref.s, abs=1e-12)
-
-    def test_resonance_denominator_guard(self, monkeypatch):
-        monkeypatch.setattr(scattering, "RESONANCE_TOL", 10.0)
-        cfg = TwoNodeConfig(FIG3A_ATOM, FIG3A_ATOM, D=4)
-        with pytest.raises(ResonanceDenominatorError):
-            two_node_scatter(1.1, cfg, LAT)
 
     def test_separation_validation(self):
         with pytest.raises(ValueError):

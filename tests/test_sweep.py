@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 from cavitychain import ChainSpec, ConfigError, cli, scattering, solve_stationary, sweep
-from cavitychain.scattering import FLAG_OK, FLAG_SINGULAR
 from cavitychain.sweep import ENGINES, AxisSpec, build_scenario, grid_amplitudes, quantity_value
 
 FIG3A = {"t": 2.0, "omega": 1.0, "omega_e": 1.0, "delta": 0.0, "Omega": 1.0, "g": 1.0}
 
 
 def evaluate_point(params, engine):
-    """(r, s, flag) at one point."""
+    """(r, s, singular) at one point."""
     r, s, flag = sweep.amplitudes(params, engine, None)
-    return complex(r), complex(s), int(flag)
+    return complex(r), complex(s), bool(flag)
 
 
 def fig3a_grid(count=400, engine="analytic", limit=None):
-    """(r, s, flag) of the fig3a node over a k axis."""
+    """(r, s, singular) of the fig3a node over a k axis."""
     axis = AxisSpec("k", 0.002, math.pi - 0.002, count)
     return grid_amplitudes(dict(FIG3A), (axis,), engine, limit)
 
@@ -64,13 +63,13 @@ class TestSpecs:
 class TestEvaluatePoint:
     def test_flags(self):
         ok = evaluate_point({**FIG3A, "k": 1.0}, "analytic")
-        assert ok[2] == FLAG_OK
+        assert ok[2] is False
         singular = evaluate_point(
             {"t": 2.0, "omega": 1.0, "omega_e": 1.0, "Omega": 0.0, "g": 1.0,
              "k": math.pi / 2},  # E = 1 sits exactly on the bare level
             "analytic",
         )
-        assert singular[2] == FLAG_SINGULAR
+        assert singular[2] is True
         assert singular[0] == -1.0 and singular[1] == 0.0
         # outside the band the point is an error, not a flag
         with pytest.raises(ValueError, match="open interval"):
@@ -92,7 +91,7 @@ class TestEvaluatePoint:
 
     def test_free_chain_when_no_node_keys(self):
         r, s, flag = evaluate_point({"t": 2.0, "omega": 1.0, "k": 1.2}, "analytic")
-        assert (r, s, flag) == (0.0, 1.0, FLAG_OK)
+        assert (r, s, flag) == (0.0, 1.0, False)
         r, s, flag = evaluate_point({"t": 2.0, "omega": 1.0, "k": 1.2}, "oracle")
         assert abs(r) <= 1e-12 and abs(s - 1.0) <= 1e-12
 
@@ -116,7 +115,7 @@ class TestRunSweep:
             (AxisSpec("k", math.pi / 4, 3 * math.pi / 4, 3),), "analytic", None,
         )
         R = quantity_value("R", r, s)
-        assert flag.tolist() == [FLAG_OK, FLAG_SINGULAR, FLAG_OK]
+        assert flag.tolist() == [False, True, False]
         assert R[1] == 1.0
         assert np.all(np.isfinite(R))
 
@@ -237,7 +236,7 @@ class TestAmplitudes:
             point = {key: value[i] for key, value in stack.items()}
             chain = sweep._oracle_chain(build_scenario(point))
             assert (r[i], s[i]) == solve_stationary(chain, point["k"])
-        assert np.all(flag == FLAG_OK)
+        assert flag.dtype == bool and not flag.any()
 
     @pytest.mark.parametrize("two_nodes", [False, True])
     def test_stacks_scatter_back_bit_for_bit(self, two_nodes, monkeypatch):
@@ -266,7 +265,7 @@ class TestAmplitudes:
         assert len(stacks) >= 2 * len({dim for dim, _ in stacks})
         r_ref, s_ref = _per_point(stack)
         assert r.tobytes() == r_ref.tobytes() and s.tobytes() == s_ref.tobytes()
-        assert np.all(flag == FLAG_OK)
+        assert flag.dtype == bool and not flag.any()
         # negative control: the same comparison sees points scattered back out of order
         r_rev, s_rev = _per_point({**stack, "k": stack["k"][::-1]})
         assert r.tobytes() != r_rev.tobytes() and s.tobytes() != s_rev.tobytes()
