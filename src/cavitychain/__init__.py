@@ -44,7 +44,6 @@ from .quasibound import (
     QuasiboundMode,
     bound_profile,
     find_quasibound_modes,
-    quantized_momenta,
     quasibound_residual,
 )
 from .scattering import (

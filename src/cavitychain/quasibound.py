@@ -9,18 +9,20 @@ with both potentials evaluated at the continued band energy E(k).  In the
 perfect-mirror limit (both potentials diverging) the condition collapses to
 e^{2ikD} = 1, quantising the trapped momentum to k = pi n / D; away from
 that limit the roots move into the lower half plane and the mode leaks at a
-rate -2 Im E.  Interior sites run over 1..D-1, with the first node at 0 and
-the second at D.  The roots are found on the lattice, as the Siegert states
-of the segment between the nodes: eigenvectors with purely outgoing waves
-outside it (Siegert, Phys. Rev. 56, 750 (1939)), whose H is the lattice
-oracle's ``build_hamiltonian``.  They are verified by the transfer matrix,
-as zeros of the pole-free form of the condition, P22 = 0 for the
-bottom-right entry of ``chain_scatter``'s transfer matrix.
+rate -2 Im E.  The roots are the zeros of the pole-free form of the
+condition, P22 = 0 for the bottom-right entry of ``chain_scatter``'s
+transfer matrix with the nodes at sites 0 and D.  The search window is cut
+along Re k into cells about pi / D wide; the argument principle counts the
+zeros of g = P22 / sin k in each cell, the cell's contour moments seed them
+(Delves & Lyness, Math. Comp. 21, 543 (1967)), and Newton on P22 polishes
+them.  A cell whose polished roots do not match its count raises, so no
+root is missed silently.  The test suite checks the roots against the
+lattice: the Siegert states of the segment between the nodes (Siegert,
+Phys. Rev. 56, 750 (1939)).
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnverifiedRootError
-from .model import LatticeParams, dispersion_energy_continued
-from .oracle import ChainSpec, _mirror, _mirror_blocks, build_hamiltonian
+from .model import LatticeParams, dispersion_energy_continued, potential_parts
 from .scattering import TwoNodeConfig, _transfer_row
 
 log = logging.getLogger(__name__)
@@ -63,8 +64,8 @@ def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bo
 
     P22 is the transport denominator times den_1 den_2, so it stays finite
     at a node pole, where the perfect-mirror modes live.  Evaluated in k by
-    ``_transfer_row``, independently of the lattice eigenproblem whose roots
-    it verifies; k may be an array.  ``scaled`` returns |P22| / norm instead,
+    ``_transfer_row``, apart from the closed form the contour search
+    counts with; k may be an array.  ``scaled`` returns |P22| / norm instead,
     norm = prod_j max(|b den_j|, |n_j|) e^{2|Im k| x_j}, the size of its terms.
     """
     E = lat.omega - 2.0 * lat.t * np.cos(k)
@@ -73,51 +74,268 @@ def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bo
     return np.abs(P22) / norm if scaled else P22
 
 
-def _siegert_roots(nodes, lat: LatticeParams) -> tuple[np.ndarray, list[int]]:
-    """Every finite z = e^{ik} of the open segment from the first node to the last.
+def _factored(k, cfg: TwoNodeConfig, lat: LatticeParams):
+    """g = P22 / sin k as e^L h, with the larger of P22's two terms factored out.
 
-    A trapped mode is a Siegert state (Siegert, Phys. Rev. 56, 750 (1939)):
-    an eigenvector of the segment with purely outgoing waves outside it.  The
-    unknowns are those of the segment's ``build_hamiltonian``, sites 0..L and
-    node levels, less the decoupled metastable level of a two-level node,
-    which would add a false root at E = delta.  With
-    u_{-1} = z u_0, u_{L+1} = z u_L and E = omega - t (z + 1/z), z (E - H) u = 0
-    reads (A0 + z A1 + z^2 A2) u = 0 with A0 = -t I, A1 = omega I - H and
-    A2 = -t I but for zero rows at the two end sites.  In mu = 1/z that is the
-    eigenproblem of [[0, I], [A2/t, A1/t]], real when nothing decays.  A
-    mirror-symmetric segment (A1 equal to its image under ``oracle._mirror``)
-    splits into the even and odd blocks of ``_mirror_blocks``, in each of
-    which site 0 stands for both end sites; every other segment is one
-    block.  Each zero row forces one eigenvalue mu = 0.  When no hop joins
-    the two end sites (a span of 2 or more), A1 vanishes between them too,
-    and each of those zeros has a Jordan partner, which rounding would
-    return as |z| ~ 1e15.  Every mu = 0 is dropped, the smallest |mu|
-    first: 2n - 2 roots for n unknowns at a span of 1, 2n - 4 beyond.
-    Returns the roots and the size of each companion solved.
+    P22 = A - B e^{2ikD}, A = (a1 - n1)(a2 - n2), B = n1 n2, a_j = b den_j.
+    Where B e^{2ikD} is the larger, L = 2ikD and h = (A e^{-2ikD} - B) / sin k;
+    elsewhere L = 0 and h = g.  The phase of e^L is exactly 2D Re k, and h
+    varies slowly away from the roots, so the window's lower edge needs no
+    sample per turn of e^{2ikD}, and nothing overflows there at large D.
+    Also returns the ratio of the smaller term to the larger, at most 1.
     """
-    x0, span = nodes[0][0], nodes[-1][0] - nodes[0][0]
-    segment = ChainSpec(span + 1, tuple((x - x0, atom) for x, atom in nodes), lat)
-    metastable = span + 2 + 2 * np.flatnonzero([atom.is_two_level for _, atom in nodes])
-    keep = np.delete(np.arange(segment.dimension), metastable)
-    n = len(keep)
-    A1 = lat.omega * np.eye(n) - build_hamiltonian(segment)[np.ix_(keep, keep)]
-    # In units of t, each part divided on its own: complex division multiplies by 1/t.
-    A1 = (A1.view(float) / lat.t).view(complex) if A1.imag.any() else A1.real / lat.t
-    # The mirror in the kept basis: -1 where a kept level's image was dropped.
-    position = np.full(segment.dimension, -1)
-    position[keep] = np.arange(n)
-    roots, sizes = [], []
-    for block, columns, _ in _mirror_blocks(A1, position[_mirror(segment)[keep]]):
-        m = len(block)
-        companion = np.zeros((2 * m, 2 * m), A1.dtype)
-        companion[:m, m:], companion[m:, :m], companion[m:, m:] = np.eye(m), -np.eye(m), block
-        ends = np.flatnonzero((columns[0] == 0) | (columns[0] == span))
-        companion[m + ends, ends] = 0.0
-        zeros = len(ends) if block[np.ix_(ends, ends)].any() else 2 * len(ends)
-        mu = np.linalg.eigvals(companion).astype(complex)
-        roots.append(1.0 / mu[np.argsort(np.abs(mu))[zeros:]])
-        sizes.append(2 * m)
-    return np.concatenate(roots), sizes
+    E = lat.omega - 2.0 * lat.t * np.cos(k)
+    sin = np.sin(k)
+    b = 2j * lat.t * sin
+    n1, d1, _ = potential_parts(E, cfg.atom1)
+    n2, d2, _ = (n1, d1, None) if cfg.atom2 == cfg.atom1 else potential_parts(E, cfg.atom2)
+    A, B = (b * d1 - n1) * (b * d2 - n2), n1 * n2
+    L = 2j * cfg.D * k
+    with np.errstate(all="ignore"):  # the exponential is finite where it is taken
+        ratio = np.log(np.abs(B) / np.abs(A)) - 2.0 * cfg.D * k.imag  # log |B e^{2ikD} / A|
+        trapped = ratio > 0.0
+        e = np.exp(np.where(trapped, -L, L))
+        h = np.where(trapped, A * e - B, A - B * e) / sin
+    return np.where(trapped, L, 0.0), h, np.exp(-np.abs(ratio))
+
+
+def _log_steps(k, path, L, h, weaker):
+    """Change of log g over each step between neighbouring samples of one path.
+
+    Where both samples carry L = 2ikD its change is exact, and only log h is
+    taken on its principal branch; elsewhere the whole of log g is.  Also
+    returns the size of that principal-branch part, the step's unknown turn,
+    and the step's length times the larger weaker-term ratio at its ends.
+    Steps between two paths are zero.
+    """
+    both = (L[1:] != 0.0) & (L[:-1] != 0.0)
+    dL = L[1:] - L[:-1]
+    with np.errstate(all="ignore"):
+        turn = np.log(h[1:] / h[:-1] * np.exp(np.where(both, 0.0, dL)))
+    same = path[1:] == path[:-1]
+    spread = np.abs(np.diff(k)) * np.maximum(weaker[1:], weaker[:-1])
+    return (np.where(same, turn + np.where(both, dL, 0.0), 0.0), np.where(same, np.abs(turn), 0.0),
+            np.where(same, spread, 0.0))
+
+
+def _trace(xs, im_lo, im_hi, width, cfg: TwoNodeConfig, lat: LatticeParams):
+    """Sample the window's lower and upper edges and its cut lines Re k = xs.
+
+    Path 0 is the lower edge, path 1 the upper one, both left to right from 2
+    steps per cell; path 2 + i is the line Re k = xs[i], bottom to top from 8
+    steps.  A step is coarse while its unknown turn exceeds pi/4, or while
+    its length times the larger weaker-term ratio at its ends exceeds
+    width / 8.  That bounds the error of taking log g as linear between
+    samples, and keeps the weaker term, turning with e^{2ikD}, from turning
+    the phase by more than about pi/4 in a step.  On the window's
+    boundary, whose winding counts the roots the search must find, a step is
+    also coarse while its length times the change of the slope of log g
+    from a neighbouring step exceeds 1: two roots close to one long step
+    would turn the phase by a whole turn unseen, but not without bending
+    |g|.  A coarse step is cut into as many equal steps as it exceeds its
+    bound by, 4 to 64, and into at least 16 when it turns by more than
+    pi/2: it then passes close to a root, and must get as close.  Returns
+    the samples, their paths, the mask of the cell corners on paths 0 and 1,
+    the change of log g over each step and the paths that still hold a
+    coarse step 1e-12 long or a sample where g is zero or undefined: such a
+    path runs through a root.
+    """
+    cells = len(xs) - 1
+    along = (xs[:-1, None] + 0.5 * np.diff(xs)[:, None] * np.arange(2)).ravel()
+    along = np.r_[along, xs[-1]]
+    up = np.linspace(im_lo, im_hi, 9)
+    k = np.concatenate([along + 1j * im_lo, along + 1j * im_hi, (xs[:, None] + 1j * up).ravel()])
+    path = np.r_[np.zeros(len(along), int), np.ones(len(along), int),
+                 np.repeat(np.arange(2, cells + 3), len(up))]
+    corner = np.r_[np.tile(np.arange(len(along)) % 2 == 0, 2),
+                   np.zeros(len(up) * (cells + 1), bool)]
+    step, turn, spread = _log_steps(k, path, *_factored(k, cfg, lat))
+    tol = width / 8.0
+    while True:
+        length = np.abs(np.diff(k))
+        rim = (path[1:] == path[:-1]) & ((path[1:] < 3) | (path[1:] == cells + 2))
+        slope = np.where(rim, step / np.where(rim, length, 1.0), np.nan)
+        bend = np.abs(np.diff(slope))
+        bend = np.fmax(np.r_[np.nan, bend], np.r_[bend, np.nan]) * length
+        excess = np.fmax(np.maximum(turn / (0.25 * math.pi), spread / tol), bend)
+        broken = ~np.isfinite(step)  # a sample on a root, or on k = 0 or pi
+        j = np.flatnonzero((excess > 1.0) & ~broken)
+        stuck = path[np.r_[j[np.abs(k[j + 1] - k[j]) < 1e-12], np.flatnonzero(broken)]]
+        if len(j) == 0 or len(stuck):
+            return k, path, corner, step, stuck
+        # coarse step j becomes pieces[j] steps through pieces[j] - 1 new samples
+        fewest = np.where(turn[j] > 0.5 * math.pi, 16, 4)
+        pieces = np.clip(np.ceil(excess[j]), fewest, 64).astype(int)
+        row = np.repeat(np.arange(len(j)), pieces + 1)
+        first = np.cumsum(pieces + 1) - (pieces + 1)
+        fraction = (np.arange(len(row)) - first[row]) / pieces[row]
+        sub = k[j][row] + (k[j + 1] - k[j])[row] * fraction
+        sub[first + pieces] = k[j + 1]
+        parts = _log_steps(sub, row, *_factored(sub, cfg, lat))
+        inner = np.ones(len(sub), bool)
+        inner[first], inner[first + pieces] = False, False
+        lead = np.zeros(len(sub) - 1, bool)
+        lead[first] = True
+        at = np.repeat(j + 1, pieces - 1)
+        k = np.insert(k, at, sub[inner])
+        path, corner = np.insert(path, at, path[j].repeat(pieces - 1)), np.insert(corner, at, False)
+        rest = inner[:-1]  # the sub-steps that start at a new sample
+        for a, b in zip((step, turn, spread), parts):
+            a[j] = b[lead]
+        step, turn, spread = (np.insert(a, at, b[rest])
+                              for a, b in zip((step, turn, spread), parts))
+
+
+def _seeds(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
+    """Root counts and seeds of the cells Re k in xs, with each seed's cell.
+
+    A cell holding more than one root, some of whose seeds from ``_cells``
+    fall outside it, holds a cluster its moments do not resolve.  It is
+    seeded again from the smallest of a sequence of boxes about its seeds'
+    centroid that still holds all its roots: the first as wide as the cell,
+    each next one a quarter of the last, grown by 4 instead while none holds
+    them, until one does or a box's seeds lie half its half-width apart.
+    """
+    im_lo, im_hi = im_window
+    xs, counts, seeds, cells = _cells(cfg, lat, xs, im_window, width)
+    outside = (seeds.real <= xs[cells]) | (seeds.real >= xs[cells + 1])
+    outside |= (seeds.imag <= im_lo) | (seeds.imag >= im_hi)
+    for i in np.unique(cells[outside & (counts[cells] > 1)]):
+        (x0, x1), own = xs[i : i + 2], cells == i
+        best, r, held = seeds[own], x1 - x0, False
+        while True:
+            c = best.mean()
+            box = np.array([max(x0, c.real - r), min(x1, c.real + r)])
+            tall = (max(im_lo, c.imag - r), min(im_hi, c.imag + r))
+            try:
+                _, (n,), box_seeds, _ = _cells(cfg, lat, box, tall, 2.0 * r)
+            except UnverifiedRootError:  # a side of the box runs through a root
+                n = -1
+            if n == counts[i]:
+                best, held = box_seeds, True
+                gaps = np.abs(best[:, None] - best[None, :]) + np.eye(len(best)) * r
+                if gaps.min() >= 0.5 * r:
+                    break
+                r *= 0.25
+            elif not held and r < max(x1 - x0, im_hi - im_lo):
+                r *= 4.0
+            else:
+                break
+        seeds[own] = best
+    return xs, counts, seeds, cells
+
+
+def _cells(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
+    """Root counts and seeds of the cells Re k in xs by Im k in ``im_window``.
+
+    A cut whose contour cannot be resolved runs through a root and moves a
+    quarter of its cell to the right; a side xs[0] or xs[-1] or of
+    ``im_window`` that runs through one raises UnverifiedRootError.  Along
+    each cell's contour, from its lower-left corner k0 with log g continued
+    from the samples, the moments about its centre c are
+    s_p = N (k0 - c)^p - p / (2 pi i) oint (k - c)^{p-1} log g dk, integrated
+    exactly for log g linear between samples.  A cell holding one root is
+    seeded at its centre c plus s_1; one holding more at c plus the roots of
+    the polynomial whose power sums, by Newton's identities, are its s_p.
+    Returns the cut edges, the counts, the seeds and each seed's cell.
+    """
+    im_lo, im_hi = im_window
+    cuts = xs[1:-1].copy()
+    while True:
+        xs = np.r_[xs[0], cuts, xs[-1]]
+        k, path, corner, step, stuck = _trace(xs, im_lo, im_hi, width, cfg, lat)
+        if not len(stuck):
+            break
+        moved = np.unique(stuck) - 3  # path 3 + i is cuts[i]
+        if moved[0] < 0 or moved[-1] >= len(cuts):
+            raise UnverifiedRootError(
+                "a trapped-mode root, or k = 0 or pi, lies on the search window's boundary")
+        cuts[moved] += 0.25 * (xs[moved + 2] - xs[moved + 1])
+    cells = len(xs) - 1
+    # log g along each path, from 0 at its first sample
+    log_g = np.r_[0.0, np.cumsum(step)]
+    start = np.flatnonzero(np.r_[True, path[1:] != path[:-1]])
+    log_g -= np.repeat(log_g[start], np.diff(np.r_[start, len(k)]))
+    lower, upper = log_g[corner & (path == 0)], log_g[corner & (path == 1)]
+    rise = log_g[np.r_[start[3:], len(k)] - 1]  # over each cut line
+    winding = (np.diff(lower) + rise[1:] - np.diff(upper) - rise[:-1]).imag / (2.0 * math.pi)
+    counts = np.round(winding).astype(int)
+    if np.any(np.abs(winding - counts) > 0.01):
+        raise UnverifiedRootError(f"the contour's winding numbers {winding} are not counts")
+    # log g on each side of a cell, continued around it from the lower-left corner:
+    # the lower side as path 0 (from 0 there), then the right, upper and left sides
+    right = lower[1:]
+    top = right + rise[1:] - upper[1:]
+    left = upper[:-1] + top - rise[:-1]
+    j = np.flatnonzero(path[1:] == path[:-1])
+    cell_of = np.cumsum(corner) - 1 - np.where(path == 1, cells + 1, 0)
+    lower_j, upper_j, line_j = j[path[j] == 0], j[path[j] == 1], j[path[j] >= 2]
+    line = path[line_j] - 2
+    sides = [(lower_j, cell_of[lower_j], 1.0, np.zeros(cells)),
+             (upper_j, cell_of[upper_j], -1.0, top),
+             (line_j[line >= 1], line[line >= 1] - 1, 1.0, right),
+             (line_j[line < cells], line[line < cells], -1.0, left)]
+    centre = 0.5 * (xs[:-1] + xs[1:]) + 0.5j * (im_lo + im_hi)
+    k0 = xs[:-1] + 1j * im_lo - centre
+
+    def moment(p):
+        """s_p about each centre, over the cells holding p roots or more."""
+        integral = np.zeros(cells, complex)
+        for j, cell, sign, offset in sides:
+            held = counts[cell] >= p
+            j, cell = j[held], cell[held]
+            a, dk = k[j] - centre[cell], k[j + 1] - k[j]
+            ell, dell = log_g[j] + offset[cell], log_g[j + 1] - log_g[j]
+            # exact integral over the step of (k - c)^{p-1} times log g linear in the step
+            part = sign * dk * sum(math.comb(p - 1, i) * a ** (p - 1 - i) * dk ** i
+                                   * (ell / (i + 1) + dell / (i + 2)) for i in range(p))
+            integral += np.bincount(cell, part.real, cells)
+            integral += 1j * np.bincount(cell, part.imag, cells)
+        return counts * k0 ** p - p * integral / (2j * math.pi)
+
+    s = [moment(p) for p in range(1, max(counts.max(initial=0), 1) + 1)]
+    seed_cells = [np.flatnonzero(counts == 1)]
+    seeds = [centre[seed_cells[0]] + s[0][seed_cells[0]]]
+    for i in np.flatnonzero(counts > 1):
+        e = [1.0]
+        for n in range(1, counts[i] + 1):  # Newton's identities
+            e.append(sum((-1) ** (q - 1) * e[n - q] * s[q - 1][i] for q in range(1, n + 1)) / n)
+        seeds.append(centre[i] + np.roots([(-1) ** n * e[n] for n in range(counts[i] + 1)]))
+        seed_cells.append(np.full(counts[i], i))
+    seed_cells = np.concatenate(seed_cells)
+    order = np.argsort(seed_cells, kind="stable")
+    return xs, counts, np.concatenate(seeds).astype(complex)[order], seed_cells[order]
+
+
+def _polish(ks, cells, cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
+    """Newton on ``quasibound_residual`` until each step is below 4 ulps of |k|.
+
+    The slope is a central difference, exact for a quadratic: a forward one
+    stalls 1e-8 short of a root 1e-7 from the next.  Each root is deflated
+    by the others of its cell (Aberth's correction), so that two seeds
+    cannot settle on one root; ``cells`` is sorted.  A root still moving
+    after 64 steps keeps its last value for the residual check.
+    """
+    ks = ks.copy()
+    moving = np.ones(len(ks), bool)
+    shifts = range(1, int(np.bincount(cells).max(initial=1)))
+    h = 1e-7
+    for _ in range(64):
+        i = np.flatnonzero(moving)
+        if not len(i):
+            break
+        behind, P22, ahead = quasibound_residual(np.stack([ks[i] - h, ks[i], ks[i] + h]), cfg, lat)
+        newton = 2.0 * h * P22 / (ahead - behind)
+        pull = np.zeros(len(ks), complex)
+        for s in shifts:
+            with np.errstate(all="ignore"):
+                inverse = np.where(cells[s:] == cells[:-s], 1.0 / (ks[s:] - ks[:-s]), 0.0)
+            pull[s:] += inverse
+            pull[:-s] -= inverse
+        step = newton / (1.0 - newton * pull[i])
+        ks[i] -= step
+        moving[i] = np.abs(step) > 2.0 ** -50 * np.abs(ks[i])
+    return ks
 
 
 def find_quasibound_modes(
@@ -132,36 +350,48 @@ def find_quasibound_modes(
 ) -> list[QuasiboundMode] | tuple[list[QuasiboundMode], dict]:
     """Find every trapped-mode root inside the complex momentum window.
 
-    The roots are the Siegert states of the lattice segment between the two
-    nodes, ``_siegert_roots``, so none is missed; k = -i log z is taken on the
-    2 pi period holding the window, whose bounds are exclusive by 1e-6.  The
-    lattice finds the roots and the kernel's transfer matrix verifies them:
-    each window root takes three Newton steps in k on ``quasibound_residual``
-    with a forward-difference slope, then moves to whichever of Re k's two
-    neighbouring doubles has a smaller scaled residual, if either has.  One
-    whose scaled residual still exceeds VERIFY_TOL raises UnverifiedRootError.
-    Results are sorted by (Re k, Im k).  ``n_re`` and ``n_im`` are accepted
-    and ignored (they sized an earlier seed grid).  ``return_diagnostics``
-    adds the count of finite Siegert roots, the sizes of the companions
-    solved (two for a mirror-symmetric pair, one otherwise), the window-root
-    count and the largest scaled residual.
+    The window's Re k bounds are exclusive by 1e-6, so that its sides stay
+    off the band-edge roots on Re k = 0 and pi.  Cut lines at
+    (m + 1/2) pi / D, halfway between the perfect-mirror momenta and none
+    within a quarter cell of the window's sides, split it into cells.
+    ``_seeds`` counts each cell's roots by the argument principle and seeds
+    them from its contour moments; ``_polish`` runs Newton on
+    ``quasibound_residual`` to convergence.  Each root then moves to
+    whichever of Re k's two neighbouring doubles has a smaller scaled
+    residual, if either has.  The roots must lie inside the window and each
+    cell must hold as many distinct roots as it counts, a multiple root
+    counting as many as ``_uncertified`` finds it has.  Roots close to a
+    cut line can spoil its count, so when a cell fails, every cut moves to
+    (m + 3/4) pi / D and then to (m + 1/4) pi / D, and the search runs again;
+    UnverifiedRootError is raised when all three placements fail, or when a
+    scaled residual exceeds VERIFY_TOL.  Results are sorted by (Re k, Im k).
+    ``n_re`` and ``n_im`` are accepted and ignored (they sized an earlier
+    seed grid).
+    ``return_diagnostics`` adds the window's root count by the argument
+    principle (``winding``), the number of cells, the window-root count and
+    the largest scaled residual.
     """
     re_lo, re_hi = re_window[0] + 1e-6, re_window[1] - 1e-6
-    im_lo, im_hi = im_window
-    zs, blocks = _siegert_roots([(0, cfg.atom1), (cfg.D, cfg.atom2)], lat)
-    mid = 0.5 * (re_lo + re_hi)
-    ks = mid - 1j * np.log(zs * cmath.exp(-1j * mid))
-    ks = ks[(re_lo < ks.real) & (ks.real < re_hi) & (im_lo < ks.imag) & (ks.imag < im_hi)]
-    h = 1e-7
-    for _ in range(3):
-        P22 = quasibound_residual(ks, cfg, lat)
-        ks = ks - h * P22 / (quasibound_residual(ks + h, cfg, lat) - P22)
-    # On weak mirrors the residual moves by more than VERIFY_TOL / 10 per ulp
-    # of Re k, and Newton's last step need not round onto the best double.
-    below, above = (np.nextafter(ks.real, side) + 1j * ks.imag for side in (-np.inf, np.inf))
-    near = np.stack([ks, below, above])
-    scaled = quasibound_residual(near, cfg, lat, scaled=True)
-    ks, residuals = (np.take_along_axis(a, scaled.argmin(0)[None], 0)[0] for a in (near, scaled))
+    width = math.pi / cfg.D
+    for shift in (0.5, 0.75, 0.25):
+        m = np.arange(math.ceil(re_lo / width - shift), math.floor(re_hi / width - shift) + 1)
+        cuts = (m + shift) * width
+        cuts = cuts[(re_lo + 0.25 * width < cuts) & (cuts < re_hi - 0.25 * width)]
+        xs = np.r_[re_lo, cuts, re_hi]
+        xs, counts, seeds, seed_cells = _seeds(cfg, lat, xs, im_window, width)
+        ks = _polish(seeds, seed_cells, cfg, lat)
+        # On weak mirrors the residual moves by more than VERIFY_TOL / 10 per ulp
+        # of Re k, and Newton's last step need not round onto the best double.
+        below, above = (np.nextafter(ks.real, side) + 1j * ks.imag for side in (-np.inf, np.inf))
+        near = np.stack([ks, below, above])
+        scaled = quasibound_residual(near, cfg, lat, scaled=True)
+        ks, residuals = (np.take_along_axis(a, scaled.argmin(0)[None], 0)[0] for a in (near, scaled))
+        wrong = _uncertified(ks, xs, counts, im_window, cfg, lat)
+        if not wrong:
+            break
+        log.debug("D=%d, cut lines at (m + %g) pi / D: %s", cfg.D, shift, wrong)
+    else:
+        raise UnverifiedRootError(wrong)
     modes = []
     for k, residual in zip(ks.tolist(), residuals.tolist()):
         if not residual <= VERIFY_TOL:
@@ -175,8 +405,8 @@ def find_quasibound_modes(
         )
     modes.sort(key=lambda m: (m.k.real, m.k.imag))
     diagnostics = {
-        "finite_roots": len(zs),
-        "blocks": blocks,
+        "winding": int(counts.sum()),
+        "cells": len(counts),
         "window_roots": len(modes),
         "max_residual": max((m.residual for m in modes), default=0.0),
     }
@@ -184,18 +414,42 @@ def find_quasibound_modes(
     return (modes, diagnostics) if return_diagnostics else modes
 
 
+def _uncertified(ks, xs, counts, im_window, cfg: TwoNodeConfig, lat: LatticeParams) -> str:
+    """What fails the certificate, or "" when each cell holds as many distinct roots as it counts.
+
+    Roots of one cell within 1e-12 of each other pass only as one multiple
+    root: the argument principle must count as many roots in a box 1e-9
+    about them.  A pair closer than about 1e-8 is a double root to P22's
+    rounding, and Newton takes both its seeds to one point.
+    """
+    cell = np.searchsorted(xs, ks.real) - 1
+    inside = (xs[0] < ks.real) & (ks.real < xs[-1])
+    inside &= (im_window[0] < ks.imag) & (ks.imag < im_window[1])
+    found = np.bincount(cell[inside], minlength=len(counts))
+    if not inside.all() or np.any(found != counts):
+        wrong = found != counts
+        return (f"Newton left {np.count_nonzero(~inside)} roots outside the window, and the cells "
+                f"Re k > {xs[:-1][wrong].round(6).tolist()} hold {found[wrong].tolist()} "
+                f"roots where the argument principle counts {counts[wrong].tolist()}")
+    order = np.lexsort((ks.imag, ks.real))
+    repeat = (cell[order][1:] == cell[order][:-1]) & (np.abs(np.diff(ks[order])) <= 1e-12)
+    for k in ks[order][1:][repeat]:
+        repeats = np.count_nonzero(np.abs(ks - k) <= 1e-12)
+        try:
+            _, (n,), _, _ = _cells(cfg, lat, np.array([k.real - 1e-9, k.real + 1e-9]),
+                                  (k.imag - 1e-9, k.imag + 1e-9), 2e-9)
+        except UnverifiedRootError:  # a side of the box runs through another root
+            n = 0
+        if n != repeats:
+            return f"{repeats} seeds of one cell converged to the same trapped-mode root {k}"
+    return ""
+
+
 def _mode_index(k: complex, D: int) -> int | None:
     n = round(k.real * D / math.pi)
     if 1 <= n <= D - 1 and abs(k - math.pi * n / D) < 0.25 * math.pi / D:
         return n
     return None
-
-
-def quantized_momenta(D: int) -> list[float]:
-    """Perfect-mirror momenta pi n / D inside the band, n = 1..D-1."""
-    if not (isinstance(D, int) and D >= 1):
-        raise ValueError(f"node separation D must be an integer >= 1, got {D!r}")
-    return [math.pi * n / D for n in range(1, D)]
 
 
 def bound_profile(D: int, n: int) -> np.ndarray:

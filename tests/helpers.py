@@ -1,11 +1,13 @@
-"""Shared random draws, the paper's closed forms and a reference CSV writer for the tests.
+"""Shared random draws, the paper's closed forms, the lattice's trapped modes and a reference CSV writer for the tests.
 
 The closed forms below are the reference the vectorised kernel
 ``chain_scatter`` is checked against.  They evaluate the paper's formulas
 point by point, with their own potential and limit bands, and share no code
 with the kernel: only the tolerances ``model.SINGULAR_TOL`` and
 ``scattering.LIMIT_WINDOW``, read at each call so that a test may patch
-them.
+them.  ``siegert_roots`` is the reference for the trapped-mode search: the
+roots come from the lattice segment between the nodes, an eigenproblem that
+shares no code with the contour search.
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ import numpy as np
 
 from cavitychain import (
     AtomParams,
+    ChainSpec,
     LatticeParams,
     LimitWindowError,
     TwoNodeConfig,
+    build_hamiltonian,
     dispersion_energy,
     model,
+    oracle,
     scattering,
 )
 
@@ -137,6 +142,76 @@ def limit_scatter(k: float, regime: str, atom: AtomParams, lat: LatticeParams) -
         return ScatteringResult(k=k, E=E, r=-1.0 + 0.0j, s=0.0j, singular=True)
     r = v / (transport - v)
     return ScatteringResult(k=k, E=E, r=r, s=1.0 + r)
+
+
+def siegert_roots(nodes, lat: LatticeParams) -> tuple[np.ndarray, list[int]]:
+    """Every finite z = e^{ik} of the open segment from the first node to the last.
+
+    A trapped mode is a Siegert state (Siegert, Phys. Rev. 56, 750 (1939)):
+    an eigenvector of the segment with purely outgoing waves outside it.  The
+    unknowns are those of the segment's ``build_hamiltonian``, sites 0..L and
+    node levels, less the decoupled metastable level of a two-level node,
+    which would add a false root at E = delta.  With
+    u_{-1} = z u_0, u_{L+1} = z u_L and E = omega - t (z + 1/z), z (E - H) u = 0
+    reads (A0 + z A1 + z^2 A2) u = 0 with A0 = -t I, A1 = omega I - H and
+    A2 = -t I but for zero rows at the two end sites.  In mu = 1/z that is the
+    eigenproblem of [[0, I], [A2/t, A1/t]], real when nothing decays.  A
+    mirror-symmetric segment (A1 equal to its image under ``oracle._mirror``)
+    splits into the even and odd blocks of ``oracle._mirror_blocks``, in each
+    of which site 0 stands for both end sites; every other segment is one
+    block.  Each zero row forces one eigenvalue mu = 0.  When no hop joins
+    the two end sites (a span of 2 or more), A1 vanishes between them too,
+    and each of those zeros has a Jordan partner, which rounding would
+    return as |z| ~ 1e15.  Every mu = 0 is dropped, the smallest |mu|
+    first: 2n - 2 roots for n unknowns at a span of 1, 2n - 4 beyond.
+    Returns the roots and the size of each companion solved.
+    """
+    x0, span = nodes[0][0], nodes[-1][0] - nodes[0][0]
+    segment = ChainSpec(span + 1, tuple((x - x0, atom) for x, atom in nodes), lat)
+    metastable = span + 2 + 2 * np.flatnonzero([atom.is_two_level for _, atom in nodes])
+    keep = np.delete(np.arange(segment.dimension), metastable)
+    n = len(keep)
+    A1 = lat.omega * np.eye(n) - build_hamiltonian(segment)[np.ix_(keep, keep)]
+    # In units of t, each part divided on its own: complex division multiplies by 1/t.
+    A1 = (A1.view(float) / lat.t).view(complex) if A1.imag.any() else A1.real / lat.t
+    # The mirror in the kept basis: -1 where a kept level's image was dropped.
+    position = np.full(segment.dimension, -1)
+    position[keep] = np.arange(n)
+    roots, sizes = [], []
+    for block, columns, _ in oracle._mirror_blocks(A1, position[oracle._mirror(segment)[keep]]):
+        m = len(block)
+        companion = np.zeros((2 * m, 2 * m), A1.dtype)
+        companion[:m, m:], companion[m:, :m], companion[m:, m:] = np.eye(m), -np.eye(m), block
+        ends = np.flatnonzero((columns[0] == 0) | (columns[0] == span))
+        companion[m + ends, ends] = 0.0
+        zeros = len(ends) if block[np.ix_(ends, ends)].any() else 2 * len(ends)
+        mu = np.linalg.eigvals(companion).astype(complex)
+        roots.append(1.0 / mu[np.argsort(np.abs(mu))[zeros:]])
+        sizes.append(2 * m)
+    return np.concatenate(roots), sizes
+
+
+def siegert_window_roots(cfg: TwoNodeConfig, lat: LatticeParams, re_window=(0.0, math.pi),
+                         im_window=(-0.5, 0.05)) -> np.ndarray:
+    """The Siegert roots k of two nodes inside a search window, sorted by (Re k, Im k).
+
+    k = -i log z is taken on the 2 pi period holding the window, whose Re k
+    bounds are exclusive by 1e-6, as in ``find_quasibound_modes``.
+    """
+    zs, _ = siegert_roots([(0, cfg.atom1), (cfg.D, cfg.atom2)], lat)
+    re_lo, re_hi = re_window[0] + 1e-6, re_window[1] - 1e-6
+    mid = 0.5 * (re_lo + re_hi)
+    ks = mid - 1j * np.log(zs * cmath.exp(-1j * mid))
+    inside = (re_lo < ks.real) & (ks.real < re_hi) & (im_window[0] < ks.imag) & (ks.imag < im_window[1])
+    ks = ks[inside]
+    return ks[np.lexsort((ks.imag, ks.real))]
+
+
+def quantized_momenta(D: int) -> list[float]:
+    """Perfect-mirror momenta pi n / D inside the band, n = 1..D-1."""
+    if not (isinstance(D, int) and D >= 1):
+        raise ValueError(f"node separation D must be an integer >= 1, got {D!r}")
+    return [math.pi * n / D for n in range(1, D)]
 
 
 def draw_lattice(rng: np.random.Generator) -> LatticeParams:

@@ -836,16 +836,17 @@ class TestQuasiboundCommand:
         assert main(argv) == 0
         assert logging.getLogger("cavitychain").level == logging.WARNING
 
-    def test_sidecar_records_the_companion_blocks(self, tmp_path):
-        # a mirror-symmetric pair is two half-size companions (sites 0..5 and
-        # 0..4 with one node's two levels each); the default second node is
-        # two-level, so the fig3a node alone faces it and gives one
-        for extra, blocks in ((["omega_e2=1", "delta2=0", "Omega2=1", "g2=1"], [16, 14]), ([], [28])):
-            out = tmp_path / f"blocks-{len(blocks)}.csv"
+    def test_sidecar_records_the_winding_count(self, tmp_path):
+        # D = 10 cuts (0, pi) into 11 cells, one about each pi n / 10 for
+        # n = 0..10; the argument principle counts the rows written, for the
+        # fig3a pair and for the fig3a node facing the default two-level one
+        for extra in (["omega_e2=1", "delta2=0", "Omega2=1", "g2=1"], []):
+            out = tmp_path / f"winding-{len(extra)}.csv"
             assert main(["quasibound", *QB_SETS, *sets(*extra), "--out", str(out)]) == 0
             diagnostics = json.loads(out.with_name(out.name + ".meta.json").read_text())["mode_diagnostics"]
-            assert diagnostics["blocks"] == blocks
-            assert diagnostics["finite_roots"] == sum(blocks) - 4  # D = 10: no mu = 0 kept
+            _, rows = read_csv(out)
+            assert diagnostics["cells"] == 11
+            assert diagnostics["winding"] == diagnostics["window_roots"] == len(rows) > 0
 
     def test_profile_dump(self, tmp_path):
         cfg = tmp_path / "prof.cfg"

@@ -18,13 +18,13 @@ from cavitychain import (
     find_quasibound_modes,
     momentum_from_energy,
     oracle,
-    quantized_momenta,
     quasibound,
     quasibound_residual,
 )
 from cavitychain.model import potential_parts
 from cavitychain.quasibound import DEFAULT_IM_WINDOW, VERIFY_TOL
 from cavitychain.scattering import _transfer_row
+from helpers import quantized_momenta, siegert_roots, siegert_window_roots
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 
@@ -207,9 +207,9 @@ class TestModeSearch:
         atom = mirror_atom(dispersion_energy(0.3 * math.pi, LAT) + 1e-2)
         cfg = TwoNodeConfig(atom, atom, D=4)
         modes, diag = find_quasibound_modes(cfg, LAT, return_diagnostics=True)
-        # sites 0..4 and two levels per node: 2n - 4 roots for n = 9 unknowns
-        assert diag["finite_roots"] == 2 * (5 + 4) - 4
-        assert diag["window_roots"] == len(modes)
+        # cut lines at (m + 1/2) pi / 4, m = 0..3: five cells across (0, pi)
+        assert diag["cells"] == 5
+        assert diag["winding"] == diag["window_roots"] == len(modes) == len(siegert_window_roots(cfg, LAT))
         assert diag["max_residual"] == max(m.residual for m in modes) <= VERIFY_TOL
 
     def test_window_across_the_band_edge_wraps_the_period(self):
@@ -319,7 +319,7 @@ class TestCompleteness:
         # problem has no root within 0.01 of them.  A two-level node's
         # metastable level, if kept, would add a false root at E = delta
         nodes = list(zip(sites, atoms))
-        k = -1j * np.log(quasibound._siegert_roots(nodes, LAT)[0])
+        k = -1j * np.log(siegert_roots(nodes, LAT)[0])
         im_lo, im_hi = DEFAULT_IM_WINDOW
 
         def count(margin):
@@ -331,22 +331,119 @@ class TestCompleteness:
         assert count(1e-6) == expected
 
     def test_roots_of_the_wrong_separation_raise(self, monkeypatch):
-        # negative control: Siegert roots of the D+1 segment fail the D residual
-        exact = quasibound._siegert_roots
+        # negative control: the cells, counts and seeds of the D+1 cavity
+        # polish onto roots of the D residual that do not match those counts
+        exact = quasibound._seeds
 
-        def shifted(nodes, lat):
-            (x1, atom1), (x2, atom2) = nodes
-            return exact([(x1, atom1), (x2 + 1, atom2)], lat)
+        def shifted(cfg, lat, xs, im_window, width):
+            return exact(TwoNodeConfig(cfg.atom1, cfg.atom2, cfg.D + 1), lat, xs, im_window, width)
 
-        monkeypatch.setattr(quasibound, "_siegert_roots", shifted)
-        with pytest.raises(UnverifiedRootError, match="scaled residual"):
+        monkeypatch.setattr(quasibound, "_seeds", shifted)
+        with pytest.raises(UnverifiedRootError, match="argument principle counts"):
             find_quasibound_modes(TwoNodeConfig(LAMBDA, LAMBDA, 10), LAT)
+
+    @pytest.mark.parametrize("which", ["single", "multi"])
+    def test_dropping_one_seed_raises(self, monkeypatch, which):
+        # negative control: a cell left one seed short holds fewer roots than
+        # it counts, whether it counts one root or two
+        exact = quasibound._seeds
+
+        def short(cfg, lat, xs, im_window, width):
+            xs, counts, seeds, cells = exact(cfg, lat, xs, im_window, width)
+            i = np.flatnonzero(counts[cells] == (1 if which == "single" else 2))[0]
+            return xs, counts, np.delete(seeds, i), np.delete(cells, i)
+
+        monkeypatch.setattr(quasibound, "_seeds", short)
+        with pytest.raises(UnverifiedRootError, match="argument principle counts"):
+            find_quasibound_modes(TwoNodeConfig(LAMBDA, LAMBDA, 20), LAT)
+
+    def test_cut_through_a_root_moves(self):
+        # two two-level nodes at D = 3 have a root on the cut line Re k = pi/2
+        # (the cuts run at (m + 1/2) pi / 3); that cut moves and the count holds
+        cfg = TwoNodeConfig(TWO_LEVEL, TWO_LEVEL, 3)
+        (on_cut,) = [k for k in siegert_window_roots(cfg, NARROW_LAT) if abs(k.real - math.pi / 2) < 1e-12]
+        modes, diag = find_quasibound_modes(cfg, NARROW_LAT, return_diagnostics=True)
+        assert diag["winding"] == len(modes) == 2
+        assert min(abs(m.k - on_cut) for m in modes) <= 1e-12
+
+
+#: Pair types of the completeness matrix, with their lattices.
+PAIRS = {
+    "lambda": (LAMBDA, LAMBDA, LAT),
+    "two-level": (TWO_LEVEL, TWO_LEVEL, NARROW_LAT),
+    "two-level-at-band-centre": (AtomParams.two_level(1.0), AtomParams.two_level(1.0), NARROW_LAT),
+    "lambda-asymmetric": (LAMBDA, AtomParams(omega_e=0.7, delta=-0.2, Omega=0.8), LAT),
+    "decaying": (DECAYING, DECAYING, LAT),
+    "lambda-two-level": (*MIXED, LAT),
+}
+
+
+class TestCompletenessMatrix:
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_every_separation_matches_the_lattice(self, pair):
+        # every D from 1 to 40, then 100 and 400: the window count by the
+        # argument principle equals the lattice's, and each root lies within
+        # 1e-12 of its Siegert root, one to one in (Re k, Im k) order
+        atom1, atom2, lat = PAIRS[pair]
+        for D in [*range(1, 41), 100, 400]:
+            cfg = TwoNodeConfig(atom1, atom2, D)
+            modes, diag = find_quasibound_modes(cfg, lat, return_diagnostics=True)
+            reference = siegert_window_roots(cfg, lat)
+            assert diag["winding"] == len(modes) == len(reference), D
+            ks = np.array([m.k for m in modes])
+            assert np.all(np.abs(ks - reference) <= 1e-12), D
+
+    @pytest.mark.parametrize(
+        "lat, atom, D",
+        [
+            pytest.param(LatticeParams(omega=-0.8, t=2.72),
+                         AtomParams(omega_e=-1.715, delta=-1.946, Omega=0.213, g=0.667), 3,
+                         id="four-roots-near-the-upper-edge"),
+            pytest.param(LatticeParams(omega=0.2, t=3.47),
+                         AtomParams(omega_e=1.488, delta=0.57, Omega=1.576, g=1.167), 73,
+                         id="bound-pair-just-past-the-band-edge"),
+            pytest.param(LatticeParams(omega=-0.94, t=0.54),
+                         AtomParams(omega_e=2.74, delta=-1.98, Omega=0.46, g=0.99, Gamma=0.12, gamma=0.2), 39,
+                         id="decaying-pair-1e-7-apart"),
+            pytest.param(LatticeParams(omega=-0.94, t=0.54),
+                         AtomParams(omega_e=2.74, delta=-1.98, Omega=0.46, g=0.99, Gamma=0.12, gamma=0.2), 78,
+                         id="decaying-double-root"),
+            pytest.param(LAT, weak(0.1), 400, id="weak-mirror-cluster"),
+        ],
+    )
+    def test_close_roots_match_the_lattice(self, lat, atom, D):
+        # roots close to the window's boundary or to each other: several
+        # near the window's upper edge, or a bound-state pair 1e-6 past its
+        # side, turn the phase by a whole turn between two samples unless
+        # the boundary follows the bending of |g|; a forward-difference
+        # Newton stalls 1e-8 short of a root 1e-7 from the next; at D = 78
+        # that pair is one double root to rounding, found twice; the weak
+        # mirrors' three roots within 1e-2 at a node pole need a box about
+        # them to be seeded
+        cfg = TwoNodeConfig(atom, atom, D)
+        modes, diag = find_quasibound_modes(cfg, lat, return_diagnostics=True)
+        reference = siegert_window_roots(cfg, lat)
+        assert diag["winding"] == len(modes) == len(reference)
+        assert np.abs(np.array([m.k for m in modes]) - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("pair", ["lambda", "two-level"])
+    def test_long_cavity_against_the_argument_principle(self, pair):
+        # D = 800 is beyond the lattice reference's reach in a test; the count
+        # comes from the kernel's P22 wound around 40 samples per unit of D.
+        # Below Im k = -0.44, |e^{2ikD}| overflows, and no root lies there
+        atom1, atom2, lat = PAIRS[pair]
+        modes, diag = find_quasibound_modes(TwoNodeConfig(atom1, atom2, 800), lat, return_diagnostics=True)
+        rect = (1e-3, math.pi - 1e-3, -0.4, 0.05)
+        assert all(1e-3 < m.k.real < math.pi - 1e-3 and m.k.imag > -0.4 for m in modes)
+        assert diag["winding"] == len(modes) == winding_number([(0, atom1), (800, atom2)], lat, rect, 32200)
+        assert len(modes) == {"lambda": 801, "two-level": 799}[pair]
+        assert max(m.residual for m in modes) <= VERIFY_TOL
 
 
 def full_companion_roots(nodes, lat):
     """Every finite Siegert root z of ``nodes`` from one companion of the whole segment.
 
-    Written out from ``build_hamiltonian`` as in ``_siegert_roots``, with no
+    Written out from ``build_hamiltonian`` as in ``siegert_roots``, with no
     parity blocks: sites 0..L, then the levels kept, A1 = (omega - H) / t,
     and A2 = I but for zero rows at the two end sites, which force two
     eigenvalues mu = 1/z = 0.  With no hop between the end sites (a span of 2
@@ -402,7 +499,7 @@ class TestParityBlocks:
         # mu = 0 of the end sites it folds into one, plus its Jordan partner
         # past a span of 1
         nodes = list(zip(sites, atoms))
-        zs, sizes = quasibound._siegert_roots(nodes, LAT)
+        zs, sizes = siegert_roots(nodes, LAT)
         n, reference = full_companion_roots(nodes, LAT)
         assert len(sizes) == 2 and sum(sizes) == 2 * n and 0 <= sizes[0] - sizes[1] <= 2 * len(nodes)
         assert len(zs) == 2 * n - (2 if sites[-1] - sites[0] == 1 else 4)
@@ -420,7 +517,7 @@ class TestParityBlocks:
         # one ulp of Omega, a dropped level facing a kept one, or nodes off
         # each other's mirror sites: the whole companion, both end zeros and
         # their Jordan partners dropped
-        zs, sizes = quasibound._siegert_roots(nodes, LAT)
+        zs, sizes = siegert_roots(nodes, LAT)
         n, reference = full_companion_roots(nodes, LAT)
         assert sizes == [2 * n]
         assert len(zs) == 2 * n - 4
@@ -430,7 +527,7 @@ class TestParityBlocks:
     @pytest.mark.parametrize("second", [LAMBDA, nudged(LAMBDA)], ids=["symmetric", "one-ulp"])
     def test_no_root_at_infinity(self, D, second):
         # past a span of 1 the end zeros' Jordan partners came back as |z| ~ 1e15
-        zs, sizes = quasibound._siegert_roots([(0, LAMBDA), (D, second)], LAT)
+        zs, sizes = siegert_roots([(0, LAMBDA), (D, second)], LAT)
         assert len(sizes) == (2 if second is LAMBDA else 1)
         assert len(zs) == sum(sizes) - (2 if D == 1 else 4)
         assert np.abs(zs).max() <= 1e8
