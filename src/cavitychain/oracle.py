@@ -208,14 +208,24 @@ def _hamiltonian_band(spec: ChainSpec) -> np.ndarray:
     return H
 
 
-def _expand(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dense matrices holding ``band[..., i, 3 + d]`` at (rows[i], cols[i + d]), zero elsewhere."""
-    *batch, size, _ = band.shape
+def _entries(band: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the band's entries in ``build_hamiltonian``'s basis.
+
+    ``band[..., i, 3 + d]`` sits at (order[i], order[i + d]), each entry once;
+    the values keep the band's dtype and batch axes.
+    """
+    size = band.shape[-2]
     i = np.arange(size)[:, None]
     i, c = np.broadcast_arrays(i, i + np.arange(-3, 4))
     inside = (c >= 0) & (c < size)
-    dense = np.zeros((*batch, size * size), dtype=np.complex128)
-    dense[..., rows[i[inside]] * size + cols[c[inside]]] = band[..., inside]
+    return order[i[inside]], order[c[inside]], band[..., inside]
+
+
+def _expand(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Dense ``(*batch, size, size)`` matrices of the values' dtype, ``values`` at (rows, cols)."""
+    batch = values.shape[:-1]
+    dense = np.zeros((*batch, size * size), dtype=values.dtype)
+    dense[..., rows * size + cols] = values
     return dense.reshape(*batch, size, size)
 
 
@@ -226,8 +236,7 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     the dense expansion of ``_hamiltonian_band``.  Array fields broadcast to
     a shape ``batch`` and give the ``(*batch, dim, dim)`` stack of their H.
     """
-    order = _interleaved_order(spec)
-    return _expand(_hamiltonian_band(spec), order, order)
+    return _expand(*_entries(_hamiltonian_band(spec), _interleaved_order(spec)), spec.dimension)
 
 
 def _stationary_band(spec: ChainSpec, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,27 +373,42 @@ def _mirror(spec: ChainSpec) -> np.ndarray:
     return np.concatenate((np.arange(spec.n_sites)[::-1], levels))
 
 
-def _mirror_blocks(A: np.ndarray, mirror: np.ndarray) -> list[tuple[np.ndarray, tuple, tuple]]:
-    """A's even and odd parity blocks when it is mirror-symmetric, else A alone.
+def _mirror_blocks(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                   mirror: np.ndarray) -> list[tuple[np.ndarray, tuple, tuple]]:
+    """The even and odd parity blocks of A, or A alone when it is not mirror-symmetric.
 
-    ``mirror`` is an involution of A's basis; when A equals
-    A[mirror][:, mirror] exactly, the basis (e_i + e_mirror(i)) / c,
-    (e_i - e_mirror(i)) / c of one representative i per pair (c = sqrt 2) or
-    fixed point (c = 2, even only) reduces A to its even and odd blocks,
-    2 (A[R, R] +- A[R, mirror[R]]) / (c c^T), each about half A's size.  A
-    negative entry of ``mirror``, an image outside A's basis, or any
-    difference between A and its image leaves A as its only block.
+    A is the matrix holding ``values`` at (rows, cols), each entry listed
+    once, and zero elsewhere.  ``mirror`` is an involution of A's basis;
+    when A equals A[mirror][:, mirror] exactly, the basis
+    (e_i + e_mirror(i)) / c, (e_i - e_mirror(i)) / c of one representative i
+    per pair (c = sqrt 2) or fixed point (c = 2, even only) reduces A to its
+    even and odd blocks, 2 (A[R, R] +- A[R, mirror[R]]) / (c c^T), each about
+    half A's size.  A negative entry of ``mirror``, an image outside A's
+    basis, or any difference between A and its image leaves A as its only
+    block, and only that block is expanded: A is tested and folded from its entries.
     Each block comes as ``(block, columns, weights)``, tuples of one or two
     index and weight arrays: entry i of a block vector w expands to
     w[i] weights[j][i] at entry columns[j][i] of A's basis, for every j (on
     the mirror plane the two name the same entry and agree).
     """
-    index = np.arange(len(A))
-    if mirror.min() < 0 or not (A == A[mirror[:, None], mirror]).all():
-        return [(A, (index,), (np.ones(len(A)),))]
-    R = np.flatnonzero(index <= mirror)
-    image, rows = mirror[R], A[R]
-    same, swapped = rows[:, R], rows[:, image]
+    size = len(mirror)
+    nonzero = values != 0  # A's nonzero entries, sorted by position, against their images'
+    here = rows[nonzero] * size + cols[nonzero]
+    there = mirror[rows[nonzero]] * size + mirror[cols[nonzero]]
+    a, b = np.argsort(here), np.argsort(there)
+    if (mirror.min() < 0 or not np.array_equal(here[a], there[b])
+            or not np.array_equal(values[nonzero][a], values[nonzero][b])):
+        return [(_expand(rows, cols, values, size), (np.arange(size),), (np.ones(size),))]
+    R = np.flatnonzero(np.arange(size) <= mirror)
+    image = mirror[R]
+    at = np.empty(size, int)  # each unknown's representative's place in R
+    at[R] = at[image] = np.arange(len(R))
+    top = rows <= mirror[rows]  # the entries in the rows of R
+    rows, cols, values = at[rows[top]], cols[top], values[top]
+    # A[R, R] and A[R, image], +0 where A has no entry, as when gathered from the whole A
+    same, swapped = np.zeros((2, len(R), len(R)), values.dtype)
+    for block, kept in ((same, cols <= mirror[cols]), (swapped, cols >= mirror[cols])):
+        block[rows[kept], at[cols[kept]]] = values[kept]
     plane = image == R
     pairs = np.flatnonzero(~plane)  # the odd block's entries of R
     c2 = np.where(plane, 4.0, 2.0)
@@ -404,42 +428,55 @@ def eigenmodes(spec: ChainSpec) -> list[EigenMode]:
     is sum |u|^4 of the normalised mode.  Modes are sorted by Re(energy),
     stably.  A chain whose H equals its mirror image (``_mirror``) is solved
     as the even and odd blocks of ``_mirror_blocks``, each about half the
-    size; every other chain as one problem.  The modes' vectors are the rows
-    of one ``(dim, dim)`` array, each expanded from its block once, straight
-    into its sorted row.
+    size, folded from the band; every other chain as one problem.  The
+    blocks' vectors are expanded into H's basis as the columns of one array,
+    then moved into the rows of one complex ``(dim, dim)`` array in sorted
+    order.  A decay-free chain stays in float64 until that move (real
+    blocks, ``eigh``, a real expansion) and is normalised and squared in the
+    real part of the complex array: no complex H or complex arithmetic.
     """
-    H = build_hamiltonian(spec)
     decay_free = spec.is_decay_free
-    blocks = _mirror_blocks(H.real if decay_free else H, _mirror(spec))
+    band = _hamiltonian_band(spec)
+    blocks = _mirror_blocks(*_entries(band.real if decay_free else band, _interleaved_order(spec)),
+                            _mirror(spec))
     _log.debug("eigenmodes of %d unknowns: blocks of %s", spec.dimension,
                [len(block) for block, _, _ in blocks])
     solve = np.linalg.eigh if decay_free else np.linalg.eig
     solved = [(*solve(block), columns, weights) for block, columns, weights in blocks]
-    del H, blocks  # freed before the vectors are expanded
+    del blocks  # freed before the vectors are expanded
     values = np.concatenate([v for v, _, _, _ in solved]).astype(np.complex128)
     order = np.argsort(values.real, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    vectors = np.zeros((spec.dimension, spec.dimension), dtype=np.complex128)
+    expanded = np.zeros((spec.dimension, spec.dimension), float if decay_free else complex)
     start = 0
     for _, W, columns, weights in solved:
-        rows = rank[start : start + W.shape[1], None]
         for column, weight in zip(columns, weights):
-            vectors[rows, column] = W.T * weight
+            expanded[column, start : start + W.shape[1]] = W * weight[:, None]
         start += W.shape[1]
+    del solved, W
+    vectors = np.zeros((spec.dimension, spec.dimension), dtype=np.complex128)
+    written = vectors.real if decay_free else vectors
+    written[rank] = expanded.T
+    del expanded
     # Row by row, the sums np.linalg.norm takes of one vector: a chain solved as one block keeps its bits.
-    vectors /= np.sqrt(np.vecdot(vectors.real, vectors.real)
-                       + np.vecdot(vectors.imag, vectors.imag))[:, None]
-    prob = np.abs(vectors)
+    squares = np.vecdot(vectors.real, vectors.real)
+    if decay_free:  # times 1 / norm, as numpy divides a complex number by a real one
+        written *= 1.0 / np.sqrt(squares)[:, None]
+    else:
+        written /= np.sqrt(squares + np.vecdot(vectors.imag, vectors.imag))[:, None]
+    prob = np.abs(written)
     prob *= prob
     sites = spec.sites
     interior = prob[:, sites[0] + 1 : sites[-1]] if len(sites) >= 2 else prob[:, :0]
     interior = interior.sum(axis=1)
     prob *= prob
+    ipr = prob.sum(axis=1)
+    del prob  # freed before the modes are built
     return [
         EigenMode(energy, vector, ipr, weight)
         for energy, vector, ipr, weight in zip(
-            values[order].tolist(), vectors, prob.sum(axis=1).tolist(), interior.tolist())
+            values[order].tolist(), vectors, ipr.tolist(), interior.tolist())
     ]
 
 

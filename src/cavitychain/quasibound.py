@@ -134,35 +134,38 @@ def _trace(xs, im_lo, im_hi, width, cfg: TwoNodeConfig, lat: LatticeParams):
     would turn the phase by a whole turn unseen, but not without bending
     |g|.  A coarse step is cut into as many equal steps as it exceeds its
     bound by, 4 to 64, and into at least 16 when it turns by more than
-    pi/2: it then passes close to a root, and must get as close.  Returns
-    the samples, their paths, the mask of the cell corners on paths 0 and 1,
-    the change of log g over each step and the paths that still hold a
-    coarse step 1e-12 long or a sample where g is zero or undefined: such a
-    path runs through a root.
+    pi/2: it then passes close to a root, and must get as close.  A round
+    evaluates g at its new samples only and merges them and their steps into
+    the arrays in one pass.  Returns the samples, their paths, the mask of
+    the cell corners on paths 0 and 1, the change of log g over each step,
+    the paths that still hold a coarse step 1e-12 long or a sample where g
+    is zero or undefined (such a path runs through a root), and the round count.
     """
     cells = len(xs) - 1
-    along = (xs[:-1, None] + 0.5 * np.diff(xs)[:, None] * np.arange(2)).ravel()
-    along = np.r_[along, xs[-1]]
+    along = np.empty(2 * cells + 1)
+    along[::2], along[1::2] = xs, xs[:-1] + 0.5 * np.diff(xs)
     up = np.linspace(im_lo, im_hi, 9)
     k = np.concatenate([along + 1j * im_lo, along + 1j * im_hi, (xs[:, None] + 1j * up).ravel()])
-    path = np.r_[np.zeros(len(along), int), np.ones(len(along), int),
-                 np.repeat(np.arange(2, cells + 3), len(up))]
-    corner = np.r_[np.tile(np.arange(len(along)) % 2 == 0, 2),
-                   np.zeros(len(up) * (cells + 1), bool)]
+    path = np.repeat(np.arange(cells + 3), [len(along)] * 2 + [len(up)] * (cells + 1))
+    corner = np.zeros(len(k), bool)
+    corner[: len(along) : 2] = corner[len(along) : 2 * len(along) : 2] = True
     step, turn, spread = _log_steps(k, path, *_factored(k, cfg, lat))
     tol = width / 8.0
+    rounds = 0
     while True:
         length = np.abs(np.diff(k))
         rim = (path[1:] == path[:-1]) & ((path[1:] < 3) | (path[1:] == cells + 2))
         slope = np.where(rim, step / np.where(rim, length, 1.0), np.nan)
-        bend = np.abs(np.diff(slope))
-        bend = np.fmax(np.r_[np.nan, bend], np.r_[bend, np.nan]) * length
+        bend = np.full(len(k), np.nan)  # the change of slope from each step's neighbours
+        bend[1:-1] = np.abs(np.diff(slope))
+        bend = np.fmax(bend[:-1], bend[1:]) * length
         excess = np.fmax(np.maximum(turn / (0.25 * math.pi), spread / tol), bend)
         broken = ~np.isfinite(step)  # a sample on a root, or on k = 0 or pi
         j = np.flatnonzero((excess > 1.0) & ~broken)
-        stuck = path[np.r_[j[np.abs(k[j + 1] - k[j]) < 1e-12], np.flatnonzero(broken)]]
+        stuck = path[np.concatenate((j[length[j] < 1e-12], np.flatnonzero(broken)))]
         if len(j) == 0 or len(stuck):
-            return k, path, corner, step, stuck
+            return k, path, corner, step, stuck, rounds
+        rounds += 1
         # coarse step j becomes pieces[j] steps through pieces[j] - 1 new samples
         fewest = np.where(turn[j] > 0.5 * math.pi, 16, 4)
         pieces = np.clip(np.ceil(excess[j]), fewest, 64).astype(int)
@@ -174,16 +177,25 @@ def _trace(xs, im_lo, im_hi, width, cfg: TwoNodeConfig, lat: LatticeParams):
         parts = _log_steps(sub, row, *_factored(sub, cfg, lat))
         inner = np.ones(len(sub), bool)
         inner[first], inner[first + pieces] = False, False
-        lead = np.zeros(len(sub) - 1, bool)
-        lead[first] = True
-        at = np.repeat(j + 1, pieces - 1)
-        k = np.insert(k, at, sub[inner])
-        path, corner = np.insert(path, at, path[j].repeat(pieces - 1)), np.insert(corner, at, False)
-        rest = inner[:-1]  # the sub-steps that start at a new sample
-        for a, b in zip((step, turn, spread), parts):
-            a[j] = b[lead]
-        step, turn, spread = (np.insert(a, at, b[rest])
-                              for a, b in zip((step, turn, spread), parts))
+        # One merge: an old sample moves right by the new samples of the coarse
+        # steps before it, and the m-th new sample of step j lands m after k[j].
+        shift = np.zeros(len(k), int)
+        shift[j + 1] = pieces - 1
+        old = np.arange(len(k)) + np.cumsum(shift)
+        new = np.flatnonzero(inner) + np.repeat(old[j] - first, pieces - 1)
+        for a, b in zip((step, turn, spread), parts):  # a step's first piece starts at its old sample
+            a[j] = b[first]
+        k, path, corner, step, turn, spread = (
+            _merged(a, b, old[: len(a)], new) for a, b in
+            ((k, sub[inner]), (path, path[j].repeat(pieces - 1)), (corner, False),
+             *((a, b[inner[:-1]]) for a, b in zip((step, turn, spread), parts))))
+
+
+def _merged(a, b, old, new):
+    """a's entries at the positions old and b's at the positions new."""
+    merged = np.empty(len(old) + len(new), a.dtype)
+    merged[old], merged[new] = a, b
+    return merged
 
 
 def _seeds(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
@@ -195,9 +207,10 @@ def _seeds(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
     centroid that still holds all its roots: the first as wide as the cell,
     each next one a quarter of the last, grown by 4 instead while none holds
     them, until one does or a box's seeds lie half its half-width apart.
+    Also returns the window's contour size from ``_cells``.
     """
     im_lo, im_hi = im_window
-    xs, counts, seeds, cells = _cells(cfg, lat, xs, im_window, width)
+    xs, counts, seeds, cells, contour = _cells(cfg, lat, xs, im_window, width)
     outside = (seeds.real <= xs[cells]) | (seeds.real >= xs[cells + 1])
     outside |= (seeds.imag <= im_lo) | (seeds.imag >= im_hi)
     for i in np.unique(cells[outside & (counts[cells] > 1)]):
@@ -208,7 +221,7 @@ def _seeds(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
             box = np.array([max(x0, c.real - r), min(x1, c.real + r)])
             tall = (max(im_lo, c.imag - r), min(im_hi, c.imag + r))
             try:
-                _, (n,), box_seeds, _ = _cells(cfg, lat, box, tall, 2.0 * r)
+                _, (n,), box_seeds, _, _ = _cells(cfg, lat, box, tall, 2.0 * r)
             except UnverifiedRootError:  # a side of the box runs through a root
                 n = -1
             if n == counts[i]:
@@ -222,7 +235,7 @@ def _seeds(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
             else:
                 break
         seeds[own] = best
-    return xs, counts, seeds, cells
+    return xs, counts, seeds, cells, contour
 
 
 def _cells(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
@@ -237,13 +250,14 @@ def _cells(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
     exactly for log g linear between samples.  A cell holding one root is
     seeded at its centre c plus s_1; one holding more at c plus the roots of
     the polynomial whose power sums, by Newton's identities, are its s_p.
-    Returns the cut edges, the counts, the seeds and each seed's cell.
+    Returns the cut edges, the counts, the seeds, each seed's cell, and the
+    contour's size: its samples and the refinement rounds that placed them.
     """
     im_lo, im_hi = im_window
     cuts = xs[1:-1].copy()
     while True:
-        xs = np.r_[xs[0], cuts, xs[-1]]
-        k, path, corner, step, stuck = _trace(xs, im_lo, im_hi, width, cfg, lat)
+        xs = np.concatenate(([xs[0]], cuts, [xs[-1]]))
+        k, path, corner, step, stuck, rounds = _trace(xs, im_lo, im_hi, width, cfg, lat)
         if not len(stuck):
             break
         moved = np.unique(stuck) - 3  # path 3 + i is cuts[i]
@@ -253,11 +267,13 @@ def _cells(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
         cuts[moved] += 0.25 * (xs[moved + 2] - xs[moved + 1])
     cells = len(xs) - 1
     # log g along each path, from 0 at its first sample
-    log_g = np.r_[0.0, np.cumsum(step)]
-    start = np.flatnonzero(np.r_[True, path[1:] != path[:-1]])
-    log_g -= np.repeat(log_g[start], np.diff(np.r_[start, len(k)]))
+    log_g = np.zeros(len(k), complex)
+    np.cumsum(step, out=log_g[1:])
+    start = np.flatnonzero(np.diff(path, prepend=-1))
+    end = np.append(start[1:], len(k))
+    log_g -= np.repeat(log_g[start], end - start)
     lower, upper = log_g[corner & (path == 0)], log_g[corner & (path == 1)]
-    rise = log_g[np.r_[start[3:], len(k)] - 1]  # over each cut line
+    rise = log_g[end[2:] - 1]  # over each cut line
     winding = (np.diff(lower) + rise[1:] - np.diff(upper) - rise[:-1]).imag / (2.0 * math.pi)
     counts = np.round(winding).astype(int)
     if np.any(np.abs(winding - counts) > 0.01):
@@ -304,7 +320,7 @@ def _cells(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
         seed_cells.append(np.full(counts[i], i))
     seed_cells = np.concatenate(seed_cells)
     order = np.argsort(seed_cells, kind="stable")
-    return xs, counts, np.concatenate(seeds).astype(complex)[order], seed_cells[order]
+    return xs, counts, np.concatenate(seeds).astype(complex)[order], seed_cells[order], (len(k), rounds)
 
 
 def _polish(ks, cells, cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
@@ -368,8 +384,11 @@ def find_quasibound_modes(
     ``n_re`` and ``n_im`` are accepted and ignored (they sized an earlier
     seed grid).
     ``return_diagnostics`` adds the window's root count by the argument
-    principle (``winding``), the number of cells, the window-root count and
-    the largest scaled residual.
+    principle (``winding``), the number of cells, the window-root count, the
+    largest scaled residual, and the size of the contour that counted the
+    roots: its samples (``contour_samples``) on the window's edges and cut
+    lines, and the refinement rounds of ``_trace`` that placed them
+    (``refinement_rounds``).
     """
     re_lo, re_hi = re_window[0] + 1e-6, re_window[1] - 1e-6
     width = math.pi / cfg.D
@@ -377,8 +396,8 @@ def find_quasibound_modes(
         m = np.arange(math.ceil(re_lo / width - shift), math.floor(re_hi / width - shift) + 1)
         cuts = (m + shift) * width
         cuts = cuts[(re_lo + 0.25 * width < cuts) & (cuts < re_hi - 0.25 * width)]
-        xs = np.r_[re_lo, cuts, re_hi]
-        xs, counts, seeds, seed_cells = _seeds(cfg, lat, xs, im_window, width)
+        xs = np.concatenate(([re_lo], cuts, [re_hi]))
+        xs, counts, seeds, seed_cells, (samples, rounds) = _seeds(cfg, lat, xs, im_window, width)
         ks = _polish(seeds, seed_cells, cfg, lat)
         # On weak mirrors the residual moves by more than VERIFY_TOL / 10 per ulp
         # of Re k, and Newton's last step need not round onto the best double.
@@ -409,6 +428,8 @@ def find_quasibound_modes(
         "cells": len(counts),
         "window_roots": len(modes),
         "max_residual": max((m.residual for m in modes), default=0.0),
+        "contour_samples": samples,
+        "refinement_rounds": rounds,
     }
     log.debug("D=%d: %s", cfg.D, diagnostics)
     return (modes, diagnostics) if return_diagnostics else modes
@@ -436,7 +457,7 @@ def _uncertified(ks, xs, counts, im_window, cfg: TwoNodeConfig, lat: LatticePara
     for k in ks[order][1:][repeat]:
         repeats = np.count_nonzero(np.abs(ks - k) <= 1e-12)
         try:
-            _, (n,), _, _ = _cells(cfg, lat, np.array([k.real - 1e-9, k.real + 1e-9]),
+            _, (n,), _, _, _ = _cells(cfg, lat, np.array([k.real - 1e-9, k.real + 1e-9]),
                                   (k.imag - 1e-9, k.imag + 1e-9), 2e-9)
         except UnverifiedRootError:  # a side of the box runs through another root
             n = 0

@@ -178,7 +178,8 @@ def siegert_roots(nodes, lat: LatticeParams) -> tuple[np.ndarray, list[int]]:
     position = np.full(segment.dimension, -1)
     position[keep] = np.arange(n)
     roots, sizes = [], []
-    for block, columns, _ in oracle._mirror_blocks(A1, position[oracle._mirror(segment)[keep]]):
+    mirror = position[oracle._mirror(segment)[keep]]
+    for block, columns, _ in oracle._mirror_blocks(*dense_entries(A1), mirror):
         m = len(block)
         companion = np.zeros((2 * m, 2 * m), A1.dtype)
         companion[:m, m:], companion[m:, :m], companion[m:, m:] = np.eye(m), -np.eye(m), block
@@ -189,6 +190,12 @@ def siegert_roots(nodes, lat: LatticeParams) -> tuple[np.ndarray, list[int]]:
         roots.append(1.0 / mu[np.argsort(np.abs(mu))[zeros:]])
         sizes.append(2 * m)
     return np.concatenate(roots), sizes
+
+
+def dense_entries(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of every entry of the square A, as ``oracle._mirror_blocks`` reads A."""
+    rows, cols = np.indices(A.shape).reshape(2, -1)
+    return rows, cols, A.ravel()
 
 
 def siegert_window_roots(cfg: TwoNodeConfig, lat: LatticeParams, re_window=(0.0, math.pi),

@@ -791,6 +791,9 @@ class TestQuasiboundCommand:
             assert abs(float(row[2])) <= 1e-8
         sidecar = json.loads((tmp_path / "qb.csv.meta.json").read_text())
         assert sidecar["mode_diagnostics"]["window_roots"] == len(rows)
+        # 11 cells start from 2 (2 * 11 + 1) edge and 9 * 12 cut-line samples
+        assert sidecar["mode_diagnostics"]["contour_samples"] > 2 * 23 + 9 * 12
+        assert sidecar["mode_diagnostics"]["refinement_rounds"] >= 1
 
     def test_adjacent_nodes_trap_nothing(self, tmp_path):
         cfg = tmp_path / "d1.cfg"

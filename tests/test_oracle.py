@@ -601,6 +601,37 @@ class TestEigenmodes:
         assert all(m.energy.imag <= 1e-12 for m in modes)
         assert min(m.energy.imag for m in modes) < -1e-4
 
+    def test_hermitian_cavity_stays_real_in_little_memory(self):
+        # criterion 9's 401-site mirror cavity (g = 30) is folded from its
+        # band and its vectors stay float64 until they move into their
+        # complex array: the call peaks at no more than 1.6 times that
+        # output; a decaying chain runs the same code in complex and its
+        # modes are still those of np.linalg.eig of the whole H
+        D, n = 10, 3
+        En = dispersion_energy(math.pi * n / D, LAT)
+        base = AtomParams(omega_e=0.2, delta=0.0, Omega=1.0, g=30.0)
+        (delta,) = find_perfect_reflection(momentum_from_energy(En + 1e-4, LAT), base, LAT, free="delta")
+        atom = AtomParams(omega_e=0.2, delta=delta, Omega=1.0, g=30.0)
+        spec = ChainSpec(401, ((195, atom), (195 + D, atom)), LAT)
+        eigenmodes(spec)
+        tracemalloc.start()
+        try:
+            modes = eigenmodes(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = spec.dimension**2 * np.dtype(np.complex128).itemsize
+        assert all(m.vector.dtype == np.complex128 for m in modes)
+        assert peak <= 1.6 * output
+        decaying = ChainSpec(60, ((20, DECAYING_ATOM), (35, DECAYING_ATOM)), LAT)
+        values, W = np.linalg.eig(build_hamiltonian(decaying))
+        order = np.argsort(values.real, kind="stable")
+        W = W[:, order].T
+        modes = eigenmodes(decaying)
+        assert np.array_equal([m.energy for m in modes], values[order])
+        V = np.array([m.vector for m in modes])
+        assert np.allclose(V, W / np.linalg.norm(W, axis=1)[:, None], rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize(
         "n_sites, sites, atoms, blocks",
         [(41, (15, 25), (FIG3A_ATOM,) * 2, [23, 22]), (40, (14, 25), (FIG3A_ATOM,) * 2, [22, 22]),

@@ -24,7 +24,7 @@ from cavitychain import (
 from cavitychain.model import potential_parts
 from cavitychain.quasibound import DEFAULT_IM_WINDOW, VERIFY_TOL
 from cavitychain.scattering import _transfer_row
-from helpers import quantized_momenta, siegert_roots, siegert_window_roots
+from helpers import dense_entries, quantized_momenta, siegert_roots, siegert_window_roots
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 
@@ -262,6 +262,38 @@ def winding_number(nodes, lat, rect, per_edge):
     return round(turns.sum() / (2 * math.pi))
 
 
+class TestContourTrace:
+    @pytest.mark.parametrize(
+        "atom, lat, D",
+        [(LAMBDA, LAT, 18), (TWO_LEVEL, NARROW_LAT, 100), (DECAYING, LAT, 40)],
+        ids=["lambda-18", "two-level-100", "decaying-40"],
+    )
+    def test_refinement_merges_samples_and_steps_in_place(self, atom, lat, D):
+        # each round merges its new samples and their steps into the arrays
+        # at once: the steps must be those of the final samples, every path
+        # must run in order, and the cell corners must stay where the
+        # initial grid put them
+        cfg = TwoNodeConfig(atom, atom, D)
+        width = math.pi / D
+        xs = np.r_[1e-6, (np.arange(D) + 0.5) * width, math.pi - 1e-6]
+        im_lo, im_hi = DEFAULT_IM_WINDOW
+        k, path, corner, step, stuck, rounds = quasibound._trace(xs, im_lo, im_hi, width, cfg, lat)
+        assert rounds >= 2 and len(stuck) == 0
+        exact, _, _ = quasibound._log_steps(k, path, *quasibound._factored(k, cfg, lat))
+        assert np.array_equal(step, exact)
+        assert np.array_equal(np.unique(path), np.arange(len(xs) + 2)) and np.all(np.diff(path) >= 0)
+        for p, edge in enumerate((im_lo, im_hi)):  # the lower and upper edges, left to right
+            samples = k[path == p]
+            assert np.all(samples.imag == edge) and np.all(np.diff(samples.real) > 0)
+            assert samples[0].real == xs[0] and samples[-1].real == xs[-1]
+        for x, p in zip(xs, range(2, len(xs) + 2)):  # the lines Re k = xs, bottom to top
+            samples = k[path == p]
+            assert np.all(samples.real == x) and np.all(np.diff(samples.imag) > 0)
+            assert samples[0].imag == im_lo and samples[-1].imag == im_hi
+        assert np.all(path[corner] < 2)
+        assert np.array_equal(k[corner], np.r_[xs + 1j * im_lo, xs + 1j * im_hi])
+
+
 class TestCompleteness:
     @pytest.mark.parametrize(
         "atom1, atom2, lat, D, expected, tol",
@@ -349,9 +381,9 @@ class TestCompleteness:
         exact = quasibound._seeds
 
         def short(cfg, lat, xs, im_window, width):
-            xs, counts, seeds, cells = exact(cfg, lat, xs, im_window, width)
+            xs, counts, seeds, cells, contour = exact(cfg, lat, xs, im_window, width)
             i = np.flatnonzero(counts[cells] == (1 if which == "single" else 2))[0]
-            return xs, counts, np.delete(seeds, i), np.delete(cells, i)
+            return xs, counts, np.delete(seeds, i), np.delete(cells, i), contour
 
         monkeypatch.setattr(quasibound, "_seeds", short)
         with pytest.raises(UnverifiedRootError, match="argument principle counts"):
@@ -541,7 +573,7 @@ class TestParityBlocks:
         B = rng.normal(size=(9, 9))
         A = B + B[mirror][:, mirror]
         A = A + A.T
-        blocks = oracle._mirror_blocks(A, mirror)
+        blocks = oracle._mirror_blocks(*dense_entries(A), mirror)
         assert [len(block) for block, _, _ in blocks] == [5, 4]
         values = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block, _, _ in blocks]))
         assert np.allclose(values, np.linalg.eigvalsh(A), rtol=0, atol=1e-12)
@@ -560,6 +592,8 @@ class TestParityBlocks:
         assert np.allclose(folded[:5, 5:], 0.0, rtol=0, atol=1e-14)
         # one entry off its image, or an image outside the basis: A alone
         A[0, 1] = np.nextafter(A[0, 1], 0.0)
-        ((whole, columns, weights),) = oracle._mirror_blocks(A, mirror)
-        assert whole is A and np.array_equal(columns, [np.arange(9)]) and np.array_equal(weights, [np.ones(9)])
-        assert len(oracle._mirror_blocks(A + A[mirror][:, mirror], np.r_[mirror[:-1], -1])) == 1
+        ((whole, columns, weights),) = oracle._mirror_blocks(*dense_entries(A), mirror)
+        assert np.array_equal(whole, A) and np.array_equal(columns, [np.arange(9)])
+        assert np.array_equal(weights, [np.ones(9)])
+        outside = np.r_[mirror[:-1], -1]
+        assert len(oracle._mirror_blocks(*dense_entries(A + A[mirror][:, mirror]), outside)) == 1
