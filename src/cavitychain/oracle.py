@@ -69,11 +69,13 @@ class ChainSpec:
     least one site and a node may sit on any of them, 0 to n_sites - 1.
     ``kappa`` adds a uniform -i kappa/2 cavity leakage to every site (off by
     default).  Lattice and node fields may be arrays (a batch of points) for
-    ``build_hamiltonian`` and ``solve_stationary``.
+    ``build_hamiltonian`` and ``solve_stationary``.  For ``solve_stationary``
+    alone a node's site may be an integer array too, one site per point
+    broadcast like the fields; every point's sites are checked as a chain's.
     """
 
     n_sites: int
-    placements: tuple[tuple[int, AtomParams], ...]
+    placements: tuple[tuple[int | np.ndarray, AtomParams], ...]
     lat: LatticeParams
     kappa: float = 0.0
 
@@ -82,12 +84,16 @@ class ChainSpec:
             raise PlacementError(f"need at least 1 site, got {self.n_sites}")
         if _require_finite("kappa", self.kappa) < 0:
             raise PlacementError("cavity leakage kappa must be nonnegative")
-        sites = [site for site, _ in self.placements]
-        if len(set(sites)) != len(sites):
-            raise PlacementError(f"duplicate node sites in {sites}")
-        if sorted(sites) != sites:
+        sites = self.sites
+        if any(np.less_equal(b, a).any() for a, b in zip(sites, sites[1:])):
+            # name the fault of the first point whose sites do not increase
+            table = np.stack(np.broadcast_arrays(*sites), axis=-1).reshape(-1, len(sites))
+            ordered = np.sort(table, axis=-1)
+            twice = np.any(ordered[:, 1:] == ordered[:, :-1], axis=-1)
+            if twice.any():
+                raise PlacementError(f"duplicate node sites in {table[twice.argmax()].tolist()}")
             raise PlacementError("placements must be sorted by site index")
-        for site in sites:
+        for site in (np.asarray(sites[0]).min(), np.asarray(sites[-1]).max()) if sites else ():
             if not 0 <= site <= self.n_sites - 1:
                 raise PlacementError(f"site {site} outside [0, {self.n_sites - 1}]")
 
@@ -175,9 +181,26 @@ def _interleaved_order(spec: ChainSpec) -> np.ndarray:
     The interleaved basis puts each node's two levels right after its site,
     u_0, ..., u_p, e_p, a_p, u_{p+1}, ..., so H is a band with three
     diagonals on either side of the main one for any number of nodes.
+    Every point of a chain with per-point node sites has its own order, so
+    such a chain raises PlacementError here.
     """
+    for m, site in enumerate(spec.sites):
+        if isinstance(site, np.ndarray):
+            raise PlacementError(f"node {m} has per-point sites {site}; only "
+                                 "solve_stationary takes them, this needs one site per node")
     levels = np.repeat(spec.sites, 2) + np.tile((0.25, 0.5), len(spec.sites))
     return np.argsort(np.concatenate((np.arange(spec.n_sites), levels)), kind="stable")
+
+
+def _points(spec: ChainSpec, batch: tuple[int, ...]) -> tuple:
+    """Index of the batch axes of a band, to be followed by a row and a column.
+
+    Rows at per-point node sites need one index array per batch axis; rows
+    shared by every point keep the plain ``...`` slice.
+    """
+    if any(isinstance(site, np.ndarray) for site in spec.sites):
+        return np.indices(batch, sparse=True)
+    return (Ellipsis,)
 
 
 def _hamiltonian_band(spec: ChainSpec) -> np.ndarray:
@@ -185,26 +208,34 @@ def _hamiltonian_band(spec: ChainSpec) -> np.ndarray:
 
     The one place H's entries are written.  Decay rates appear as
     -i Gamma / -i gamma on the node diagonals and cavity leakage as -i kappa/2
-    on every site diagonal; array fields broadcast to a shape ``batch``.
+    on every site diagonal; array fields and per-point node sites broadcast
+    to a shape ``batch``.
     """
     params = (spec.lat, *(atom for _, atom in spec.placements))
-    batch = np.broadcast_shapes(*(np.shape(v) for p in params for v in vars(p).values()))
+    values = (*spec.sites, *(v for p in params for v in vars(p).values()))
+    # each distinct shape once: np.shape of a Python float costs a microsecond
+    batch = np.broadcast_shapes(*{getattr(v, "shape", ()) for v in values})
     H = np.zeros((*batch, spec.dimension, 7), dtype=np.complex128)
+    at = _points(spec, batch)
     # The bare chain on every row, then each node's rows and its neighbours' mended.
     H[..., :, 3] = np.expand_dims(spec.lat.omega - 0.5j * spec.kappa, -1)
     H[..., :-1, 4] = H[..., 1:, 2] = np.expand_dims(-spec.lat.t, -1)
     for m, (site, atom) in enumerate(spec.placements):
         u = site + 2 * m
         e, a = u + 1, u + 2
-        if site < spec.n_sites - 1:  # the hop to the next site spans the two levels
-            H[..., u, 6] = H[..., u + 3, 0] = -spec.lat.t
-            H[..., a, 4] = H[..., u + 3, 2] = 0.0
+        # The hop to the next site spans the two levels.  A node on the last
+        # site has none: its hop is 0 and its "next" row is its own row a,
+        # where these writes leave zeros or precede the Omega below.
+        hop = np.where(site < spec.n_sites - 1, -spec.lat.t, 0.0)
+        after = u + 3 - (site == spec.n_sites - 1)
+        H[(*at, u, 6)] = H[(*at, after, 0)] = hop
+        H[(*at, a, 4)] = H[(*at, after, 2)] = 0.0
         # Real and imaginary parts set apart, as complex(omega_e, -Gamma) does,
         # so a zero decay rate keeps its sign.
-        H[..., e, 3].real, H[..., e, 3].imag = atom.omega_e, -atom.Gamma
-        H[..., a, 3].real, H[..., a, 3].imag = atom.delta, -atom.gamma
-        H[..., u, 4] = H[..., e, 2] = atom.g
-        H[..., e, 4] = H[..., a, 2] = atom.Omega
+        H.real[(*at, e, 3)], H.imag[(*at, e, 3)] = atom.omega_e, -atom.Gamma
+        H.real[(*at, a, 3)], H.imag[(*at, a, 3)] = atom.delta, -atom.gamma
+        H[(*at, u, 4)] = H[(*at, e, 2)] = atom.g
+        H[(*at, e, 4)] = H[(*at, a, 2)] = atom.Omega
     return H
 
 
@@ -247,7 +278,8 @@ def _stationary_band(spec: ChainSpec, k: np.ndarray) -> tuple[np.ndarray, np.nda
     to the plane-wave form, u_0 - e^{ik x0} r = e^{-ik x0} and
     u_{n-1} - e^{ik(n-1-x0)} s = 0, with x0 = ``spec.origin``; the rows of
     u_0 and u_{n-1} read their outer neighbours from the leads,
-    u_{-1} = e^{-ik(1+x0)} + e^{ik(1+x0)} r and u_n = e^{ik(n-x0)} s.
+    u_{-1} = e^{-ik(1+x0)} + e^{ik(1+x0)} r and u_n = e^{ik(n-x0)} s.  With
+    per-point node sites, u_{n-1}'s row is per point too.
     """
     E = np.expand_dims(dispersion_energy(k, spec.lat), -1)
     H = _hamiltonian_band(spec)
@@ -258,13 +290,15 @@ def _stationary_band(spec: ChainSpec, k: np.ndarray) -> tuple[np.ndarray, np.nda
     band[..., 1:-1, 3] -= E
     b = np.zeros((*batch, size), dtype=np.complex128)
     n, x0, t = spec.n_sites, spec.origin, spec.lat.t
-    last = spec.dimension - 2 * (n - 1 in spec.sites)  # the row of u_{n-1}
+    on_end = np.equal(spec.sites[-1], n - 1) if spec.placements else False
+    last = spec.dimension - 2 * on_end  # the row of u_{n-1}
+    at = _points(spec, batch)
     band[..., 0, 3], band[..., 0, 4] = -np.exp(1j * k * x0), 1.0
     b[..., 0] = np.exp(-1j * k * x0)
     band[..., 1, 2] = -t * np.exp(1j * k * (1 + x0))
     b[..., 1] = t * np.exp(-1j * k * (1 + x0))
-    band[..., last, 2 + size - last] = -t * np.exp(1j * k * (n - x0))
-    band[..., -1, 4 + last - size], band[..., -1, 3] = 1.0, -np.exp(1j * k * (n - 1 - x0))
+    band[(*at, last, 2 + size - last)] = -t * np.exp(1j * k * (n - x0))
+    band[(*at, -1, 4 + last - size)], band[..., -1, 3] = 1.0, -np.exp(1j * k * (n - 1 - x0))
     return band, b
 
 
@@ -337,9 +371,10 @@ def solve_stationary(spec: ChainSpec, k):
     PANEL + 6 unknowns is one ``np.linalg.solve`` of its dense band-order
     block.
 
-    Array fields of ``spec`` and an array ``k`` broadcast to ``batch``: one
-    call solves the whole ``(*batch, dim + 2)`` stack and gives r and s of
-    shape ``batch``; plain numbers give two Python complex numbers.  Raises
+    Array fields and per-point node sites of ``spec`` and an array ``k``
+    broadcast to ``batch``: one call solves the whole ``(*batch, dim + 2)``
+    stack and gives r and s of shape ``batch``; plain numbers give two
+    Python complex numbers.  Raises
     OracleResidualError when |M x - b| / |b| exceeds RESIDUAL_TOL.
     """
     k = np.asarray(k, dtype=float)
@@ -682,6 +717,7 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     when check_packet_layout rejects the packet or probability reaches the
     chain ends with absorbers off.
     """
+    sites = _site_rows(spec)
     check_packet_layout(spec, wp)
 
     n = spec.n_sites
@@ -718,7 +754,6 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     # ``work`` is H T_m y.  Every view is built here, once per run.
     band = _propagator_band(spec, cap, centre, radius)
     band2 = 2.0 * band
-    sites = _site_rows(spec)
     dim = spec.dimension
     padded = np.zeros((size, dim + 6), dtype=np.complex128)
     vectors = padded[:, 3:-3]

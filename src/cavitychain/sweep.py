@@ -3,8 +3,9 @@
 ``grid_amplitudes`` evaluates the reflection and transmission amplitudes
 on a 1D or 2D linearly spaced grid, with either one call of the vectorised
 transfer-matrix kernel over the whole grid or stacked finite-lattice
-solves, one full lattice system per point, plus the physical flag of each
-point: a diverging potential (the amplitudes are then the analytic limit,
+solves, one full lattice system per point with its own node sites, points
+of any separation in one stack, plus the physical flag of each point: a
+diverging potential (the amplitudes are then the analytic limit,
 r = -1) or an exact trapped-mode hit.  Anything else that goes wrong
 raises.  ``build_scenario`` is the one place where run-configuration keys
 become lattice and node parameters, and ``amplitudes`` the one way from
@@ -33,9 +34,9 @@ ORACLE_GATE = 1e-8
 #: Bytes of stacked systems one lattice-oracle solve may hold, each counted as
 #: the complex blocks ``oracle._solve_panels`` builds for it: about one row per
 #: unknown, min(unknowns, PANEL + 3) + 7 columns wide.  On the ``oracle-gate``
-#: benchmark (2-vCPU VM, glibc malloc, one run each) stacks of 0.5, 1, 2 and
-#: 4 MiB gave ``pass_ref`` 0.66, 0.61, 0.66 and 0.70 and a peak RSS of 44.8,
-#: 45.5, 46.9 and 50.4 MB.
+#: benchmark (2-vCPU VM, glibc malloc, median of three 20 s runs each) stacks
+#: of 0.5, 1 and 2 MiB gave ``pass_ref`` 0.388, 0.380 and 0.383 and a peak
+#: RSS of 44.7, 45.0 and 46.1 MB (44.5 to 45.0 MB for both smaller sizes).
 ORACLE_STACK_BYTES = 2**20
 
 
@@ -136,11 +137,12 @@ def build_scenario(params: dict) -> Scenario:
 
 
 def _oracle_chain(scenario: Scenario, points=slice(None)) -> ChainSpec:
-    """Lattice-oracle chain: the segment from the first node to the last.
+    """Lattice-oracle chain: the segment from the first node to the farthest last node.
 
     The leads start at its end sites, so r and s do not depend on the free
     sites beyond the nodes; without nodes it is one site.  ``points``
-    selects points of a flat array scenario; they share node sites.
+    selects points of a flat array scenario; each keeps its own node sites,
+    and a point whose last node is nearer has free sites after it.
     """
     def at(value):
         return value[points] if np.ndim(value) else value
@@ -148,8 +150,12 @@ def _oracle_chain(scenario: Scenario, points=slice(None)) -> ChainSpec:
     def pick(params):
         return replace(params, **{key: at(value) for key, value in vars(params).items()})
 
-    placements = tuple((int(round(np.ravel(at(x))[0])), pick(atom)) for x, atom in scenario.nodes)
-    last = placements[-1][0] if placements else 0
+    def site(x):
+        x = at(x)
+        return np.rint(x).astype(int) if np.ndim(x) else int(round(x))
+
+    placements = tuple((site(x), pick(atom)) for x, atom in scenario.nodes)
+    last = int(np.max(placements[-1][0])) if placements else 0
     return ChainSpec(last + 1, placements, pick(scenario.lat))
 
 
@@ -158,9 +164,11 @@ def amplitudes(params: dict, engine: str, limit: str | None):
 
     The one way from run-configuration keys to either engine.  The analytic
     engine is one kernel call.  The oracle stays the full lattice system of
-    each point, never flags and has no limit lineshape; it solves the points
-    that share node sites, and so a chain, as stacks of at most
-    ``ORACLE_STACK_BYTES``, one ``solve_stationary`` call each.
+    each point, never flags and has no limit lineshape.  It sorts the points
+    by their last node's site and solves them in that order as stacks, each
+    filled up to ``ORACLE_STACK_BYTES`` counted at its largest system and
+    solved by one ``solve_stationary`` call on one chain that ends at the
+    stack's farthest node, every point with its own node sites.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -175,14 +183,17 @@ def amplitudes(params: dict, engine: str, limit: str | None):
     scenario = build_scenario(flat)
     k = np.broadcast_to(params["k"], shape).ravel()
     last = np.broadcast_to(scenario.nodes[-1][0] if scenario.nodes else 0, k.shape)
+    order = np.argsort(last, kind="stable")
+    size = np.rint(last[order]).astype(int) + 1 + 2 * len(scenario.nodes) + 2  # sites, levels, r, s
+    cost = 16 * size * (np.minimum(size, PANEL + 3) + 7)  # bytes of each system's blocks
     r, s = np.empty(k.shape, complex), np.empty(k.shape, complex)
-    for site in np.unique(last):
-        group = np.flatnonzero(last == site)
-        size = int(site) + 1 + 2 * len(scenario.nodes) + 2  # sites, levels, r and s
-        step = max(1, ORACLE_STACK_BYTES // (16 * size * (min(size, PANEL + 3) + 7)))
-        for start in range(0, group.size, step):
-            chunk = group[start : start + step]
-            r[chunk], s[chunk] = solve_stationary(_oracle_chain(scenario, chunk), k[chunk])
+    start = 0
+    while start < k.size:  # a stack of n systems holds n times its last, largest one
+        held = np.arange(1, k.size - start + 1) * cost[start:]
+        stop = start + max(1, np.count_nonzero(held <= ORACLE_STACK_BYTES))
+        chunk = order[start:stop]
+        r[chunk], s[chunk] = solve_stationary(_oracle_chain(scenario, chunk), k[chunk])
+        start = stop
     return r.reshape(shape), s.reshape(shape), np.zeros(shape, bool)
 
 

@@ -218,6 +218,34 @@ class TestChainSpec:
         spec = ChainSpec(32, ((10, FIG3A_ATOM), (14, FIG3A_ATOM)), LAT)
         assert spec.dimension == 36
 
+    @pytest.mark.parametrize("second, match", [
+        (np.array([3, 2, 9]), r"duplicate node sites in \[2, 2\]"),
+        (np.array([3, 1, 9]), "placements must be sorted by site index"),
+        (np.array([3, 5, 10]), r"site 10 outside \[0, 9\]"),
+    ])
+    def test_per_point_sites_are_checked_point_by_point(self, second, match):
+        # the middle or the last of three points breaks a rule the others keep
+        first = np.array([0, 2, 1])
+        ChainSpec(10, ((first, FIG3A_ATOM), (np.array([3, 5, 9]), FIG3A_ATOM)), LAT)
+        with pytest.raises(PlacementError, match=match):
+            ChainSpec(10, ((first, FIG3A_ATOM), (second, FIG3A_ATOM)), LAT)
+
+    def test_one_layout_is_required_outside_the_stationary_solve(self):
+        # per-point sites are for solve_stationary alone; the scalar-site chain
+        # is the control that every other reader of the basis accepts
+        wp = WavepacketSpec(k0=1.5, sigma=4.0, x0=25, tmax=5.0)
+        readers = (build_hamiltonian, eigenmodes, oracle._site_rows,
+                   lambda spec: propagate_wavepacket(spec, wp))
+        message = r"node 1 has per-point sites \[60 64\]"
+        for sites in (np.array([60, 64]), 64):
+            spec = ChainSpec(120, ((50, FIG3A_ATOM), (sites, FIG3A_ATOM)), LAT)
+            for reader in readers:
+                if np.ndim(sites):
+                    with pytest.raises(PlacementError, match=message):
+                        reader(spec)
+                else:
+                    reader(spec)
+
 
 class TestBuildHamiltonian:
     def test_free_chain_is_tridiagonal(self):
@@ -557,6 +585,37 @@ class TestBandedSolve:
             alone = ((40, one), (41, FIG3A_ATOM), (150, one))
             one_chain = ChainSpec(200, alone, LAT, kappa=0.01)
             assert (r[i, j], s[i, j]) == solve_stationary(one_chain, k[j])
+
+    def test_per_point_sites_give_each_point_its_band(self):
+        # three nodes at sites that differ from point to point, the last one on
+        # the chain's last site at three points, with decay, a two-level node
+        # and leakage: each point's band is its scalar-site band, bit for bit
+        rng = np.random.default_rng(29)
+        sites = (np.array([0, 1, 3, 0, 5, 2]), np.array([4, 7, 5, 1, 9, 6]),
+                 np.array([11, 9, 11, 10, 11, 7]))
+        atoms = [AtomParams(omega_e=rng.uniform(-1.0, 1.0, 6), delta=rng.uniform(-1.0, 1.0, 6),
+                            Omega=np.where(np.arange(6) % 3 == m, 0.0, 0.8),
+                            g=rng.uniform(0.6, 1.5, 6), Gamma=rng.uniform(0.0, 0.1, 6),
+                            gamma=rng.uniform(0.0, 0.1, 6)) for m in range(3)]
+        lat = LatticeParams(omega=rng.uniform(-1.0, 1.0, 6), t=2.0)
+        k = rng.uniform(0.1, 3.0, 6)
+        stack = ChainSpec(12, tuple(zip(sites, atoms)), lat, kappa=0.01)
+        H = oracle._hamiltonian_band(stack)
+        band, b = oracle._stationary_band(stack, k)
+        r, s = solve_stationary(stack, k)
+        for i in range(6):
+            placements = tuple((int(x[i]), _point(atom, i)) for x, atom in zip(sites, atoms))
+            one = ChainSpec(12, placements, _point(lat, i), kappa=0.01)
+            assert H[i].tobytes() == oracle._hamiltonian_band(one).tobytes()
+            band_i, b_i = oracle._stationary_band(one, np.asarray(k[i]))
+            assert band[i].tobytes() == band_i.tobytes() and b[i].tobytes() == b_i.tobytes()
+            assert (r[i], s[i]) == solve_stationary(one, k[i])
+
+
+def _point(params, i):
+    """Point i of parameters whose fields may be arrays."""
+    return type(params)(**{key: value[i] if np.ndim(value) else value
+                           for key, value in vars(params).items()})
 
 
 class TestEigenmodes:

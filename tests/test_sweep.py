@@ -225,7 +225,9 @@ class TestCompareEngines:
 class TestAmplitudes:
     @pytest.mark.parametrize("two_nodes", [False, True])
     def test_oracle_stack_is_the_per_point_solve(self, two_nodes):
-        # a stacked oracle call solves each point on its own lattice, bit for bit
+        # a stacked oracle call solves each point on the stack's chain, bit for
+        # bit, and within 1e-12 of its own minimal chain: D = 1, 3, 4 and 7 make
+        # one stack on the 8 sites that reach the farthest node
         stack = {**{key: np.full(4, value) for key, value in FIG3A.items()},
                  "k": np.linspace(0.4, 2.7, 4), "Omega": np.array([0.0, 0.5, 1.0, 1.5])}
         if two_nodes:
@@ -235,7 +237,10 @@ class TestAmplitudes:
         for i in range(4):
             point = {key: value[i] for key, value in stack.items()}
             chain = sweep._oracle_chain(build_scenario(point))
-            assert (r[i], s[i]) == solve_stationary(chain, point["k"])
+            assert (r[i], s[i]) == solve_stationary(_lengthened(chain, 8 if two_nodes else 1),
+                                                    point["k"])
+            r_own, s_own = solve_stationary(chain, point["k"])
+            assert abs(r[i] - r_own) <= 1e-12 and abs(s[i] - s_own) <= 1e-12
         assert flag.dtype == bool and not flag.any()
 
     @pytest.mark.parametrize("two_nodes", [False, True])
@@ -249,26 +254,82 @@ class TestAmplitudes:
         solve = sweep.solve_stationary
 
         def spy(chain, k):
-            stacks.append((chain.dimension, k.size))
+            stacks.append((chain.n_sites, k.size))
             return solve(chain, k)
 
         monkeypatch.setattr(sweep, "solve_stationary", spy)
         stack = _oracle_stack(np.random.default_rng(5), 400, two_nodes)
         r, s, flag = sweep.amplitudes(stack, "oracle", None)
-        # each chain shape's first stack is full, sized from its dense block
-        firsts = {}
-        for dim, size in stacks:
-            firsts.setdefault(dim, size)
-        assert all(size == budget // (16 * (dim + 2) * (dim + 9)) for dim, size in firsts.items())
-        assert sum(size for _, size in stacks) == 400
-        # every chain shape holds more points than one stack
-        assert len(stacks) >= 2 * len({dim for dim, _ in stacks})
-        r_ref, s_ref = _per_point(stack)
+        assert sum(size for _, size in stacks) == 400 and len(stacks) >= 5
+        # the stacks take the points in separation order, each on its stack's chain
+        order = np.argsort(stack.get("D", np.zeros(400)), kind="stable")
+        n_sites = np.empty(400, int)
+        n_sites[order] = np.repeat(*zip(*stacks))
+        r_ref, s_ref = _per_point(stack, n_sites)
         assert r.tobytes() == r_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+        r_own, s_own = _per_point(stack)
+        assert np.max(np.abs(r - r_own)) <= 1e-12 and np.max(np.abs(s - s_own)) <= 1e-12
         assert flag.dtype == bool and not flag.any()
         # negative control: the same comparison sees points scattered back out of order
-        r_rev, s_rev = _per_point({**stack, "k": stack["k"][::-1]})
+        r_rev, s_rev = _per_point({**stack, "k": stack["k"][::-1]}, n_sites)
         assert r.tobytes() != r_rev.tobytes() and s.tobytes() != s_rev.tobytes()
+
+    def test_stacks_fill_in_separation_order(self, monkeypatch):
+        # 600 points with D = 1..40 shuffled: every point is solved once, the
+        # stacks run through the separations in order on a chain that ends at
+        # their farthest node, and each holds as many systems as fit in
+        # ORACLE_STACK_BYTES, counted at its largest, the next point's included
+        calls = []
+        solve = sweep.solve_stationary
+
+        def spy(chain, k):
+            calls.append((chain, k.copy()))
+            return solve(chain, k)
+
+        def cost(size):
+            return 16 * size * (min(size, sweep.PANEL + 3) + 7)
+
+        monkeypatch.setattr(sweep, "solve_stationary", spy)
+        rng = np.random.default_rng(12)
+        stack = _oracle_stack(rng, 600, True)
+        stack["D"] = rng.permutation(np.arange(600) % 40 + 1)
+        sweep.amplitudes(stack, "oracle", None)
+        solved = np.concatenate([k for _, k in calls])
+        assert np.sort(solved).tobytes() == np.sort(stack["k"]).tobytes()
+        separations = [np.broadcast_to(chain.sites[-1], k.shape) for chain, k in calls]
+        assert np.all(np.diff(np.concatenate(separations)) >= 0)
+        for (chain, k), D in zip(calls, separations):
+            assert chain.n_sites == D.max() + 1
+            assert k.size * cost(chain.dimension + 2) <= sweep.ORACLE_STACK_BYTES
+        for (chain, k), D in zip(calls[:-1], separations[1:]):
+            assert (k.size + 1) * cost(D[0] + 7) > sweep.ORACLE_STACK_BYTES
+        assert len(calls) >= 10
+
+    def test_fig6b_separation_axis_is_one_solve(self, monkeypatch, tmp_path):
+        calls = []
+        solve = sweep.solve_stationary
+
+        def spy(chain, k):
+            calls.append(k.size)
+            return solve(chain, k)
+
+        monkeypatch.setattr(sweep, "solve_stationary", spy)
+        out = str(tmp_path / "m.csv")
+        assert cli.main(["map2d", "--config", "fig6b", "--engine", "oracle", "--out", out]) == 0
+        assert calls == [30]
+
+    def test_each_point_keeps_its_separation(self):
+        # one chain for D = 2 and 5: the first point's separation is not the second's
+        params = {**FIG3A, "omega_e2": -0.5, "Omega2": 0.8, "D": np.array([2, 5])}
+        chain = sweep._oracle_chain(build_scenario(params))
+        assert chain.n_sites == 6 and chain.sites[1].tolist() == [2, 5]
+        k = np.array([1.1, 1.1])
+        r, s = solve_stationary(chain, k)
+        for i in range(2):
+            point = {key: np.ravel(value)[i] if np.ndim(value) else value
+                     for key, value in params.items()}
+            r_own, s_own = solve_stationary(sweep._oracle_chain(build_scenario(point)), 1.1)
+            assert abs(r[i] - r_own) <= 1e-12 and abs(s[i] - s_own) <= 1e-12
 
     def test_oracle_chain_is_the_segment_between_the_nodes(self):
         for params, n_sites, sites in (
@@ -302,13 +363,21 @@ class TestAmplitudes:
         assert (complex(r), complex(s)) == solve_stationary(chain, 1.1)
 
     def test_grid_over_momentum_and_separation(self):
+        # the 20 points are one stack on the 5 sites that reach D = 4
         fixed = {**FIG3A, "omega_e2": -0.5, "Omega2": 0.8}
         axes = (AxisSpec("k", 0.3, 2.8, 5), AxisSpec("D", 1, 4, 4))
         r, s, _ = grid_amplitudes(fixed, axes, "oracle", None)
         for (i, k), (j, D) in itertools.product(*map(enumerate, (a.values() for a in axes))):
             point = {**fixed, "k": k, "D": D}
             chain = sweep._oracle_chain(build_scenario(point))
-            assert (r[i, j], s[i, j]) == solve_stationary(chain, k)
+            assert (r[i, j], s[i, j]) == solve_stationary(_lengthened(chain, 5), k)
+            r_own, s_own = solve_stationary(chain, k)
+            assert abs(r[i, j] - r_own) <= 1e-12 and abs(s[i, j] - s_own) <= 1e-12
+
+
+def _lengthened(chain, n_sites):
+    """``chain`` with free sites added after its last node, up to ``n_sites``."""
+    return ChainSpec(n_sites, chain.placements, chain.lat)
 
 
 def _oracle_stack(rng, size, two_nodes):
@@ -333,12 +402,18 @@ def _oracle_stack(rng, size, two_nodes):
     return stack
 
 
-def _per_point(stack):
-    """(r, s) arrays of a 1-D stack, each point solved on its own chain."""
+def _per_point(stack, n_sites=None):
+    """(r, s) arrays of a 1-D stack, each point solved alone.
+
+    A point is solved on its own chain, or on ``n_sites[i]`` sites when given.
+    """
     pairs = []
     for i in range(len(stack["k"])):
         point = {key: value[i] for key, value in stack.items()}
-        pairs.append(solve_stationary(sweep._oracle_chain(build_scenario(point)), point["k"]))
+        chain = sweep._oracle_chain(build_scenario(point))
+        if n_sites is not None:
+            chain = _lengthened(chain, n_sites[i])
+        pairs.append(solve_stationary(chain, point["k"]))
     return np.array(pairs, dtype=complex).T
 
 
