@@ -5,13 +5,17 @@ Its kernel, ``number_cells``, gives each float64 value six 8-byte cells
 whose bytes, NULs dropped, are exactly that text: the digits come from
 numpy arithmetic that certifies its own exactness, and Python formats only
 the values it cannot certify.  The CLI imports this module on its first
-CSV, so commands that write none never compile it.
+CSV, so commands that write none never compile it, and passes it the one
+opener of every output: an existing file is overwritten in place and cut
+to length, and a write interrupted partway leaves only the new bytes
+written so far.
 """
 
 from __future__ import annotations
 
 import functools
 from pathlib import Path
+from typing import BinaryIO, Callable, ContextManager
 
 import numpy as np
 
@@ -136,10 +140,11 @@ def number_cells(x: np.ndarray, out: np.ndarray) -> int:
     return count
 
 
-def write_csv(out: Path, header: list[str], columns: list,
-              block_rows: int) -> tuple[int, int, int]:
-    """Write equal-length columns as CSV rows, ``block_rows`` at a time; return
-    the rows, the fields ``number_cells`` formatted and the numbers Python formatted.
+def write_csv(out: Path, header: list[str], columns: list, block_rows: int,
+              open_output: Callable[[Path], ContextManager[BinaryIO]]) -> tuple[int, int, int]:
+    """Write equal-length columns as CSV rows, ``block_rows`` at a time, to the
+    file ``open_output(out)`` opens; return the rows, the fields
+    ``number_cells`` formatted and the numbers Python formatted.
 
     Numbers come out as ``"%.17g" % v`` (integer and boolean columns as
     float64, which is how ``%.17g`` rounds them) and text as ``"%s" % v``.
@@ -193,7 +198,7 @@ def write_csv(out: Path, header: list[str], columns: list,
     ends = np.cumsum([len(c[0]) if isinstance(c, tuple) else CELLS for c in cols])
     separators = np.array([b","] * (len(cols) - 1) + [b"\n"]).view(np.uint8).astype(np.uint64)
     separators = separators[:, None] << np.uint64(56)
-    with open(out, "wb") as fh:
+    with open_output(out) as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, block_rows):
             stop = min(start + block_rows, rows)

@@ -7,7 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitychain import AtomParams, ChainSpec, ConfigError, LatticeParams, cli, eigenmodes, sweep
+from cavitychain import (
+    AtomParams,
+    ChainSpec,
+    ConfigError,
+    LatticeParams,
+    OracleResidualError,
+    cli,
+    eigenmodes,
+    sweep,
+)
 from cavitychain.cli import (
     coerce_config,
     load_config,
@@ -288,12 +297,16 @@ class TestConfigCheckedBeforeComputing:
              "absorber-inf", "axis-nan", "axis-inf"],
     )
     def test_bad_config_exits_2_without_output(self, tmp_path, capsys, command, args, fragment):
-        assert main([command, *args, "--out", str(tmp_path / "x.csv")]) == 2
+        out = tmp_path / "x.csv"
+        earlier = {out: b"k,R\n0.5,1\n", tmp_path / "x.csv.meta.json": b'{"engine": "both"}\n'}
+        for path, data in earlier.items():
+            path.write_bytes(data)
+        assert main([command, *args, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert fragment in captured.err
-        assert list(tmp_path.iterdir()) == []
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == earlier
 
     @pytest.mark.parametrize(
         "command, args",
@@ -770,6 +783,58 @@ class TestCsvWriter:
                            [[np.nan, 1.0, np.inf, 0.1, 1e-300], ["a"] * 5,
                             ([0.5, np.nan], [0, 1, 1, 0, 0])])
         assert caplog.records[-1].args == ("special.csv", 5, 5, 3 + 2)
+
+
+class TestOutputsWrittenInPlace:
+    """Each output, written over whatever an earlier run left at its path."""
+
+    @pytest.mark.parametrize("command, args, names", [
+        ("spectrum", ["--config", "fig3a", *sets("k_count=300")], ["out.csv"]),
+        ("quasibound", [*QB_SETS, *sets("profile_n=3")], ["out.csv", "out.profile.csv"]),
+        ("modes", sets(*FIG3A_NODE, "N=40", "site=15", "mode_index=7"),
+         ["out.csv", "out.vector.csv"]),
+        ("oracle-check", ["--config", "oracle_check", *sets("draws=30", "wavepacket_check=false")],
+         ["out.csv"]),
+    ], ids=["spectrum", "quasibound-profile", "modes-vector", "oracle-check-report"])
+    def test_a_longer_file_ends_at_the_new_bytes(self, tmp_path, capsys, command, args, names):
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        fresh.mkdir()
+        over.mkdir()
+        assert main([command, *args, "--out", str(fresh / "out.csv")]) == 0
+        names = sorted([*names, "out.csv.meta.json"])
+        assert sorted(path.name for path in fresh.iterdir()) == names
+        rng = np.random.default_rng(41)
+        for name in names:
+            (over / name).write_bytes(rng.bytes(2 * (fresh / name).stat().st_size + 1000))
+        assert main([command, *args, "--out", str(over / "out.csv")]) == 0
+
+        def undated(data):
+            return [line for line in data.splitlines(keepends=True) if b'"timestamp"' not in line]
+
+        for name in names:
+            new, expected = (over / name).read_bytes(), (fresh / name).read_bytes()
+            if name.endswith(".meta.json"):  # only the timestamp may differ
+                new, expected = undated(new), undated(expected)
+            assert new == expected, name
+
+    @pytest.mark.parametrize("command, args", [
+        ("spectrum", ["--config", "fig3a", *sets("k_count=50")]),
+        ("map2d", ["--config", "fig6b"]),
+    ], ids=["spectrum", "map2d"])
+    def test_a_failing_oracle_leaves_the_earlier_outputs(self, tmp_path, capsys, monkeypatch,
+                                                         command, args):
+        out = tmp_path / "out.csv"
+        earlier = {out: b"k,R\n0.5,1\n", tmp_path / "out.csv.meta.json": b'{"engine": "both"}\n'}
+        for path, data in earlier.items():
+            path.write_bytes(data)
+
+        def fail(chain, k):
+            raise OracleResidualError("lattice residual 1.0e-03 above the bound")
+
+        monkeypatch.setattr(sweep, "solve_stationary", fail)
+        assert main([command, *args, "--engine", "both", "--out", str(out)]) == 1
+        assert "lattice residual 1.0e-03" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == earlier
 
 
 class TestQuasiboundCommand:

@@ -1,9 +1,15 @@
-"""The CSV number kernel against Python's ``"%.17g" % v``, value by value."""
+"""The CSV number kernel against Python's ``"%.17g" % v``, value by value, and
+the writer's one way of opening its file."""
+
+import os
+import stat
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavitychain import cli
+from cavitychain import cli, csvtext
 from cavitychain.csvtext import CELLS, number_cells
 
 
@@ -127,3 +133,84 @@ def test_figure_values_need_no_python(tmp_path, monkeypatch):
 @pytest.mark.parametrize("values", [[], [1.5], np.zeros(3)], ids=["empty", "one", "zeros"])
 def test_small_inputs(values):
     assert assert_g17(values) == 0
+
+
+class TestWritesOverExistingFiles:
+    """``cli._write_csv`` overwrites an existing file in place and cuts it at its last byte."""
+
+    HEADER = ["x", "flag"]
+
+    def columns(self, rows):
+        return [np.arange(rows) / 7.0, ([0, 1], np.arange(rows) % 3 == 0)]
+
+    def fresh(self, tmp_path, rows):
+        fresh = tmp_path / "fresh.csv"
+        cli._write_csv(fresh, self.HEADER, self.columns(rows))
+        return fresh.read_bytes()
+
+    def test_a_longer_file_ends_at_the_new_bytes(self, tmp_path):
+        expected = self.fresh(tmp_path, 3 * cli._CSV_BLOCK)
+        out = tmp_path / "out.csv"
+        for old in (np.random.default_rng(1).bytes(3 * len(expected)), b"", expected[:100]):
+            out.write_bytes(old)
+            cli._write_csv(out, self.HEADER, self.columns(3 * cli._CSV_BLOCK))
+            assert out.read_bytes() == expected
+
+    def test_an_interrupted_write_keeps_only_the_new_bytes(self, tmp_path, monkeypatch):
+        expected = self.fresh(tmp_path, 3 * cli._CSV_BLOCK)
+        out = tmp_path / "out.csv"
+        out.write_bytes(np.random.default_rng(2).bytes(2 * len(expected)))
+        blocks = []
+
+        def interrupt_the_second_block(x, cells):
+            blocks.append(len(x))
+            if len(blocks) == 2:
+                raise KeyboardInterrupt
+            return number_cells(x, cells)
+
+        monkeypatch.setattr(csvtext, "number_cells", interrupt_the_second_block)
+        with pytest.raises(KeyboardInterrupt):
+            cli._write_csv(out, self.HEADER, self.columns(3 * cli._CSV_BLOCK))
+        assert blocks == [cli._CSV_BLOCK] * 2
+        # the header and the first block, with nothing of the old file after them
+        lines = expected.splitlines(keepends=True)
+        assert out.read_bytes() == b"".join(lines[: 1 + cli._CSV_BLOCK])
+
+    def test_a_hard_link_sees_the_new_bytes(self, tmp_path):
+        out, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        out.write_bytes(b"old row\n" * 1000)
+        os.link(out, link)
+        cli._write_csv(out, self.HEADER, self.columns(3))
+        assert link.read_bytes() == out.read_bytes() == b"x,flag\n0,1\n0.14285714285714285,0\n" \
+            b"0.2857142857142857,0\n"
+
+    def test_a_missing_file_is_created_as_wb_creates_it(self, tmp_path):
+        out, reference = tmp_path / "out.csv", tmp_path / "reference.csv"
+        with open(reference, "wb"):
+            pass
+        cli._write_csv(out, self.HEADER, self.columns(5))
+        assert out.read_bytes() == self.fresh(tmp_path, 5)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    def test_a_column_that_fails_its_checks_leaves_the_file_as_it_was(self, tmp_path):
+        out = tmp_path / "out.csv"
+        old = np.random.default_rng(3).bytes(5000)
+        out.write_bytes(old)
+        for error, columns in ((ValueError, [np.zeros(3), np.zeros(2)]),
+                               (TypeError, [np.zeros(2), np.zeros(2) + 1j]),
+                               (ValueError, [np.zeros(2), ["site", "node\0level"]]),
+                               (ValueError, [np.zeros(2), ([1.0, 2.0], [0, 2])])):
+            with pytest.raises(error):
+                cli._write_csv(out, self.HEADER, columns)
+            assert out.read_bytes() == old
+
+    def test_paths_that_are_not_regular_files_are_written_as_streams(self, tmp_path):
+        cli._write_csv(Path(os.devnull), self.HEADER, self.columns(5))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        cli._write_csv(fifo, self.HEADER, self.columns(2 * cli._CSV_BLOCK))
+        reader.join(timeout=10)
+        assert received == [self.fresh(tmp_path, 2 * cli._CSV_BLOCK)]
