@@ -332,18 +332,20 @@ def cmd_quasibound(cfg: dict, out: Path) -> int:
         re_window=re_window, im_window=im_window, return_diagnostics=True,
     )
     k, E = np.array([m.k for m in modes], complex), np.array([m.E for m in modes], complex)
-    _write_csv(
-        out,
-        ["n", "Re_k", "Im_k", "Re_E", "Im_E", "leakage", "residual"],
-        [[str(m.n) if m.n is not None else "" for m in modes], k.real, k.imag, E.real, E.imag,
-         [m.leakage for m in modes], [m.residual for m in modes]],
-    )
+    # the auxiliary file first and the sidecar last: a failed auxiliary write
+    # leaves an earlier run's table and sidecar as they were
     if profile is not None:
         _write_csv(
             out.with_name(out.stem + ".profile.csv"),
             ["j", "Re_u", "Im_u"],
             [np.arange(len(profile)), profile, np.zeros(len(profile))],
         )
+    _write_csv(
+        out,
+        ["n", "Re_k", "Im_k", "Re_E", "Im_E", "leakage", "residual"],
+        [[str(m.n) if m.n is not None else "" for m in modes], k.real, k.imag, E.real, E.imag,
+         [m.leakage for m in modes], [m.residual for m in modes]],
+    )
     _write_sidecar(out, cfg, "analytic", {"mode_diagnostics": diagnostics})
     return 0
 
@@ -391,6 +393,7 @@ def cmd_wavepacket(cfg: dict, out: Path) -> int:
             "absorbed_left": result.absorbed_left,
             "absorbed_right": result.absorbed_right,
             "h_applications": result.h_applications,
+            "expansions": result.expansions,
         },
     )
     return 0
@@ -403,13 +406,7 @@ def cmd_modes(cfg: dict, out: Path) -> int:
         raise ConfigError(f"mode_index {idx} outside 0..{spec.dimension - 1}")
     modes = eigenmodes(spec)
     energy = np.array([m.energy for m in modes], complex)
-    _write_csv(
-        out,
-        ["index", "Re_E", "Im_E", "ipr", "interior_weight"],
-        [np.arange(len(modes)), energy.real, energy.imag,
-         [m.ipr for m in modes], [m.interior_weight for m in modes]],
-    )
-    if idx is not None:
+    if idx is not None:  # written before the table and the sidecar, as in cmd_quasibound
         vector = modes[idx].vector
         _write_csv(
             out.with_name(out.stem + ".vector.csv"),
@@ -417,6 +414,12 @@ def cmd_modes(cfg: dict, out: Path) -> int:
             [["site"] * spec.n_sites + ["excited", "metastable"] * len(spec.sites),
              np.r_[np.arange(spec.n_sites), np.repeat(spec.sites, 2)], vector.real, vector.imag],
         )
+    _write_csv(
+        out,
+        ["index", "Re_E", "Im_E", "ipr", "interior_weight"],
+        [np.arange(len(modes)), energy.real, energy.imag,
+         [m.ipr for m in modes], [m.interior_weight for m in modes]],
+    )
     _write_sidecar(out, cfg, "oracle")
     return 0
 

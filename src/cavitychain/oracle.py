@@ -12,9 +12,9 @@ system shorter than a panel is one dense solve of its band-order block.
 The wavepacket propagator stores the same band shifted, scaled and
 diagonal-major, one row per diagonal, and applies it once per Chebyshev
 term as one multiply and one sum over the 7 rows.  It samples the state a
-phase of MAX_STEP_PHASE apart, and a Hermitian run lets one expansion span
-up to SPAN_SAMPLES samples.  With the eigenmode decomposition it provides
-dynamic and spectral cross-checks.
+phase of MAX_STEP_PHASE apart, and one expansion spans up to SPAN_SAMPLES
+samples, as many as its decay allows.  With the eigenmode decomposition it
+provides dynamic and spectral cross-checks.
 
 The solver fixes the package-wide direction convention: the incident wave
 is e^{+ikx} moving toward +x, with x measured from the first node.
@@ -45,11 +45,11 @@ EDGE_TOL = 1e-7
 
 #: Largest phase (radius + decay) * dt between two samples of a run: sets the
 #: sample spacing of the norm history, the drift and edge guards and the
-#: absorber flux nodes, and bounds the length and the growth of one series
-#: when H is non-Hermitian.
+#: absorber flux nodes, and bounds the growth decay * duration of one series
+#: when H is non-Hermitian, however many samples it spans.
 MAX_STEP_PHASE = 10.0
 
-#: Most consecutive samples one Chebyshev expansion spans when H is Hermitian.
+#: Most consecutive samples one Chebyshev expansion spans without absorbers.
 SPAN_SAMPLES = 12
 
 #: Gauss-Legendre nodes per sample interval for the flux into absorbing layers.
@@ -162,7 +162,8 @@ class WavepacketResult:
     """Scattering probabilities measured after the packet has cleared.
 
     ``h_applications`` is the work the run did: the number of products of H
-    with a vector, one per Chebyshev term past the first in every expansion.
+    with a vector, one per Chebyshev term past the first in every expansion;
+    ``expansions`` counts those expansions.
     """
 
     R_meas: float
@@ -173,6 +174,7 @@ class WavepacketResult:
     absorbed_right: float = 0.0
     drift: float = 0.0
     h_applications: int = 0
+    expansions: int = 0
 
 
 def _interleaved_order(spec: ChainSpec) -> np.ndarray:
@@ -523,13 +525,13 @@ def _gaussian_packet(spec: ChainSpec, wp: WavepacketSpec) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _spectral_interval(spec: ChainSpec) -> tuple[float, float]:
+def _spectral_interval(H: np.ndarray) -> tuple[float, float]:
     """Gershgorin bounds on the real parts of the eigenvalues of H, from the rows of its band.
 
-    Decay, leakage and absorbers only move eigenvalues below the real axis,
-    so the interval depends on the real diagonals and the couplings alone.
+    ``H`` is ``_hamiltonian_band``'s.  Decay, leakage and absorbers only move
+    eigenvalues below the real axis, so the interval depends on the real
+    diagonals and the couplings alone.
     """
-    H = _hamiltonian_band(spec)
     coupling = np.abs(H)
     coupling[:, 3] = 0.0
     reach = coupling.sum(axis=1)
@@ -542,16 +544,17 @@ def _site_rows(spec: ChainSpec) -> np.ndarray:
 
 
 def _propagator_band(
-    spec: ChainSpec, cap: np.ndarray, centre: complex, radius: float
+    H: np.ndarray, sites: np.ndarray, cap: np.ndarray, centre: complex, radius: float
 ) -> np.ndarray:
     """(H - centre - i cap) / radius diagonal-major: row ``3 + d`` holds H[i, i + d].
 
-    The ``(7, dim)`` transpose of ``_hamiltonian_band``, so one diagonal is
-    one contiguous row.  ``cap`` is the absorbing potential on the N sites.
+    The ``(7, dim)`` transpose of ``_hamiltonian_band``'s ``H``, so one
+    diagonal is one contiguous row.  ``cap`` is the absorbing potential on
+    the N sites, which sit at the rows ``sites`` of ``_site_rows``.
     """
-    band = np.ascontiguousarray(_hamiltonian_band(spec).T)
+    band = np.ascontiguousarray(H.T)
     band[3] -= centre
-    band[3, _site_rows(spec)] -= 1j * cap
+    band[3, sites] -= 1j * cap
     band /= radius
     return band
 
@@ -699,11 +702,12 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     accurate to rounding (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
     (1984)), carry the state over samples dt apart, with (radius + decay) dt
     at most MAX_STEP_PHASE; ``times``/``norm_history`` hold one row per
-    sample, and the guards below run at every sample.  When H is Hermitian
-    (decay-free, no absorbers) one expansion spans up to SPAN_SAMPLES
-    samples: every K - 2 new terms, one matrix product folds them into the
-    state at each of its samples, where K is the length of the one-sample
-    series.  Otherwise an expansion spans one sample.  The state lives in
+    sample, and the guards below run at every sample.  Without absorbing
+    layers one expansion spans up to SPAN_SAMPLES samples, as many as keep
+    decay times its duration within MAX_STEP_PHASE: every K - 2 new terms,
+    one matrix product folds them into the state at each of its samples,
+    where K is the length of the one-sample series.  With absorbers each
+    expansion spans one sample.  The state lives in
     the interleaved basis, and each term applies H as one ``np.multiply``
     of the ``(7, dim)`` diagonal-major band of ``_propagator_band`` with a
     fixed ``(7, dim)`` window on the previous term and one
@@ -719,6 +723,7 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     """
     sites = _site_rows(spec)
     check_packet_layout(spec, wp)
+    H = _hamiltonian_band(spec)
 
     n = spec.n_sites
     cap = np.zeros(n)
@@ -732,17 +737,20 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     # cut on rho, the smallest Bernstein ellipse around the scaled box.
     rates = [0.5 * spec.kappa + cap.max()] + [max(a.Gamma, a.gamma) for _, a in spec.placements]
     decay = float(max(rates))
-    lo, hi = _spectral_interval(spec)
+    lo, hi = _spectral_interval(H)
     centre, radius = 0.5 * (hi + lo) - 0.5j * decay, 0.5 * (hi - lo)
     b = 0.5 * decay / radius
     sinh2 = 0.5 * b * (b + math.sqrt(b * b + 4.0))
     rho = math.sqrt(sinh2) + math.sqrt(1.0 + sinh2)
     n_steps = max(1, math.ceil((radius + decay) * wp.tmax / MAX_STEP_PHASE))
     dt = wp.tmax / n_steps
-    # With H Hermitian (rho = 1) no term of the recurrence grows, so one
-    # expansion may span many samples; otherwise each spans one.
+    # The terms of an expansion over a time s grow with decay * s, so it spans
+    # as many samples as keep decay * s within the phase budget of one sample.
+    # The absorbed flux needs each sample's own terms.
     decay_free = spec.is_decay_free and wp.absorber_width == 0
-    span = SPAN_SAMPLES if decay_free else 1
+    span = 1 if wp.absorber_width else SPAN_SAMPLES
+    if decay * dt * span > MAX_STEP_PHASE:
+        span = max(1, int(MAX_STEP_PHASE / (decay * dt)))
     coeffs = _chebyshev_coefficients(centre, radius, rho, dt)
     table = coeffs[None]  # the expansion over one sample
     size = len(coeffs)
@@ -752,7 +760,7 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     # ``windows[m][3 + d, i]`` is entry i + d of T_m y: one multiply lines up
     # every unknown's neighbours with the band, and a sum over the 7 rows of
     # ``work`` is H T_m y.  Every view is built here, once per run.
-    band = _propagator_band(spec, cap, centre, radius)
+    band = _propagator_band(H, sites, cap, centre, radius)
     band2 = 2.0 * band
     dim = spec.dimension
     padded = np.zeros((size, dim + 6), dtype=np.complex128)
@@ -788,7 +796,8 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     # A series that grows past the float range (an interval that misses part
     # of the spectrum) leaves inf or nan in the norm, which the guard reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        for done in range(0, n_steps, span):
+        starts = range(0, n_steps, span)
+        for done in starts:
             count = min(span, n_steps - done)
             if count != len(table):  # each expansion is cut at the series length of its own span
                 table = _span_coefficients(
@@ -834,9 +843,6 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
                         f"t={dt * step:.3f}; enlarge the chain or enable absorbers"
                     )
             padded[0] = states[count - 1]
-    _log.debug("%d H applications in %d expansions over %d samples on %d unknowns: "
-               "%.2f us each, expansion loop included", applications, math.ceil(n_steps / span),
-               n_steps, dim, 1e6 * (time.perf_counter() - start) / applications)
     mid = spec.origin
     absorbed_left = float(np.sum(taken[absorbing < mid]))
     absorbed_right = float(np.sum(taken[absorbing >= mid]))
@@ -845,9 +851,14 @@ def propagate_wavepacket(spec: ChainSpec, wp: WavepacketSpec) -> WavepacketResul
     R_meas = float(np.sum(prob[:left_cut])) + absorbed_left
     T_meas = float(np.sum(prob[right_cut + 1 :])) + absorbed_right
     drift = float(np.max(np.abs(norm_history - norm_history[0]))) if decay_free else 0.0
-    return WavepacketResult(
+    result = WavepacketResult(
         R_meas=R_meas, T_meas=T_meas, norm_history=norm_history,
         times=np.linspace(0.0, wp.tmax, n_steps + 1),
         absorbed_left=absorbed_left, absorbed_right=absorbed_right, drift=drift,
-        h_applications=applications,
+        h_applications=applications, expansions=len(starts),
     )
+    _log.debug("%d H applications in %d expansions over %d samples on %d unknowns: "
+               "%.2f us each, expansion loop included", result.h_applications,
+               result.expansions, n_steps, dim,
+               1e6 * (time.perf_counter() - start) / result.h_applications)
+    return result

@@ -659,8 +659,8 @@ class TestCsvWriter:
         assert main(["modes", *sets(*FIG3A_NODE, "omega_e2=0.5", "Omega2=0.8", "Gamma2=0.05",
                                     "D=5", "N=40", "site=15", "mode_index=7"),
                      "--out", str(tmp_path / "modes.csv")]) == 0
-        assert [out.name for out, _, _ in written] == ["qb.csv", "qb.profile.csv", "modes.csv",
-                                                      "modes.vector.csv"]
+        assert [out.name for out, _, _ in written] == ["qb.profile.csv", "qb.csv",
+                                                      "modes.vector.csv", "modes.csv"]
         for out, header, columns in written:
             assert out.read_bytes() == reference_csv(header, columns)
 
@@ -836,6 +836,25 @@ class TestOutputsWrittenInPlace:
         assert "lattice residual 1.0e-03" in capsys.readouterr().err
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == earlier
 
+    @pytest.mark.parametrize("command, args, auxiliary", [
+        ("quasibound", [*QB_SETS, *sets("profile_n=3")], "out.profile.csv"),
+        ("modes", sets(*FIG3A_NODE, "N=40", "site=15", "mode_index=3"), "out.vector.csv"),
+    ], ids=["quasibound-profile", "modes-vector"])
+    def test_an_unwritable_auxiliary_file_leaves_the_earlier_outputs(self, tmp_path, command,
+                                                                      args, auxiliary):
+        # the auxiliary file is written first, so the table and the sidecar
+        # of an earlier run stay whole; the OSError is not a package error
+        out = tmp_path / "out.csv"
+        earlier = {out: b"k,R\n0.5,1\n", tmp_path / "out.csv.meta.json": b"{}\n"}
+        for path, data in earlier.items():
+            path.write_bytes(data)
+        (tmp_path / auxiliary).mkdir()
+        with pytest.raises(IsADirectoryError):
+            main([command, *args, "--out", str(out)])
+        assert {path: path.read_bytes() for path in earlier} == earlier
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [out.name, "out.csv.meta.json", auxiliary])
+
 
 class TestQuasiboundCommand:
     def test_resonant_fixture_quantises(self, tmp_path):
@@ -949,11 +968,24 @@ class TestWavepacketCommand:
         out = tmp_path / "wp.csv"
         assert main(["wavepacket", *WP_PLACED, *sets("absorber_width=30"), "--out", str(out)]) == 0
         _, rows = read_csv(out)
-        applications = json.loads((tmp_path / "wp.csv.meta.json").read_text())["h_applications"]
+        sidecar = json.loads((tmp_path / "wp.csv.meta.json").read_text())
+        applications = sidecar["h_applications"]
         # every step applies H once per Chebyshev term past the first
         assert isinstance(applications, int)
         assert applications % (len(rows) - 1) == 0
         assert applications > len(rows) - 1
+        # absorbing layers: one expansion per sample
+        assert sidecar["expansions"] == len(rows) - 1
+
+    @pytest.mark.parametrize("extra, per_expansion", [
+        ([], 12), (["Gamma=0.04", "gamma=0.04"], 12), (["kappa=0.01"], 12), (["Gamma=10"], 1),
+    ], ids=["decay-free", "decaying-node", "kappa", "fast-decay"])
+    def test_sidecar_records_the_expansions(self, tmp_path, extra, per_expansion):
+        out = tmp_path / "wp.csv"
+        assert main(["wavepacket", *WP_SETS, *sets("sigma=8", *extra), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        expansions = json.loads((tmp_path / "wp.csv.meta.json").read_text())["expansions"]
+        assert expansions == math.ceil((len(rows) - 1) / per_expansion)
 
     def test_missing_packet_keys(self, tmp_path):
         cfg = tmp_path / "wp.cfg"

@@ -772,7 +772,7 @@ class TestWavepacket:
         # makes the Chebyshev series grow, and the norm guard must catch it.
         spec = ChainSpec(200, (), LAT)
         wp = WavepacketSpec(k0=1.3, sigma=8.0, x0=60, tmax=10.0)
-        lo, hi = oracle._spectral_interval(spec)
+        lo, hi = oracle._spectral_interval(oracle._hamiltonian_band(spec))
         monkeypatch.setattr(oracle, "_spectral_interval", lambda _: (lo, 0.5 * (lo + hi)))
         with pytest.raises(IntegratorDriftError):
             propagate_wavepacket(spec, wp)
@@ -782,7 +782,7 @@ class TestWavepacket:
         # a series that grows outside a too narrow interval must be caught.
         atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.08, gamma=0.08)
         spec, wp = design_scattering_run((atom,), LAT, 1.3, 8.0)
-        lo, hi = oracle._spectral_interval(spec)
+        lo, hi = oracle._spectral_interval(oracle._hamiltonian_band(spec))
         monkeypatch.setattr(oracle, "_spectral_interval", lambda _: (lo, 0.5 * (lo + hi)))
         with pytest.raises(IntegratorDriftError):
             propagate_wavepacket(spec, wp)
@@ -863,7 +863,8 @@ class TestWavepacket:
             cap[-12:] = 0.7 * np.linspace(0.1, 1.0, 12) ** 2
         spec = ChainSpec(n, nodes, LAT, kappa=kappa)
         centre, radius = 1.1 - 0.4j, 4.7
-        band = oracle._propagator_band(spec, cap, centre, radius)
+        band = oracle._propagator_band(oracle._hamiltonian_band(spec), oracle._site_rows(spec),
+                                       cap, centre, radius)
         order = oracle._interleaved_order(spec)
         rng = np.random.default_rng(5)
         y = rng.normal(size=spec.dimension) + 1j * rng.normal(size=spec.dimension)
@@ -923,7 +924,7 @@ class TestWavepacket:
         # sample does.
         spec = ChainSpec(200, (), LAT)
         wp = WavepacketSpec(k0=1.3, sigma=8.0, x0=60, tmax=1500.0)
-        lo, hi = oracle._spectral_interval(spec)
+        lo, hi = oracle._spectral_interval(oracle._hamiltonian_band(spec))
         monkeypatch.setattr(oracle, "_spectral_interval", lambda _: (lo, lo + 0.05 * (hi - lo)))
         with pytest.raises(IntegratorDriftError, match=r"at t=50\.000;"):
             propagate_wavepacket(spec, wp)
@@ -966,12 +967,13 @@ class TestWavepacket:
         spec = ChainSpec(420, ((210, FIG3A_ATOM),), LAT)
         wp = design_wavepacket(spec, 2.2, 8.0)
         res = propagate_wavepacket(spec, wp)
-        lo, hi = oracle._spectral_interval(spec)
+        lo, hi = oracle._spectral_interval(oracle._hamiltonian_band(spec))
         radius = 0.5 * (hi - lo)
         steps = math.ceil(radius * wp.tmax / oracle.MAX_STEP_PHASE)
         assert (oracle.SPAN_SAMPLES, len(res.times) - 1) == (12, steps) == (12, 18)
         lengths = [len(oracle._bessel_series(radius * wp.tmax / steps * n)) for n in (12, 6)]
         assert res.h_applications == sum(lengths) - 2
+        assert res.expansions == 2
         monkeypatch.setattr(oracle, "SPAN_SAMPLES", 1)
         single = propagate_wavepacket(spec, wp)
         assert np.array_equal(res.times, single.times)
@@ -980,20 +982,49 @@ class TestWavepacket:
         assert np.max(np.abs(res.norm_history - single.norm_history)) <= 1e-13
         assert res.h_applications < 0.5 * single.h_applications
 
-    @pytest.mark.parametrize("case", ["decaying-node", "absorbers"])
+    @pytest.mark.parametrize("case", ["decaying-node", "kappa", "strong-decay"])
+    def test_dissipative_expansions_over_many_samples_match_one_per_sample(self, monkeypatch,
+                                                                            case):
+        # decay times the length of one expansion stays within MAX_STEP_PHASE:
+        # 15 or 16 samples in two expansions, and Gamma = 2 spans three samples
+        if case == "kappa":
+            spec, wp = design_scattering_run((FIG3A_ATOM, FIG3A_ATOM), LAT, 1.7, 8.0, D=10)
+            spec = ChainSpec(spec.n_sites, spec.placements, LAT, kappa=0.05)
+        else:
+            atom = DECAYING_ATOM
+            if case == "strong-decay":
+                atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=2.0, gamma=2.0)
+            spec, wp = design_scattering_run((atom,), LAT, 1.7, 8.0)
+        res = propagate_wavepacket(spec, wp)
+        samples = len(res.times) - 1
+        assert res.expansions == {"strong-decay": 7}.get(case, 2) < samples
+        monkeypatch.setattr(oracle, "SPAN_SAMPLES", 1)
+        single = propagate_wavepacket(spec, wp)
+        assert single.expansions == samples
+        assert np.array_equal(res.times, single.times)
+        assert abs(res.R_meas - single.R_meas) <= 1e-13
+        assert abs(res.T_meas - single.T_meas) <= 1e-13
+        assert np.max(np.abs(res.norm_history - single.norm_history)) <= 1e-13
+        assert res.h_applications < single.h_applications
+
+    @pytest.mark.parametrize("case", ["fast-decay", "absorbers"])
     def test_non_hermitian_runs_expand_once_per_sample(self, monkeypatch, case):
+        # Gamma = 10 spends the phase budget of a sample on decay alone, and
+        # the absorbed flux needs each sample's own terms
         if case == "absorbers":
             spec = ChainSpec(240, ((150, FIG3A_ATOM),), LAT)
             wp = WavepacketSpec(k0=1.5, sigma=10.0, x0=90, tmax=33.0, absorber_width=40)
         else:
-            spec, wp = design_scattering_run((DECAYING_ATOM,), LAT, 1.7, 8.0)
+            atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=10.0, gamma=0.5)
+            spec, wp = design_scattering_run((atom,), LAT, 1.7, 8.0)
         res = propagate_wavepacket(spec, wp)
         monkeypatch.setattr(oracle, "SPAN_SAMPLES", 1)
         single = propagate_wavepacket(spec, wp)
         for field in ("R_meas", "T_meas", "norm_history", "absorbed_left", "absorbed_right",
-                      "h_applications"):
+                      "h_applications", "expansions"):
             assert np.array_equal(getattr(res, field), getattr(single, field))
         assert res.h_applications % (len(res.times) - 1) == 0
+        assert res.expansions == len(res.times) - 1
 
     def test_packet_must_clear_the_right_end(self):
         # sigma 4 on 200 sites: the centre may sit at most at site 177
