@@ -5,11 +5,14 @@ Subcommands: spectrum, map2d, quasibound, wavepacket, oracle-check, modes.
 Every command writes CSV with a mandatory header, LF newlines and floats at
 17 significant digits (binary64 round-trips bit-exactly), plus a
 ``<out>.meta.json`` sidecar carrying the parameters, engine, tolerances,
-tool version, git hash and timestamp.  Identical configs produce identical
-CSV bytes; only the sidecar timestamp varies between runs.  Every output,
-sidecar and ``oracle-check`` report included, goes through ``_open_output``:
-an existing file is overwritten in place and cut to length, and a write
-interrupted partway leaves only the new bytes written so far.
+tool version, git hash, timestamp and the bytes written to each file.
+Identical configs produce identical CSV bytes; only the sidecar timestamp
+varies between runs.  Commands only compute; ``main`` writes what they
+return in one place, auxiliary files first, then the main file, then the
+sidecar, so a failure leaves every file after it as it was.  Every output
+goes through ``_open_output``: an existing file is overwritten in place
+and cut to length, and a write interrupted partway leaves only the new
+bytes written.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ def _open_output(out: Path) -> Iterator[BinaryIO]:
                 fh.truncate()
 
 
-def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict | None = None) -> None:
+def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict) -> None:
     swept = {cfg.get("axis1"), cfg.get("axis2")}  # a swept detuning has no one derived value
     derived = {}
     for suffix in ("", "2"):
@@ -215,9 +218,8 @@ def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict | None = None)
         "tool_version": __version__,
         "git_hash": _git_hash(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     with _open_output(out.with_name(out.name + ".meta.json")) as fh:
         fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
@@ -226,20 +228,46 @@ def _write_sidecar(out: Path, cfg: dict, engine: str, extra: dict | None = None)
 _CSV_BLOCK = 4096
 
 
-def _write_csv(out: Path, header: list[str], columns: list) -> None:
+def _write_csv(out: Path, header: list[str], columns: list) -> int:
     """Equal-length columns as rows: numbers as ``"%.17g" % v``, text as ``"%s" % v``.
 
     A column is an array or a pair ``(values, index)``, ``values[index]``.
     ``csvtext.write_csv`` checks them, opens the file with ``_open_output``
     and writes them ``_CSV_BLOCK`` rows at a time.  It is imported on the first CSV:
     compiled apart from cli, it adds nothing to start-up time or to the peak
-    memory of compiling cli.
+    memory of compiling cli.  Returns the bytes written.
     """
     from .csvtext import write_csv
 
-    rows, kernel, python = write_csv(out, header, columns, _CSV_BLOCK, _open_output)
+    rows, kernel, python, size = write_csv(out, header, columns, _CSV_BLOCK, _open_output)
     _log.debug("%s: %d rows, %d fields formatted by the kernel, %d numbers by Python's %%.17g",
                out.name, rows, kernel, python)
+    return size
+
+
+def _write_outputs(out: str | None, cfg: dict, files: list, engine: str, extra: dict,
+                   status: int) -> int:
+    """Write a command's auxiliary files, then its main file, then its sidecar; return ``status``.
+
+    A file ``(suffix, header, columns)`` goes to ``out`` if its suffix is ""
+    (the main file) and to ``out``'s stem plus its suffix if not; a header of
+    None marks columns that are the file's bytes.  The sidecar's ``files``
+    maps each suffix (``out``'s own for ``out``) to the bytes written.  No
+    ``out``, no files.
+    """
+    if out is None:
+        return status
+    out, written = Path(out), {}
+    for suffix, header, data in sorted(files, key=lambda file: file[0] == ""):
+        path = out.with_name(out.stem + suffix) if suffix else out
+        if header is None:
+            with _open_output(path) as fh:
+                size = fh.write(data)
+        else:
+            size = _write_csv(path, header, data)
+        written[suffix or out.suffix] = size
+    _write_sidecar(out, cfg, engine, {**extra, "files": written})
+    return status
 
 
 def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
@@ -279,7 +307,7 @@ def _grid_axes(command: str, cfg: dict, engine: str) -> tuple[AxisSpec, ...]:
     return axes
 
 
-def cmd_grid(command: str, cfg: dict, out: Path, engine: str) -> int:
+def cmd_grid(command: str, cfg: dict, engine: str) -> tuple:
     """``spectrum`` or ``map2d``: the amplitudes on the checked axes, in that command's columns."""
     axes = _grid_axes(command, cfg, engine)
     run_engine = "analytic" if engine == "both" else engine
@@ -299,19 +327,17 @@ def cmd_grid(command: str, cfg: dict, out: Path, engine: str) -> int:
             columns = list(zip(columns, np.indices(values.shape).reshape(2, -1)))
         columns += [values.ravel(), ([0, 1], singular.ravel())]
     extra = {"flag_counts": {"singular": int(np.count_nonzero(singular))}}
-    if engine == "both":  # before any write, so a failing oracle leaves the old outputs
+    if engine == "both":
         r_o, s_o, _ = grid_amplitudes(cfg, axes, "oracle", None)
         if command == "spectrum":
             dev = np.maximum(np.abs(r - r_o), np.abs(s - s_o))
         else:
             dev = np.abs(values - quantity_value(quantity, r_o, s_o))
         extra["max_engine_deviation"] = float(dev.max())
-    _write_csv(out, header, columns)
-    _write_sidecar(out, cfg, engine, extra)
-    return 0
+    return [("", header, columns)], engine, extra, 0
 
 
-def cmd_quasibound(cfg: dict, out: Path) -> int:
+def cmd_quasibound(cfg: dict) -> tuple:
     if "D" not in cfg:
         raise ConfigError("quasibound needs the node separation D")
     scenario = _scenario(cfg)
@@ -320,34 +346,25 @@ def cmd_quasibound(cfg: dict, out: Path) -> int:
                  cfg.get("window_re_max", DEFAULT_RE_WINDOW[1]))
     im_window = (cfg.get("window_im_min", DEFAULT_IM_WINDOW[0]),
                  cfg.get("window_im_max", DEFAULT_IM_WINDOW[1]))
-    for part, (lo, hi) in (("re", re_window), ("im", im_window)):
-        if not lo < hi:
-            raise ConfigError(f"window_{part}_min must be below window_{part}_max")
     try:
         profile = bound_profile(cfg["D"], cfg["profile_n"]) if "profile_n" in cfg else None
     except ValueError as exc:
         raise ConfigError(f"profile_n: {exc}") from exc
-    modes, diagnostics = find_quasibound_modes(
-        TwoNodeConfig(atom1, atom2, cfg["D"]), scenario.lat,
-        re_window=re_window, im_window=im_window, return_diagnostics=True,
-    )
-    k, E = np.array([m.k for m in modes], complex), np.array([m.E for m in modes], complex)
-    # the auxiliary file first and the sidecar last: a failed auxiliary write
-    # leaves an earlier run's table and sidecar as they were
-    if profile is not None:
-        _write_csv(
-            out.with_name(out.stem + ".profile.csv"),
-            ["j", "Re_u", "Im_u"],
-            [np.arange(len(profile)), profile, np.zeros(len(profile))],
+    try:  # an empty window raises before the search
+        modes, diagnostics = find_quasibound_modes(
+            TwoNodeConfig(atom1, atom2, cfg["D"]), scenario.lat,
+            re_window=re_window, im_window=im_window, return_diagnostics=True,
         )
-    _write_csv(
-        out,
-        ["n", "Re_k", "Im_k", "Re_E", "Im_E", "leakage", "residual"],
-        [[str(m.n) if m.n is not None else "" for m in modes], k.real, k.imag, E.real, E.imag,
-         [m.leakage for m in modes], [m.residual for m in modes]],
-    )
-    _write_sidecar(out, cfg, "analytic", {"mode_diagnostics": diagnostics})
-    return 0
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    k, E = np.array([m.k for m in modes], complex), np.array([m.E for m in modes], complex)
+    files = [("", ["n", "Re_k", "Im_k", "Re_E", "Im_E", "leakage", "residual"],
+              [[str(m.n) if m.n is not None else "" for m in modes], k.real, k.imag,
+               E.real, E.imag, [m.leakage for m in modes], [m.residual for m in modes]])]
+    if profile is not None:
+        files.append((".profile.csv", ["j", "Re_u", "Im_u"],
+                      [np.arange(len(profile)), profile, np.zeros(len(profile))]))
+    return files, "analytic", {"mode_diagnostics": diagnostics}, 0
 
 
 def _build_chain(cfg: dict) -> ChainSpec:
@@ -361,7 +378,7 @@ def _build_chain(cfg: dict) -> ChainSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_wavepacket(cfg: dict, out: Path) -> int:
+def cmd_wavepacket(cfg: dict) -> tuple:
     spec = _build_chain(cfg)
     if "k0" not in cfg or "sigma" not in cfg:
         raise ConfigError("wavepacket needs k0 and sigma")
@@ -382,46 +399,28 @@ def cmd_wavepacket(cfg: dict, out: Path) -> int:
         check_packet_layout(spec, wp)
     except (ValueError, InsufficientChainError) as exc:
         raise ConfigError(str(exc)) from exc
-    result = propagate_wavepacket(spec, wp)
-    _write_csv(out, ["time", "norm"], [result.times, result.norm_history])
-    _write_sidecar(
-        out, cfg, "oracle",
-        {
-            "R_meas": result.R_meas,
-            "T_meas": result.T_meas,
-            "drift": result.drift,
-            "absorbed_left": result.absorbed_left,
-            "absorbed_right": result.absorbed_right,
-            "h_applications": result.h_applications,
-            "expansions": result.expansions,
-        },
-    )
-    return 0
+    extra = dict(vars(propagate_wavepacket(spec, wp)))  # the sidecar takes all but the columns
+    columns = [extra.pop("times"), extra.pop("norm_history")]
+    return [("", ["time", "norm"], columns)], "oracle", extra, 0
 
 
-def cmd_modes(cfg: dict, out: Path) -> int:
+def cmd_modes(cfg: dict) -> tuple:
     spec = _build_chain(cfg)
     idx = cfg.get("mode_index")
     if idx is not None and not 0 <= idx < spec.dimension:
         raise ConfigError(f"mode_index {idx} outside 0..{spec.dimension - 1}")
     modes = eigenmodes(spec)
     energy = np.array([m.energy for m in modes], complex)
-    if idx is not None:  # written before the table and the sidecar, as in cmd_quasibound
+    files = [("", ["index", "Re_E", "Im_E", "ipr", "interior_weight"],
+              [np.arange(len(modes)), energy.real, energy.imag,
+               [m.ipr for m in modes], [m.interior_weight for m in modes]])]
+    if idx is not None:
         vector = modes[idx].vector
-        _write_csv(
-            out.with_name(out.stem + ".vector.csv"),
-            ["kind", "index", "re", "im"],
-            [["site"] * spec.n_sites + ["excited", "metastable"] * len(spec.sites),
-             np.r_[np.arange(spec.n_sites), np.repeat(spec.sites, 2)], vector.real, vector.imag],
-        )
-    _write_csv(
-        out,
-        ["index", "Re_E", "Im_E", "ipr", "interior_weight"],
-        [np.arange(len(modes)), energy.real, energy.imag,
-         [m.ipr for m in modes], [m.interior_weight for m in modes]],
-    )
-    _write_sidecar(out, cfg, "oracle")
-    return 0
+        files.append((".vector.csv", ["kind", "index", "re", "im"],
+                      [["site"] * spec.n_sites + ["excited", "metastable"] * len(spec.sites),
+                       np.r_[np.arange(spec.n_sites), np.repeat(spec.sites, 2)],
+                       vector.real, vector.imag]))
+    return files, "oracle", {}, 0
 
 
 #: Range of each key of an ``oracle-check`` configuration, momentum k included.
@@ -477,7 +476,7 @@ def packet_transmission(chain: ChainSpec, wp: WavepacketSpec) -> tuple[float, fl
     return float(np.sum(inside * np.abs(s) ** 2) / inside.sum()), float(outside)
 
 
-def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
+def cmd_oracle_check(cfg: dict) -> tuple:
     """Regression gate: analytic engine against the lattice solver.
 
     Exit status 0 when every deviation stays below ORACLE_GATE, 1
@@ -549,11 +548,8 @@ def cmd_oracle_check(cfg: dict, out: Path | None) -> int:
         lines.append("PASS: all deviations below threshold")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    if out is not None:
-        with _open_output(out) as fh:
-            fh.write(report.encode())
-        _write_sidecar(out, cfg, "both", {"failures": len(failures)})
-    return 1 if failures else 0
+    return ([("", None, report.encode())], "both", {"failures": len(failures)},
+            1 if failures else 0)
 
 
 @functools.cache
@@ -604,22 +600,18 @@ def main(argv: list[str] | None = None) -> int:
     logging.getLogger(__package__).setLevel(args.log_level)
     try:
         cfg = _merge_config(args)
-        out = Path(args.out) if args.out else None
         if args.command in ("spectrum", "map2d"):
-            return cmd_grid(args.command, cfg, out, args.engine)
-        if args.command == "quasibound":
-            return cmd_quasibound(cfg, out)
-        if args.command == "wavepacket":
-            return cmd_wavepacket(cfg, out)
-        if args.command == "modes":
-            return cmd_modes(cfg, out)
-        return cmd_oracle_check(cfg, out)
+            run = cmd_grid(args.command, cfg, args.engine)
+        else:  # looked up on each call, so a rebound cli.cmd_* is the one that runs
+            run = {"quasibound": cmd_quasibound, "wavepacket": cmd_wavepacket,
+                   "modes": cmd_modes, "oracle-check": cmd_oracle_check}[args.command](cfg)
     except (ConfigError, LimitWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CavityChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return _write_outputs(args.out, cfg, *run)
 
 
 if __name__ == "__main__":

@@ -141,10 +141,10 @@ def number_cells(x: np.ndarray, out: np.ndarray) -> int:
 
 
 def write_csv(out: Path, header: list[str], columns: list, block_rows: int,
-              open_output: Callable[[Path], ContextManager[BinaryIO]]) -> tuple[int, int, int]:
+              open_output: Callable[[Path], ContextManager[BinaryIO]]) -> tuple[int, int, int, int]:
     """Write equal-length columns as CSV rows, ``block_rows`` at a time, to the
     file ``open_output(out)`` opens; return the rows, the fields
-    ``number_cells`` formatted and the numbers Python formatted.
+    ``number_cells`` formatted, the numbers Python formatted and the bytes written.
 
     Numbers come out as ``"%.17g" % v`` (integer and boolean columns as
     float64, which is how ``%.17g`` rounds them) and text as ``"%s" % v``.
@@ -199,7 +199,7 @@ def write_csv(out: Path, header: list[str], columns: list, block_rows: int,
     separators = np.array([b","] * (len(cols) - 1) + [b"\n"]).view(np.uint8).astype(np.uint64)
     separators = separators[:, None] << np.uint64(56)
     with open_output(out) as fh:
-        fh.write((",".join(header) + "\n").encode())
+        size = fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, block_rows):
             stop = min(start + block_rows, rows)
             block = np.empty((ends[-1], stop - start), np.uint64)
@@ -211,5 +211,5 @@ def write_csv(out: Path, header: list[str], columns: list, block_rows: int,
                     python += number_cells(c[start:stop].astype(np.float64, copy=False),
                                            block[end - CELLS : end])
             block[ends - 1] |= separators
-            fh.write(block.T.tobytes().translate(None, b"\0"))
-    return rows, rows * sum(not isinstance(c, tuple) for c in cols), python
+            size += fh.write(block.T.tobytes().translate(None, b"\0"))
+    return rows, rows * sum(not isinstance(c, tuple) for c in cols), python, size

@@ -367,7 +367,8 @@ def find_quasibound_modes(
     """Find every trapped-mode root inside the complex momentum window.
 
     The window's Re k bounds are exclusive by 1e-6, so that its sides stay
-    off the band-edge roots on Re k = 0 and pi.  Cut lines at
+    off the band-edge roots on Re k = 0 and pi; a window left empty, Re k's
+    2e-6 wide or narrower, raises ValueError before the search.  Cut lines at
     (m + 1/2) pi / D, halfway between the perfect-mirror momenta and none
     within a quarter cell of the window's sides, split it into cells.
     ``_seeds`` counts each cell's roots by the argument principle and seeds
@@ -391,6 +392,11 @@ def find_quasibound_modes(
     (``refinement_rounds``).
     """
     re_lo, re_hi = re_window[0] + 1e-6, re_window[1] - 1e-6
+    if not re_lo < re_hi:
+        raise ValueError("window_re_min must be below window_re_max by more than 2e-6, "
+                         f"got {re_window}")
+    if not im_window[0] < im_window[1]:
+        raise ValueError(f"window_im_min must be below window_im_max, got {im_window}")
     width = math.pi / cfg.D
     for shift in (0.5, 0.75, 0.25):
         m = np.arange(math.ceil(re_lo / width - shift), math.floor(re_hi / width - shift) + 1)

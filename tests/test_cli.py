@@ -1,7 +1,11 @@
+import contextlib
+import errno
 import json
 import logging
 import math
+import os
 import subprocess
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +15,10 @@ from cavitychain import (
     AtomParams,
     ChainSpec,
     ConfigError,
+    IntegratorDriftError,
     LatticeParams,
     OracleResidualError,
+    UnverifiedRootError,
     cli,
     eigenmodes,
     sweep,
@@ -198,6 +204,8 @@ class TestValidation:
 
 
 QB_SETS = sets(*FIG3A_NODE, "D=10")
+#: A fig3a pair three sites apart, with a root at Re k = 1.14799766.
+QB_PAIR = sets(*FIG3A_NODE, "omega_e2=1", "Omega2=1", "D=3")
 WP_SETS = ["--set", "t=2", "--set", "omega=1", "--set", "omega_e=1", "--set", "Omega=1",
            "--set", "N=420", "--set", "site=210", "--set", "k0=2.2"]
 WP_PLACED = [*WP_SETS, "--set", "sigma=8", "--set", "x0=100", "--set", "tmax=100"]
@@ -213,6 +221,11 @@ class TestConfigCheckedBeforeComputing:
             ("quasibound", [*QB_SETS, *sets("window_im_min=0", "window_im_max=0")],
              "window_im_min must be below window_im_max"),
             ("quasibound", [*QB_SETS, *sets("profile_n=0")], "profile_n: mode index"),
+            # the search moves Re k's sides 1e-6 inward: 2e-6 or less leaves nothing
+            ("quasibound", [*QB_PAIR, *sets("window_re_min=1.1479972", "window_re_max=1.1479981")],
+             "window_re_min must be below window_re_max by more than 2e-6"),
+            ("quasibound", [*QB_PAIR, *sets("window_re_min=1.1479", "window_re_max=1.1479015")],
+             "window_re_min must be below window_re_max by more than 2e-6"),
             ("modes", sets("t=2", "N=20", "mode_index=99"), "mode_index 99 outside 0..19"),
             ("wavepacket", [*WP_SETS, *sets("sigma=2")], "sigma must be >= 4 sites"),
             ("wavepacket", [*WP_SETS, *sets("sigma=8", "x0=100", "tmax=-1")],
@@ -285,7 +298,8 @@ class TestConfigCheckedBeforeComputing:
             ("map2d", sets(*FIG3A_NODE, "k=1.2", "axis1=omega_e", "axis1_min=0",
                            "axis1_max=inf"), "omega_e axis stop must be finite"),
         ],
-        ids=["re-window", "im-window", "profile_n", "mode_index", "sigma", "tmax",
+        ids=["re-window", "im-window", "profile_n", "narrow-re-window-around-a-root",
+             "narrow-re-window", "mode_index", "sigma", "tmax",
              "no-draws", "negative-draws", "negative-seed", "limit", "quantity",
              "duplicate-axes", "no-momentum", "x0-alone", "tmax-alone",
              "absorbers-unplaced", "overlapping-absorbers", "negative-width", "gain-layer",
@@ -590,8 +604,9 @@ def recorded_csvs(monkeypatch):
     write = cli._write_csv
 
     def record(out, header, columns):
-        write(out, header, columns)
+        size = write(out, header, columns)
         written.append((out, header, columns))
+        return size
 
     monkeypatch.setattr(cli, "_write_csv", record)
     return written
@@ -817,24 +832,115 @@ class TestOutputsWrittenInPlace:
                 new, expected = undated(new), undated(expected)
             assert new == expected, name
 
-    @pytest.mark.parametrize("command, args", [
-        ("spectrum", ["--config", "fig3a", *sets("k_count=50")]),
-        ("map2d", ["--config", "fig6b"]),
-    ], ids=["spectrum", "map2d"])
+    @pytest.mark.parametrize("command, args, solver, error", [
+        ("spectrum", ["--config", "fig3a", *sets("k_count=50"), "--engine", "both"],
+         (sweep, "solve_stationary"), OracleResidualError("lattice residual 1.0e-03")),
+        ("map2d", ["--config", "fig6b", "--engine", "both"],
+         (sweep, "solve_stationary"), OracleResidualError("lattice residual 1.0e-03")),
+        ("quasibound", [*QB_SETS, *sets("profile_n=3")],
+         (cli, "find_quasibound_modes"), UnverifiedRootError("the winding numbers [-1]")),
+        ("modes", sets(*FIG3A_NODE, "N=40", "site=15", "mode_index=3"),
+         (cli, "eigenmodes"), OracleResidualError("lattice residual 1.0e-03")),
+        ("wavepacket", [*WP_SETS, *sets("sigma=8")],
+         (cli, "propagate_wavepacket"), IntegratorDriftError("norm drift 1.0e-06")),
+        ("oracle-check", ["--config", "oracle_check", *sets("draws=30", "wavepacket_check=false")],
+         (sweep, "solve_stationary"), OracleResidualError("lattice residual 1.0e-03")),
+    ], ids=["spectrum", "map2d", "quasibound", "modes", "wavepacket", "oracle-check"])
     def test_a_failing_oracle_leaves_the_earlier_outputs(self, tmp_path, capsys, monkeypatch,
-                                                         command, args):
+                                                         command, args, solver, error):
         out = tmp_path / "out.csv"
-        earlier = {out: b"k,R\n0.5,1\n", tmp_path / "out.csv.meta.json": b'{"engine": "both"}\n'}
+        earlier = {out: b"k,R\n0.5,1\n", tmp_path / "out.csv.meta.json": b'{"engine": "both"}\n',
+                   tmp_path / "out.profile.csv": b"j,Re_u\n",
+                   tmp_path / "out.vector.csv": b"kind\n"}
         for path, data in earlier.items():
             path.write_bytes(data)
 
-        def fail(chain, k):
-            raise OracleResidualError("lattice residual 1.0e-03 above the bound")
+        def fail(*args, **kwargs):
+            raise error
 
-        monkeypatch.setattr(sweep, "solve_stationary", fail)
-        assert main([command, *args, "--engine", "both", "--out", str(out)]) == 1
-        assert "lattice residual 1.0e-03" in capsys.readouterr().err
+        monkeypatch.setattr(*solver, fail)
+        assert main([command, *args, "--out", str(out)]) == 1
+        assert str(error) in capsys.readouterr().err
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == earlier
+
+    @pytest.mark.parametrize("command, args, function", [
+        ("spectrum", ["--config", "fig3a", *sets("k_count=50")], "cmd_grid"),
+        ("map2d", ["--config", "fig6b", "--engine", "both"], "cmd_grid"),
+        ("quasibound", [*QB_SETS, *sets("profile_n=3")], "cmd_quasibound"),
+        ("modes", sets(*FIG3A_NODE, "N=40", "site=15", "mode_index=3"), "cmd_modes"),
+        ("wavepacket", [*WP_SETS, *sets("sigma=8")], "cmd_wavepacket"),
+        ("oracle-check", ["--config", "oracle_check", *sets("draws=30", "wavepacket_check=false")],
+         "cmd_oracle_check"),
+    ], ids=["spectrum", "map2d", "quasibound", "modes", "wavepacket", "oracle-check"])
+    def test_commands_compute_and_main_writes(self, tmp_path, capsys, monkeypatch, command,
+                                              args, function):
+        # main calls the module's binding, so whatever rebinds cli.cmd_* sees the call
+        command_function, listings = getattr(cli, function), []
+
+        def wrapped(*call_args):
+            result = command_function(*call_args)
+            listings.append(list(tmp_path.iterdir()))
+            return result
+
+        monkeypatch.setattr(cli, function, wrapped)
+        assert main([command, *args, "--out", str(tmp_path / "out.csv")]) == 0
+        assert listings == [[]]
+        files = json.loads((tmp_path / "out.csv.meta.json").read_text())["files"]
+        assert files == {path.name[len("out"):]: path.stat().st_size
+                         for path in tmp_path.iterdir() if path.suffix != ".json"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3], ids=["profile", "table", "sidecar"])
+    def test_a_failed_write_leaves_the_later_files_and_the_sidecar_shows_the_tear(
+            self, tmp_path, monkeypatch, n):
+        out = tmp_path / "out.csv"
+        assert main(["quasibound", *QB_SETS, *sets("profile_n=3"), "--out", str(out)]) == 0
+        order = ["out.profile.csv", "out.csv", "out.csv.meta.json"]
+        earlier = {name: (tmp_path / name).read_bytes() for name in order}
+        open_output, opened = cli._open_output, []
+
+        class Torn:
+            """Writes half of what it is given, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        @contextlib.contextmanager
+        def nth_fails(path):
+            opened.append(path.name)
+            with open_output(path) as fh:
+                yield Torn(fh) if len(opened) == n else fh
+
+        monkeypatch.setattr(cli, "_open_output", nth_fails)
+        with pytest.raises(OSError):
+            main(["quasibound", *sets(*FIG3A_NODE, "D=12", "profile_n=5"), "--out", str(out)])
+        assert opened == order[:n]
+        torn = order[n - 1]
+        assert (tmp_path / torn).read_bytes() != earlier[torn]
+        for name in order[n:]:
+            assert (tmp_path / name).read_bytes() == earlier[name]
+        if n < len(order):  # the earlier sidecar's count is not what the file now holds
+            files = json.loads(earlier["out.csv.meta.json"])["files"]
+            assert files[torn[len("out"):]] != (tmp_path / torn).stat().st_size
+        else:
+            with pytest.raises(json.JSONDecodeError):
+                json.loads((tmp_path / torn).read_bytes())
+
+    def test_the_sidecar_counts_the_bytes_a_fifo_received(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["spectrum", "--config", "fig3a", *sets("k_count=5000"),
+                     "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        files = json.loads((tmp_path / "fifo.meta.json").read_text())["files"]
+        assert files == {"": len(received[0])} and received[0].count(b"\n") == 5001
 
     @pytest.mark.parametrize("command, args, auxiliary", [
         ("quasibound", [*QB_SETS, *sets("profile_n=3")], "out.profile.csv"),

@@ -212,6 +212,29 @@ class TestModeSearch:
         assert diag["winding"] == diag["window_roots"] == len(modes) == len(siegert_window_roots(cfg, LAT))
         assert diag["max_residual"] == max(m.residual for m in modes) <= VERIFY_TOL
 
+    @pytest.mark.parametrize("re_window, im_window", [
+        ((1.1479972, 1.1479981), DEFAULT_IM_WINDOW),  # 0.9e-6 wide, around a root
+        ((1.1479, 1.1479015), DEFAULT_IM_WINDOW),
+        ((2.0, 1.0), DEFAULT_IM_WINDOW),
+        ((0.5, 2.5), (0.0, 0.0)),
+    ], ids=["around-a-root", "rootless", "inverted", "flat-im"])
+    def test_an_empty_window_raises_before_the_search(self, monkeypatch, re_window, im_window):
+        # Re k's sides move 1e-6 inward, so a window 2e-6 wide or less holds nothing
+        def searched(*args):
+            raise AssertionError("an empty window was searched")
+
+        monkeypatch.setattr(quasibound, "_seeds", searched)
+        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
+        with pytest.raises(ValueError, match="must be below"):
+            find_quasibound_modes(TwoNodeConfig(atom, atom, D=3), LAT,
+                                  re_window=re_window, im_window=im_window)
+
+    def test_a_window_just_wider_than_its_margins_finds_its_root(self):
+        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
+        (mode,) = find_quasibound_modes(TwoNodeConfig(atom, atom, D=3), LAT,
+                                        re_window=(1.1479966, 1.1479987))
+        assert abs(mode.k.real - 1.14799766) < 1e-8
+
     def test_window_across_the_band_edge_wraps_the_period(self):
         # the residual is 2 pi periodic and, for real parameters, symmetric
         # under k -> -conj(k), so a window past pi holds mirrored roots
