@@ -9,32 +9,25 @@ engine with a CLI.
 from .errors import (
     CavityChainError,
     ConfigError,
-    DegenerateDecompositionError,
     InsufficientChainError,
     IntegratorDriftError,
     LimitWindowError,
     NoSolutionError,
     OracleResidualError,
-    OutOfBandError,
     PlacementError,
     UnverifiedRootError,
 )
 from .model import (
     AtomParams,
     LatticeParams,
-    PotentialDecomposition,
-    decompose_potential,
     dispersion_energy,
     dispersion_energy_continued,
-    in_band,
-    momentum_from_energy,
 )
 from .oracle import (
     ChainSpec,
     EigenMode,
     WavepacketResult,
     WavepacketSpec,
-    build_hamiltonian,
     design_wavepacket,
     eigenmodes,
     propagate_wavepacket,

@@ -7,14 +7,6 @@ class CavityChainError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OutOfBandError(CavityChainError):
-    """Requested energy lies on or outside the cosine band edges."""
-
-
-class DegenerateDecompositionError(CavityChainError):
-    """Both resonant frequencies coincide; no two-pole split exists."""
-
-
 class LimitWindowError(CavityChainError):
     """Momentum lies outside the configured high/low energy window."""
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDecompositionError, OutOfBandError
-
 #: Relative scale below which the potential's denominator counts as zero.
 SINGULAR_TOL = 1e-12
 
@@ -48,14 +46,6 @@ class LatticeParams:
         _require_finite("omega", self.omega)
         if not _require_finite("t", self.t) > 0:
             raise ValueError(f"hopping t must be positive, got {self.t!r}")
-
-    @property
-    def band_bottom(self) -> float:
-        return self.omega - 2.0 * self.t
-
-    @property
-    def band_top(self) -> float:
-        return self.omega + 2.0 * self.t
 
 
 @dataclass(frozen=True)
@@ -92,43 +82,9 @@ class AtomParams:
         if low["Gamma"] < 0 or low["gamma"] < 0:
             raise ValueError("decay rates must be nonnegative")
 
-    @classmethod
-    def two_level(cls, level: float, g: float = 1.0, Gamma: float = 0.0) -> "AtomParams":
-        """Two-level node with excited level ``level`` (control field off)."""
-        return cls(omega_e=level, delta=0.0, Omega=0.0, g=g, Gamma=Gamma)
-
-    @property
-    def is_two_level(self) -> bool:
-        return self.Omega == 0.0
-
     @property
     def is_decay_free(self) -> bool:
         return self.Gamma == 0.0 and self.gamma == 0.0
-
-
-@dataclass(frozen=True)
-class PotentialDecomposition:
-    """Two-pole form of the node potential (decay rates ignored).
-
-    V(E) = g^2 [A / (E - omega_plus) + B / (E - omega_minus)] with
-    omega_pm = (omega_e + delta)/2 +- mu.  ``mu`` is the half-splitting,
-    ``nu`` the dimensionless peak asymmetry, A + B = 1.
-    """
-
-    omega_plus: float
-    omega_minus: float
-    mu: float
-    nu: float
-    A: float
-    B: float
-
-    def potential(self, E: complex, g: float = 1.0) -> complex:
-        """Evaluate the partial-fraction form at energy ``E``."""
-        return g * g * (self.A / (E - self.omega_plus) + self.B / (E - self.omega_minus))
-
-    @property
-    def poles(self) -> tuple[float, float]:
-        return (self.omega_plus, self.omega_minus)
 
 
 def dispersion_energy(k, lat: LatticeParams):
@@ -143,24 +99,6 @@ def dispersion_energy(k, lat: LatticeParams):
 def dispersion_energy_continued(k: complex, lat: LatticeParams) -> complex:
     """Analytic continuation of the band energy to complex momentum."""
     return lat.omega - 2.0 * lat.t * cmath.cos(k)
-
-
-def momentum_from_energy(E: float, lat: LatticeParams) -> float:
-    """Inverse dispersion on the k in (0, pi) branch.
-
-    Negative-momentum solutions are represented by wave direction at the
-    caller, never here.  Raises OutOfBandError on |E - omega| >= 2t.
-    """
-    x = (lat.omega - E) / (2.0 * lat.t)
-    if not -1.0 < x < 1.0:
-        raise OutOfBandError(
-            f"energy {E!r} outside the open band ({lat.band_bottom}, {lat.band_top})"
-        )
-    return math.acos(x)
-
-
-def in_band(E: float, lat: LatticeParams) -> bool:
-    return abs(E - lat.omega) < 2.0 * lat.t
 
 
 def potential_parts(E, atom: AtomParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,28 +118,4 @@ def potential_parts(E, atom: AtomParams) -> tuple[np.ndarray, np.ndarray, np.nda
     num = np.where(two_level, g2, g2 * E_dm)
     den = np.where(two_level, E_we, E_we * E_dm - atom.Omega * atom.Omega)
     return num, den, np.where(two_level, atom.g, g2)
-
-
-def decompose_potential(atom: AtomParams) -> PotentialDecomposition:
-    """Split the potential into its two resonant poles (decay-free view).
-
-    Raises DegenerateDecompositionError when the splitting mu vanishes,
-    which needs Omega = 0 together with omega_e = delta.
-    """
-    half_gap = 0.5 * (atom.omega_e - atom.delta)
-    mu = math.hypot(atom.Omega, half_gap)
-    if mu == 0.0:
-        raise DegenerateDecompositionError(
-            "omega_plus and omega_minus coincide; the potential has a single pole"
-        )
-    nu = half_gap / mu
-    center = 0.5 * (atom.omega_e + atom.delta)
-    return PotentialDecomposition(
-        omega_plus=center + mu,
-        omega_minus=center - mu,
-        mu=mu,
-        nu=nu,
-        A=0.5 * (1.0 + nu),
-        B=0.5 * (1.0 - nu),
-    )
 

@@ -68,10 +68,10 @@ class ChainSpec:
     ``placements`` maps site indices to node parameters; a chain has at
     least one site and a node may sit on any of them, 0 to n_sites - 1.
     ``kappa`` adds a uniform -i kappa/2 cavity leakage to every site (off by
-    default).  Lattice and node fields may be arrays (a batch of points) for
-    ``build_hamiltonian`` and ``solve_stationary``.  For ``solve_stationary``
-    alone a node's site may be an integer array too, one site per point
-    broadcast like the fields; every point's sites are checked as a chain's.
+    default).  For ``solve_stationary`` alone, lattice and node fields may
+    be arrays (a batch of points), and a node's site an integer array, one
+    site per point broadcast like the fields; every point's sites are
+    checked as a chain's.
     """
 
     n_sites: int
@@ -178,11 +178,13 @@ class WavepacketResult:
 
 
 def _interleaved_order(spec: ChainSpec) -> np.ndarray:
-    """Index in ``build_hamiltonian``'s basis of each unknown of the interleaved one.
+    """Index in the site-first basis of each unknown of the interleaved one.
 
-    The interleaved basis puts each node's two levels right after its site,
-    u_0, ..., u_p, e_p, a_p, u_{p+1}, ..., so H is a band with three
-    diagonals on either side of the main one for any number of nodes.
+    The site-first basis holds the N sites, then each node's excited and
+    metastable level.  The interleaved basis puts each node's two levels
+    right after its site, u_0, ..., u_p, e_p, a_p, u_{p+1}, ..., so H is a
+    band with three diagonals on either side of the main one for any number
+    of nodes.
     Every point of a chain with per-point node sites has its own order, so
     such a chain raises PlacementError here.
     """
@@ -242,7 +244,7 @@ def _hamiltonian_band(spec: ChainSpec) -> np.ndarray:
 
 
 def _entries(band: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the band's entries in ``build_hamiltonian``'s basis.
+    """Rows, columns and values of the band's entries in the site-first basis.
 
     ``band[..., i, 3 + d]`` sits at (order[i], order[i + d]), each entry once;
     the values keep the band's dtype and batch axes.
@@ -260,16 +262,6 @@ def _expand(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -
     dense = np.zeros((*batch, size * size), dtype=values.dtype)
     dense[..., rows * size + cols] = values
     return dense.reshape(*batch, size, size)
-
-
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Single-excitation Hamiltonian; Hermitian exactly when decay-free.
-
-    Basis order: the N sites, then (excited, metastable) per node.  This is
-    the dense expansion of ``_hamiltonian_band``.  Array fields broadcast to
-    a shape ``batch`` and give the ``(*batch, dim, dim)`` stack of their H.
-    """
-    return _expand(*_entries(_hamiltonian_band(spec), _interleaved_order(spec)), spec.dimension)
 
 
 def _stationary_band(spec: ChainSpec, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,7 +393,7 @@ def solve_stationary(spec: ChainSpec, k):
 
 
 def _mirror(spec: ChainSpec) -> np.ndarray:
-    """Index in ``build_hamiltonian``'s basis of each unknown's mirror image.
+    """Index in the site-first basis of each unknown's mirror image.
 
     Site j maps to N - 1 - j, and node m's two levels to node M - 1 - m's.
     """

@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 DEFAULT_RE_WINDOW = (0.0, math.pi)
 DEFAULT_IM_WINDOW = (-0.5, 0.05)
 
-#: Scaled-residual bound every window root must meet.
+#: Scaled-residual bound a window root meets, unless Newton has converged on it.
 VERIFY_TOL = 1e-10
 
 
@@ -323,6 +323,25 @@ def _cells(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
     return xs, counts, np.concatenate(seeds).astype(complex)[order], seed_cells[order], (len(k), rounds)
 
 
+def _newton_step(ks, cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
+    """Newton's step P22 / P22' at each k, the slope a central difference over 2e-7."""
+    h = 1e-7
+    behind, P22, ahead = quasibound_residual(np.stack([ks - h, ks, ks + h]), cfg, lat)
+    return 2.0 * h * P22 / (ahead - behind)
+
+
+def _converged(k: complex, cfg: TwoNodeConfig, lat: LatticeParams) -> bool:
+    """Whether one more Newton step would move the root k by at most 16 ulps of |k|.
+
+    This bounds the root's backward error where its residual cannot: on weak
+    mirrors (g of 0.006 or less on the fig3a pair) P22's rounding near a node
+    pole leaves true roots 1.4e-10 to 1.2e-8 in scaled residual, yet their
+    next step is below 1 ulp.  A point 1e-9 off a root takes a step of 2e6
+    ulps or more.
+    """
+    return abs(_newton_step(np.array([k]), cfg, lat)[0]) <= 16 * np.spacing(abs(k))
+
+
 def _polish(ks, cells, cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
     """Newton on ``quasibound_residual`` until each step is below 4 ulps of |k|.
 
@@ -335,13 +354,11 @@ def _polish(ks, cells, cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
     ks = ks.copy()
     moving = np.ones(len(ks), bool)
     shifts = range(1, int(np.bincount(cells).max(initial=1)))
-    h = 1e-7
     for _ in range(64):
         i = np.flatnonzero(moving)
         if not len(i):
             break
-        behind, P22, ahead = quasibound_residual(np.stack([ks[i] - h, ks[i], ks[i] + h]), cfg, lat)
-        newton = 2.0 * h * P22 / (ahead - behind)
+        newton = _newton_step(ks[i], cfg, lat)
         pull = np.zeros(len(ks), complex)
         for s in shifts:
             with np.errstate(all="ignore"):
@@ -381,7 +398,9 @@ def find_quasibound_modes(
     cut line can spoil its count, so when a cell fails, every cut moves to
     (m + 3/4) pi / D and then to (m + 1/4) pi / D, and the search runs again;
     UnverifiedRootError is raised when all three placements fail, or when a
-    scaled residual exceeds VERIFY_TOL.  Results are sorted by (Re k, Im k).
+    root's scaled residual exceeds VERIFY_TOL and one more Newton step would
+    move it by more than 16 ulps of |k| (``_converged``).  Results are
+    sorted by (Re k, Im k).
     ``n_re`` and ``n_im`` are accepted and ignored (they sized an earlier
     seed grid).
     ``return_diagnostics`` adds the window's root count by the argument
@@ -419,9 +438,10 @@ def find_quasibound_modes(
         raise UnverifiedRootError(wrong)
     modes = []
     for k, residual in zip(ks.tolist(), residuals.tolist()):
-        if not residual <= VERIFY_TOL:
+        if not (residual <= VERIFY_TOL or _converged(k, cfg, lat)):
             raise UnverifiedRootError(
-                f"trapped-mode root k={k} has scaled residual {residual:.3e} > {VERIFY_TOL:.1e}"
+                f"trapped-mode root k={k} has scaled residual {residual:.3e} > {VERIFY_TOL:.1e}, "
+                "and Newton has not converged on it"
             )
         E = dispersion_energy_continued(k, lat)
         n = _mode_index(k, cfg.D)

@@ -5,9 +5,12 @@ The closed forms below are the reference the vectorised kernel
 point by point, with their own potential and limit bands, and share no code
 with the kernel: only the tolerances ``model.SINGULAR_TOL`` and
 ``scattering.LIMIT_WINDOW``, read at each call so that a test may patch
-them.  ``siegert_roots`` is the reference for the trapped-mode search: the
-roots come from the lattice segment between the nodes, an eigenproblem that
-shares no code with the contour search.
+them.  The inverse dispersion ``momentum_from_energy``, the two-pole form
+``decompose_potential`` and the dense H of ``build_hamiltonian`` are
+reference code that no command runs.  ``siegert_roots`` is the reference
+for the trapped-mode search: the roots come from the lattice segment
+between the nodes, an eigenproblem that shares no code with the contour
+search.
 """
 
 from __future__ import annotations
@@ -20,16 +23,24 @@ import numpy as np
 
 from cavitychain import (
     AtomParams,
+    CavityChainError,
     ChainSpec,
     LatticeParams,
     LimitWindowError,
     TwoNodeConfig,
-    build_hamiltonian,
     dispersion_energy,
     model,
     oracle,
     scattering,
 )
+
+
+class OutOfBandError(CavityChainError):
+    """Requested energy lies on or outside the cosine band edges."""
+
+
+class DegenerateDecompositionError(CavityChainError):
+    """Both resonant frequencies coincide; no two-pole split exists."""
 
 
 class SingularPotentialError(Exception):
@@ -58,6 +69,84 @@ class ScatteringResult:
     def xi(self) -> float:
         """Loss ratio 1 - (R + T); zero for elastic scattering."""
         return 1.0 - (self.R + self.T)
+
+
+def momentum_from_energy(E: float, lat: LatticeParams) -> float:
+    """Inverse dispersion on the k in (0, pi) branch.
+
+    Negative-momentum solutions are represented by wave direction at the
+    caller, never here.  Raises OutOfBandError on |E - omega| >= 2t.
+    """
+    x = (lat.omega - E) / (2.0 * lat.t)
+    if not -1.0 < x < 1.0:
+        bottom, top = lat.omega - 2.0 * lat.t, lat.omega + 2.0 * lat.t
+        raise OutOfBandError(f"energy {E!r} outside the open band ({bottom}, {top})")
+    return math.acos(x)
+
+
+def in_band(E: float, lat: LatticeParams) -> bool:
+    return abs(E - lat.omega) < 2.0 * lat.t
+
+
+@dataclass(frozen=True)
+class PotentialDecomposition:
+    """Two-pole form of the node potential (decay rates ignored).
+
+    V(E) = g^2 [A / (E - omega_plus) + B / (E - omega_minus)] with
+    omega_pm = (omega_e + delta)/2 +- mu.  ``mu`` is the half-splitting,
+    ``nu`` the dimensionless peak asymmetry, A + B = 1.
+    """
+
+    omega_plus: float
+    omega_minus: float
+    mu: float
+    nu: float
+    A: float
+    B: float
+
+    def potential(self, E: complex, g: float = 1.0) -> complex:
+        """Evaluate the partial-fraction form at energy ``E``."""
+        return g * g * (self.A / (E - self.omega_plus) + self.B / (E - self.omega_minus))
+
+    @property
+    def poles(self) -> tuple[float, float]:
+        return (self.omega_plus, self.omega_minus)
+
+
+def decompose_potential(atom: AtomParams) -> PotentialDecomposition:
+    """Split the potential into its two resonant poles (decay-free view).
+
+    Raises DegenerateDecompositionError when the splitting mu vanishes,
+    which needs Omega = 0 together with omega_e = delta.
+    """
+    half_gap = 0.5 * (atom.omega_e - atom.delta)
+    mu = math.hypot(atom.Omega, half_gap)
+    if mu == 0.0:
+        raise DegenerateDecompositionError(
+            "omega_plus and omega_minus coincide; the potential has a single pole"
+        )
+    nu = half_gap / mu
+    center = 0.5 * (atom.omega_e + atom.delta)
+    return PotentialDecomposition(
+        omega_plus=center + mu,
+        omega_minus=center - mu,
+        mu=mu,
+        nu=nu,
+        A=0.5 * (1.0 + nu),
+        B=0.5 * (1.0 - nu),
+    )
+
+
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Single-excitation Hamiltonian; Hermitian exactly when decay-free.
+
+    Basis order: the N sites, then (excited, metastable) per node.  This is
+    the dense expansion of ``oracle._hamiltonian_band``.  Array fields
+    broadcast to a shape ``batch`` and give the ``(*batch, dim, dim)`` stack
+    of their H.
+    """
+    order = oracle._interleaved_order(spec)
+    return oracle._expand(*oracle._entries(oracle._hamiltonian_band(spec), order), spec.dimension)
 
 
 def effective_potential(E: complex, atom: AtomParams) -> complex:
@@ -168,7 +257,7 @@ def siegert_roots(nodes, lat: LatticeParams) -> tuple[np.ndarray, list[int]]:
     """
     x0, span = nodes[0][0], nodes[-1][0] - nodes[0][0]
     segment = ChainSpec(span + 1, tuple((x - x0, atom) for x, atom in nodes), lat)
-    metastable = span + 2 + 2 * np.flatnonzero([atom.is_two_level for _, atom in nodes])
+    metastable = span + 2 + 2 * np.flatnonzero([atom.Omega == 0 for _, atom in nodes])
     keep = np.delete(np.arange(segment.dimension), metastable)
     n = len(keep)
     A1 = lat.omega * np.eye(n) - build_hamiltonian(segment)[np.ix_(keep, keep)]
@@ -212,6 +301,52 @@ def siegert_window_roots(cfg: TwoNodeConfig, lat: LatticeParams, re_window=(0.0,
     inside = (re_lo < ks.real) & (ks.real < re_hi) & (im_window[0] < ks.imag) & (ks.imag < im_window[1])
     ks = ks[inside]
     return ks[np.lexsort((ks.imag, ks.real))]
+
+
+def bound_state_energies(nodes, lat: LatticeParams, *, flip: bool = False) -> np.ndarray:
+    """Energies of the photon bound states outside the band, bisected on the closed form.
+
+    Below the band E = omega - 2 t cosh kappa and above it omega + 2 t cosh
+    kappa, kappa > 0 (k = i kappa and pi + i kappa).  There the free chain's
+    Green's function is G_jl = G00 z^|x_j - x_l|, with z = s e^{-kappa},
+    s = sign(E - omega), and G00 = s / sqrt((E - omega)^2 - 4 t^2), which is
+    s / (2 t sinh kappa) (John & Wang, PRL 64, 2418 (1990)).  A state is
+    bound where det(1 - V G) = 0; for one node, where V(E) = s 2 t sinh kappa.
+    Row j times den_j 2 t sinh kappa clears the poles of V_j = num_j / den_j
+    and G00: the roots are the sign changes of det(2 t sinh kappa den - s num Z)
+    over 4,000 steps of kappa in [1e-3, 8], bisected to rounding.  Decay-free
+    nodes only.  ``flip`` flips the sign of the 2 t sinh kappa term, a wrong
+    closed form.  Returns the energies, sorted.
+    """
+    x = np.array([site for site, _ in nodes])
+
+    def det(kappa, s):
+        E = lat.omega + s * 2.0 * lat.t * np.cosh(kappa)
+        num, den = np.empty((2, len(kappa), len(nodes)))
+        for j, (_, atom) in enumerate(nodes):
+            if atom.Omega == 0:
+                num[:, j], den[:, j] = atom.g * atom.g, E - atom.omega_e
+            else:
+                num[:, j] = atom.g * atom.g * (E - atom.delta)
+                den[:, j] = (E - atom.omega_e) * (E - atom.delta) - atom.Omega**2
+        Z = (s * np.exp(-kappa))[:, None, None] ** np.abs(x[:, None] - x[None, :])
+        hop = (-1.0 if flip else 1.0) * 2.0 * lat.t * np.sinh(kappa)[:, None]
+        return np.linalg.det(np.eye(len(nodes)) * (hop * den)[:, :, None] - s * num[:, :, None] * Z)
+
+    energies = []
+    for s in (-1.0, 1.0):
+        kappa = np.linspace(1e-3, 8.0, 4001)
+        f = det(kappa, s)
+        for i in np.flatnonzero(np.sign(f[1:]) != np.sign(f[:-1])):
+            lo, hi, f_lo = kappa[i], kappa[i + 1], f[i]
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                f_mid = det(np.array([mid]), s)[0]
+                if np.sign(f_mid) == np.sign(f_lo):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            energies.append(lat.omega + s * 2.0 * lat.t * math.cosh(lo))
+    return np.sort(np.array(energies))
 
 
 def quantized_momenta(D: int) -> list[float]:

@@ -160,7 +160,7 @@ class TestManyNodes:
 class TestFlags:
     def test_pole_grid_flags_and_limits_match_the_closed_forms(self):
         # E(pi/2) = omega = 1 is the bare level of the two-level node
-        mirror = AtomParams.two_level(1.0)
+        mirror = AtomParams(omega_e=1.0, delta=0.0, Omega=0.0)
         k = np.linspace(math.pi / 4, 3 * math.pi / 4, 5)
         for atoms in ([mirror], [mirror, FIG3A_ATOM], [FIG3A_ATOM, mirror]):
             r, s, flag = chain_scatter(k, list(zip((0, 3), atoms)), LAT)
@@ -176,7 +176,7 @@ class TestFlags:
     def test_bound_state_in_the_continuum_is_a_singular_mirror(self):
         # two-level nodes at their level E = 2, D = 12: the trapped-mode
         # condition and both poles hold at once at k = 2 pi / 3
-        node = AtomParams.two_level(2.0)
+        node = AtomParams(omega_e=2.0, delta=0.0, Omega=0.0)
         lat = LatticeParams(omega=1.0, t=1.0)
         k = 2.0 * math.pi / 3.0
         r, s, flag = chain_scatter(k, [(0, node), (12, node)], lat)
@@ -186,7 +186,7 @@ class TestFlags:
 
     def test_bound_state_behind_the_first_mirror_keeps_its_phase(self):
         # the same pair moved to sites 5 and 17 reflects off the mirror at 5
-        node = AtomParams.two_level(2.0)
+        node = AtomParams(omega_e=2.0, delta=0.0, Omega=0.0)
         lat = LatticeParams(omega=1.0, t=1.0)
         k = 2.0 * math.pi / 3.0
         r, s, flag = chain_scatter(k, [(5, node), (17, node)], lat)
@@ -196,7 +196,7 @@ class TestFlags:
 
     def test_bound_state_behind_a_transparent_node_sees_only_the_first_mirror(self):
         # a node A at 0 in front of the pair: r is that of A and the mirror at 4 alone
-        node = AtomParams.two_level(2.0)
+        node = AtomParams(omega_e=2.0, delta=0.0, Omega=0.0)
         lat = LatticeParams(omega=1.0, t=1.0)
         k = 2.0 * math.pi / 3.0
         front = AtomParams(omega_e=0.3, delta=-0.2, Omega=0.7)

@@ -15,24 +15,24 @@ from cavitychain import (
     PlacementError,
     TwoNodeConfig,
     WavepacketSpec,
-    build_hamiltonian,
     chain_scatter,
-    decompose_potential,
     design_wavepacket,
     dispersion_energy,
     eigenmodes,
     find_perfect_reflection,
-    momentum_from_energy,
     propagate_wavepacket,
     solve_stationary,
 )
 from cavitychain import cli, oracle
 from cavitychain.oracle import design_scattering_run
 from helpers import (
+    build_hamiltonian,
+    decompose_potential,
     draw_atom,
     draw_lattice,
     draw_momentum,
     draw_two_node,
+    momentum_from_energy,
     single_node_scatter,
     two_node_scatter,
 )
@@ -256,8 +256,8 @@ class TestBuildHamiltonian:
         assert np.all(np.diag(H, 1) == -LAT.t)
         assert np.count_nonzero(H - np.diag(np.diag(H)) - np.diag(np.diag(H, 1), 1) - np.diag(np.diag(H, -1), -1)) == 0
         eigs = np.linalg.eigvalsh(H.real)
-        assert eigs.min() >= LAT.band_bottom - 1e-12
-        assert eigs.max() <= LAT.band_top + 1e-12
+        assert eigs.min() >= LAT.omega - 2 * LAT.t - 1e-12
+        assert eigs.max() <= LAT.omega + 2 * LAT.t + 1e-12
 
     def test_exact_coupling_elements(self):
         atom = AtomParams(omega_e=0.3, delta=-0.2, Omega=1.0, g=1.0)
@@ -269,7 +269,7 @@ class TestBuildHamiltonian:
         assert H[e, e] == 0.3 and H[a, a] == -0.2
 
     def test_control_off_decouples_metastable_level(self):
-        atom = AtomParams.two_level(1.5)
+        atom = AtomParams(omega_e=1.5, delta=0.0, Omega=0.0)
         spec = ChainSpec(20, ((9, atom),), LAT)
         H = build_hamiltonian(spec)
         a = 21
@@ -325,7 +325,7 @@ class TestStationarySolve:
         # a node on site 0, one on site n-1, and both (one site and a node
         # are 5 unknowns; 120 sites take more than one panel)
         lam = AtomParams(omega_e=0.4, delta=-0.7, Omega=1.3, Gamma=0.03)
-        two = AtomParams.two_level(1.5, g=0.8)
+        two = AtomParams(omega_e=1.5, delta=0.0, Omega=0.0, g=0.8)
         layouts = [((0, lam),), ((n_sites - 1, two),)]
         if n_sites > 1:
             layouts.append(((0, lam), (n_sites - 1, two)))
@@ -347,7 +347,7 @@ class TestStationarySolve:
 
     def test_two_node_hand_case(self):
         lat = LatticeParams(omega=1.0, t=1.0)
-        node = AtomParams.two_level(2.0)
+        node = AtomParams(omega_e=2.0, delta=0.0, Omega=0.0)
         spec = ChainSpec(41, ((18, node), (22, node)), lat)
         r, s = solve_stationary(spec, math.pi / 2)
         assert abs(r) ** 2 == pytest.approx(0.5, abs=1e-9)
@@ -809,7 +809,7 @@ class TestWavepacket:
             spec, wp = design_scattering_run((FIG3A_ATOM, FIG3A_ATOM), LAT, 1.4, 6.0, D=1)
         elif case == "two-level-node":
             # A two-level node beside a Lambda node; its metastable level is decoupled.
-            atoms = (AtomParams.two_level(0.5, g=1.2), FIG3A_ATOM)
+            atoms = (AtomParams(omega_e=0.5, delta=0.0, Omega=0.0, g=1.2), FIG3A_ATOM)
             spec, wp = design_scattering_run(atoms, LAT, 1.3, 6.0, D=3)
         elif case == "strong-coupling":
             # g = 30 puts bound states far outside the band, at the interval's edges.
@@ -851,7 +851,7 @@ class TestWavepacket:
         n, kappa, cap = 60, 0.0, np.zeros(60)
         nodes = ((20, FIG3A_ATOM), (21, AtomParams(omega_e=0.4, delta=-0.3, Omega=0.7, g=1.3)))
         if case == "two-level-node":
-            nodes = ((20, AtomParams.two_level(0.6, g=1.4)), (33, FIG3A_ATOM))
+            nodes = ((20, AtomParams(omega_e=0.6, delta=0.0, Omega=0.0, g=1.4)), (33, FIG3A_ATOM))
         elif case == "decay":
             decaying = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.3, gamma=0.05)
             nodes = ((20, decaying), (27, FIG3A_ATOM))

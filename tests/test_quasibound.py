@@ -11,12 +11,11 @@ from cavitychain import (
     TwoNodeConfig,
     UnverifiedRootError,
     bound_profile,
-    build_hamiltonian,
     dispersion_energy,
     dispersion_energy_continued,
+    eigenmodes,
     find_perfect_reflection,
     find_quasibound_modes,
-    momentum_from_energy,
     oracle,
     quasibound,
     quasibound_residual,
@@ -24,7 +23,15 @@ from cavitychain import (
 from cavitychain.model import potential_parts
 from cavitychain.quasibound import DEFAULT_IM_WINDOW, VERIFY_TOL
 from cavitychain.scattering import _transfer_row
-from helpers import dense_entries, quantized_momenta, siegert_roots, siegert_window_roots
+from helpers import (
+    bound_state_energies,
+    build_hamiltonian,
+    dense_entries,
+    momentum_from_energy,
+    quantized_momenta,
+    siegert_roots,
+    siegert_window_roots,
+)
 
 LAT = LatticeParams(omega=1.0, t=2.0)
 
@@ -46,7 +53,7 @@ class TestResidual:
         cfgs = [
             TwoNodeConfig(
                 AtomParams(omega_e=0.5, delta=-0.3, Omega=0.8, g=1.2),
-                AtomParams.two_level(2.0, g=0.9),
+                AtomParams(omega_e=2.0, delta=0.0, Omega=0.0, g=0.9),
                 D=5,
             ),
             TwoNodeConfig(
@@ -254,15 +261,20 @@ class TestModeSearch:
 
 
 LAMBDA = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
-TWO_LEVEL = AtomParams.two_level(2.0)
+TWO_LEVEL = AtomParams(omega_e=2.0, delta=0.0, Omega=0.0)
 DECAYING = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, Gamma=0.04, gamma=0.01)
-MIXED = (AtomParams(omega_e=0.5, delta=-0.3, Omega=0.8, g=1.2), AtomParams.two_level(2.0, g=0.9))
+MIXED = (AtomParams(omega_e=0.5, delta=-0.3, Omega=0.8, g=1.2),
+         AtomParams(omega_e=2.0, delta=0.0, Omega=0.0, g=0.9))
 NARROW_LAT = LatticeParams(omega=1.0, t=1.0)
 
 
 def weak(g):
     """The fig3a node with a weak probe coupling: near-double roots at its poles."""
     return AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, g=g)
+
+
+#: Weak fig3a pairs, (g, D), whose roots near a node pole stop above VERIFY_TOL.
+WEAK_MIRRORS = [(g, D) for g in (0.001, 0.003, 0.005) for D in (20, 100, 200)] + [(0.006, 20)]
 
 
 def winding_number(nodes, lat, rect, per_edge):
@@ -350,16 +362,33 @@ class TestCompleteness:
         gaps = np.diff(sorted(m.k.real for m in modes))
         assert gaps.min() > 1e-6
 
-    def test_failed_verification_raises(self, monkeypatch):
-        exact = quasibound.quasibound_residual
+    @pytest.mark.parametrize("g, D", WEAK_MIRRORS, ids=[f"weak-g{g}-{D}" for g, D in WEAK_MIRRORS])
+    def test_weak_mirror_roots_pass_on_their_backward_error(self, g, D):
+        # P22's rounding near the node pole leaves some true roots above
+        # VERIFY_TOL in scaled residual, yet one more Newton step moves them
+        # by less than an ulp; each matches the lattice's Siegert root.
+        # Below Im k = -0.06 the lattice's companion solves these weakly
+        # coupled segments only to 5.1e-10 (its roots' own Newton step on
+        # P22), so the rest match to 1e-9
+        cfg = TwoNodeConfig(weak(g), weak(g), D)
+        modes, diag = find_quasibound_modes(cfg, LAT, return_diagnostics=True)
+        reference = siegert_window_roots(cfg, LAT)
+        assert diag["winding"] == len(modes) == len(reference)
+        ks = np.array([m.k for m in modes])
+        loose = np.array([m.residual for m in modes]) > VERIFY_TOL
+        assert loose.any()
+        assert np.abs(ks - reference)[loose].max() <= 1e-12
+        assert np.abs(ks - reference).max() <= 1e-9
 
-        def offset(k, cfg, lat, *, scaled=False):
-            return exact(k, cfg, lat, scaled=scaled) + 1e-6
-
-        monkeypatch.setattr(quasibound, "quasibound_residual", offset)
-        cfg = TwoNodeConfig(LAMBDA, LAMBDA, 10)
-        with pytest.raises(UnverifiedRootError, match="scaled residual"):
-            find_quasibound_modes(cfg, LAT)
+    @pytest.mark.parametrize("atom, D", [(LAMBDA, 10), *((weak(g), D) for g, D in WEAK_MIRRORS[::3])],
+                             ids=["lambda-10", *(f"weak-g{g}-{D}" for g, D in WEAK_MIRRORS[::3])])
+    def test_failed_verification_raises(self, monkeypatch, atom, D):
+        # a root 1e-9 off fails the residual check, and one more Newton step
+        # from it is over 1e6 ulps
+        polish = quasibound._polish
+        monkeypatch.setattr(quasibound, "_polish", lambda *args: polish(*args) + 1e-9)
+        with pytest.raises(UnverifiedRootError, match="Newton has not converged"):
+            find_quasibound_modes(TwoNodeConfig(atom, atom, D), LAT)
 
     @pytest.mark.parametrize(
         "sites, atoms, expected",
@@ -426,7 +455,8 @@ class TestCompleteness:
 PAIRS = {
     "lambda": (LAMBDA, LAMBDA, LAT),
     "two-level": (TWO_LEVEL, TWO_LEVEL, NARROW_LAT),
-    "two-level-at-band-centre": (AtomParams.two_level(1.0), AtomParams.two_level(1.0), NARROW_LAT),
+    "two-level-at-band-centre": (AtomParams(omega_e=1.0, delta=0.0, Omega=0.0),
+                                 AtomParams(omega_e=1.0, delta=0.0, Omega=0.0), NARROW_LAT),
     "lambda-asymmetric": (LAMBDA, AtomParams(omega_e=0.7, delta=-0.2, Omega=0.8), LAT),
     "decaying": (DECAYING, DECAYING, LAT),
     "lambda-two-level": (*MIXED, LAT),
@@ -508,7 +538,7 @@ def full_companion_roots(nodes, lat):
     span = nodes[-1][0] - nodes[0][0]
     spec = ChainSpec(span + 1, tuple((x - nodes[0][0], atom) for x, atom in nodes), lat)
     kept = [i for i in range(spec.dimension)
-            if i <= span or (i - span) % 2 == 1 or not nodes[(i - span - 2) // 2][1].is_two_level]
+            if i <= span or (i - span) % 2 == 1 or not nodes[(i - span - 2) // 2][1].Omega == 0]
     H = build_hamiltonian(spec)[np.ix_(kept, kept)]
     n = len(kept)
     A2 = np.eye(n)
@@ -620,3 +650,84 @@ class TestParityBlocks:
         assert np.array_equal(weights, [np.ones(9)])
         outside = np.r_[mirror[:-1], -1]
         assert len(oracle._mirror_blocks(*dense_entries(A + A[mirror][:, mirror]), outside)) == 1
+
+
+#: The fig3a node with Omega set to put a node pole on E_12 of D = 20 (a BIC).
+AT_OMEGA_STAR = AtomParams(omega_e=1.0, delta=0.0, Omega=1.6625077511098134)
+STRONG = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, g=3.0)
+STRONG_TWO_LEVEL = AtomParams(omega_e=1.0, delta=0.0, Omega=0.0, g=3.0)
+
+
+def lattice_bound_states(nodes, n_sites):
+    """Energies of ``eigenmodes`` outside the band, the nodes at the chain's centre, sorted."""
+    first = (n_sites - 1 - nodes[-1][0]) // 2
+    spec = ChainSpec(n_sites, tuple((first + x, atom) for x, atom in nodes), LAT)
+    E = np.array([m.energy.real for m in eigenmodes(spec)])
+    return np.sort(E[np.abs(E - LAT.omega) > 2 * LAT.t])
+
+
+def searched_bound_states(atom1, atom2, D):
+    """Energies of the certified search's roots at k = i kappa and pi + i kappa, sorted."""
+    cfg = TwoNodeConfig(atom1, atom2, D)
+    modes = [m for re_window in ((-0.5, 0.5), (math.pi - 0.5, math.pi + 0.5))
+             for m in find_quasibound_modes(cfg, LAT, re_window=re_window, im_window=(0.001, 1.0))]
+    assert all(m.n is None for m in modes)
+    return np.sort([m.E.real for m in modes])
+
+
+def binding(E):
+    """kappa of a state at energy E outside the band: |E - omega| = 2 t cosh kappa."""
+    return np.arccosh(np.abs(E - LAT.omega) / (2 * LAT.t))
+
+
+class TestBoundStatesOutsideTheBand:
+    # Photon-node bound states, the poles of s at k = i kappa (below the band)
+    # and pi + i kappa (above it), by three routes: the closed form
+    # det(1 - V G) = 0, the out-of-band eigenvalues of a chain, and the
+    # trapped-mode search.  A chain's eigenvalue is exact to within about
+    # e^{-kappa N}, so the gate is 1e-12 where e^{-kappa N / 2} < 1e-14.
+
+    @pytest.mark.parametrize(
+        "nodes, n_sites",
+        [([(0, STRONG)], 401), ([(0, STRONG_TWO_LEVEL)], 401),
+         ([(0, AT_OMEGA_STAR), (20, AT_OMEGA_STAR)], 1801),
+         ([(0, STRONG_TWO_LEVEL), (7, STRONG)], 401)],
+        ids=["lambda-g3", "two-level-g3", "fig3a-pair-at-omega-star-20", "two-level-lambda-7"],
+    )
+    def test_closed_form_matches_the_lattice(self, nodes, n_sites):
+        closed = bound_state_energies(nodes, LAT)
+        lattice = lattice_bound_states(nodes, n_sites)
+        assert len(closed) == len(lattice) == 2 * len(nodes)
+        assert np.any(closed < LAT.omega) and np.any(closed > LAT.omega)
+        assert np.all(np.exp(-binding(closed) * n_sites / 2) < 1e-14)
+        assert np.abs(closed - lattice).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "atom1, atom2, D, count",
+        [(AT_OMEGA_STAR, AT_OMEGA_STAR, 20, 4),
+         (STRONG_TWO_LEVEL, STRONG, 7, 4), (STRONG, STRONG, 1, 2)],
+        ids=["fig3a-pair-at-omega-star-20", "two-level-lambda-7", "lambda-g3-1"],
+    )
+    def test_certified_search_finds_each_bound_state(self, atom1, atom2, D, count):
+        # the windows Re k in (-0.5, 0.5) and (pi - 0.5, pi + 0.5), Im k in
+        # (0.001, 1), with no change to the search; adjacent nodes bind only
+        # the even state on either side
+        closed = bound_state_energies([(0, atom1), (D, atom2)], LAT)
+        searched = searched_bound_states(atom1, atom2, D)
+        assert len(searched) == len(closed) == count
+        assert np.abs(searched - closed).max() <= 1e-12
+
+    def test_a_flipped_sinh_term_or_a_short_chain_fails_the_gate(self):
+        # the closed form with V(E) = -+ 2 t sinh kappa the wrong way round,
+        # or a chain shorter than 1 / kappa (14.7 sites for the fig3a node)
+        def agree(a, b):
+            return len(a) == len(b) and np.abs(a - b).max() <= 1e-12
+
+        nodes = [(0, STRONG)]
+        assert agree(bound_state_energies(nodes, LAT), lattice_bound_states(nodes, 401))
+        assert not agree(bound_state_energies(nodes, LAT, flip=True), lattice_bound_states(nodes, 401))
+        fig3a = [(0, AtomParams(omega_e=1.0, delta=0.0, Omega=1.0))]
+        closed = bound_state_energies(fig3a, LAT)
+        assert 1 / binding(closed).min() > 14
+        assert agree(closed, lattice_bound_states(fig3a, 1001))
+        assert not agree(closed, lattice_bound_states(fig3a, 11))

@@ -8,15 +8,14 @@ from cavitychain import (
     LatticeParams,
     LimitWindowError,
     NoSolutionError,
-    OutOfBandError,
     TwoNodeConfig,
-    decompose_potential,
     dispersion_energy,
     find_perfect_reflection,
-    momentum_from_energy,
 )
 from helpers import (
+    OutOfBandError,
     SingularPotentialError,
+    decompose_potential,
     draw_atom,
     draw_lattice,
     draw_momentum,
@@ -24,6 +23,7 @@ from helpers import (
     effective_potential,
     limit_scatter,
     loss_ratio,
+    momentum_from_energy,
     single_node_scatter,
     two_node_scatter,
 )
@@ -135,7 +135,7 @@ class TestTwoNode:
     def test_hand_value_two_level_pair(self):
         # V1 = V2 = -1, phase factor 1: R = T = 1/2
         lat = LatticeParams(omega=1.0, t=1.0)
-        node = AtomParams.two_level(2.0)
+        node = AtomParams(omega_e=2.0, delta=0.0, Omega=0.0)
         res = two_node_scatter(math.pi / 2, TwoNodeConfig(node, node, D=4), lat)
         assert res.R == pytest.approx(0.5, abs=1e-14)
         assert res.T == pytest.approx(0.5, abs=1e-14)
@@ -208,7 +208,7 @@ class TestTwoNode:
         k = math.pi / 5
         cfg_base = TwoNodeConfig(
             AtomParams(omega_e=0.4, delta=-0.2, Omega=0.9),
-            AtomParams.two_level(1.1),
+            AtomParams(omega_e=1.1, delta=0.0, Omega=0.0),
             D=2,
         )
         ref = two_node_scatter(k, cfg_base, LAT)
@@ -232,7 +232,7 @@ class TestLimits:
         assert lim.r == pytest.approx(exact.r, abs=1e-12)
 
     def test_low_regime_transparency_is_regime_independent(self):
-        atom = AtomParams(omega_e=1.0, delta=LAT.band_bottom + LAT.t * 0.01**2, Omega=1.0)
+        atom = AtomParams(omega_e=1.0, delta=LAT.omega - 2 * LAT.t + LAT.t * 0.01**2, Omega=1.0)
         lim = limit_scatter(0.01, "low", atom, LAT)
         assert abs(lim.r) <= 1e-12
 
