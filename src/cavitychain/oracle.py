@@ -26,6 +26,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,8 +148,7 @@ class WavepacketSpec:
                              f"{self.absorber_width} and {self.absorber_strength}")
 
 
-@dataclass(frozen=True)
-class EigenMode:
+class EigenMode(NamedTuple):
     """One eigenpair with its localisation metrics."""
 
     energy: complex
@@ -434,17 +434,22 @@ def _mirror_blocks(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     at[R] = at[image] = np.arange(len(R))
     top = rows <= mirror[rows]  # the entries in the rows of R
     rows, cols, values = at[rows[top]], cols[top], values[top]
-    # A[R, R] and A[R, image], +0 where A has no entry, as when gathered from the whole A
-    same, swapped = np.zeros((2, len(R), len(R)), values.dtype)
-    for block, kept in ((same, cols <= mirror[cols]), (swapped, cols >= mirror[cols])):
-        block[rows[kept], at[cols[kept]]] = values[kept]
+    # Each block position (i, j) any entry reaches, with its A[R, R] and A[R, image]
+    # entries, +0 where A has none, as when gathered from the whole A.
+    spots, spot = np.unique(rows * len(R) + at[cols], return_inverse=True)
+    i, j = np.divmod(spots, len(R))
+    same, swapped = np.zeros((2, len(spots)), values.dtype)
+    for part, kept in ((same, cols <= mirror[cols]), (swapped, cols >= mirror[cols])):
+        part[spot[kept]] = values[kept]
     plane = image == R
     pairs = np.flatnonzero(~plane)  # the odd block's entries of R
     c2 = np.where(plane, 4.0, 2.0)
     c = np.sqrt(c2)
     # c c^T as sqrt(c^2 c^2^T) makes 2 / (c c^T) exactly 1 between pairs, 1/2 on the plane.
-    even = 2.0 * (same + swapped) / np.sqrt(np.outer(c2, c2))
-    odd = (same - swapped)[pairs[:, None], pairs]
+    even = _expand(i, j, 2.0 * (same + swapped) / np.sqrt(c2[i] * c2[j]), len(R))
+    paired = ~plane[i] & ~plane[j]
+    place = np.cumsum(~plane) - 1  # each pair's place in the odd block
+    odd = _expand(place[i[paired]], place[j[paired]], (same - swapped)[paired], len(pairs))
     return [(even, (R, image), (0.5 * c, 0.5 * c)),
             (odd, (R[pairs], image[pairs]), (0.5 * c[pairs], -0.5 * c[pairs]))]
 
@@ -494,19 +499,18 @@ def eigenmodes(spec: ChainSpec) -> list[EigenMode]:
         written *= 1.0 / np.sqrt(squares)[:, None]
     else:
         written /= np.sqrt(squares + np.vecdot(vectors.imag, vectors.imag))[:, None]
-    prob = np.abs(written)
-    prob *= prob
+    if decay_free:  # x * x, the bits of |x| |x|
+        prob = np.square(written)
+    else:
+        prob = np.abs(written)
+        prob *= prob
     sites = spec.sites
     interior = prob[:, sites[0] + 1 : sites[-1]] if len(sites) >= 2 else prob[:, :0]
     interior = interior.sum(axis=1)
     prob *= prob
     ipr = prob.sum(axis=1)
     del prob  # freed before the modes are built
-    return [
-        EigenMode(energy, vector, ipr, weight)
-        for energy, vector, ipr, weight in zip(
-            values[order].tolist(), vectors, ipr.tolist(), interior.tolist())
-    ]
+    return list(map(EigenMode, values[order].tolist(), vectors, ipr.tolist(), interior.tolist()))
 
 
 def _gaussian_packet(spec: ChainSpec, wp: WavepacketSpec) -> np.ndarray:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ DEFAULT_IM_WINDOW = (-0.5, 0.05)
 VERIFY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QuasiboundMode:
+class QuasiboundMode(NamedTuple):
     """One root of the trapped-mode condition.
 
     ``leakage`` is -2 Im E, the decay rate of the trapped probability;
@@ -199,21 +198,29 @@ def _merged(a, b, old, new):
 
 
 def _seeds(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
-    """Root counts and seeds of the cells Re k in xs, with each seed's cell.
+    """The window's ``_cells``: root counts and contour-moment seeds of the cells Re k in xs.
 
-    A cell holding more than one root, some of whose seeds from ``_cells``
-    fall outside it, holds a cluster its moments do not resolve.  It is
-    seeded again from the smallest of a sequence of boxes about its seeds'
-    centroid that still holds all its roots: the first as wide as the cell,
-    each next one a quarter of the last, grown by 4 instead while none holds
-    them, until one does or a box's seeds lie half its half-width apart.
-    Also returns the window's contour size from ``_cells``.
+    Apart from ``_cells`` so that a test can replace the window's seeds and
+    leave those of ``_box_search`` and ``_uncertified`` alone.
+    """
+    return _cells(cfg, lat, xs, im_window, width)
+
+
+def _box_search(cfg: TwoNodeConfig, lat: LatticeParams, xs, counts, seeds, cells, im_window) -> int:
+    """Seed again each cell holding more than one root some of whose seeds fall outside it.
+
+    Such a cell holds a cluster its moments do not resolve.  It is seeded
+    again, in place in ``seeds``, from the smallest of a sequence of boxes
+    about its seeds' centroid that still holds all its roots: the first as
+    wide as the cell, each next one a quarter of the last, grown by 4
+    instead while none holds them, until one does or a box's seeds lie half
+    its half-width apart.  Returns the number of cells so seeded.
     """
     im_lo, im_hi = im_window
-    xs, counts, seeds, cells, contour = _cells(cfg, lat, xs, im_window, width)
     outside = (seeds.real <= xs[cells]) | (seeds.real >= xs[cells + 1])
     outside |= (seeds.imag <= im_lo) | (seeds.imag >= im_hi)
-    for i in np.unique(cells[outside & (counts[cells] > 1)]):
+    boxed = np.unique(cells[outside & (counts[cells] > 1)])
+    for i in boxed:
         (x0, x1), own = xs[i : i + 2], cells == i
         best, r, held = seeds[own], x1 - x0, False
         while True:
@@ -235,7 +242,7 @@ def _seeds(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
             else:
                 break
         seeds[own] = best
-    return xs, counts, seeds, cells, contour
+    return len(boxed)
 
 
 def _cells(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
@@ -342,14 +349,14 @@ def _converged(k: complex, cfg: TwoNodeConfig, lat: LatticeParams) -> bool:
     return abs(_newton_step(np.array([k]), cfg, lat)[0]) <= 16 * np.spacing(abs(k))
 
 
-def _polish(ks, cells, cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
+def _polish(ks, cells, cfg: TwoNodeConfig, lat: LatticeParams) -> tuple[np.ndarray, np.ndarray]:
     """Newton on ``quasibound_residual`` until each step is below 4 ulps of |k|.
 
     The slope is a central difference, exact for a quadratic: a forward one
     stalls 1e-8 short of a root 1e-7 from the next.  Each root is deflated
     by the others of its cell (Aberth's correction), so that two seeds
-    cannot settle on one root; ``cells`` is sorted.  A root still moving
-    after 64 steps keeps its last value for the residual check.
+    cannot settle on one root; ``cells`` is sorted.  Also returns the mask
+    of the roots still moving after 64 steps, which keep their last value.
     """
     ks = ks.copy()
     moving = np.ones(len(ks), bool)
@@ -368,7 +375,7 @@ def _polish(ks, cells, cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
         step = newton / (1.0 - newton * pull[i])
         ks[i] -= step
         moving[i] = np.abs(step) > 2.0 ** -50 * np.abs(ks[i])
-    return ks
+    return ks, moving
 
 
 def find_quasibound_modes(
@@ -394,13 +401,15 @@ def find_quasibound_modes(
     whichever of Re k's two neighbouring doubles has a smaller scaled
     residual, if either has.  The roots must lie inside the window and each
     cell must hold as many distinct roots as it counts, a multiple root
-    counting as many as ``_uncertified`` finds it has.  Roots close to a
-    cut line can spoil its count, so when a cell fails, every cut moves to
+    counting as many as ``_uncertified`` finds it has.  Only when they do
+    not are the cells whose moments left a cluster unresolved box-searched
+    (``_box_search``) and every seed polished again.  Roots close to a cut
+    line can spoil its count, so when a cell still fails, every cut moves to
     (m + 3/4) pi / D and then to (m + 1/4) pi / D, and the search runs again;
     UnverifiedRootError is raised when all three placements fail, or when a
-    root's scaled residual exceeds VERIFY_TOL and one more Newton step would
-    move it by more than 16 ulps of |k| (``_converged``).  Results are
-    sorted by (Re k, Im k).
+    root still moving after Newton's last step, or whose scaled residual
+    exceeds VERIFY_TOL, would move by more than 16 ulps of |k| in one more
+    step (``_converged``).  Results are sorted by (Re k, Im k).
     ``n_re`` and ``n_im`` are accepted and ignored (they sized an earlier
     seed grid).
     ``return_diagnostics`` adds the window's root count by the argument
@@ -408,7 +417,8 @@ def find_quasibound_modes(
     largest scaled residual, and the size of the contour that counted the
     roots: its samples (``contour_samples``) on the window's edges and cut
     lines, and the refinement rounds of ``_trace`` that placed them
-    (``refinement_rounds``).
+    (``refinement_rounds``); ``box_searches`` counts the cells seeded again
+    from boxes, over every placement tried.
     """
     re_lo, re_hi = re_window[0] + 1e-6, re_window[1] - 1e-6
     if not re_lo < re_hi:
@@ -417,32 +427,40 @@ def find_quasibound_modes(
     if not im_window[0] < im_window[1]:
         raise ValueError(f"window_im_min must be below window_im_max, got {im_window}")
     width = math.pi / cfg.D
+    box_searches = 0
     for shift in (0.5, 0.75, 0.25):
         m = np.arange(math.ceil(re_lo / width - shift), math.floor(re_hi / width - shift) + 1)
         cuts = (m + shift) * width
         cuts = cuts[(re_lo + 0.25 * width < cuts) & (cuts < re_hi - 0.25 * width)]
         xs = np.concatenate(([re_lo], cuts, [re_hi]))
         xs, counts, seeds, seed_cells, (samples, rounds) = _seeds(cfg, lat, xs, im_window, width)
-        ks = _polish(seeds, seed_cells, cfg, lat)
-        # On weak mirrors the residual moves by more than VERIFY_TOL / 10 per ulp
-        # of Re k, and Newton's last step need not round onto the best double.
-        below, above = (np.nextafter(ks.real, side) + 1j * ks.imag for side in (-np.inf, np.inf))
-        near = np.stack([ks, below, above])
-        scaled = quasibound_residual(near, cfg, lat, scaled=True)
-        ks, residuals = (np.take_along_axis(a, scaled.argmin(0)[None], 0)[0] for a in (near, scaled))
-        wrong = _uncertified(ks, xs, counts, im_window, cfg, lat)
+        boxed = 0
+        while True:  # once, and once more if a box search seeds any cell again
+            ks, moving = _polish(seeds, seed_cells, cfg, lat)
+            # On weak mirrors the residual moves by more than VERIFY_TOL / 10 per ulp
+            # of Re k, and Newton's last step need not round onto the best double.
+            below, above = (np.nextafter(ks.real, side) + 1j * ks.imag for side in (-np.inf, np.inf))
+            near = np.stack([ks, below, above])
+            scaled = quasibound_residual(near, cfg, lat, scaled=True)
+            ks, residuals = (np.take_along_axis(a, scaled.argmin(0)[None], 0)[0] for a in (near, scaled))
+            wrong = _uncertified(ks, xs, counts, im_window, cfg, lat)
+            if not wrong or boxed:
+                break
+            boxed = _box_search(cfg, lat, xs, counts, seeds, seed_cells, im_window)
+            if not boxed:
+                break
+        box_searches += boxed
         if not wrong:
             break
         log.debug("D=%d, cut lines at (m + %g) pi / D: %s", cfg.D, shift, wrong)
     else:
         raise UnverifiedRootError(wrong)
     modes = []
-    for k, residual in zip(ks.tolist(), residuals.tolist()):
-        if not (residual <= VERIFY_TOL or _converged(k, cfg, lat)):
-            raise UnverifiedRootError(
-                f"trapped-mode root k={k} has scaled residual {residual:.3e} > {VERIFY_TOL:.1e}, "
-                "and Newton has not converged on it"
-            )
+    for k, residual, still in zip(ks.tolist(), residuals.tolist(), moving.tolist()):
+        if not (residual <= VERIFY_TOL and not still or _converged(k, cfg, lat)):
+            why = ("is still moving after 64 Newton steps" if still
+                   else f"has scaled residual {residual:.3e} > {VERIFY_TOL:.1e}")
+            raise UnverifiedRootError(f"trapped-mode root k={k} {why}, and Newton has not converged on it")
         E = dispersion_energy_continued(k, lat)
         n = _mode_index(k, cfg.D)
         modes.append(
@@ -456,6 +474,7 @@ def find_quasibound_modes(
         "max_residual": max((m.residual for m in modes), default=0.0),
         "contour_samples": samples,
         "refinement_rounds": rounds,
+        "box_searches": box_searches,
     }
     log.debug("D=%d: %s", cfg.D, diagnostics)
     return (modes, diagnostics) if return_diagnostics else modes

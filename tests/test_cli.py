@@ -984,6 +984,7 @@ class TestQuasiboundCommand:
         # 11 cells start from 2 (2 * 11 + 1) edge and 9 * 12 cut-line samples
         assert sidecar["mode_diagnostics"]["contour_samples"] > 2 * 23 + 9 * 12
         assert sidecar["mode_diagnostics"]["refinement_rounds"] >= 1
+        assert sidecar["mode_diagnostics"]["box_searches"] == 0
 
     def test_adjacent_nodes_trap_nothing(self, tmp_path):
         cfg = tmp_path / "d1.cfg"

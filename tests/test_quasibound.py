@@ -386,9 +386,34 @@ class TestCompleteness:
         # a root 1e-9 off fails the residual check, and one more Newton step
         # from it is over 1e6 ulps
         polish = quasibound._polish
-        monkeypatch.setattr(quasibound, "_polish", lambda *args: polish(*args) + 1e-9)
+
+        def shifted(*args):
+            ks, moving = polish(*args)
+            return ks + 1e-9, moving
+
+        monkeypatch.setattr(quasibound, "_polish", shifted)
         with pytest.raises(UnverifiedRootError, match="Newton has not converged"):
             find_quasibound_modes(TwoNodeConfig(atom, atom, D), LAT)
+
+    @pytest.mark.parametrize("g", [0.01, 0.1])
+    def test_a_newton_that_never_settles_raises(self, monkeypatch, g):
+        # negative control: every Newton step overshoots by 1e-9, so each root
+        # swings 2e-9 across its true value for all 64 steps.  Below the node
+        # pole (Re k < 1.1) points 1e-9 off these roots read scaled residuals
+        # under VERIFY_TOL, so only the polish's own convergence refuses them
+        cfg = TwoNodeConfig(weak(g), weak(g), 100)
+        ks = np.array([m.k for m in find_quasibound_modes(cfg, LAT, re_window=(0.2, 1.1))])
+        assert len(ks) > 20
+        assert quasibound_residual(ks + 1e-9, cfg, LAT, scaled=True).max() <= VERIFY_TOL
+        step = quasibound._newton_step
+
+        def overshoot(*args):
+            s = step(*args)
+            return s + 1e-9 * np.sign(s)
+
+        monkeypatch.setattr(quasibound, "_newton_step", overshoot)
+        with pytest.raises(UnverifiedRootError, match="still moving after 64 Newton steps"):
+            find_quasibound_modes(cfg, LAT, re_window=(0.2, 1.1))
 
     @pytest.mark.parametrize(
         "sites, atoms, expected",
@@ -510,6 +535,25 @@ class TestCompletenessMatrix:
         reference = siegert_window_roots(cfg, lat)
         assert diag["winding"] == len(modes) == len(reference)
         assert np.abs(np.array([m.k for m in modes]) - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("D", [20, 100])
+    def test_moment_seeds_certify_without_a_box_search(self, D):
+        # the fig3a pair's two-root cell near its node pole has seeds outside
+        # it, yet they polish onto its roots, so no box is searched
+        cfg = TwoNodeConfig(LAMBDA, LAMBDA, D)
+        modes, diag = find_quasibound_modes(cfg, LAT, return_diagnostics=True)
+        assert diag["box_searches"] == 0
+        reference = siegert_window_roots(cfg, LAT)
+        assert diag["winding"] == len(modes) == len(reference)
+        assert np.abs(np.array([m.k for m in modes]) - reference).max() <= 1e-12
+
+    def test_a_rejected_cluster_is_box_searched(self):
+        # the weak mirrors' cluster at a node pole fails the certificate from
+        # its moment seeds alone (test_close_roots_match_the_lattice checks its roots)
+        modes, diag = find_quasibound_modes(TwoNodeConfig(weak(0.1), weak(0.1), 400), LAT,
+                                            return_diagnostics=True)
+        assert diag["box_searches"] >= 1
+        assert diag["winding"] == len(modes) == 401
 
     @pytest.mark.parametrize("pair", ["lambda", "two-level"])
     def test_long_cavity_against_the_argument_principle(self, pair):
