@@ -37,7 +37,6 @@ from .quasibound import (
     QuasiboundMode,
     bound_profile,
     find_quasibound_modes,
-    quasibound_residual,
 )
 from .scattering import (
     TwoNodeConfig,

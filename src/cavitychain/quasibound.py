@@ -15,10 +15,13 @@ transfer matrix with the nodes at sites 0 and D.  The search window is cut
 along Re k into cells about pi / D wide; the argument principle counts the
 zeros of g = P22 / sin k in each cell, the cell's contour moments seed them
 (Delves & Lyness, Math. Comp. 21, 543 (1967)), and Newton on P22 polishes
-them.  A cell whose polished roots do not match its count raises, so no
-root is missed silently.  The test suite checks the roots against the
-lattice: the Siegert states of the segment between the nodes (Siegert,
-Phys. Rev. 56, 750 (1939)).
+them.  A root is converged when one more Newton step would move E(k) by at
+most 16 ulps of |omega| + 2t, the rounding E carries into P22.  A cell
+whose polished roots do not match its count, or hold an unconverged root,
+is seeded again and then cut anew, and the search raises when every cut
+placement fails, so no root is missed silently.  The test suite checks the
+roots against the lattice: the Siegert states of the segment between the
+nodes (Siegert, Phys. Rev. 56, 750 (1939)).
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ log = logging.getLogger(__name__)
 DEFAULT_RE_WINDOW = (0.0, math.pi)
 DEFAULT_IM_WINDOW = (-0.5, 0.05)
 
-#: Scaled-residual bound a window root meets, unless Newton has converged on it.
-VERIFY_TOL = 1e-10
-
 
 class QuasiboundMode(NamedTuple):
     """One root of the trapped-mode condition.
@@ -56,21 +56,6 @@ class QuasiboundMode(NamedTuple):
     leakage: float
     n: int | None
     residual: float
-
-
-def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bool = False):
-    """Pole-free trapped-mode residual, the kernel's P22 for nodes at 0 and D.
-
-    P22 is the transport denominator times den_1 den_2, so it stays finite
-    at a node pole, where the perfect-mirror modes live.  Evaluated in k by
-    ``_transfer_row``, apart from the closed form the contour search
-    counts with; k may be an array.  ``scaled`` returns |P22| / norm instead,
-    norm = prod_j max(|b den_j|, |n_j|) e^{2|Im k| x_j}, the size of its terms.
-    """
-    E = lat.omega - 2.0 * lat.t * np.cos(k)
-    b = 2j * lat.t * np.sin(k)
-    _, P22, norm, _, _ = _transfer_row(k, E, b, [(0, cfg.atom1), (cfg.D, cfg.atom2)])
-    return np.abs(P22) / norm if scaled else P22
 
 
 def _factored(k, cfg: TwoNodeConfig, lat: LatticeParams):
@@ -206,10 +191,12 @@ def _seeds(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
     return _cells(cfg, lat, xs, im_window, width)
 
 
-def _box_search(cfg: TwoNodeConfig, lat: LatticeParams, xs, counts, seeds, cells, im_window) -> int:
-    """Seed again each cell holding more than one root some of whose seeds fall outside it.
+def _box_search(cfg: TwoNodeConfig, lat: LatticeParams, xs, counts, seeds, cells, im_window,
+                unsettled) -> int:
+    """Seed again each multi-root cell some of whose seeds fall outside it or do not converge.
 
-    Such a cell holds a cluster its moments do not resolve.  It is seeded
+    Such a cell holds a cluster its moments do not resolve; ``unsettled``
+    marks the seeds whose polished roots have not converged.  It is seeded
     again, in place in ``seeds``, from the smallest of a sequence of boxes
     about its seeds' centroid that still holds all its roots: the first as
     wide as the cell, each next one a quarter of the last, grown by 4
@@ -219,7 +206,7 @@ def _box_search(cfg: TwoNodeConfig, lat: LatticeParams, xs, counts, seeds, cells
     im_lo, im_hi = im_window
     outside = (seeds.real <= xs[cells]) | (seeds.real >= xs[cells + 1])
     outside |= (seeds.imag <= im_lo) | (seeds.imag >= im_hi)
-    boxed = np.unique(cells[outside & (counts[cells] > 1)])
+    boxed = np.unique(cells[(outside | unsettled) & (counts[cells] > 1)])
     for i in boxed:
         (x0, x1), own = xs[i : i + 2], cells == i
         best, r, held = seeds[own], x1 - x0, False
@@ -330,51 +317,55 @@ def _cells(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
     return xs, counts, np.concatenate(seeds).astype(complex)[order], seed_cells[order], (len(k), rounds)
 
 
-def _newton_step(ks, cfg: TwoNodeConfig, lat: LatticeParams) -> np.ndarray:
-    """Newton's step P22 / P22' at each k, the slope a central difference over 2e-7."""
-    h = 1e-7
-    behind, P22, ahead = quasibound_residual(np.stack([ks - h, ks, ks + h]), cfg, lat)
-    return 2.0 * h * P22 / (ahead - behind)
+def _newton_step(ks, cfg: TwoNodeConfig, lat: LatticeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's step P22 / P22' at each k, the slope a central difference over 2e-7.
 
-
-def _converged(k: complex, cfg: TwoNodeConfig, lat: LatticeParams) -> bool:
-    """Whether one more Newton step would move the root k by at most 16 ulps of |k|.
-
-    This bounds the root's backward error where its residual cannot: on weak
-    mirrors (g of 0.006 or less on the fig3a pair) P22's rounding near a node
-    pole leaves true roots 1.4e-10 to 1.2e-8 in scaled residual, yet their
-    next step is below 1 ulp.  A point 1e-9 off a root takes a step of 2e6
-    ulps or more.
+    P22 is ``_transfer_row``'s for nodes at 0 and D; also returns |P22| / norm.
     """
-    return abs(_newton_step(np.array([k]), cfg, lat)[0]) <= 16 * np.spacing(abs(k))
+    h = 1e-7
+    k = np.stack([ks - h, ks, ks + h])
+    E, b = lat.omega - 2.0 * lat.t * np.cos(k), 2j * lat.t * np.sin(k)
+    _, (behind, P22, ahead), norm, _, _ = _transfer_row(k, E, b, [(0, cfg.atom1), (cfg.D, cfg.atom2)])
+    return 2.0 * h * P22 / (ahead - behind), np.abs(P22) / norm[1]
+
+
+def _aberth_step(ks, i, cells, cfg: TwoNodeConfig, lat: LatticeParams):
+    """Newton's step at the roots ks[i], deflated by the other roots of each one's cell.
+
+    That is Aberth's correction, so that two seeds cannot settle on one
+    root; ``cells`` is sorted.  Also returns how far each step moves
+    E(k) = omega - 2t cos k in ulps of |omega| + 2t, the rounding of E that
+    bounds how still Newton on P22 can get (NaN, which passes no bound,
+    where two roots coincide), and the roots' scaled residuals.
+    """
+    with np.errstate(all="ignore"):
+        newton, residual = _newton_step(ks[i], cfg, lat)
+        pull = np.zeros(len(ks), complex)
+        for s in range(1, int(np.bincount(cells).max(initial=1))):
+            inverse = np.where(cells[s:] == cells[:-s], 1.0 / (ks[s:] - ks[:-s]), 0.0)
+            pull[s:] += inverse
+            pull[:-s] -= inverse
+        step = newton / (1.0 - newton * pull[i])
+        ulps = np.abs(step * 2.0 * lat.t * np.sin(ks[i])) / np.spacing(abs(lat.omega) + 2.0 * lat.t)
+    return step, ulps, residual
 
 
 def _polish(ks, cells, cfg: TwoNodeConfig, lat: LatticeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on ``quasibound_residual`` until each step is below 4 ulps of |k|.
+    """Newton on P22 (``_aberth_step``) until each step moves E(k) by at most 8 ulps.
 
     The slope is a central difference, exact for a quadratic: a forward one
-    stalls 1e-8 short of a root 1e-7 from the next.  Each root is deflated
-    by the others of its cell (Aberth's correction), so that two seeds
-    cannot settle on one root; ``cells`` is sorted.  Also returns the mask
-    of the roots still moving after 64 steps, which keep their last value.
+    stalls 1e-8 short of a root 1e-7 from the next.  Also returns the mask of
+    the roots still moving after 64 steps, which keep their last value.
     """
     ks = ks.copy()
     moving = np.ones(len(ks), bool)
-    shifts = range(1, int(np.bincount(cells).max(initial=1)))
     for _ in range(64):
         i = np.flatnonzero(moving)
         if not len(i):
             break
-        newton = _newton_step(ks[i], cfg, lat)
-        pull = np.zeros(len(ks), complex)
-        for s in shifts:
-            with np.errstate(all="ignore"):
-                inverse = np.where(cells[s:] == cells[:-s], 1.0 / (ks[s:] - ks[:-s]), 0.0)
-            pull[s:] += inverse
-            pull[:-s] -= inverse
-        step = newton / (1.0 - newton * pull[i])
+        step, ulps, _ = _aberth_step(ks, i, cells, cfg, lat)
         ks[i] -= step
-        moving[i] = np.abs(step) > 2.0 ** -50 * np.abs(ks[i])
+        moving[i] = ~(ulps <= 8.0)
     return ks, moving
 
 
@@ -396,29 +387,30 @@ def find_quasibound_modes(
     (m + 1/2) pi / D, halfway between the perfect-mirror momenta and none
     within a quarter cell of the window's sides, split it into cells.
     ``_seeds`` counts each cell's roots by the argument principle and seeds
-    them from its contour moments; ``_polish`` runs Newton on
-    ``quasibound_residual`` to convergence.  Each root then moves to
-    whichever of Re k's two neighbouring doubles has a smaller scaled
-    residual, if either has.  The roots must lie inside the window and each
-    cell must hold as many distinct roots as it counts, a multiple root
-    counting as many as ``_uncertified`` finds it has.  Only when they do
-    not are the cells whose moments left a cluster unresolved box-searched
-    (``_box_search``) and every seed polished again.  Roots close to a cut
+    them from its contour moments, and ``_polish`` runs Newton on P22.  The
+    certificate has one rule for a root: it is converged when one more
+    Newton step would move E(k) by at most 16 ulps of |omega| + 2t.  Each
+    cell must hold as many distinct converged roots inside the window as it
+    counts, a multiple root counting as many as ``_uncertified`` finds it
+    has.  A placement that fails has its multi-root cells whose moments left
+    a cluster unresolved, or that hold an unconverged root, box-searched
+    (``_box_search``), and every seed polished again.  Roots close to a cut
     line can spoil its count, so when a cell still fails, every cut moves to
-    (m + 3/4) pi / D and then to (m + 1/4) pi / D, and the search runs again;
-    UnverifiedRootError is raised when all three placements fail, or when a
-    root still moving after Newton's last step, or whose scaled residual
-    exceeds VERIFY_TOL, would move by more than 16 ulps of |k| in one more
-    step (``_converged``).  Results are sorted by (Re k, Im k).
+    (m + 3/4) pi / D and then to (m + 1/4) pi / D, and the search runs
+    again; UnverifiedRootError, naming the last placement's failure, is
+    raised when all three placements fail.  Results are sorted by
+    (Re k, Im k); a mode's ``residual`` is read off the certifying step.
     ``n_re`` and ``n_im`` are accepted and ignored (they sized an earlier
     seed grid).
     ``return_diagnostics`` adds the window's root count by the argument
     principle (``winding``), the number of cells, the window-root count, the
-    largest scaled residual, and the size of the contour that counted the
-    roots: its samples (``contour_samples``) on the window's edges and cut
-    lines, and the refinement rounds of ``_trace`` that placed them
-    (``refinement_rounds``); ``box_searches`` counts the cells seeded again
-    from boxes, over every placement tried.
+    largest scaled residual, the largest certifying step in ulps of
+    |omega| + 2t (``settle_ulps``, at most 16), the cut placement that
+    certified (``cut_shift``: 0.5, 0.75 or 0.25), and the size of the
+    contour that counted the roots: its samples (``contour_samples``) on the
+    window's edges and cut lines, and the refinement rounds of ``_trace``
+    that placed them (``refinement_rounds``); ``box_searches`` counts the
+    cells seeded again from boxes, over every placement tried.
     """
     re_lo, re_hi = re_window[0] + 1e-6, re_window[1] - 1e-6
     if not re_lo < re_hi:
@@ -437,16 +429,12 @@ def find_quasibound_modes(
         boxed = 0
         while True:  # once, and once more if a box search seeds any cell again
             ks, moving = _polish(seeds, seed_cells, cfg, lat)
-            # On weak mirrors the residual moves by more than VERIFY_TOL / 10 per ulp
-            # of Re k, and Newton's last step need not round onto the best double.
-            below, above = (np.nextafter(ks.real, side) + 1j * ks.imag for side in (-np.inf, np.inf))
-            near = np.stack([ks, below, above])
-            scaled = quasibound_residual(near, cfg, lat, scaled=True)
-            ks, residuals = (np.take_along_axis(a, scaled.argmin(0)[None], 0)[0] for a in (near, scaled))
-            wrong = _uncertified(ks, xs, counts, im_window, cfg, lat)
+            _, ulps, residuals = _aberth_step(ks, slice(None), seed_cells, cfg, lat)  # one more, not taken
+            unsettled = ~(ulps <= 16.0)
+            wrong = _uncertified(ks, unsettled, moving, xs, counts, im_window, cfg, lat)
             if not wrong or boxed:
                 break
-            boxed = _box_search(cfg, lat, xs, counts, seeds, seed_cells, im_window)
+            boxed = _box_search(cfg, lat, xs, counts, seeds, seed_cells, im_window, unsettled)
             if not boxed:
                 break
         box_searches += boxed
@@ -456,11 +444,7 @@ def find_quasibound_modes(
     else:
         raise UnverifiedRootError(wrong)
     modes = []
-    for k, residual, still in zip(ks.tolist(), residuals.tolist(), moving.tolist()):
-        if not (residual <= VERIFY_TOL and not still or _converged(k, cfg, lat)):
-            why = ("is still moving after 64 Newton steps" if still
-                   else f"has scaled residual {residual:.3e} > {VERIFY_TOL:.1e}")
-            raise UnverifiedRootError(f"trapped-mode root k={k} {why}, and Newton has not converged on it")
+    for k, residual in zip(ks.tolist(), residuals.tolist()):
         E = dispersion_energy_continued(k, lat)
         n = _mode_index(k, cfg.D)
         modes.append(
@@ -472,6 +456,8 @@ def find_quasibound_modes(
         "cells": len(counts),
         "window_roots": len(modes),
         "max_residual": max((m.residual for m in modes), default=0.0),
+        "settle_ulps": float(ulps.max(initial=0.0)),
+        "cut_shift": shift,
         "contour_samples": samples,
         "refinement_rounds": rounds,
         "box_searches": box_searches,
@@ -480,13 +466,16 @@ def find_quasibound_modes(
     return (modes, diagnostics) if return_diagnostics else modes
 
 
-def _uncertified(ks, xs, counts, im_window, cfg: TwoNodeConfig, lat: LatticeParams) -> str:
-    """What fails the certificate, or "" when each cell holds as many distinct roots as it counts.
+def _uncertified(ks, unsettled, moving, xs, counts, im_window, cfg: TwoNodeConfig,
+                 lat: LatticeParams) -> str:
+    """What fails the certificate, or "" when each cell holds as many distinct converged roots as it counts.
 
-    Roots of one cell within 1e-12 of each other pass only as one multiple
-    root: the argument principle must count as many roots in a box 1e-9
-    about them.  A pair closer than about 1e-8 is a double root to P22's
-    rounding, and Newton takes both its seeds to one point.
+    ``unsettled`` marks the roots the certificate finds unconverged,
+    ``moving`` those ``_polish`` left moving.  Roots of one cell within 1e-12
+    of each other pass only as one multiple root: the argument principle must
+    count as many roots in a box 1e-9 about them.  A pair closer than about
+    1e-8 is a double root to P22's rounding, and Newton takes both its seeds
+    to one point.
     """
     cell = np.searchsorted(xs, ks.real) - 1
     inside = (xs[0] < ks.real) & (ks.real < xs[-1])
@@ -497,6 +486,11 @@ def _uncertified(ks, xs, counts, im_window, cfg: TwoNodeConfig, lat: LatticePara
         return (f"Newton left {np.count_nonzero(~inside)} roots outside the window, and the cells "
                 f"Re k > {xs[:-1][wrong].round(6).tolist()} hold {found[wrong].tolist()} "
                 f"roots where the argument principle counts {counts[wrong].tolist()}")
+    if unsettled.any():
+        j = np.flatnonzero(unsettled)[0]
+        why = ("is still moving after 64 Newton steps" if moving[j]
+               else "would move E(k) by more than 16 ulps in one more Newton step")
+        return f"trapped-mode root k={ks[j]} {why}, and Newton has not converged on it"
     order = np.lexsort((ks.imag, ks.real))
     repeat = (cell[order][1:] == cell[order][:-1]) & (np.abs(np.diff(ks[order])) <= 1e-12)
     for k in ks[order][1:][repeat]:

@@ -6,11 +6,11 @@ point by point, with their own potential and limit bands, and share no code
 with the kernel: only the tolerances ``model.SINGULAR_TOL`` and
 ``scattering.LIMIT_WINDOW``, read at each call so that a test may patch
 them.  The inverse dispersion ``momentum_from_energy``, the two-pole form
-``decompose_potential`` and the dense H of ``build_hamiltonian`` are
-reference code that no command runs.  ``siegert_roots`` is the reference
-for the trapped-mode search: the roots come from the lattice segment
-between the nodes, an eigenproblem that shares no code with the contour
-search.
+``decompose_potential``, the dense H of ``build_hamiltonian`` and the
+trapped-mode residual ``quasibound_residual`` are reference code that no
+command runs.  ``siegert_roots`` is the reference for the trapped-mode
+search: the roots come from the lattice segment between the nodes, an
+eigenproblem that shares no code with the contour search.
 """
 
 from __future__ import annotations
@@ -303,6 +303,21 @@ def siegert_window_roots(cfg: TwoNodeConfig, lat: LatticeParams, re_window=(0.0,
     return ks[np.lexsort((ks.imag, ks.real))]
 
 
+def quasibound_residual(k, cfg: TwoNodeConfig, lat: LatticeParams, *, scaled: bool = False):
+    """Pole-free trapped-mode residual, the kernel's P22 for nodes at 0 and D.
+
+    P22 is the transport denominator times den_1 den_2, so it stays finite
+    at a node pole, where the perfect-mirror modes live.  Evaluated in k by
+    ``_transfer_row``, apart from the closed form the contour search
+    counts with; k may be an array.  ``scaled`` returns |P22| / norm instead,
+    norm = prod_j max(|b den_j|, |n_j|) e^{2|Im k| x_j}, the size of its terms.
+    """
+    E = lat.omega - 2.0 * lat.t * np.cos(k)
+    b = 2j * lat.t * np.sin(k)
+    _, P22, norm, _, _ = scattering._transfer_row(k, E, b, [(0, cfg.atom1), (cfg.D, cfg.atom2)])
+    return np.abs(P22) / norm if scaled else P22
+
+
 def bound_state_energies(nodes, lat: LatticeParams, *, flip: bool = False) -> np.ndarray:
     """Energies of the photon bound states outside the band, bisected on the closed form.
 
@@ -390,6 +405,31 @@ def draw_two_node(
         draw_atom(rng, two_level=rng.choice(flavors), decay=decay),
         int(rng.integers(1, d_max + 1)),
     )
+
+
+def draw_trapped_pair(rng: np.random.Generator, d_max: int = 200) -> tuple[TwoNodeConfig, LatticeParams]:
+    """A random pair of nodes for the trapped-mode search, with its lattice.
+
+    Each node is two-level with probability 0.3, has g = 10^U(-3, 1.5),
+    and decays with probability 0.3, Gamma and gamma from U(0, 0.1);
+    omega_e and delta come from U(-3, 3) and Omega from U(0, 3).  The two
+    nodes are the same half the time.  D comes from 1-40 half the time and
+    from 41-``d_max`` otherwise, or always from 1-40 when ``d_max`` is 40 or
+    less; omega comes from U(-2, 2) and t from U(0.5, 3).
+    """
+    def node():
+        two_level = rng.random() < 0.3
+        g = 10.0 ** rng.uniform(-3.0, 1.5)
+        Gamma, gamma = rng.uniform(0.0, 0.1, 2).tolist() if rng.random() < 0.3 else (0.0, 0.0)
+        omega_e, delta = rng.uniform(-3.0, 3.0, 2).tolist()
+        Omega = 0.0 if two_level else rng.uniform(0.0, 3.0)
+        return AtomParams(omega_e=omega_e, delta=delta, Omega=Omega, g=g, Gamma=Gamma, gamma=gamma)
+
+    atom1 = node()
+    atom2 = atom1 if rng.random() < 0.5 else node()
+    D = int(rng.integers(1, 41) if d_max <= 40 or rng.random() < 0.5 else rng.integers(41, d_max + 1))
+    lat = LatticeParams(omega=rng.uniform(-2.0, 2.0), t=rng.uniform(0.5, 3.0))
+    return TwoNodeConfig(atom1, atom2, D), lat
 
 
 def reference_csv(header: list[str], columns: list) -> bytes:

@@ -985,6 +985,8 @@ class TestQuasiboundCommand:
         assert sidecar["mode_diagnostics"]["contour_samples"] > 2 * 23 + 9 * 12
         assert sidecar["mode_diagnostics"]["refinement_rounds"] >= 1
         assert sidecar["mode_diagnostics"]["box_searches"] == 0
+        assert sidecar["mode_diagnostics"]["settle_ulps"] <= 16.0
+        assert sidecar["mode_diagnostics"]["cut_shift"] == 0.5
 
     def test_adjacent_nodes_trap_nothing(self, tmp_path):
         cfg = tmp_path / "d1.cfg"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,22 +19,26 @@ from cavitychain import (
     find_quasibound_modes,
     oracle,
     quasibound,
-    quasibound_residual,
 )
 from cavitychain.model import potential_parts
-from cavitychain.quasibound import DEFAULT_IM_WINDOW, VERIFY_TOL
+from cavitychain.quasibound import DEFAULT_IM_WINDOW
 from cavitychain.scattering import _transfer_row
 from helpers import (
     bound_state_energies,
     build_hamiltonian,
     dense_entries,
+    draw_trapped_pair,
     momentum_from_energy,
     quantized_momenta,
+    quasibound_residual,
     siegert_roots,
     siegert_window_roots,
 )
 
 LAT = LatticeParams(omega=1.0, t=2.0)
+
+#: Scaled-residual bound of the roots away from weak mirrors' node poles.
+VERIFY_TOL = 1e-10
 
 
 def mirror_atom(pole_energy: float, *, Omega: float = 1.0, omega_e: float = 0.2, g: float = 1.0) -> AtomParams:
@@ -277,6 +282,26 @@ def weak(g):
 WEAK_MIRRORS = [(g, D) for g in (0.001, 0.003, 0.005) for D in (20, 100, 200)] + [(0.006, 20)]
 
 
+#: Pairs on whose roots Newton jitters by more than 16 ulps of |k|:
+#: (config, lattice, window-root count).
+JITTERING = [
+    (TwoNodeConfig(*[AtomParams(omega_e=-2.8078333499864256, delta=2.6029784775691915,
+                                Omega=1.4434762678445656, g=0.03602206807352031)] * 2, 3),
+     LatticeParams(omega=1.0229314085900993, t=2.1265081564756234), 4),
+    (TwoNodeConfig(AtomParams(omega_e=1.4931751159023285, delta=-1.8070520597612247,
+                              Omega=1.1262986034966183, g=14.376809381881916),
+                   AtomParams(omega_e=-0.4175439813840347, delta=1.849460408835899, Omega=0.8681662861536983,
+                              g=11.910201056052987, Gamma=0.004779438040786755,
+                              gamma=0.05040786945169029), 2),
+     LatticeParams(omega=0.8955269057693402, t=1.3526912891673426), 3),
+    (TwoNodeConfig(AtomParams(omega_e=-0.8142908930060253, delta=-1.3433299930084681, Omega=0.0,
+                              g=0.0018351553352714042),
+                   AtomParams(omega_e=2.3562177135429163, delta=-1.9346156058059776, Omega=0.6104846389801729,
+                              g=0.05290103300493811), 40),
+     LatticeParams(omega=1.7773087728626713, t=1.8988605424917757), 40),
+]
+
+
 def winding_number(nodes, lat, rect, per_edge):
     """Zeros of the kernel's pole-free P22 inside ``rect``, by the argument principle."""
     re_lo, re_hi, im_lo, im_hi = rect
@@ -414,6 +439,56 @@ class TestCompleteness:
         monkeypatch.setattr(quasibound, "_newton_step", overshoot)
         with pytest.raises(UnverifiedRootError, match="still moving after 64 Newton steps"):
             find_quasibound_modes(cfg, LAT, re_window=(0.2, 1.1))
+
+    @pytest.mark.parametrize("case", JITTERING, ids=[f"D{cfg.D}" for cfg, _, _ in JITTERING])
+    def test_roots_newton_jitters_about_certify(self, case):
+        # Newton's steps on these roots swing by up to 41 ulps of |k| at D = 3
+        # and by 470-840 at D = 40 (|k| = 0.023), yet by under 2 ulps of
+        # |omega| + 2t in energy, whose rounding P22 carries; the lattice
+        # reference holds weak segments to 1e-9
+        cfg, lat, count = case
+        modes, diag = find_quasibound_modes(cfg, lat, return_diagnostics=True)
+        reference = siegert_window_roots(cfg, lat)
+        assert diag["winding"] == len(modes) == len(reference) == count
+        assert np.abs(np.array([m.k for m in modes]) - reference).max() <= 1e-9
+        assert diag["settle_ulps"] <= 16.0
+
+    def test_random_pairs_certify(self):
+        # 200 seeded pairs at D <= 40, three of which the |k|-scaled
+        # convergence test refused
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            cfg, lat = draw_trapped_pair(rng, d_max=40)
+            modes, diag = find_quasibound_modes(cfg, lat, return_diagnostics=True)
+            reference = siegert_window_roots(cfg, lat)
+            assert diag["winding"] == len(modes) == len(reference), (cfg, lat)
+            assert np.abs(np.array([m.k for m in modes]) - reference).max(initial=0.0) <= 1e-9, (cfg, lat)
+
+    def test_jittering_roots_shifted_by_1e_9_raise(self, monkeypatch):
+        # negative control: at the D = 3 roots sin k is 0.17, so a root 1e-9
+        # off moves E by 7.1e-10 in one more step, 8e5 ulps of |omega| + 2t
+        polish = quasibound._polish
+
+        def shifted(*args):
+            ks, moving = polish(*args)
+            return ks + 1e-9, moving
+
+        monkeypatch.setattr(quasibound, "_polish", shifted)
+        cfg, lat, _ = JITTERING[0]
+        with pytest.raises(UnverifiedRootError, match="Newton has not converged"):
+            find_quasibound_modes(cfg, lat)
+
+    def test_a_certified_search_warns_nothing(self):
+        # on the way to these 200 roots P22's norm overflows and Newton and
+        # Aberth's correction divide by zero, all inside the polish
+        atom = AtomParams(omega_e=-2.913919679340519, delta=0.6676376416430316, Omega=1.6902859880684065,
+                          g=0.2877216881276138)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modes, diag = find_quasibound_modes(TwoNodeConfig(atom, atom, 199),
+                                                LatticeParams(omega=0.5089884434062295, t=1.5928914050152279),
+                                                return_diagnostics=True)
+        assert diag["winding"] == len(modes) == 200
 
     @pytest.mark.parametrize(
         "sites, atoms, expected",
