@@ -4,7 +4,9 @@
 Its kernel, ``number_cells``, gives each float64 value six 8-byte cells
 whose bytes, NULs dropped, are exactly that text: the digits come from
 numpy arithmetic that certifies its own exactness, and Python formats only
-the values it cannot certify.  The CLI imports this module on its first
+the values it cannot certify.  The writer works in blocks sized by their
+count of numbers, and one kernel call formats every number of a block
+straight into the block's cells.  The CLI imports this module on its first
 CSV, so commands that write none never compile it, and passes it the one
 opener of every output: an existing file is overwritten in place and cut
 to length, and a write interrupted partway leaves only the new bytes
@@ -74,8 +76,9 @@ def _tables() -> tuple:
 
 
 def number_cells(x: np.ndarray, out: np.ndarray) -> int:
-    """Write ``"%.17g" % v`` for each float64 ``v`` of ``x`` into the (6, len(x))
-    uint64 cells ``out``; return how many values Python formatted.
+    """Write ``"%.17g" % v`` for each float64 ``v`` of the flat array ``x`` into
+    the (6, len(x)) uint64 cells ``out``, which may be a view into a larger
+    array; return how many values Python formatted.
 
     A value's cells in order, NUL bytes dropped, are its text, and the last
     byte of its cell 5 is always NUL.  With E = floor(log10 |v|) and
@@ -140,25 +143,31 @@ def number_cells(x: np.ndarray, out: np.ndarray) -> int:
     return count
 
 
-def write_csv(out: Path, header: list[str], columns: list, block_rows: int,
-              open_output: Callable[[Path], ContextManager[BinaryIO]]) -> tuple[int, int, int, int]:
-    """Write equal-length columns as CSV rows, ``block_rows`` at a time, to the
-    file ``open_output(out)`` opens; return the rows, the fields
-    ``number_cells`` formatted, the numbers Python formatted and the bytes written.
+def write_csv(out: Path, header: list[str], columns: list, block_numbers: int,
+              open_output: Callable[[Path], ContextManager[BinaryIO]]
+              ) -> tuple[int, int, int, int, int]:
+    """Write equal-length columns as CSV rows, in blocks of at most ``block_numbers``
+    numbers, to the file ``open_output(out)`` opens; return the rows, the fields
+    ``number_cells`` formatted, the numbers Python formatted, the bytes written
+    and the blocks written.
 
     Numbers come out as ``"%.17g" % v`` (integer and boolean columns as
     float64, which is how ``%.17g`` rounds them) and text as ``"%s" % v``.
     A column is an array, or a tuple ``(values, index)`` meaning ``values[index]``.
-    A block is one column-major array of 8-byte cells in which a NUL byte
-    means "nothing": a numeric array takes its ``number_cells``; each entry
-    of a pair's values (a text array is the pair ``(values, arange)``) is
-    formatted once into the fewest whole cells that leave a last NUL byte,
-    and each block gathers its rows' cells by index.  Each column's
-    separator goes into the NUL last byte of its last cell, and the block is
-    written as its cells in row order, NULs dropped.  Before the file is
-    opened, columns of unequal length (a pair's is ``len(index)``), not one
-    per name or not one-dimensional, text holding a NUL (it would be dropped
-    as padding) and an index not of integers or outside ``[0, len(values))``
+    A block of ``block_numbers // m`` rows for m numeric columns
+    (``block_numbers`` rows for none) is one array of 8-byte cells, a row of
+    them per cell of a CSV row, in which a NUL byte means "nothing".  The
+    numeric columns' cells fill its rows from where the first one's go, cell
+    i of the j-th at row i m + j, so one ``number_cells`` call formats the
+    block's numbers in place; each entry of a pair's values (a text array is
+    the pair ``(values, arange)``) is formatted once into the fewest whole
+    cells that leave a last NUL byte, and each block gathers its rows' cells
+    by index.  Each column's separator goes into the NUL last byte of its
+    last cell, and the block is written row by row, its cells in CSV order
+    (one gather when m > 1), NULs dropped.  Before the file is opened,
+    columns of unequal length (a pair's is ``len(index)``), not one per name
+    or not one-dimensional, text holding a NUL (it would be dropped as
+    padding) and an index not of integers or outside ``[0, len(values))``
     raise ValueError, and values neither real numbers nor text raise
     TypeError, naming the column.
     """
@@ -195,21 +204,37 @@ def write_csv(out: Path, header: list[str], columns: list, block_rows: int,
     if len(set(lengths)) > 1:
         raise ValueError(f"{out.name}: columns of unequal length {lengths}")
     rows = lengths[0] if cols else 0
+    numbers = [c for c in cols if not isinstance(c, tuple)]
+    m = len(numbers)
+    order, pairs, top, j = [], [], 0, 0  # the block row of each cell of a CSV row
+    for c in cols:
+        if isinstance(c, tuple):
+            pairs.append((top, *c))
+            order += range(top, top + len(c[0]))
+            top += len(c[0])
+        else:
+            if j == 0:
+                first, top = top, top + CELLS * m
+            order += range(first + j, first + CELLS * m, m)
+            j += 1
+    order = np.array(order, np.intp)
     ends = np.cumsum([len(c[0]) if isinstance(c, tuple) else CELLS for c in cols])
     separators = np.array([b","] * (len(cols) - 1) + [b"\n"]).view(np.uint8).astype(np.uint64)
     separators = separators[:, None] << np.uint64(56)
+    step = max(block_numbers // max(m, 1), 1)  # rows per block
     with open_output(out) as fh:
         size = fh.write((",".join(header) + "\n").encode())
-        for start in range(0, rows, block_rows):
-            stop = min(start + block_rows, rows)
-            block = np.empty((ends[-1], stop - start), np.uint64)
-            for c, end in zip(cols, ends):
-                if isinstance(c, tuple):  # mode="clip" skips the bounds check made above
-                    c[0].take(c[1][start:stop], axis=1, out=block[end - len(c[0]) : end],
-                              mode="clip")
-                else:
-                    python += number_cells(c[start:stop].astype(np.float64, copy=False),
-                                           block[end - CELLS : end])
-            block[ends - 1] |= separators
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            block = np.empty((top, stop - start), np.uint64)
+            if m:
+                x = np.concatenate([c[start:stop] for c in numbers], dtype=np.float64)
+                python += number_cells(x, block[first : first + CELLS * m].reshape(CELLS, -1))
+            for row, cells, index in pairs:  # mode="clip" skips the bounds check made above
+                cells.take(index[start:stop], axis=1, out=block[row : row + len(cells)],
+                           mode="clip")
+            block[order[ends - 1]] |= separators
+            if m > 1:
+                block = block.take(order, axis=0)
             size += fh.write(block.T.tobytes().translate(None, b"\0"))
-    return rows, rows * sum(not isinstance(c, tuple) for c in cols), python, size
+    return rows, rows * m, python, size, -(-rows // step)

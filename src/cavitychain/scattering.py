@@ -76,18 +76,18 @@ def _limit_band(k, regime: str, lat: LatticeParams):
     return E, transport
 
 
-def _transfer_row(k, E, b, nodes):
+def _transfer_row(k, E, b, nodes, *, with_norm=True):
     """Bottom row (P21, P22) of P = N_M ... N_1, built from the right as
-    (0, 1) N_M ... N_1, with prod_j max(|b den_j|, |n_j|) e^{2|Im k| x_j},
-    prod_j b den_j and the mask of singular nodes.  A singular node's
-    N_j = n_j [1, -q_j]^T [1, 1/q_j], q_j = e^{2ikx_j}, has rank one, so the
-    row it leaves is c n_j [1, 1/q_j] with c = P21 - P22 q_j taken once: the
-    direction survives where c vanishes, at a trapped mode behind the mirror.
-    Complex k is allowed; the exponential, exactly 1 on the real axis, scales
-    the norm with the phases e^{2ikx_j} off it.
+    (0, 1) N_M ... N_1, with the norm prod_j max(|b den_j|, |n_j|) e^{2|Im k| x_j}
+    (None unless ``with_norm``), prod_j b den_j and the singular nodes' mask.
+    A singular node's N_j = n_j [1, -q_j]^T [1, 1/q_j], q_j = e^{2ikx_j}, has
+    rank one, so the row it leaves is c n_j [1, 1/q_j] with c = P21 - P22 q_j
+    taken once: the direction survives where c vanishes, at a trapped mode
+    behind the mirror.  Complex k is allowed; the exponential, exactly 1 on
+    the real axis, scales the norm with the phases e^{2ikx_j} off it.
     """
     P21, P22 = np.zeros(np.shape(E), complex), np.ones(np.shape(E), complex)
-    norm, flux, singular = 1.0, 1.0, False
+    norm, flux, singular = 1.0 if with_norm else None, 1.0, False
     for x, atom in reversed(nodes):
         n, den, scale = potential_parts(E, atom)
         hit = np.abs(den) < SINGULAR_TOL * scale
@@ -98,7 +98,8 @@ def _transfer_row(k, E, b, nodes):
             c = (P21 - P22 * q) * n
             row = np.where(hit, c, row[0]), np.where(hit, c / q, row[1])
         P21, P22 = row
-        norm = norm * np.maximum(np.abs(a), np.abs(n)) * np.exp(2.0 * np.abs(np.imag(k)) * x)
+        if with_norm:
+            norm = norm * np.maximum(np.abs(a), np.abs(n)) * np.exp(2.0 * np.abs(np.imag(k)) * x)
         flux = flux * a
         singular = singular | hit
     return P21, P22, norm, flux, singular
@@ -138,7 +139,7 @@ def chain_scatter(
     else:
         raise ValueError("momentum must lie in the open interval (0, pi)")
     with np.errstate(all="ignore"):
-        P21, P22, _, flux, singular = _transfer_row(k, E, b, nodes)
+        P21, P22, _, flux, singular = _transfer_row(k, E, b, nodes, with_norm=False)
         # 0 - x, not -x, so that a bare chain reflects +0 rather than -0
         r = 0.0 - P21 / P22
         s = np.where(singular, 0j, flux / P22)

@@ -20,6 +20,7 @@ from cavitychain import (
     OracleResidualError,
     UnverifiedRootError,
     cli,
+    csvtext,
     eigenmodes,
     sweep,
 )
@@ -29,6 +30,7 @@ from cavitychain.cli import (
     main,
     parse_config_text,
 )
+from cavitychain.csvtext import number_cells
 from cavitychain.oracle import WavepacketSpec, design_scattering_run, propagate_wavepacket
 from cavitychain.scattering import chain_scatter
 from helpers import reference_csv
@@ -695,6 +697,57 @@ class TestCsvWriter:
         special = np.resize([np.nan, np.inf, -np.inf, 5e-324, 1e300, 2.5e-320], rows)
         self.assert_reference_bytes(tmp_path, [special, -special])
 
+    def test_numeric_columns_split_by_pairs_and_text(self, tmp_path):
+        # every numeric column of a block is formatted in one kernel call; the
+        # text and pair columns between them must keep their places
+        rng = np.random.default_rng(43)
+        rows = 2 * cli._CSV_BLOCK // 3 + 29  # blocks of _CSV_BLOCK // m rows
+        labels = np.array([str(i % 11) if i % 5 else "" for i in range(rows)])
+        kind = np.resize(["site", "excited", "metastable"], rows)
+        self.assert_reference_bytes(tmp_path, [  # quasibound's main CSV: text n, then numbers
+            labels, *(rng.normal(size=rows) for _ in range(4)), rng.random(rows) * 1e-9,
+            rng.random(rows)])
+        self.assert_reference_bytes(tmp_path, [  # modes' .vector.csv: text, integer, two floats
+            kind, np.arange(rows) // 3, rng.normal(size=rows), rng.normal(size=rows)])
+        self.assert_reference_bytes(tmp_path, [
+            rng.random(rows), ([0, 1], rng.random(rows) < 0.3), np.arange(rows, dtype=np.int64),
+            kind, (rng.normal(size=7), rng.integers(0, 7, rows)), rng.random(rows) < 0.5,
+            rng.integers(-99, 99, rows).astype(np.int8), labels])
+
+    def test_a_block_edge_inside_a_run_of_numeric_columns(self, tmp_path):
+        rng = np.random.default_rng(47)
+        for m in (2, 3, 7):
+            per_block = cli._CSV_BLOCK // m
+            rows = 2 * per_block + per_block // 2 + 1
+            assert rows % per_block
+            self.assert_reference_bytes(tmp_path, [
+                ([0, 1], rng.random(rows) < 0.5),
+                *(np.repeat(rng.normal(size=rows // 97 + 1), 97)[:rows] for _ in range(m - 1)),
+                rng.random(rows), np.array(["x"] * rows)])
+
+    def test_no_numeric_column(self, tmp_path, caplog):
+        rng = np.random.default_rng(53)
+        rows = 2 * cli._CSV_BLOCK + 3
+        words = np.array(["é", "", "kind,n", "ünïcode text longer than eight"])
+        columns = [words[rng.integers(0, 4, rows)], ([0.5, np.nan, 2.0], rng.integers(0, 3, rows)),
+                   (words, rng.integers(0, 4, rows)), ([0, 1], rng.random(rows) < 0.5)]
+        with caplog.at_level(logging.DEBUG, logger="cavitychain.cli"):
+            self.assert_reference_bytes(tmp_path, columns)
+        # with no numbers to size them by, blocks are _CSV_BLOCK rows long
+        assert caplog.records[-1].args[1:] == (rows, 0, 3 + 2, 3)
+
+    def test_one_kernel_call_per_block(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(x, out):
+            calls.append(len(x))
+            return number_cells(x, out)
+
+        monkeypatch.setattr(csvtext, "number_cells", spy)
+        assert main(["spectrum", "--config", "fig3a", "--out", str(tmp_path / "f.csv")]) == 0
+        # 2,000 rows of 9 numbers: one call per block of _CSV_BLOCK numbers, not one per column
+        assert len(calls) == -(-18000 // cli._CSV_BLOCK) and sum(calls) == 18000
+
     def test_unequal_columns_raise_before_writing(self, tmp_path):
         out = tmp_path / "short.csv"
         with pytest.raises(ValueError, match="unequal length"):
@@ -790,14 +843,15 @@ class TestCsvWriter:
         (record,) = [r for r in caplog.records if r.name == "cavitychain.cli"]
         assert record.levelno == logging.DEBUG
         # the kernel formats and certifies the mapped R; Python formats each of the
-        # 200 + 200 axis values and the 2 flag values once
-        assert record.args == ("fig4.csv", 40000, 40000, 402)
+        # 200 + 200 axis values and the 2 flag values once; one numeric column
+        # takes _CSV_BLOCK rows a block
+        assert record.args == ("fig4.csv", 40000, 40000, 402, -(-40000 // cli._CSV_BLOCK))
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="cavitychain.cli"):
             cli._write_csv(tmp_path / "special.csv", ["x", "n", "p"],
                            [[np.nan, 1.0, np.inf, 0.1, 1e-300], ["a"] * 5,
                             ([0.5, np.nan], [0, 1, 1, 0, 0])])
-        assert caplog.records[-1].args == ("special.csv", 5, 5, 3 + 2)
+        assert caplog.records[-1].args == ("special.csv", 5, 5, 3 + 2, 1)
 
 
 class TestOutputsWrittenInPlace:

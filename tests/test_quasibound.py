@@ -22,7 +22,7 @@ from cavitychain import (
 )
 from cavitychain.model import potential_parts
 from cavitychain.quasibound import DEFAULT_IM_WINDOW
-from cavitychain.scattering import _transfer_row
+from cavitychain.scattering import _transfer_row, chain_scatter
 from helpers import (
     bound_state_energies,
     build_hamiltonian,
@@ -850,3 +850,70 @@ class TestBoundStatesOutsideTheBand:
         assert 1 / binding(closed).min() > 14
         assert agree(closed, lattice_bound_states(fig3a, 1001))
         assert not agree(closed, lattice_bound_states(fig3a, 11))
+
+
+#: The Rabi frequency at which a fig3a node reflects perfectly at k = 3 pi / 5.
+FIG3A_MIRROR_OMEGA = 1.6625077511098134
+
+
+def pole_error(cfg, E, lat=LAT):
+    """|E_fit - E| / Gamma, Gamma = -2 Im E, for E_fit the pole nearest Re E of a
+    [2/2] rational function fitted by linear least squares to ``chain_scatter``'s
+    s at the nine real energies Re E + Gamma x, x in [-2, 2]
+    (``momentum_from_energy`` raises if one leaves the band)."""
+    gamma, x = -2.0 * E.imag, np.linspace(-2.0, 2.0, 9)
+    k = [momentum_from_energy(energy, lat) for energy in E.real + gamma * x]
+    _, s, _ = chain_scatter(k, [(0, cfg.atom1), (cfg.D, cfg.atom2)], lat)
+    # s (1 + b1 x + b2 x^2) = a0 + a1 x + a2 x^2, linear in the five coefficients
+    A = np.stack([np.ones(9), x, x * x, -s * x, -s * x * x], axis=1)
+    *_, b1, b2 = np.linalg.lstsq(A, s, rcond=None)[0]
+    poles = np.roots([b2, b1, 1.0])
+    return abs(E.real + gamma * poles[np.argmin(np.abs(poles))] - E) / gamma
+
+
+class TestTransmissionPoles:
+    """A window root is a pole of the transmission s measured on the real axis.
+
+    A root E with width Gamma = -2 Im E narrower than a quarter of its gap
+    to the nearest other root is an isolated resonance of s near Re E.  A
+    [2/2] fit to s over Re E +- 2 Gamma recovers it within Gamma times a
+    bound that grows as (Gamma / gap)^2.5 above a floor of 1e-9 plus the
+    rounding of E itself; the roots below, with Gamma / gap from 2e-6 to
+    0.22, sit at least 3 times inside it.
+    """
+
+    @staticmethod
+    def isolated_roots(Omega):
+        """Two fig3a nodes at D = 20 with Rabi frequency Omega and, for each
+        isolated window root, (n, E, its nearest other root, the bound)."""
+        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=Omega, g=1.0)
+        cfg = TwoNodeConfig(atom, atom, 20)
+        modes = find_quasibound_modes(cfg, LAT)
+        Es = np.array([mode.E for mode in modes], complex)
+        roots = []
+        for i, (mode, E) in enumerate(zip(modes, Es)):
+            others = np.delete(Es, i)
+            neighbour = others[np.argmin(np.abs(others - E))]
+            gamma, gap = -2.0 * E.imag, abs(neighbour - E)
+            if gamma < gap / 4:
+                bound = (gamma / gap) ** 2.5 + 1e-9 + 16 * np.spacing(abs(E)) / gamma
+                roots.append((mode.n, E, neighbour, bound))
+        return cfg, roots
+
+    def test_the_perfect_reflection_frequency(self):
+        atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0, g=1.0)
+        (Omega,) = find_perfect_reflection(0.6 * math.pi, atom, LAT)
+        assert Omega == pytest.approx(FIG3A_MIRROR_OMEGA, rel=1e-14)
+
+    @pytest.mark.parametrize("Omega, isolated", [
+        (FIG3A_MIRROR_OMEGA + 0.1, [6, 12]), (FIG3A_MIRROR_OMEGA + 1e-2, [6, 12]),
+        (FIG3A_MIRROR_OMEGA + 1e-3, [6, 12]), (1.0, [7, 11])])
+    def test_each_isolated_root_is_a_fitted_pole(self, Omega, isolated):
+        cfg, roots = self.isolated_roots(Omega)
+        assert sorted(n for n, *_ in roots) == isolated
+        for n, E, neighbour, bound in roots:
+            assert pole_error(cfg, E) <= bound, n
+            # negative controls, held to the same bound: the spectrum of the
+            # cavity one site longer, and the root given its nearest neighbour's width
+            assert pole_error(TwoNodeConfig(cfg.atom1, cfg.atom2, cfg.D + 1), E) > bound, n
+            assert pole_error(cfg, complex(E.real, neighbour.imag)) > bound, n
