@@ -389,11 +389,8 @@ def cmd_wavepacket(cfg: dict) -> tuple:
         raise ConfigError("absorbing layers need an explicit x0 and tmax")
     try:
         if placed:
-            wp = WavepacketSpec(
-                k0=cfg["k0"], sigma=cfg["sigma"], x0=cfg["x0"], tmax=cfg["tmax"],
-                absorber_width=cfg.get("absorber_width", 0),
-                absorber_strength=cfg.get("absorber_strength", 0.2),
-            )
+            absorbers = {key: cfg[key] for key in ("absorber_width", "absorber_strength") if key in cfg}
+            wp = WavepacketSpec(k0=cfg["k0"], sigma=cfg["sigma"], x0=cfg["x0"], tmax=cfg["tmax"], **absorbers)
         else:
             wp = design_wavepacket(spec, cfg["k0"], cfg["sigma"])
         check_packet_layout(spec, wp)

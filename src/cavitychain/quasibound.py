@@ -17,11 +17,13 @@ zeros of g = P22 / sin k in each cell, the cell's contour moments seed them
 (Delves & Lyness, Math. Comp. 21, 543 (1967)), and Newton on P22 polishes
 them.  A root is converged when one more Newton step would move E(k) by at
 most 16 ulps of |omega| + 2t, the rounding E carries into P22.  A cell
-whose polished roots do not match its count, or hold an unconverged root,
-is seeded again and then cut anew, and the search raises when every cut
-placement fails, so no root is missed silently.  The test suite checks the
-roots against the lattice: the Siegert states of the segment between the
-nodes (Siegert, Phys. Rev. 56, 750 (1939)).
+whose polished roots do not match its count, or hold an unconverged root
+or a repeat the argument principle does not count, is rejected and, if it
+counts several roots, seeded again from a box; then the window is cut
+anew, and the search raises when every cut placement fails, so no root is
+missed silently.  The test suite checks the roots against the lattice: the
+Siegert states of the segment between the nodes (Siegert, Phys. Rev. 56,
+750 (1939)).
 """
 
 from __future__ import annotations
@@ -182,21 +184,11 @@ def _merged(a, b, old, new):
     return merged
 
 
-def _seeds(cfg: TwoNodeConfig, lat: LatticeParams, xs, im_window, width):
-    """The window's ``_cells``: root counts and contour-moment seeds of the cells Re k in xs.
-
-    Apart from ``_cells`` so that a test can replace the window's seeds and
-    leave those of ``_box_search`` and ``_uncertified`` alone.
-    """
-    return _cells(cfg, lat, xs, im_window, width)
-
-
 def _box_search(cfg: TwoNodeConfig, lat: LatticeParams, xs, counts, seeds, cells, im_window,
-                unsettled) -> int:
-    """Seed again each multi-root cell some of whose seeds fall outside it or do not converge.
+                rejected) -> int:
+    """Seed again each multi-root cell that ``_uncertified`` rejects.
 
-    Such a cell holds a cluster its moments do not resolve; ``unsettled``
-    marks the seeds whose polished roots have not converged.  It is seeded
+    Such a cell holds a cluster its moments do not resolve.  It is seeded
     again, in place in ``seeds``, from the smallest of a sequence of boxes
     about its seeds' centroid that still holds all its roots: the first as
     wide as the cell, each next one a quarter of the last, grown by 4
@@ -204,9 +196,7 @@ def _box_search(cfg: TwoNodeConfig, lat: LatticeParams, xs, counts, seeds, cells
     its half-width apart.  Returns the number of cells so seeded.
     """
     im_lo, im_hi = im_window
-    outside = (seeds.real <= xs[cells]) | (seeds.real >= xs[cells + 1])
-    outside |= (seeds.imag <= im_lo) | (seeds.imag >= im_hi)
-    boxed = np.unique(cells[(outside | unsettled) & (counts[cells] > 1)])
+    boxed = np.flatnonzero(rejected & (counts > 1))
     for i in boxed:
         (x0, x1), own = xs[i : i + 2], cells == i
         best, r, held = seeds[own], x1 - x0, False
@@ -386,22 +376,21 @@ def find_quasibound_modes(
     2e-6 wide or narrower, raises ValueError before the search.  Cut lines at
     (m + 1/2) pi / D, halfway between the perfect-mirror momenta and none
     within a quarter cell of the window's sides, split it into cells.
-    ``_seeds`` counts each cell's roots by the argument principle and seeds
+    ``_cells`` counts each cell's roots by the argument principle and seeds
     them from its contour moments, and ``_polish`` runs Newton on P22.  The
     certificate has one rule for a root: it is converged when one more
     Newton step would move E(k) by at most 16 ulps of |omega| + 2t.  Each
     cell must hold as many distinct converged roots inside the window as it
     counts, a multiple root counting as many as ``_uncertified`` finds it
-    has.  A placement that fails has its multi-root cells whose moments left
-    a cluster unresolved, or that hold an unconverged root, box-searched
-    (``_box_search``), and every seed polished again.  Roots close to a cut
-    line can spoil its count, so when a cell still fails, every cut moves to
-    (m + 3/4) pi / D and then to (m + 1/4) pi / D, and the search runs
-    again; UnverifiedRootError, naming the last placement's failure, is
-    raised when all three placements fail.  Results are sorted by
-    (Re k, Im k); a mode's ``residual`` is read off the certifying step.
-    ``n_re`` and ``n_im`` are accepted and ignored (they sized an earlier
-    seed grid).
+    has.  A placement that fails has the multi-root cells the certificate
+    rejects box-searched (``_box_search``), and every seed polished again.
+    Roots close to a cut line can spoil its count, so when a cell still
+    fails, every cut moves to (m + 3/4) pi / D and then to (m + 1/4) pi / D,
+    and the search runs again; UnverifiedRootError, naming the last
+    placement's failure, is raised when all three placements fail.  Results
+    are sorted by (Re k, Im k); a mode's ``residual`` is read off the
+    certifying step.  ``n_re`` and ``n_im`` are accepted and ignored (they
+    sized an earlier seed grid).
     ``return_diagnostics`` adds the window's root count by the argument
     principle (``winding``), the number of cells, the window-root count, the
     largest scaled residual, the largest certifying step in ulps of
@@ -425,16 +414,15 @@ def find_quasibound_modes(
         cuts = (m + shift) * width
         cuts = cuts[(re_lo + 0.25 * width < cuts) & (cuts < re_hi - 0.25 * width)]
         xs = np.concatenate(([re_lo], cuts, [re_hi]))
-        xs, counts, seeds, seed_cells, (samples, rounds) = _seeds(cfg, lat, xs, im_window, width)
+        xs, counts, seeds, seed_cells, (samples, rounds) = _cells(cfg, lat, xs, im_window, width)
         boxed = 0
         while True:  # once, and once more if a box search seeds any cell again
             ks, moving = _polish(seeds, seed_cells, cfg, lat)
             _, ulps, residuals = _aberth_step(ks, slice(None), seed_cells, cfg, lat)  # one more, not taken
-            unsettled = ~(ulps <= 16.0)
-            wrong = _uncertified(ks, unsettled, moving, xs, counts, im_window, cfg, lat)
+            wrong, rejected = _uncertified(ks, ~(ulps <= 16.0), moving, xs, counts, im_window, cfg, lat)
             if not wrong or boxed:
                 break
-            boxed = _box_search(cfg, lat, xs, counts, seeds, seed_cells, im_window, unsettled)
+            boxed = _box_search(cfg, lat, xs, counts, seeds, seed_cells, im_window, rejected)
             if not boxed:
                 break
         box_searches += boxed
@@ -467,7 +455,7 @@ def find_quasibound_modes(
 
 
 def _uncertified(ks, unsettled, moving, xs, counts, im_window, cfg: TwoNodeConfig,
-                 lat: LatticeParams) -> str:
+                 lat: LatticeParams) -> tuple[str, np.ndarray]:
     """What fails the certificate, or "" when each cell holds as many distinct converged roots as it counts.
 
     ``unsettled`` marks the roots the certificate finds unconverged,
@@ -475,22 +463,26 @@ def _uncertified(ks, unsettled, moving, xs, counts, im_window, cfg: TwoNodeConfi
     of each other pass only as one multiple root: the argument principle must
     count as many roots in a box 1e-9 about them.  A pair closer than about
     1e-8 is a double root to P22's rounding, and Newton takes both its seeds
-    to one point.
+    to one point.  Also returns the mask of the cells the first failing
+    check rejects: those whose roots inside the window differ from their
+    counts, else those holding an unconverged root, else the cell of a
+    repeated root that its box does not count.
     """
     cell = np.searchsorted(xs, ks.real) - 1
     inside = (xs[0] < ks.real) & (ks.real < xs[-1])
     inside &= (im_window[0] < ks.imag) & (ks.imag < im_window[1])
     found = np.bincount(cell[inside], minlength=len(counts))
-    if not inside.all() or np.any(found != counts):
-        wrong = found != counts
+    wrong = found != counts
+    if wrong.any():  # a root outside the window leaves some cell short
         return (f"Newton left {np.count_nonzero(~inside)} roots outside the window, and the cells "
                 f"Re k > {xs[:-1][wrong].round(6).tolist()} hold {found[wrong].tolist()} "
-                f"roots where the argument principle counts {counts[wrong].tolist()}")
+                f"roots where the argument principle counts {counts[wrong].tolist()}"), wrong
     if unsettled.any():
         j = np.flatnonzero(unsettled)[0]
         why = ("is still moving after 64 Newton steps" if moving[j]
                else "would move E(k) by more than 16 ulps in one more Newton step")
-        return f"trapped-mode root k={ks[j]} {why}, and Newton has not converged on it"
+        return (f"trapped-mode root k={ks[j]} {why}, and Newton has not converged on it",
+                np.isin(np.arange(len(counts)), cell[unsettled]))
     order = np.lexsort((ks.imag, ks.real))
     repeat = (cell[order][1:] == cell[order][:-1]) & (np.abs(np.diff(ks[order])) <= 1e-12)
     for k in ks[order][1:][repeat]:
@@ -501,8 +493,9 @@ def _uncertified(ks, unsettled, moving, xs, counts, im_window, cfg: TwoNodeConfi
         except UnverifiedRootError:  # a side of the box runs through another root
             n = 0
         if n != repeats:
-            return f"{repeats} seeds of one cell converged to the same trapped-mode root {k}"
-    return ""
+            return (f"{repeats} seeds of one cell converged to the same trapped-mode root {k}",
+                    np.arange(len(counts)) == np.searchsorted(xs, k.real) - 1)
+    return "", wrong
 
 
 def _mode_index(k: complex, D: int) -> int | None:

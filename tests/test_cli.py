@@ -571,17 +571,18 @@ class TestMap2dCommand:
             sidecar = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
             assert sidecar["max_engine_deviation"] <= 1e-8
 
-    def test_k_map_is_the_spectrum(self, tmp_path):
+    @pytest.mark.parametrize("quantity", ["R", "T", "xi", "Re_r", "Im_r"])
+    def test_k_map_is_the_spectrum(self, tmp_path, quantity):
         # spectrum is the one-k-axis case of the same grid path
         spectrum, k_map = tmp_path / "s.csv", tmp_path / "m.csv"
         grid = ["k_min=0.2", "k_max=2.9", "k_count=301"]
-        axis = ["axis1=k", "axis1_min=0.2", "axis1_max=2.9", "axis1_count=301", "quantity=R"]
+        axis = ["axis1=k", "axis1_min=0.2", "axis1_max=2.9", "axis1_count=301", f"quantity={quantity}"]
         for out, command, keys in ((spectrum, "spectrum", grid), (k_map, "map2d", axis)):
             assert main([command, *sets(*FIG6A_NODES, *keys), "--out", str(out)]) == 0
         s_header, s_rows = read_csv(spectrum)
         m_header, m_rows = read_csv(k_map)
         assert column(s_header, s_rows, "k", str) == column(m_header, m_rows, "k", str)
-        assert column(s_header, s_rows, "R", str) == column(m_header, m_rows, "R", str)
+        assert column(s_header, s_rows, quantity, str) == column(m_header, m_rows, quantity, str)
 
     def test_fig6b_runs_over_separations(self, tmp_path):
         out = tmp_path / "fig6b.csv"

@@ -235,7 +235,7 @@ class TestModeSearch:
         def searched(*args):
             raise AssertionError("an empty window was searched")
 
-        monkeypatch.setattr(quasibound, "_seeds", searched)
+        monkeypatch.setattr(quasibound, "_cells", searched)
         atom = AtomParams(omega_e=1.0, delta=0.0, Omega=1.0)
         with pytest.raises(ValueError, match="must be below"):
             find_quasibound_modes(TwoNodeConfig(atom, atom, D=3), LAT,
@@ -464,6 +464,20 @@ class TestCompleteness:
             assert diag["winding"] == len(modes) == len(reference), (cfg, lat)
             assert np.abs(np.array([m.k for m in modes]) - reference).max(initial=0.0) <= 1e-9, (cfg, lat)
 
+    def test_a_root_polished_into_the_next_cell_is_box_searched(self):
+        # seed 2's pair 522 of draw_trapped_pair: near Re k = 2.52 one seed of
+        # a three-root cell polishes onto its neighbour's root, at every cut
+        # placement, with every root converged; the certificate rejects both
+        # cells, and the three-root one is boxed
+        atom = AtomParams(omega_e=0.9815071426767132, delta=-0.9067825814088946, Omega=0.2275220618569902,
+                          g=4.87341045379498)
+        cfg, lat = TwoNodeConfig(atom, atom, 174), LatticeParams(omega=-1.7355504297665263, t=0.5078619336350985)
+        modes, diag = find_quasibound_modes(cfg, lat, return_diagnostics=True)
+        reference = siegert_window_roots(cfg, lat)
+        assert diag["winding"] == len(modes) == len(reference) == 175
+        assert diag["cut_shift"] == 0.5 and diag["box_searches"] >= 1
+        assert np.abs(np.array([m.k for m in modes]) - reference).max() <= 1e-9
+
     def test_jittering_roots_shifted_by_1e_9_raise(self, monkeypatch):
         # negative control: at the D = 3 roots sin k is 0.17, so a root 1e-9
         # off moves E by 7.1e-10 in one more step, 8e5 ulps of |omega| + 2t
@@ -517,27 +531,33 @@ class TestCompleteness:
     def test_roots_of_the_wrong_separation_raise(self, monkeypatch):
         # negative control: the cells, counts and seeds of the D+1 cavity
         # polish onto roots of the D residual that do not match those counts
-        exact = quasibound._seeds
+        exact = quasibound._cells
 
         def shifted(cfg, lat, xs, im_window, width):
-            return exact(TwoNodeConfig(cfg.atom1, cfg.atom2, cfg.D + 1), lat, xs, im_window, width)
+            if width == math.pi / cfg.D:  # the window's call, not a box's
+                cfg = TwoNodeConfig(cfg.atom1, cfg.atom2, cfg.D + 1)
+            return exact(cfg, lat, xs, im_window, width)
 
-        monkeypatch.setattr(quasibound, "_seeds", shifted)
+        monkeypatch.setattr(quasibound, "_cells", shifted)
         with pytest.raises(UnverifiedRootError, match="argument principle counts"):
             find_quasibound_modes(TwoNodeConfig(LAMBDA, LAMBDA, 10), LAT)
 
     @pytest.mark.parametrize("which", ["single", "multi"])
     def test_dropping_one_seed_raises(self, monkeypatch, which):
         # negative control: a cell left one seed short holds fewer roots than
-        # it counts, whether it counts one root or two
-        exact = quasibound._seeds
+        # it counts, whether it counts one root or two.  A one-root cell is
+        # never boxed, so the window's seeds alone lose it; a two-root cell's
+        # box would seed it again, so every call, the boxes' too, drops one
+        exact = quasibound._cells
 
         def short(cfg, lat, xs, im_window, width):
             xs, counts, seeds, cells, contour = exact(cfg, lat, xs, im_window, width)
-            i = np.flatnonzero(counts[cells] == (1 if which == "single" else 2))[0]
-            return xs, counts, np.delete(seeds, i), np.delete(cells, i), contour
+            i = np.flatnonzero(counts[cells] == (1 if which == "single" else 2))
+            if len(i) and (which == "multi" or width == math.pi / cfg.D):
+                seeds, cells = np.delete(seeds, i[0]), np.delete(cells, i[0])
+            return xs, counts, seeds, cells, contour
 
-        monkeypatch.setattr(quasibound, "_seeds", short)
+        monkeypatch.setattr(quasibound, "_cells", short)
         with pytest.raises(UnverifiedRootError, match="argument principle counts"):
             find_quasibound_modes(TwoNodeConfig(LAMBDA, LAMBDA, 20), LAT)
 
@@ -549,6 +569,62 @@ class TestCompleteness:
         modes, diag = find_quasibound_modes(cfg, NARROW_LAT, return_diagnostics=True)
         assert diag["winding"] == len(modes) == 2
         assert min(abs(m.k - on_cut) for m in modes) <= 1e-12
+
+
+def certified_roots(cfg, lat=LAT):
+    """The search's cells at its first cut placement, and their polished roots.
+
+    Returns the cut edges, the counts, the roots, the mask of the roots
+    ``_polish`` left moving, and each root's cell.
+    """
+    width = math.pi / cfg.D
+    cuts = (np.arange(cfg.D) + 0.5) * width
+    xs = np.concatenate(([1e-6], cuts[(0.25 * width < cuts) & (cuts < math.pi - 0.25 * width)], [math.pi - 1e-6]))
+    xs, counts, seeds, cells, _ = quasibound._cells(cfg, lat, xs, DEFAULT_IM_WINDOW, width)
+    ks, moving = quasibound._polish(seeds, cells, cfg, lat)
+    return xs, counts, ks, moving, cells
+
+
+class TestCertificateVerdict:
+    """``_uncertified``'s message and rejected cells on the fig3a pair's real roots, one fault at a time."""
+
+    CFG = TwoNodeConfig(LAMBDA, LAMBDA, 20)
+
+    def verdict(self, ks, xs, counts, moving, unsettled=None):
+        unsettled = np.zeros(len(ks), bool) if unsettled is None else unsettled
+        return quasibound._uncertified(ks, unsettled, moving, xs, counts, DEFAULT_IM_WINDOW, self.CFG, LAT)
+
+    def test_polished_roots_certify_and_reject_no_cell(self):
+        xs, counts, ks, moving, _ = certified_roots(self.CFG)
+        wrong, rejected = self.verdict(ks, xs, counts, moving)
+        assert wrong == "" and not rejected.any()
+
+    def test_a_root_moved_into_the_next_cell_rejects_both_cells(self):
+        xs, counts, ks, moving, cells = certified_roots(self.CFG)
+        j = np.flatnonzero(cells == 3)[0]
+        ks[j] = complex(0.5 * (xs[4] + xs[5]), ks[j].imag)
+        wrong, rejected = self.verdict(ks, xs, counts, moving)
+        assert "argument principle counts" in wrong
+        assert np.flatnonzero(rejected).tolist() == [3, 4]
+
+    def test_an_unconverged_root_rejects_its_cell(self):
+        xs, counts, ks, moving, cells = certified_roots(self.CFG)
+        unsettled = np.zeros(len(ks), bool)
+        unsettled[np.flatnonzero(cells == 7)[0]] = True
+        wrong, rejected = self.verdict(ks, xs, counts, moving, unsettled)
+        assert "Newton has not converged" in wrong
+        assert np.flatnonzero(rejected).tolist() == [7]
+
+    def test_a_repeated_root_the_box_does_not_count_rejects_its_cell(self):
+        # one root of the first two-root cell replaced by a copy of the
+        # other: the 1e-9 box about it counts one root, not two
+        xs, counts, ks, moving, cells = certified_roots(self.CFG)
+        pair = np.flatnonzero(counts == 2)[0]
+        first, second = np.flatnonzero(cells == pair)
+        ks[second] = ks[first]
+        wrong, rejected = self.verdict(ks, xs, counts, moving)
+        assert "2 seeds of one cell converged to the same trapped-mode root" in wrong
+        assert np.flatnonzero(rejected).tolist() == [pair]
 
 
 #: Pair types of the completeness matrix, with their lattices.
