@@ -19,9 +19,9 @@ them.  A root is converged when one more Newton step would move E(k) by at
 most 16 ulps of |omega| + 2t, the rounding E carries into P22.  A cell
 whose polished roots do not match its count, or hold an unconverged root
 or a repeat the argument principle does not count, is rejected and, if it
-counts several roots, seeded again from a box; then the window is cut
-anew, and the search raises when every cut placement fails, so no root is
-missed silently.  The test suite checks the roots against the lattice: the
+counts a root, seeded again from a box; then the window is cut anew, and
+the search raises when every cut placement fails, so no root is missed
+silently.  The test suite checks the roots against the lattice: the
 Siegert states of the segment between the nodes (Siegert, Phys. Rev. 56,
 750 (1939)).
 """
@@ -89,15 +89,18 @@ def _log_steps(k, path, L, h, weaker):
     """Change of log g over each step between neighbouring samples of one path.
 
     Where both samples carry L = 2ikD its change is exact, and only log h is
-    taken on its principal branch; elsewhere the whole of log g is.  Also
+    taken on its principal branch; elsewhere the whole of log g is, with the
+    real part of L's change, up to 2D |Im k|, added as a logarithm so that
+    it cannot overflow.  Also
     returns the size of that principal-branch part, the step's unknown turn,
     and the step's length times the larger weaker-term ratio at its ends.
     Steps between two paths are zero.
     """
     both = (L[1:] != 0.0) & (L[:-1] != 0.0)
     dL = L[1:] - L[:-1]
+    rest = np.where(both, 0.0, dL)
     with np.errstate(all="ignore"):
-        turn = np.log(h[1:] / h[:-1] * np.exp(np.where(both, 0.0, dL)))
+        turn = np.log(h[1:] / h[:-1] * np.exp(1j * rest.imag)) + rest.real
     same = path[1:] == path[:-1]
     spread = np.abs(np.diff(k)) * np.maximum(weaker[1:], weaker[:-1])
     return (np.where(same, turn + np.where(both, dL, 0.0), 0.0), np.where(same, np.abs(turn), 0.0),
@@ -186,17 +189,20 @@ def _merged(a, b, old, new):
 
 def _box_search(cfg: TwoNodeConfig, lat: LatticeParams, xs, counts, seeds, cells, im_window,
                 rejected) -> int:
-    """Seed again each multi-root cell that ``_uncertified`` rejects.
+    """Seed again each cell that ``_uncertified`` rejects and that counts a root.
 
-    Such a cell holds a cluster its moments do not resolve.  It is seeded
-    again, in place in ``seeds``, from the smallest of a sequence of boxes
-    about its seeds' centroid that still holds all its roots: the first as
-    wide as the cell, each next one a quarter of the last, grown by 4
-    instead while none holds them, until one does or a box's seeds lie half
-    its half-width apart.  Returns the number of cells so seeded.
+    Its moment seeds missed Newton's basins: a cluster they do not resolve,
+    or one root whose basin, about 1 / (2D) wide, its seed lies outside.  A
+    cell that counts none has no seed; the cell that lost the root is boxed.
+    Each is seeded again, in place in ``seeds``, from the smallest of a
+    sequence of boxes about its seeds' centroid that still holds all its
+    roots: the first as wide as the cell, each next one a quarter of the
+    last, grown by 4 instead while none holds them, until one does or a
+    box's seeds lie half its half-width apart.  Returns the number of cells
+    so seeded.
     """
     im_lo, im_hi = im_window
-    boxed = np.flatnonzero(rejected & (counts > 1))
+    boxed = np.flatnonzero(rejected & (counts > 0))
     for i in boxed:
         (x0, x1), own = xs[i : i + 2], cells == i
         best, r, held = seeds[own], x1 - x0, False
@@ -382,8 +388,9 @@ def find_quasibound_modes(
     Newton step would move E(k) by at most 16 ulps of |omega| + 2t.  Each
     cell must hold as many distinct converged roots inside the window as it
     counts, a multiple root counting as many as ``_uncertified`` finds it
-    has.  A placement that fails has the multi-root cells the certificate
-    rejects box-searched (``_box_search``), and every seed polished again.
+    has.  A placement that fails has every cell the certificate rejects that
+    counts a root box-searched (``_box_search``), and every seed polished
+    again.
     Roots close to a cut line can spoil its count, so when a cell still
     fails, every cut moves to (m + 3/4) pi / D and then to (m + 1/4) pi / D,
     and the search runs again; UnverifiedRootError, naming the last

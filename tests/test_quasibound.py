@@ -353,6 +353,19 @@ class TestContourTrace:
         assert np.all(path[corner] < 2)
         assert np.array_equal(k[corner], np.r_[xs + 1j * im_lo, xs + 1j * im_hi])
 
+    def test_a_step_out_of_the_factored_region_is_finite_at_large_separation(self):
+        # two first samples of a cut line at D = 20,000: the lower one carries
+        # L = 2ikD, whose real part is 750, and the upper one does not.
+        # e^{-750} underflows, so the change of log g must add it as a logarithm
+        cfg = TwoNodeConfig(LAMBDA, LAMBDA, 20000)
+        k = (12000 + 0.5) * math.pi / cfg.D + 1j * np.array([-0.5 + 7 * 0.06875, 0.05])
+        L, h, weaker = quasibound._factored(k, cfg, LAT)
+        assert L[0].real == pytest.approx(750.0) and L[1] == 0.0
+        (step,), _, _ = quasibound._log_steps(k, np.zeros(2, int), L, h, weaker)
+        exact = L[1] - L[0] + np.log(h[1]) - np.log(h[0])  # from log g = L + log h
+        assert step.real == pytest.approx(exact.real, rel=1e-14)
+        assert abs(cmath.exp(1j * (step.imag - exact.imag)) - 1.0) <= 1e-9
+
 
 class TestCompleteness:
     @pytest.mark.parametrize(
@@ -478,6 +491,18 @@ class TestCompleteness:
         assert diag["cut_shift"] == 0.5 and diag["box_searches"] >= 1
         assert np.abs(np.array([m.k for m in modes]) - reference).max() <= 1e-9
 
+    def test_long_random_pairs_certify(self):
+        # three seeded pairs with D redrawn from 1,500-2,500: in each, some
+        # one-root cell's moment seed misses its root's Newton basin, about
+        # 1 / (2D) wide, and only a box about it finds the root
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            cfg, lat = draw_trapped_pair(rng)
+            cfg = TwoNodeConfig(cfg.atom1, cfg.atom2, int(rng.integers(1500, 2501)))
+            modes, diag = find_quasibound_modes(cfg, lat, return_diagnostics=True)
+            assert diag["winding"] == len(modes) > 1500, (cfg, lat)
+            assert diag["box_searches"] >= 1, (cfg, lat)
+
     def test_jittering_roots_shifted_by_1e_9_raise(self, monkeypatch):
         # negative control: at the D = 3 roots sin k is 0.17, so a root 1e-9
         # off moves E by 7.1e-10 in one more step, 8e5 ulps of |omega| + 2t
@@ -544,16 +569,19 @@ class TestCompleteness:
 
     @pytest.mark.parametrize("which", ["single", "multi"])
     def test_dropping_one_seed_raises(self, monkeypatch, which):
-        # negative control: a cell left one seed short holds fewer roots than
-        # it counts, whether it counts one root or two.  A one-root cell is
-        # never boxed, so the window's seeds alone lose it; a two-root cell's
-        # box would seed it again, so every call, the boxes' too, drops one
+        # negative control: a one-root cell seeded a cell to the right, or a
+        # two-root cell left one seed short, holds fewer roots than it counts.
+        # A box would seed either cell again, so every call, the boxes' too,
+        # spoils one seed.  The one-root cell keeps its seed, moved, since
+        # a cell that counts a root always has one
         exact = quasibound._cells
 
         def short(cfg, lat, xs, im_window, width):
             xs, counts, seeds, cells, contour = exact(cfg, lat, xs, im_window, width)
             i = np.flatnonzero(counts[cells] == (1 if which == "single" else 2))
-            if len(i) and (which == "multi" or width == math.pi / cfg.D):
+            if len(i) and which == "single":
+                seeds[i[0]] += xs[cells[i[0]] + 1] - xs[cells[i[0]]]
+            elif len(i):
                 seeds, cells = np.delete(seeds, i[0]), np.delete(cells, i[0])
             return xs, counts, seeds, cells, contour
 
@@ -708,16 +736,19 @@ class TestCompletenessMatrix:
 
     @pytest.mark.parametrize("pair", ["lambda", "two-level"])
     def test_long_cavity_against_the_argument_principle(self, pair):
-        # D = 800 is beyond the lattice reference's reach in a test; the count
-        # comes from the kernel's P22 wound around 40 samples per unit of D.
-        # Below Im k = -0.44, |e^{2ikD}| overflows, and no root lies there
+        # D = 800 and 2,000 are beyond the lattice reference's reach in a
+        # test; the count comes from the kernel's P22 wound around 40 samples
+        # per unit of D.  Below Im k = -352 / D (-0.44 at D = 800, -0.18 at
+        # 2,000), |e^{2ikD}| overflows, and no root lies there.  At D = 2,000
+        # one-root cells by the band edges need a box search
         atom1, atom2, lat = PAIRS[pair]
-        modes, diag = find_quasibound_modes(TwoNodeConfig(atom1, atom2, 800), lat, return_diagnostics=True)
-        rect = (1e-3, math.pi - 1e-3, -0.4, 0.05)
-        assert all(1e-3 < m.k.real < math.pi - 1e-3 and m.k.imag > -0.4 for m in modes)
-        assert diag["winding"] == len(modes) == winding_number([(0, atom1), (800, atom2)], lat, rect, 32200)
-        assert len(modes) == {"lambda": 801, "two-level": 799}[pair]
-        assert max(m.residual for m in modes) <= VERIFY_TOL
+        for D in (800, 2000):
+            modes, diag = find_quasibound_modes(TwoNodeConfig(atom1, atom2, D), lat, return_diagnostics=True)
+            rect = (1e-3, math.pi - 1e-3, -320 / D, 0.05)
+            assert all(1e-3 < m.k.real < math.pi - 1e-3 and m.k.imag > rect[2] for m in modes)
+            assert diag["winding"] == len(modes) == winding_number([(0, atom1), (D, atom2)], lat, rect, 40 * D + 200)
+            assert len(modes) == {"lambda": D + 1, "two-level": D - 1}[pair]
+            assert max(m.residual for m in modes) <= VERIFY_TOL
 
 
 def full_companion_roots(nodes, lat):
